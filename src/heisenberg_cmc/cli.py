@@ -15,9 +15,8 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .classify import Family, classify, cylinder_energy, cylinder_radius
+from .classify import Family, classify, cylinder_energy
 from .closed_forms import (
     catenoid_slab_halfwidth,
     halfperiod_heights,
@@ -94,26 +93,23 @@ def _axis(text):
 # report assembly
 
 
-def _normalized(h, e):
-    # closed forms assume H >= 0; (H, E) -> (-H, -E) is the t-mirror, which
-    # leaves every reported magnitude unchanged
-    if h < 0.0 or (h == 0.0 and e < 0.0):
-        return -h, -e
-    return h, e
-
-
 def run_report(command, n, h, e):
-    """Structural report of the (n, H, E) profile, with error estimates."""
+    """Structural report of the (n, H, E) profile, with error estimates.
+
+    The closed forms assume H >= 0; the classification carries the
+    normalized (H, E), and the t-mirror (H, E) -> (-H, -E) leaves every
+    reported magnitude unchanged.
+    """
     cls = classify(n, h, e)
-    hn, en = _normalized(h, e)
     summary = dict.fromkeys(("t1", "t2", "period", "perimeter", "volume"))
     estimates = {}
     notes = []
     if cls.family is Family.SPHERE:
-        summary["t2"] = sphere_profile(hn, 0.0)
+        summary["t2"] = sphere_profile(cls.h, 0.0)
         notes.append("t2 is the pole height above the equator plane")
-        per = perimeter_result(sphere_surface(n, hn))
-        vol = enclosed_volume_result(sphere_surface(n, hn))
+        surface = sphere_surface(n, cls.h)
+        per = perimeter_result(surface)
+        vol = enclosed_volume_result(surface)
         summary["perimeter"] = per.value
         estimates["perimeter"] = per.error_estimate
         summary["volume"] = vol.value
@@ -121,7 +117,7 @@ def run_report(command, n, h, e):
         notes.append("closed-form profile: closed_forms.sphere_profile")
     elif cls.family is Family.CATENOID:
         try:
-            width = catenoid_slab_halfwidth(n, en)
+            width = catenoid_slab_halfwidth(n, abs(cls.e))
             summary["t2"] = width.value
             estimates["t2"] = width.error_estimate
             notes.append("t2 is the slab half-width t_inf")
@@ -131,14 +127,14 @@ def run_report(command, n, h, e):
             "closed-form profile: closed_forms.catenoid_generating_curve"
         )
     elif cls.family is Family.CYLINDER:
-        summary["t1"] = 0.0
-        summary["t2"] = 0.0
+        summary["t1"] = estimates["t1"] = 0.0
+        summary["t2"] = estimates["t2"] = 0.0
         notes.append(
-            f"cylinder radius {cylinder_radius(n, hn):.17g} at the "
-            f"cylinder energy {cylinder_energy(n, hn):.17g}"
+            f"cylinder radius {cls.x0:.17g} at the "
+            f"cylinder energy {cylinder_energy(n, cls.h):.17g}"
         )
     elif cls.family in (Family.UNDULOID, Family.NODOID):
-        t1, t2 = halfperiod_heights(n, hn, en)
+        t1, t2 = halfperiod_heights(n, h, e)
         summary["t1"] = t1.value
         estimates["t1"] = t1.error_estimate
         summary["t2"] = t2.value
@@ -319,50 +315,25 @@ def cmd_verify(args):
 
 
 def _sweep_row(n, h, e):
+    """The sweep columns of run_report; inadmissible rows keep only n, h, e."""
     row = dict.fromkeys(SWEEP_COLUMNS)
     row.update({"n": n, "h": h, "e": e})
     try:
-        cls = classify(n, h, e)
+        report = run_report(("sweep",), n, h, e)
     except NoAdmissibleRadiusError:
         return row
-    hn, en = _normalized(h, e)
-    row.update({"family": cls.family.value, "x1": cls.x1, "x2": cls.x2,
-                "x0": cls.x0})
-    if cls.family in (Family.UNDULOID, Family.NODOID):
-        t2 = halfperiod_heights(n, hn, en)[1]
-        row["t2"], row["t2_error"] = t2.value, t2.error_estimate
-    elif cls.family is Family.CYLINDER:
-        row["t2"], row["t2_error"] = 0.0, 0.0
-    elif cls.family is Family.SPHERE:
-        row["t2"] = sphere_profile(hn, 0.0)
-        per = perimeter_result(sphere_surface(n, hn))
-        vol = enclosed_volume_result(sphere_surface(n, hn))
-        row["perimeter"], row["perimeter_error"] = per.value, per.error_estimate
-        row["volume"], row["volume_error"] = vol.value, vol.error_estimate
-    elif cls.family is Family.CATENOID:
-        try:
-            width = catenoid_slab_halfwidth(n, en)
-            row["t2"], row["t2_error"] = width.value, width.error_estimate
-        except DivergentIntegralError:
-            pass
+    row["family"] = report["family"]
+    row.update(report["radii"])
+    estimates = report["diagnostics"]["error_estimates"]
+    for key in ("t2", "perimeter", "volume"):
+        row[key] = report["summary"][key]
+        row[f"{key}_error"] = estimates.get(key)
     return row
-
-
-def _worker_count(jobs):
-    cap = os.cpu_count() or 1
-    env = os.environ.get("CC_DELAUNAY_THREADS")
-    if env is not None:
-        cap = min(cap, max(1, int(env)))
-    return max(1, min(cap, jobs))
 
 
 def sweep_rows(ns, hs, es):
     """Sweep the grid; rows come back in grid order (n outer, e inner)."""
-    grid = [(n, h, e) for n in ns for h in hs for e in es]
-    if not grid:
-        return []
-    with ThreadPoolExecutor(max_workers=_worker_count(len(grid))) as pool:
-        return list(pool.map(lambda p: _sweep_row(*p), grid))
+    return [_sweep_row(n, h, e) for n in ns for h in hs for e in es]
 
 
 def _csv_cell(value):

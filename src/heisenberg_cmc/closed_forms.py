@@ -357,43 +357,45 @@ def _unduloid_cofactor(n, h, e, x1, x2):
     return cofactor
 
 
-def _normalized_band(n, h, e):
-    n = dimension_index(n)
-    h = float(h)
-    e = float(e)
-    if h < 0.0:
-        h, e = -h, -e
-    return n, h, e, classify(n, h, e)
+def _band_integrands(cls):
+    """Half-period integrands across the band of a periodic classification.
 
-
-def nodoid_halfperiod(n, h, e, *, scheme="substitution",
-                      rel_tol=1e-12, abs_tol=1e-14):
-    """Height t2 gained while the profile radius sweeps the band once.
-
-    Evaluates the regularized integrand
-        (2(n-1) x^{1-2n} w^2 + x^{2n-1}) / (2nH sqrt(x^{4n-2} - w^2)),
-    whose numerator is strictly positive, and cross-checks it against the
-    raw form w x / sqrt(x^{4n-2} - w^2); disagreement beyond the combined
-    error estimates raises QuadratureError.
+    Returns the raw dt/dx = w x / sqrt(x^{4n-2} - w^2) and, for nodoids,
+    the regularized form (None for unduloids).  Both take (x, x - x1, x2 - x)
+    so the simple zeros of the factored radicand at x1 and x2 come from
+    exact offsets.
     """
-    n, h, e, cls = _normalized_band(n, h, e)
-    if not (h > 0.0 and e < 0.0):
-        raise ValueError("nodoid half-period needs EH < 0")
-    x1, x2 = cls.x1, cls.x2
+    n, h, e, x1, x2 = cls.n, cls.h, cls.e, cls.x1, cls.x2
+    if cls.family is Family.UNDULOID:
+        cofactor = _unduloid_cofactor(n, h, e, x1, x2)
+
+        def raw(x, d1, d2):
+            w = e + h * x ** (2 * n)
+            f1 = x ** (2 * n - 1) + e + h * x ** (2 * n)
+            return w * x / math.sqrt(d1 * d2 * cofactor(x) * f1)
+
+        return raw, None
     g1, g2 = _nodoid_factors(n, h, x1, x2)
 
-    def raw(x, da, db):
+    def raw(x, d1, d2):
         w = e + h * x ** (2 * n)
-        return w * x / math.sqrt(da * db * g1(x) * g2(x))
+        return w * x / math.sqrt(d1 * d2 * g1(x) * g2(x))
 
-    def regularized(x, da, db):
+    def regularized(x, d1, d2):
         w = e + h * x ** (2 * n)
         num = 2.0 * (n - 1) * x ** (1 - 2 * n) * w * w + x ** (2 * n - 1)
-        return num / (2 * n * h) / math.sqrt(da * db * g1(x) * g2(x))
+        return num / (2 * n * h) / math.sqrt(d1 * d2 * g1(x) * g2(x))
 
-    kw = dict(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
-    a = singular_quadrature(raw, x1, x2, "both", **kw)
-    b = singular_quadrature(regularized, x1, x2, "both", **kw)
+    return raw, regularized
+
+
+def _halfperiod(cls, raw, regularized, kw):
+    """t2 = int raw across the band; with a regularized integrand, its
+    value is returned after a cross-check against the raw one."""
+    a = singular_quadrature(raw, cls.x1, cls.x2, "both", **kw)
+    if regularized is None:
+        return a
+    b = singular_quadrature(regularized, cls.x1, cls.x2, "both", **kw)
     gap = abs(a.value - b.value)
     allowed = max(1e-10 * (1.0 + abs(b.value)),
                   2.0 * (a.error_estimate + b.error_estimate))
@@ -409,25 +411,34 @@ def nodoid_halfperiod(n, h, e, *, scheme="substitution",
     )
 
 
+def nodoid_halfperiod(n, h, e, *, scheme="substitution",
+                      rel_tol=1e-12, abs_tol=1e-14):
+    """Height t2 gained while the profile radius sweeps the band once.
+
+    Evaluates the regularized integrand
+        (2(n-1) x^{1-2n} w^2 + x^{2n-1}) / (2nH sqrt(x^{4n-2} - w^2)),
+    whose numerator is strictly positive, and cross-checks it against the
+    raw form w x / sqrt(x^{4n-2} - w^2); disagreement beyond the combined
+    error estimates raises QuadratureError.
+    """
+    cls = classify(n, h, e)
+    if not (cls.h > 0.0 and cls.e < 0.0):
+        raise ValueError("nodoid half-period needs EH < 0")
+    kw = dict(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
+    return _halfperiod(cls, *_band_integrands(cls), kw)
+
+
 def unduloid_halfperiod(n, h, e, *, scheme="substitution",
                         rel_tol=1e-12, abs_tol=1e-14):
     """Height t2 of one rising half period, w x / sqrt(x^{4n-2} - w^2)
     integrated across [x1, x2]; zero for the cylinder."""
-    n, h, e, cls = _normalized_band(n, h, e)
-    if not (h > 0.0 and e > 0.0):
+    cls = classify(n, h, e)
+    if not (cls.h > 0.0 and cls.e > 0.0):
         raise ValueError("unduloid half-period needs EH > 0")
     if cls.family is Family.CYLINDER:
         return QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
-    x1, x2 = cls.x1, cls.x2
-    cofactor = _unduloid_cofactor(n, h, e, x1, x2)
-
-    def raw(x, da, db):
-        w = e + h * x ** (2 * n)
-        f1 = x ** (2 * n - 1) + e + h * x ** (2 * n)
-        return w * x / math.sqrt(da * db * cofactor(x) * f1)
-
-    return singular_quadrature(raw, x1, x2, "both", scheme=scheme,
-                               rel_tol=rel_tol, abs_tol=abs_tol)
+    kw = dict(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
+    return _halfperiod(cls, *_band_integrands(cls), kw)
 
 
 def halfperiod_heights(n, h, e, *, scheme="substitution",
@@ -439,30 +450,20 @@ def halfperiod_heights(n, h, e, *, scheme="substitution",
     nodoids (x0 is the vertical-tangent radius).  t2 is the full half-period
     height.  Cylinders degenerate to (0, 0).
     """
-    n, h, e, cls = _normalized_band(n, h, e)
-    kw = dict(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
+    cls = classify(n, h, e)
     if cls.family is Family.CYLINDER:
         zero = QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
         return zero, zero
+    if cls.family not in (Family.UNDULOID, Family.NODOID):
+        raise ValueError(
+            "half-period heights exist only for the periodic families")
+    kw = dict(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
+    raw, regularized = _band_integrands(cls)
+    x1, x2, x0 = cls.x1, cls.x2, cls.x0
     if cls.family is Family.UNDULOID:
-        x1, x2, x0 = cls.x1, cls.x2, cls.x0
-        cofactor = _unduloid_cofactor(n, h, e, x1, x2)
-
-        def raw(x, da, db):
-            w = e + h * x ** (2 * n)
-            f1 = x ** (2 * n - 1) + e + h * x ** (2 * n)
-            return w * x / math.sqrt(da * (x2 - x) * cofactor(x) * f1)
-
-        t1 = singular_quadrature(raw, x1, x0, "lower", **kw)
-        return t1, unduloid_halfperiod(n, h, e, **kw)
-    if cls.family is Family.NODOID:
-        x1, x2, x0 = cls.x1, cls.x2, cls.x0
-        g1, g2 = _nodoid_factors(n, h, x1, x2)
-
-        def raw(x, da, db):
-            w = e + h * x ** (2 * n)
-            return w * x / math.sqrt((x - x1) * db * g1(x) * g2(x))
-
-        t1 = singular_quadrature(raw, x0, x2, "upper", **kw)
-        return t1, nodoid_halfperiod(n, h, e, **kw)
-    raise ValueError("half-period heights exist only for the periodic families")
+        t1 = singular_quadrature(lambda x, da, db: raw(x, da, x2 - x),
+                                 x1, x0, "lower", **kw)
+    else:
+        t1 = singular_quadrature(lambda x, da, db: raw(x, x - x1, db),
+                                 x0, x2, "upper", **kw)
+    return t1, _halfperiod(cls, raw, regularized, kw)

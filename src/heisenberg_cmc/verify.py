@@ -16,6 +16,7 @@ from .closed_forms import (
     catenoid_slab_halfwidth,
     halfperiod_heights,
     nodoid_halfperiod,
+    sphere_generating_curve,
     sphere_profile,
     unduloid_halfperiod,
 )
@@ -47,7 +48,7 @@ from .profile_ode import (
     integrate,
 )
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = ["SUITES", "energy_grid_drift", "run_suite"]
 
 SUITES = ("energy", "closed-forms", "curvature", "classification",
           "measures", "all")
@@ -89,29 +90,36 @@ def _guard(checks, name):
 # suites
 
 
+def energy_grid_drift(n):
+    """Worst relative energy drift, energy_drift() / (1 + |E|), over the
+    5x5 grid of H and E / E_cyl for one n.
+
+    Trajectories stop at arclength 50 or the eighth critical radius,
+    whichever comes first; a drift tolerance of 1e-9 makes the solver
+    retry at tighter tolerances before it returns.
+    """
+    worst = 0.0
+    for h in (0.25, 0.5, 1.0, 1.5, 2.0):
+        ecyl = cylinder_energy(n, h)
+        for frac in (-0.5, 0.0, 0.4, 0.8, 1.0):
+            e = frac * ecyl
+            cfg = SolveConfig(
+                max_arclength=50.0,
+                drift_tolerance=1e-9,
+                stop_event=(EventKind.CRITICAL_RADIUS, 8),
+            )
+            traj = integrate(n, h, e=e, config=cfg)
+            worst = max(worst, traj.energy_drift() / (1.0 + abs(e)))
+    return worst
+
+
 def _suite_energy(checks, rng):
-    # 5x5 (H, E) grid per n; trajectories capped at arclength 50 or four
-    # full periods, whichever comes first
-    fractions = (-0.5, 0.0, 0.4, 0.8, 1.0)
     for n in (1, 2, 3):
         name = f"energy-drift-n{n}"
 
         @_guard(checks, name)
         def body(n=n, name=name):
-            worst = 0.0
-            for h in (0.25, 0.5, 1.0, 1.5, 2.0):
-                ecyl = cylinder_energy(n, h)
-                for frac in fractions:
-                    e = frac * ecyl
-                    cfg = SolveConfig(
-                        max_arclength=50.0,
-                        drift_tolerance=1e-9,
-                        stop_event=(EventKind.CRITICAL_RADIUS, 8),
-                    )
-                    traj = integrate(n, h, e=e, config=cfg)
-                    drift = traj.energy_drift() / (1.0 + abs(e))
-                    worst = max(worst, drift)
-            _check(checks, name, worst, 1e-9,
+            _check(checks, name, energy_grid_drift(n), 1e-9,
                    "max relative drift over the (H, E) grid")
 
 
@@ -201,9 +209,10 @@ def _suite_curvature(checks, rng):
     def body():
         worst = 0.0
         for psi in (0.4, 1.0, 2.2):
-            x, t, dx, dt, ddx, ddt = _sphere_curve(1.0, psi)
+            x, t, dx, dt, ddx, ddt = sphere_generating_curve(1.0, psi)
             hr = mean_curvature_rotational(x, dx, ddx, dt, ddt, 2)
-            surf = RotationalSurface(2, lambda s: _sphere_curve(1.0, s))
+            surf = RotationalSurface(
+                2, lambda s: sphere_generating_curve(1.0, s))
             hj = mean_curvature_general(surf.jet([psi, 0.1, 0.0, -0.2]))
             worst = max(worst, abs(hr - hj))
         _check(checks, "rotational-vs-general", worst, 1e-8)
@@ -227,12 +236,6 @@ def _suite_curvature(checks, rng):
             worst = max(worst, chmy_identity_residual(surf, [s, 0.1]))
         _check(checks, "characteristic-identity-residual", worst, 1e-6,
                "cylinder, plane, catenoid")
-
-
-def _sphere_curve(h, psi):
-    from .closed_forms import sphere_generating_curve
-
-    return sphere_generating_curve(h, psi)
 
 
 def _expected_family(n, h, e):
@@ -325,8 +328,9 @@ def _suite_measures(checks, rng):
                          config=cfg)
         p_ode = perimeter(RotationalProfile.from_trajectory(traj))
         half = RotationalProfile.from_curve(
-            1, lambda s: _sphere_curve(1.0, s), (math.pi / 2.0, math.pi),
-            closed=False, arclength=False, panels=128)
+            1, lambda s: sphere_generating_curve(1.0, s),
+            (math.pi / 2.0, math.pi), closed=False, arclength=False,
+            panels=128)
         _check(checks, "sphere-perimeter-two-pipeline",
                abs(p_ode - perimeter(half)), 1e-5)
 

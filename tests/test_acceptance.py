@@ -43,10 +43,10 @@ from heisenberg_cmc.profile_ode import (
     EventKind,
     ProfileState,
     SolveConfig,
-    energy,
     integrate,
     reflect_continue,
 )
+from heisenberg_cmc.verify import energy_grid_drift
 
 _DURATIONS = []
 
@@ -61,20 +61,8 @@ def _report(num, name, ok, detail, elapsed):
 
 def test_criterion_01_energy_conservation():
     start = time.perf_counter()
-    worst = 0.0
-    for n in (1, 2, 3):
-        for h in (0.25, 0.5, 1.0, 1.5, 2.0):
-            ecyl = cylinder_energy(n, h)
-            for frac in (-0.5, 0.0, 0.4, 0.8, 1.0):
-                cfg = SolveConfig(
-                    max_arclength=50.0,
-                    drift_tolerance=1e-9,
-                    stop_event=(EventKind.CRITICAL_RADIUS, 8),
-                )
-                traj = integrate(n, h, e=frac * ecyl, config=cfg)
-                vals = np.array([energy(row, n, h) for row in traj.states])
-                drift = np.max(np.abs(vals - vals[0])) / (1.0 + abs(vals[0]))
-                worst = max(worst, drift)
+    # 3 x 25 (n, H, E) cases through the body behind `verify energy`
+    worst = max(energy_grid_drift(n) for n in (1, 2, 3))
     elapsed = time.perf_counter() - start
     _report(1, "energy conservation over the (n, H, E) grid",
             worst <= 1e-9 and elapsed < 10.0,

@@ -363,15 +363,40 @@ def test_sweep_json_schema_with_inadmissible_rows(capsys):
     assert all(row["x1"] is None and row["t2"] is None for row in empty)
 
 
-def test_sweep_order_independent_of_parallelism(monkeypatch):
-    rows_default = sweep_rows([1, 2], [0.5, 1.0], [-0.1, 0.0, 0.3])
-    monkeypatch.setenv("CC_DELAUNAY_THREADS", "1")
-    rows_serial = sweep_rows([1, 2], [0.5, 1.0], [-0.1, 0.0, 0.3])
-    assert rows_default == rows_serial
-    keys = [(r["n"], r["h"], r["e"]) for r in rows_default]
-    expected = [(n, h, e) for n in (1, 2) for h in (0.5, 1.0)
-                for e in (-0.1, 0.0, 0.3)]
+def test_sweep_rows_in_grid_order():
+    ns, hs, es = [2, 1], [1.0, 0.5], [0.3, -0.1, 0.0]
+    keys = [(r["n"], r["h"], r["e"]) for r in sweep_rows(ns, hs, es)]
+    expected = [(n, h, e) for n in ns for h in hs for e in es]
     assert keys == expected
+
+
+@pytest.mark.parametrize("n, h, e, family", [
+    (1, 0.0, 0.0, "Hyperplane"),
+    (2, 0.0, -0.7, "Catenoid"),
+    (1, 0.0, 1.0, "Catenoid"),
+    (2, -1.0, 0.0, "Sphere"),
+    (1, 0.5, 0.5, "Cylinder"),
+    (2, 1.0, 0.05, "Unduloid"),
+    (3, -1.0, 0.2, "Nodoid"),
+    (1, 0.5, 0.6, None),
+])
+def test_sweep_row_is_report_projection(n, h, e, family):
+    (row,) = sweep_rows([n], [h], [e])
+    assert list(row) == list(SWEEP_COLUMNS)
+    assert (row["n"], row["h"], row["e"], row["family"]) == (n, h, e, family)
+    if family is None:  # no admissible radius: numerics stay empty
+        assert all(row[col] is None for col in SWEEP_COLUMNS[4:])
+        return
+    report = run_report(["classify"], n, h, e)
+    estimates = report["diagnostics"]["error_estimates"]
+    assert report["family"] == family
+    assert {k: row[k] for k in ("x1", "x2", "x0")} == report["radii"]
+    for key in ("t2", "perimeter", "volume"):
+        assert row[key] == report["summary"][key]
+        assert row[f"{key}_error"] == estimates.get(key)
+    if family == "Cylinder":
+        assert row["t2"] == row["t2_error"] == 0.0
+        assert estimates["t1"] == estimates["t2"] == 0.0
 
 
 def test_sweep_row_content_against_modules():
