@@ -17,7 +17,6 @@ hand-rolled tanh-sinh rule.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -60,29 +59,6 @@ class QuadratureResult:
             raise ValueError("error estimate must be nonnegative")
 
 
-def _offset_integrand(f):
-    """Normalize an integrand to the three-argument form f(x, da, db).
-
-    da = x - a and db = b - x are computed by the quadrature rule without
-    cancellation, so integrands with endpoint singularities should consume
-    them instead of recomputing the offsets from x.  Plain f(x) callables
-    are wrapped; the flag in the returned pair records which case applies.
-    """
-    try:
-        params = list(inspect.signature(f).parameters.values())
-    except (TypeError, ValueError):
-        return (lambda x, da, db: f(x)), False
-    if any(p.kind is inspect.Parameter.VAR_POSITIONAL for p in params):
-        return f, True
-    positional = sum(
-        p.kind in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        for p in params
-    )
-    if positional >= 3:
-        return f, True
-    return (lambda x, da, db: f(x)), False
-
-
 def _quad_checked(fun, lo, hi, abs_tol, rel_tol):
     out = quad(fun, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=200, full_output=1)
     if len(out) > 3:
@@ -119,16 +95,14 @@ def _substitution(g, a, b, singular, abs_tol, rel_tol):
     return total, err
 
 
-def _tanh_sinh(g, offset_aware, a, b, abs_tol, rel_tol, max_level):
+def _tanh_sinh(g, a, b, abs_tol, rel_tol, max_level):
     """Trapezoid sums over x = mid + (b-a)/2 tanh((pi/2) sinh(tau)).
 
     The substitution pushes endpoint singularities into double-exponentially
     small weights; halving the step until successive sums agree gives the
     error estimate.  tau is truncated at 4, small enough for anything up to
-    an inverse-square-root blowup.  Offset-aware integrands are evaluated
-    even where the abscissa rounds onto an endpoint (da, db stay exact and
-    positive); plain f(x) integrands have those nodes dropped, which caps
-    their attainable accuracy when the singular endpoint is nonzero.
+    an inverse-square-root blowup.  Nodes whose abscissa rounds onto an
+    endpoint are still evaluated: the offsets da, db stay exact and positive.
     """
     span = b - a
     mid = 0.5 * (a + b)
@@ -141,8 +115,6 @@ def _tanh_sinh(g, offset_aware, a, b, abs_tol, rel_tol, max_level):
         db = span / (1.0 + math.exp(2.0 * z))
         # build x from the nearer endpoint so the offset survives rounding
         x = a + da if z <= 0.0 else b - db
-        if not offset_aware and not a < x < b:
-            return 0.0
         weight = 0.5 * math.pi * math.cosh(tau) / math.cosh(z) ** 2
         return half * weight * g(x, da, db)
 
@@ -176,8 +148,9 @@ def singular_quadrature(f, a, b, singular="both", *, scheme="substitution",
     ``singular`` declares which endpoints are singular ("lower", "upper",
     "both", "none"); the substitution scheme applies u^2 = x - a there and
     plain adaptive quadrature elsewhere, while the tanh-sinh scheme treats
-    every endpoint uniformly.  The integrand may accept (x, da, db) with the
-    exact offsets from the endpoints; see _offset_integrand.
+    every endpoint uniformly.  The integrand is called as f(x, da, db) with
+    da = x - a and db = b - x computed without cancellation, so endpoint
+    singularities should be evaluated from the offsets, not from x.
     """
     a = float(a)
     b = float(b)
@@ -187,18 +160,17 @@ def singular_quadrature(f, a, b, singular="both", *, scheme="substitution",
         raise ValueError("singular must be one of %s" % (_SINGULAR_SPECS,))
     if scheme not in _SCHEMES:
         raise ValueError("scheme must be one of %s" % (_SCHEMES,))
-    g, offset_aware = _offset_integrand(f)
     calls = 0
 
     def counted(x, da, db):
         nonlocal calls
         calls += 1
-        return g(x, da, db)
+        return f(x, da, db)
 
     if scheme == "substitution":
         value, err = _substitution(counted, a, b, singular, abs_tol, rel_tol)
     else:
-        value, err = _tanh_sinh(counted, offset_aware, a, b, abs_tol, rel_tol, max_level)
+        value, err = _tanh_sinh(counted, a, b, abs_tol, rel_tol, max_level)
     return QuadratureResult(value=value, error_estimate=abs(err), evaluations=calls)
 
 

@@ -33,8 +33,8 @@ class DegenerateTangentsError(GeometryError):
 class EnergyDriftError(GeometryError):
     """First-integral conservation failed during integration.
 
-    The partial trajectory, truncated at the first offending sample, is
-    attached as ``trajectory``.
+    The whole offending trajectory, every sample of it, is attached as
+    ``trajectory``.
     """
 
     def __init__(self, message, trajectory=None):

@@ -174,9 +174,10 @@ def initial_state(n, h, e):
 class Trajectory:
     """Integrated profile with event record and dense evaluation.
 
-    states holds rows (x, t, sigma) at the arclength nodes s.  state_at(s)
-    uses the solver's dense output when available; reflected trajectories
-    fall back to linear interpolation between samples.
+    states holds rows (x, t, sigma) at the arclength nodes s.  dense maps an
+    arclength in [s[0], s[-1]] to (x, t, sigma): the solver's dense output,
+    composed with the mirror maps for reflected trajectories, so state_at(s)
+    is exact between nodes too.
     """
 
     n: int
@@ -186,8 +187,8 @@ class Trajectory:
     states: np.ndarray  # shape (m, 3): x, t, sigma
     events: list
     config: SolveConfig
+    dense: object
     notes: list = field(default_factory=list)
-    dense: object = None
 
     @property
     def s_end(self):
@@ -197,11 +198,8 @@ class Trajectory:
         s = float(s)
         if s < self.s[0] - 1e-9 or s > self.s[-1] + 1e-9:
             raise ValueError(f"s = {s} outside [{self.s[0]}, {self.s[-1]}]")
-        if self.dense is not None:
-            x, t, sigma = self.dense(min(max(s, self.s[0]), self.s[-1]))
-            return ProfileState(float(x), float(t), float(sigma))
-        cols = [np.interp(s, self.s, self.states[:, k]) for k in range(3)]
-        return ProfileState(*map(float, cols))
+        x, t, sigma = self.dense(min(max(s, self.s[0]), self.s[-1]))
+        return ProfileState(float(x), float(t), float(sigma))
 
     def arrays(self):
         return self.s, self.states[:, 0], self.states[:, 1], self.states[:, 2]
@@ -407,14 +405,56 @@ def integrate(n, h, e=None, initial=None, config=None):
             abs_ = abs_ * 1e-2
 
 
-def _mirrored_about_end(traj):
-    s0 = traj.s_end
-    x0, t0, sig0 = traj.states[-1]
-    s_new = s0 + (s0 - traj.s[::-1])
-    xs = traj.states[::-1, 0]
-    ts = 2.0 * t0 - traj.states[::-1, 1]
-    sigs = 2.0 * sig0 - traj.states[::-1, 2]
-    return s_new, np.column_stack([xs, ts, sigs])
+def _mirrored(traj, at_end):
+    """traj joined to its mirror image about its end (or start) state.
+
+    At a critical radius the profile is symmetric under the reflection
+    (s, x, t, sigma) -> (2 s0 - s, x, 2 t0 - t, 2 sigma0 - sigma); samples,
+    events and the dense evaluator are all carried across it, and the joint
+    is recorded as a CriticalRadius event.  A mirror about the start is
+    shifted so the result begins where traj began.
+    """
+    k = -1 if at_end else 0
+    s0 = float(traj.s[k])
+    x0, t0, sig0 = traj.states[k]
+
+    def mirror(s, x, t, sig):
+        return s0 + (s0 - s), x, 2.0 * t0 - t, 2.0 * sig0 - sig
+
+    s_m, *columns = mirror(traj.s[::-1], *traj.states[::-1].T)
+    events_m = []
+    for ev in reversed(traj.events):
+        s, *state = mirror(ev.s, *ev.state)
+        events_m.append(Event(ev.kind, s, ProfileState(*state)))
+    original = (traj.s, traj.states, traj.events)
+    mirrored = (s_m, np.column_stack(columns), events_m)
+    first, second = (original, mirrored) if at_end else (mirrored, original)
+    shift = 0.0 if at_end else traj.s_end - s0
+    joint = Event(EventKind.CRITICAL_RADIUS, s0, ProfileState(x0, t0, sig0))
+    # dict.fromkeys drops the joint's duplicates in a fixed order; a set
+    # would order tied events by the string hash seed
+    events = dict.fromkeys(first[2] + second[2] + [joint])
+    events = [Event(ev.kind, ev.s + shift, ev.state) for ev in events]
+    events.sort(key=lambda ev: ev.s)
+    base = traj.dense
+
+    def dense(s):
+        u = s - shift
+        if (u > s0) == at_end:  # u lies on the mirror image
+            return mirror(u, *base(s0 + (s0 - u)))[1:]
+        return base(u)
+
+    return Trajectory(
+        n=traj.n,
+        h=traj.h,
+        e=traj.e,
+        s=np.concatenate([first[0], second[0][1:]]) + shift,
+        states=np.vstack([first[1], second[1][1:]]),
+        events=events,
+        config=traj.config,
+        dense=dense,
+        notes=list(traj.notes),
+    )
 
 
 def reflect_continue(traj, copies=1):
@@ -423,90 +463,27 @@ def reflect_continue(traj, copies=1):
     When the trajectory ends where sin(sigma) = 0, the continuation is the
     t-mirror of the whole curve, appended; when instead it starts there, the
     mirror is prepended (a profile integrated away from its only critical
-    point, like the closed sphere cap, gets completed backwards).  Cylinders
-    are their own reflection and are returned unchanged with a note.  Raises
-    NoCriticalPointError when neither end qualifies.
+    point, like the closed sphere cap, gets completed backwards).  Each joint
+    is recorded as a CriticalRadius event, and the result keeps an exact
+    dense evaluator.  Cylinders are their own reflection and are returned
+    unchanged with a note.  Raises NoCriticalPointError when neither end
+    qualifies.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
+    if float(np.max(np.abs(np.sin(traj.states[:, 2])))) < 1e-9:
+        return replace(traj, notes=traj.notes + ["cylinder: self-mirrored"])
     out = traj
     for i in range(copies):
-        end_critical = abs(math.sin(out.states[-1, 2])) <= 1e-9
-        start_critical = abs(math.sin(out.states[0, 2])) <= 1e-9
-        degenerate = float(np.max(np.abs(np.sin(out.states[:, 2])))) < 1e-9
-        if degenerate:
-            if out is traj:
-                out = replace(out, notes=out.notes + ["cylinder: self-mirrored"])
-            break
-        if end_critical:
-            s_new, st_new = _mirrored_about_end(out)
-            events = list(out.events)
-            s0 = out.s_end
-            t0 = out.states[-1, 1]
-            sig0 = out.states[-1, 2]
-            for ev in reversed(out.events):
-                st = ProfileState(
-                    ev.state.x, 2.0 * t0 - ev.state.t, 2.0 * sig0 - ev.state.sigma
-                )
-                events.append(Event(ev.kind, s0 + (s0 - ev.s), st))
-            events.append(
-                Event(EventKind.CRITICAL_RADIUS, s0, ProfileState(*out.states[-1]))
-            )
-            events = sorted(set(events), key=lambda ev: ev.s)
-            out = Trajectory(
-                n=out.n,
-                h=out.h,
-                e=out.e,
-                s=np.concatenate([out.s, s_new[1:]]),
-                states=np.vstack([out.states, st_new[1:]]),
-                events=events,
-                config=out.config,
-                notes=list(out.notes),
-                dense=None,
-            )
-        elif start_critical:
-            # prepend the mirror across the start, then shift s to begin at 0
-            shift = out.s_end
-            t0 = out.states[0, 1]
-            sig0 = out.states[0, 2]
-            s_pre = -out.s[::-1]
-            st_pre = np.column_stack(
-                [
-                    out.states[::-1, 0],
-                    2.0 * t0 - out.states[::-1, 1],
-                    2.0 * sig0 - out.states[::-1, 2],
-                ]
-            )
-            events = [
-                Event(
-                    ev.kind,
-                    shift - ev.s,
-                    ProfileState(
-                        ev.state.x,
-                        2.0 * t0 - ev.state.t,
-                        2.0 * sig0 - ev.state.sigma,
-                    ),
-                )
-                for ev in out.events
-            ]
-            events += [Event(ev.kind, shift + ev.s, ev.state) for ev in out.events]
-            events.sort(key=lambda ev: ev.s)
-            out = Trajectory(
-                n=out.n,
-                h=out.h,
-                e=out.e,
-                s=np.concatenate([s_pre + shift, out.s[1:] + shift]),
-                states=np.vstack([st_pre, out.states[1:]]),
-                events=events,
-                config=out.config,
-                notes=list(out.notes),
-                dense=None,
+        if abs(math.sin(out.states[-1, 2])) <= 1e-9:
+            out = _mirrored(out, at_end=True)
+        elif abs(math.sin(out.states[0, 2])) <= 1e-9:
+            out = _mirrored(out, at_end=False)
+        elif i == 0:
+            raise NoCriticalPointError(
+                "trajectory neither starts nor ends at a critical radius"
             )
         else:
-            if i == 0:
-                raise NoCriticalPointError(
-                    "trajectory neither starts nor ends at a critical radius"
-                )
             break
     return out
 

@@ -11,7 +11,7 @@ import math
 from .classify import Family, classify, cylinder_radius
 from .closed_forms import catenoid_generating_curve, sphere_generating_curve
 from .core import dimension_index
-from .profile_ode import EventKind, ProfileState, SolveConfig, integrate
+from .profile_ode import EventKind, SolveConfig, integrate, reflect_continue
 
 __all__ = [
     "PANEL_WIDTH",
@@ -46,29 +46,14 @@ def _fmt(value):
     return "0.000" if out == "-0.000" else out
 
 
-def _ode_polyline(n, h, e, periods=2.0):
-    """Sample the recorded solver nodes of a periodic-family trajectory."""
-    state = _module_initial_state(n, h, e)
-    crossings = max(1, int(round(2.0 * periods)))
-    cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, crossings),
-                      max_arclength=200.0)
-    traj = integrate(n, h, initial=state, config=cfg)
-    return [(float(x), float(t)) for x, t in traj.states[:, :2]]
-
-
-def _module_initial_state(n, h, e):
-    # local import target kept separate so tests can monkeypatch initial_state
-    from .profile_ode import initial_state
-
-    return initial_state(n, h, e)
-
-
 def family_polyline(n, h, e, samples=400):
     """Generating curve of the (n, H, E) profile as a list of (x, t) pairs.
 
-    Closed-form families are sampled uniformly in their natural parameter;
-    unduloids and nodoids are integrated across two full periods so the
-    nodoid's self-intersections are visible.
+    Closed-form families are sampled uniformly in their natural parameter.
+    Unduloids and nodoids are integrated over one half period and mirrored
+    at the critical radii into two full periods, so the nodoid's
+    self-intersections are visible; the n >= 2 catenoid's forward branch is
+    mirrored at its waist.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -96,12 +81,15 @@ def family_polyline(n, h, e, samples=400):
                 x = catenoid_generating_curve(ee, t)[0]
                 pts.append((x, t))
             return pts
-        cfg = SolveConfig(max_arclength=3.0 * c.x1 + 3.0)
-        traj = integrate(n, h, initial=_module_initial_state(n, h, e),
-                         config=cfg)
-        fwd = [(float(x), float(t)) for x, t in traj.states[:, :2]]
-        return [(x, -t) for x, t in reversed(fwd[1:])] + fwd
-    return _ode_polyline(n, h, e)
+        # the waist is a critical radius: mirror the forward branch there
+        branch = integrate(n, h, e=e,
+                           config=SolveConfig(max_arclength=3.0 * c.x1 + 3.0))
+        return trace_polyline(reflect_continue(branch))
+    # each mirror doubles the curve, so two copies of one half period span
+    # two full periods
+    cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 1))
+    half = integrate(n, h, e=e, config=cfg)
+    return trace_polyline(reflect_continue(half, copies=2))
 
 
 def trace_polyline(traj):

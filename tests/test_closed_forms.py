@@ -36,8 +36,8 @@ SCHEMES = ("substitution", "tanh_sinh")
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_quadrature_frozen_integrals(scheme):
-    r = singular_quadrature(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, "lower",
-                            scheme=scheme)
+    r = singular_quadrature(lambda x, da, db: 1.0 / math.sqrt(da), 0.0, 1.0,
+                            "lower", scheme=scheme)
     assert r.value == pytest.approx(2.0, abs=1e-10)
     assert r.evaluations > 0
     assert r.error_estimate >= 0.0
@@ -55,7 +55,8 @@ def test_quadrature_frozen_integrals(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_quadrature_smooth_integrand(scheme):
-    r = singular_quadrature(math.exp, 0.0, 1.0, "none", scheme=scheme)
+    r = singular_quadrature(lambda x, da, db: math.exp(x), 0.0, 1.0, "none",
+                            scheme=scheme)
     assert r.value == pytest.approx(math.e - 1.0, rel=1e-12)
 
 
@@ -76,7 +77,7 @@ def test_quadrature_validation():
 def test_quadrature_budget_exhaustion():
     # a genuine 1/x blowup is not integrable; the adaptive rule gives up
     with pytest.raises(QuadratureError):
-        singular_quadrature(lambda x: 1.0 / x, 0.0, 1.0, "lower",
+        singular_quadrature(lambda x, da, db: 1.0 / da, 0.0, 1.0, "lower",
                             scheme="substitution")
     # one refinement level cannot hit a near-machine tolerance
     with pytest.raises(QuadratureError):

@@ -33,6 +33,7 @@ from heisenberg_cmc.profile_ode import (
     ProfileState,
     SolveConfig,
     integrate,
+    reflect_continue,
 )
 
 
@@ -261,6 +262,17 @@ def test_volume_two_pipeline_half_ball():
         doubled = 2.0 * enclosed_volume(half)
         assert doubled == pytest.approx(enclosed_volume(sphere_surface(n, h)),
                                         abs=1e-5)
+
+
+def test_reflected_sphere_matches_closed_form():
+    # the mirrored half keeps the solver's dense output, so the closed
+    # reflection measures the same sphere as the closed form
+    closed = reflect_continue(half_sphere_trajectory(1, 1.0, 1e-6))
+    profile = RotationalProfile.from_trajectory(closed, closed=True)
+    sphere = sphere_surface(1, 1.0)
+    assert perimeter(profile) == pytest.approx(perimeter(sphere), rel=1e-8)
+    assert enclosed_volume(profile) == pytest.approx(enclosed_volume(sphere),
+                                                     rel=1e-8)
 
 
 def test_cylinder_radius_derivative():

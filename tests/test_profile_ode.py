@@ -248,13 +248,19 @@ def test_reflection_matches_direct_integration():
     direct = integrate(
         1, 0.5, e=0.3, config=SolveConfig(max_arclength=full.s_end + 0.5)
     )
-    # compare at the reflected trajectory's own nodes (its dense output is
-    # gone after reflection) against the direct run's dense solution
+    # compare the reflected trajectory's own nodes against the direct run's
+    # dense solution
     for s, (x, t, sig) in zip(full.s, full.states):
         b = direct.state_at(float(s))
         assert x == pytest.approx(b.x, abs=1e-8)
         assert t == pytest.approx(b.t, abs=1e-8)
         assert sig == pytest.approx(b.sigma, abs=1e-8)
+    # between nodes the reflected dense evaluator must stay as exact
+    for s in 0.5 * (full.s[1:] + full.s[:-1]):
+        a, b = full.state_at(float(s)), direct.state_at(float(s))
+        assert a.x == pytest.approx(b.x, abs=1e-8)
+        assert a.t == pytest.approx(b.t, abs=1e-8)
+        assert a.sigma == pytest.approx(b.sigma, abs=1e-8)
     assert full.energy_drift() < 1e-9
 
 
@@ -278,6 +284,23 @@ def test_reflection_prepends_for_sphere():
     mid = closed.state_at(half.s_end)
     assert mid.t == pytest.approx(0.0, abs=1e-9)
     assert mid.x == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, h, e, waist",
+                         [(1, 1.0, 0.0, 1.0), (2, 0.0, 0.5, 0.5 ** (1.0 / 3.0))],
+                         ids=["sphere", "catenoid"])
+def test_reflection_records_joint(n, h, e, waist):
+    # the sphere's equator and the catenoid's waist are critical radii at the
+    # start of the forward solve, which the solver does not report; the
+    # prepended mirror must record the joint there
+    half = integrate(n, h, e=e, config=SolveConfig(max_arclength=6.0))
+    closed = reflect_continue(half)
+    joints = [ev for ev in closed.events
+              if ev.kind is EventKind.CRITICAL_RADIUS]
+    assert len(joints) == 1
+    assert joints[0].s == half.s_end
+    assert tuple(joints[0].state) == pytest.approx((waist, 0.0, 0.0),
+                                                   abs=1e-12)
 
 
 def test_reflection_cylinder_note():

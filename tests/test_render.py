@@ -6,6 +6,7 @@ import pytest
 
 from heisenberg_cmc.closed_forms import (
     catenoid_generating_curve,
+    halfperiod_heights,
     sphere_generating_curve,
 )
 from heisenberg_cmc.profile_ode import SolveConfig, integrate
@@ -89,6 +90,15 @@ def test_nodoid_self_intersects():
 
 def test_unduloid_does_not_self_intersect():
     assert not _self_intersects(family_polyline(1, 0.5, 0.3))
+
+
+@pytest.mark.parametrize("n, h, e", [(1, 0.5, 0.3), (1, 1.0, -0.1),
+                                     (2, 1.0, 0.05), (2, 0.75, -0.25)])
+def test_periodic_polyline_spans_two_periods(n, h, e):
+    t2 = halfperiod_heights(n, h, e)[1].value
+    line = family_polyline(n, h, e)
+    assert line[0][1] == 0.0
+    assert line[-1][1] == pytest.approx(4.0 * t2, abs=1e-8)
 
 
 def test_trace_polyline_is_node_sequence():
