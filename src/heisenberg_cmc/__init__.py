@@ -2,7 +2,6 @@
 
 from .errors import (
     AxisPointError,
-    AxisSingularityError,
     DegenerateTangentsError,
     DimensionMismatchError,
     DivergentIntegralError,

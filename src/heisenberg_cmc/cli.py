@@ -28,11 +28,9 @@ from .errors import (
     GeometryError,
     NoAdmissibleRadiusError,
 )
-from .measures import (
-    enclosed_volume_result,
-    perimeter_result,
-    sphere_surface,
-)
+# unused here; kept bound because perfbench/tracer.py wraps cli's two names
+from .measures import enclosed_volume_result, perimeter_result  # noqa: F401
+from .measures import sphere_measures
 from .profile_ode import (
     EventKind,
     ProfileState,
@@ -107,13 +105,8 @@ def run_report(command, n, h, e):
     if cls.family is Family.SPHERE:
         summary["t2"] = sphere_profile(cls.h, 0.0)
         notes.append("t2 is the pole height above the equator plane")
-        surface = sphere_surface(n, cls.h)
-        per = perimeter_result(surface)
-        vol = enclosed_volume_result(surface)
-        summary["perimeter"] = per.value
-        estimates["perimeter"] = per.error_estimate
-        summary["volume"] = vol.value
-        estimates["volume"] = vol.error_estimate
+        summary["perimeter"], summary["volume"] = sphere_measures(n, cls.h)
+        estimates["perimeter"] = estimates["volume"] = 0.0
         notes.append("closed-form profile: closed_forms.sphere_profile")
     elif cls.family is Family.CATENOID:
         try:

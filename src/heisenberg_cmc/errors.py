@@ -22,10 +22,6 @@ class AxisPointError(GeometryError):
     """An operation was evaluated at radius x <= 0."""
 
 
-class AxisSingularityError(AxisPointError):
-    """The profile system was evaluated at or below the axis cutoff."""
-
-
 class DegenerateTangentsError(GeometryError):
     """Tangent vectors of a jet are numerically dependent."""
 
@@ -43,7 +39,7 @@ class EnergyDriftError(GeometryError):
 
 
 class NoCriticalPointError(GeometryError):
-    """reflect_continue needs a critical-radius endpoint and found none."""
+    """A mirror reflection needs a critical-radius endpoint and found none."""
 
 
 class NoAdmissibleRadiusError(GeometryError):

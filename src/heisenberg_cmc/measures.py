@@ -7,13 +7,12 @@ in the half plane x >= 0.  Its perimeter is
 
 the Riemannian area density sqrt(det Gram) times the horizontal norm of the
 unit normal; both factors are degree-1 homogeneous jointly in (x', t'), so
-any parameterization of the curve gives the same number.  Rather than trust
-the closed-form density, perimeter evaluation first rebuilds the full Gram
-matrix of the coordinate tangents at a few sample points and checks
-sqrt(det) |N_H| against it.  The enclosed volume of a body of revolution is
-the signed line integral V = omega_{2n} int x^{2n} dt; profiles flagged as
-closed may end on the axis or on horizontal planes, where the closing
-segments contribute nothing.
+any parameterization of the curve gives the same number.  The enclosed
+volume of a body of revolution is the signed line integral
+V = omega_{2n} int x^{2n} dt; profiles flagged as closed may end on the axis
+or on horizontal planes, where the closing segments contribute nothing.
+Both integrals run by composite Gauss-Legendre quadrature for any profile;
+the compact sphere also has them in closed form (``sphere_measures``).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from .closed_forms import QuadratureResult, sphere_generating_curve
 from .core import dimension_index
 from .curvature import mean_curvature_rotational
-from .errors import AxisPointError, GeometryError, SingularPointError
+from .errors import AxisPointError, SingularPointError
 from .profile_ode import rhs
 
 __all__ = [
@@ -42,6 +41,7 @@ __all__ = [
     "cylinder_band",
     "hyperplane_annulus",
     "sphere_surface",
+    "sphere_measures",
 ]
 
 
@@ -55,10 +55,6 @@ def unit_ball_volume(n):
     """Lebesgue volume of the unit ball in R^{2n}: pi^n / n!."""
     n = dimension_index(n)
     return math.pi ** n / math.factorial(n)
-
-
-def _full_norm(x, dx, dt):
-    return math.sqrt(dx * dx + dt * dt + x * x * dx * dx)
 
 
 def _horizontal_norm(x, dx, dt):
@@ -182,38 +178,8 @@ def _integral_result(fun, lo, hi, panels):
                             evaluations=10 * (panels + coarse_panels))
 
 
-def _gram_probe(profile):
-    """Check sqrt(det Gram) |N_H| against the closed-form area density.
-
-    The Gram matrix of the coordinate tangents has blocks |d1|^2 = dx^2+dt^2,
-    |d2|^2 = x^2 + x^4, <d1,d2> = dt x^2 and x^2 on the remaining diagonal.
-    """
-    n = profile.n
-    lo, hi = profile.span
-    if hi == lo:
-        return
-    for s in np.linspace(lo, hi, 11)[1:-1]:
-        x, _, dx, dt, _, _ = profile.at(float(s))
-        gram = np.zeros((2 * n, 2 * n))
-        gram[0, 0] = dx * dx + dt * dt
-        gram[1, 1] = x * x + x ** 4
-        gram[0, 1] = gram[1, 0] = dt * x * x
-        for j in range(2, 2 * n):
-            gram[j, j] = x * x
-        riemannian = math.sqrt(max(float(np.linalg.det(gram)), 0.0))
-        full = _full_norm(x, dx, dt)
-        density = riemannian * (_horizontal_norm(x, dx, dt) / full if full else 0.0)
-        closed_form = x ** (2 * n - 1) * _horizontal_norm(x, dx, dt)
-        if abs(density - closed_form) > 1e-12 * (1.0 + abs(closed_form)):
-            raise GeometryError(
-                "Gram-matrix area density disagrees with the closed form at "
-                "s = %g: %.17g vs %.17g" % (s, density, closed_form)
-            )
-
-
 def perimeter_result(profile, *, panels=None):
     """Perimeter with an error estimate from halving the panel count."""
-    _gram_probe(profile)
     n = profile.n
     scale = unit_sphere_area(n)
 
@@ -387,3 +353,24 @@ def sphere_surface(n, h):
     return RotationalProfile.from_curve(n, evaluate, (0.0, math.pi),
                                         closed=True, arclength=False,
                                         panels=128)
+
+
+def _sine_power_integral(m):
+    """W(m) = int_0^pi sin^{2m}(psi) dpsi = pi C(2m, m) / 4^m."""
+    return math.pi * math.comb(2 * m, m) / 4 ** m
+
+
+def sphere_measures(n, h):
+    """Exact (perimeter, volume) of the compact sphere of mean curvature H.
+
+    Along sphere_generating_curve the perimeter and volume densities are
+    sin^{2n}(psi) / H^{2n+1} and sin^{2n+2}(psi) / H^{2n+2}, so
+    P = sigma_{2n-1} W(n) / H^{2n+1} and V = omega_{2n} W(n+1) / H^{2n+2}.
+    """
+    n = dimension_index(n)
+    h = float(h)
+    if h <= 0.0:
+        raise ValueError("sphere measures need H > 0")
+    return (unit_sphere_area(n) * _sine_power_integral(n) / h ** (2 * n + 1),
+            unit_ball_volume(n) * _sine_power_integral(n + 1)
+            / h ** (2 * n + 2))

@@ -77,7 +77,6 @@ class Event:
 class SolveConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     axis_epsilon: float = 1e-6
     max_arclength: float = 50.0
     drift_tolerance: float = 1e-8
@@ -301,7 +300,6 @@ def _solve_attempt(n, h, initial, config, rel_tol, abs_tol, notes):
         method="DOP853",
         rtol=rel_tol,
         atol=abs_tol,
-        max_step=config.max_step,
         dense_output=True,
         events=events,
     )

@@ -11,6 +11,7 @@ import math
 from .classify import Family, classify, cylinder_radius
 from .closed_forms import catenoid_generating_curve, sphere_generating_curve
 from .core import dimension_index
+from .errors import NoCriticalPointError
 from .profile_ode import EventKind, SolveConfig, integrate, reflect_continue
 
 __all__ = [
@@ -89,6 +90,11 @@ def family_polyline(n, h, e, samples=400):
     # two full periods
     cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 1))
     half = integrate(n, h, e=e, config=cfg)
+    if not any(ev.kind is EventKind.CRITICAL_RADIUS for ev in half.events):
+        raise NoCriticalPointError(
+            "one half period is longer than the arclength limit "
+            f"{cfg.max_arclength}"
+        )
     return trace_polyline(reflect_continue(half, copies=2))
 
 

@@ -8,6 +8,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heisenberg_cmc.profile_ode as pode
 from heisenberg_cmc.classify import cylinder_energy
@@ -141,6 +143,34 @@ def test_classify_report_content():
     assert minus["summary"]["t2"] == pytest.approx(plus["summary"]["t2"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("h", ["0.001", "-0.001"])
+def test_classify_large_sphere(n, h, capsys):
+    # radius 1/|H| = 1000: the report must not depend on quadrature there
+    code, out, err = run_cli(
+        ["classify", "--n", str(n), f"--h={h}", "--e", "0", "--json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    jsonschema.validate(report, _schema("report"))
+    assert report["family"] == "Sphere"
+    estimates = report["diagnostics"]["error_estimates"]
+    assert estimates["perimeter"] == estimates["volume"] == 0.0
+
+
+@given(n=st.sampled_from((1, 2, 3)), u=st.floats(-3.0, 3.0),
+       sign=st.sampled_from((1.0, -1.0)))
+@settings(max_examples=60, deadline=None)
+def test_sphere_report_scales_with_h(n, u, sign):
+    """P |H|^{2n+1} and V |H|^{2n+2} do not depend on H."""
+    h = sign * 10.0 ** u
+    unit = run_report(("classify",), n, 1.0, 0.0)["summary"]
+    summary = run_report(("classify",), n, h, 0.0)["summary"]
+    assert summary["perimeter"] * abs(h) ** (2 * n + 1) == pytest.approx(
+        unit["perimeter"], rel=1e-13)
+    assert summary["volume"] * abs(h) ** (2 * n + 2) == pytest.approx(
+        unit["volume"], rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -236,6 +266,19 @@ def test_render_single_family(capsys):
     assert code == 0
     assert ">Nodoid</text>" in out
     assert 'viewBox="0 0 800 600"' in out
+
+
+def test_render_rejects_truncated_half_period(capsys):
+    # t2 = pi / (4 H^2) ~ 314 lies far beyond the arclength limit 50
+    code, out, err = run_cli(
+        ["render", "--n", "1", "--h", "0.05", "--e", "0.01"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "arclength limit 50" in err
+    code, out, _ = run_cli(
+        ["render", "--n", "1", "--h", "0.5", "--e", "0.3"], capsys)
+    assert code == 0
+    assert ">Unduloid</text>" in out
 
 
 def test_render_requires_selector(capsys):

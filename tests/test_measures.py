@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from heisenberg_cmc.measures import (
     hyperplane_annulus,
     perimeter,
     perimeter_result,
+    sphere_measures,
     sphere_surface,
     unit_ball_volume,
     unit_sphere_area,
@@ -218,6 +220,43 @@ def test_perimeter_result_reports_work():
     assert result.evaluations >= 64 * 10
 
 
+def _gram_density(n, x, dx, dt):
+    """sqrt(det Gram) |N_H| / |N|, with Gram the 2n x 2n matrix of the
+    coordinate tangents of the rotational hypersurface."""
+    gram = np.diag([dx * dx + dt * dt, x * x + x ** 4]
+                   + [x * x] * (2 * n - 2))
+    gram[0, 1] = gram[1, 0] = dt * x * x
+    horizontal = math.sqrt(x * x * dx * dx + dt * dt)
+    full = math.sqrt(dx * dx + dt * dt + x * x * dx * dx)
+    return math.sqrt(np.linalg.det(gram)) * horizontal / full
+
+
+def _unduloid_profile():
+    cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 1))
+    return RotationalProfile.from_trajectory(integrate(1, 0.5, e=0.3,
+                                                       config=cfg))
+
+
+@pytest.mark.parametrize("make_profile", [
+    lambda: sphere_surface(1, 1.0),
+    lambda: sphere_surface(2, 1.0),
+    lambda: sphere_surface(3, 1.0),
+    lambda: cylinder_band(2, 1.3, 0.9),
+    _unduloid_profile,
+], ids=["sphere-n1", "sphere-n2", "sphere-n3", "cylinder", "unduloid"])
+def test_gram_area_density(make_profile):
+    """The perimeter density x^{2n-1} |N_H| is the Gram-matrix area density
+    times |N_H| / |N|."""
+    profile = make_profile()
+    n = profile.n
+    lo, hi = profile.span
+    for s in np.linspace(lo, hi, 11)[1:-1]:
+        x, _, dx, dt, _, _ = profile.at(float(s))
+        closed_form = x ** (2 * n - 1) * math.sqrt(x * x * dx * dx + dt * dt)
+        assert abs(_gram_density(n, x, dx, dt) - closed_form) <= 1e-12 * (
+            1.0 + abs(closed_form))
+
+
 # ---------------------------------------------------------------------------
 # enclosed volume
 
@@ -273,6 +312,17 @@ def test_reflected_sphere_matches_closed_form():
     assert perimeter(profile) == pytest.approx(perimeter(sphere), rel=1e-8)
     assert enclosed_volume(profile) == pytest.approx(enclosed_volume(sphere),
                                                      rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.25, 1.0, 1.75])
+def test_sphere_measures_match_quadrature(n, h):
+    surface = sphere_surface(n, h)
+    per = perimeter_result(surface)
+    vol = enclosed_volume_result(surface)
+    exact_perimeter, exact_volume = sphere_measures(n, h)
+    assert abs(exact_perimeter - per.value) <= per.error_estimate
+    assert abs(exact_volume - vol.value) <= vol.error_estimate
 
 
 def test_cylinder_radius_derivative():
@@ -361,3 +411,5 @@ def test_stock_profile_validation():
         hyperplane_annulus(1, 1.0, 1.0)
     with pytest.raises(ValueError):
         sphere_surface(1, 0.0)
+    with pytest.raises(ValueError):
+        sphere_measures(1, 0.0)
