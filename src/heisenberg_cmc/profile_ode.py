@@ -45,6 +45,7 @@ __all__ = [
     "initial_state",
     "integrate",
     "reflect_continue",
+    "truncated",
     "trajectory_to_csv",
     "trajectory_to_json",
 ]
@@ -81,6 +82,10 @@ class SolveConfig:
     max_arclength: float = 50.0
     drift_tolerance: float = 1e-8
     stop_event: tuple | None = None  # (EventKind, count)
+
+    def __post_init__(self):
+        if self.stop_event is not None and self.stop_event[1] < 1:
+            raise ValueError("stop_event count must be >= 1")
 
 
 def _rhs_scalars(x, sigma, n, h):
@@ -283,10 +288,7 @@ def _solve_attempt(n, h, initial, config, rel_tol, abs_tol, notes):
     }
     if config.stop_event is not None:
         kind, count = config.stop_event
-        kind = EventKind(kind)
-        if count < 1:
-            raise ValueError("stop_event count must be >= 1")
-        gev = kinds[kind]
+        gev = kinds[EventKind(kind)]
         # the solver reports an event at s = 0 whenever the start state sits
         # on it; bump the terminal count so that phantom hit is not counted
         at_start = abs(gev(0.0, np.array(y0))) < 1e-9
@@ -328,36 +330,51 @@ def _solve_attempt(n, h, initial, config, rel_tol, abs_tol, notes):
                 recorded.append(Event(kind, float(s_ev), state))
     recorded.sort(key=lambda ev: ev.s)
 
-    states = np.column_stack([sol.y[0], sol.y[1], sigma_nodes])
-    notes = list(notes)
-    if config.stop_event is not None:
-        kind, count = EventKind(config.stop_event[0]), config.stop_event[1]
-        matching = [ev for ev in recorded if ev.kind is kind]
-        if len(matching) >= count:
-            s_stop = matching[count - 1].s
-            keep = s_nodes < s_stop - 1e-15
-            s_cut = np.append(s_nodes[keep], s_stop)
-            states = np.vstack([states[keep], list(matching[count - 1].state)])
-            recorded = [ev for ev in recorded if ev.s <= s_stop + 1e-15]
-        else:
-            s_cut = s_nodes
-            notes.append(
-                f"stop event {kind.value} x{count} not reached "
-                f"within arclength {config.max_arclength}"
-            )
-    else:
-        s_cut = s_nodes
-
     return Trajectory(
         n=n,
         h=h,
         e=energy(initial, n, h),
-        s=np.asarray(s_cut, dtype=float),
-        states=np.asarray(states, dtype=float),
+        s=np.asarray(s_nodes, dtype=float),
+        states=np.column_stack([sol.y[0], sol.y[1], sigma_nodes]),
         events=recorded,
         config=config,
-        notes=notes,
+        notes=list(notes),
         dense=_DenseCurve(sol.sol, np.asarray(s_nodes, dtype=float), sigma_nodes),
+    )
+
+
+def truncated(traj, config):
+    """traj cut at config's k-th stop_event or at its max_arclength.
+
+    Whichever comes first ends the curve: the samples before it are kept and
+    the state there (the event's own, or the dense one at the arclength
+    limit) closes them.  An unreached stop event adds a note.  The result
+    carries config.
+    """
+    s_cut, last = config.max_arclength, None
+    notes = list(traj.notes)
+    if config.stop_event is not None:
+        kind, count = EventKind(config.stop_event[0]), config.stop_event[1]
+        matching = [ev for ev in traj.events if ev.kind is kind]
+        if len(matching) >= count and matching[count - 1].s <= s_cut:
+            s_cut, last = matching[count - 1].s, matching[count - 1].state
+        else:
+            notes.append(
+                f"stop event {kind.value} x{count} not reached "
+                f"within arclength {config.max_arclength}"
+            )
+    if last is None:
+        if traj.s_end <= s_cut:
+            return replace(traj, config=config, notes=notes)
+        last = traj.state_at(s_cut)
+    keep = traj.s < s_cut - 1e-15
+    return replace(
+        traj,
+        s=np.append(traj.s[keep], s_cut),
+        states=np.vstack([traj.states[keep], list(last)]),
+        events=[ev for ev in traj.events if ev.s <= s_cut + 1e-15],
+        config=config,
+        notes=notes,
     )
 
 
@@ -388,7 +405,9 @@ def integrate(n, h, e=None, initial=None, config=None):
     rel, abs_ = config.rel_tol, config.abs_tol
     retry_notes = []
     while True:
-        traj = _solve_attempt(n, h, initial, config, rel, abs_, retry_notes)
+        traj = truncated(
+            _solve_attempt(n, h, initial, config, rel, abs_, retry_notes), config
+        )
         try:
             _check_invariants(traj)
             return traj

@@ -9,7 +9,11 @@ no timestamps or environment state enter the output.
 import math
 
 from .classify import Family, classify, cylinder_radius
-from .closed_forms import catenoid_generating_curve, sphere_generating_curve
+from .closed_forms import (
+    catenoid_generating_curve,
+    halfperiod_heights,
+    sphere_generating_curve,
+)
 from .core import dimension_index
 from .errors import NoCriticalPointError
 from .profile_ode import EventKind, SolveConfig, integrate, reflect_continue
@@ -86,9 +90,14 @@ def family_polyline(n, h, e, samples=400):
         branch = integrate(n, h, e=e,
                            config=SolveConfig(max_arclength=3.0 * c.x1 + 3.0))
         return trace_polyline(reflect_continue(branch))
+    # ds <= |dx| + |dt|, x is monotone between the critical radii and t
+    # turns at most once, at x0: this bounds the half period's arclength
+    t1, t2 = (q.value for q in halfperiod_heights(n, h, e))
+    bound = (c.x2 - c.x1) + abs(t1) + abs(t2 - t1)
     # each mirror doubles the curve, so two copies of one half period span
     # two full periods
-    cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 1))
+    cfg = SolveConfig(max_arclength=1.05 * bound + 1.0,
+                      stop_event=(EventKind.CRITICAL_RADIUS, 1))
     half = integrate(n, h, e=e, config=cfg)
     if not any(ev.kind is EventKind.CRITICAL_RADIUS for ev in half.events):
         raise NoCriticalPointError(

@@ -7,15 +7,19 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heisenberg_cmc.profile_ode as pode
+import heisenberg_cmc.render as render
 from heisenberg_cmc.classify import cylinder_energy
 from heisenberg_cmc.cli import SWEEP_COLUMNS, main, run_report, sweep_rows
 from heisenberg_cmc.closed_forms import (
+    QuadratureResult,
     catenoid_generating_curve,
+    halfperiod_heights,
     sphere_profile,
 )
 
@@ -244,6 +248,92 @@ def test_trace_csv_roundtrip_precision(capsys):
         assert tuple(row[1:]) == tuple(state)
 
 
+def _trace_json(argv, tmp_path, capsys):
+    out_file = tmp_path / "trace.json"
+    code, _, err = run_cli(
+        ["trace", *argv, "--format", "json", "--out", str(out_file)], capsys)
+    assert code == 0, err
+    return json.loads(out_file.read_text())
+
+
+def _is_tiling_note(note):
+    return note.startswith("periodic: one half period")
+
+
+@given(n=st.sampled_from((1, 2, 3)), nodoid=st.booleans(),
+       sign=st.sampled_from((1.0, -1.0)), h=st.floats(0.5, 1.5),
+       spec=st.floats(0.1, 1.0), limit=st.floats(1.0, 30.0),
+       stop=st.sampled_from(
+           [None] + [("CriticalRadius", k) for k in range(1, 7)]
+           + [("VerticalTangent", k) for k in range(1, 5)]))
+@settings(max_examples=20, deadline=None)
+def test_periodic_trace_matches_direct_solve(n, nodoid, sign, h, spec, limit,
+                                             stop, tmp_path_factory):
+    # unduloids lie in 0 < E < E_cyl, nodoids at every E < 0
+    e = sign * (-spec if nodoid else 0.9 * spec) * cylinder_energy(n, h)
+    h = sign * h
+    argv = ["--n", str(n), f"--h={h!r}", f"--e={e!r}",
+            "--max-arclength", repr(limit)]
+    if stop is not None:
+        argv += ["--stop-event", stop[0], "--stop-count", str(stop[1])]
+    tmp_path = tmp_path_factory.mktemp("trace")
+    out_file = tmp_path / "trace.json"
+    assert main(["trace", *argv, "--format", "json",
+                 "--out", str(out_file)]) == 0
+    doc = json.loads(out_file.read_text())
+    config = pode.SolveConfig(
+        max_arclength=limit,
+        stop_event=None if stop is None else (pode.EventKind(stop[0]), stop[1]))
+    direct = pode.integrate(n, h, e=e, config=config)
+
+    samples = np.asarray(doc["samples"])
+    at_event = stop is not None and not any(
+        "not reached" in note for note in direct.notes)
+    assert samples[-1, 0] == pytest.approx(
+        direct.s_end, abs=1e-6 if at_event else 0.0)
+    assert [ev["kind"] for ev in doc["events"]] == [
+        ev.kind.value for ev in direct.events]
+    for ev, ref in zip(doc["events"], direct.events):
+        assert ev["s"] == pytest.approx(ref.s, abs=1e-6)
+    for s, *state in samples[samples[:, 0] <= direct.s_end]:
+        ref = direct.state_at(s)
+        # sigma turns fast at a thin neck: allow what a shift of 1e-9 in s
+        # changes there
+        slack = 1e-9 * abs(pode.rhs(ref, n, h)[2])
+        assert np.max(np.abs(np.subtract(state, list(ref)))) <= 5e-6 + slack
+    drift = max(abs(pode.energy(row[1:], n, h) - doc["e"]) for row in samples)
+    assert drift <= 1e-8 * (1.0 + abs(e))
+    assert [note for note in doc["notes"] if not _is_tiling_note(note)] \
+        == direct.notes
+
+
+def test_trace_critical_radius_gaps_are_halfperiod(tmp_path, capsys):
+    doc = _trace_json(["--n", "2", "--h", "0.75", "--e", "-0.25"],
+                      tmp_path, capsys)
+    assert sum(_is_tiling_note(note) for note in doc["notes"]) == 1
+    assert doc["samples"][-1][0] == 50.0
+    heights = [ev["state"][1] for ev in doc["events"]
+               if ev["kind"] == "CriticalRadius"]
+    t2 = halfperiod_heights(2, 0.75, -0.25)[1].value
+    assert len(heights) > 10
+    assert np.max(np.abs(np.abs(np.diff(heights)) - t2)) <= 1e-8
+
+
+def test_trace_reflect_after_stop_count(tmp_path, capsys):
+    argv = ["--n", "1", "--h", "1", "--e", "-0.1",
+            "--stop-event", "CriticalRadius", "--stop-count", "3"]
+    cut = _trace_json(argv, tmp_path, capsys)
+    doc = _trace_json([*argv, "--reflect", "1"], tmp_path, capsys)
+    s_cut = cut["samples"][-1][0]
+    t_cut = cut["samples"][-1][2]
+    kinds = [ev["kind"] for ev in cut["events"]]
+    assert kinds.count("CriticalRadius") == 3
+    assert doc["samples"][-1][0] == pytest.approx(2.0 * s_cut, rel=1e-12)
+    # the mirror at the third critical radius doubles the height reached
+    assert doc["samples"][-1][2] == pytest.approx(2.0 * t_cut, rel=1e-12)
+    assert len(doc["samples"]) == 2 * len(cut["samples"]) - 1
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -268,17 +358,31 @@ def test_render_single_family(capsys):
     assert 'viewBox="0 0 800 600"' in out
 
 
-def test_render_rejects_truncated_half_period(capsys):
-    # t2 = pi / (4 H^2) ~ 314 lies far beyond the arclength limit 50
+def test_render_rejects_truncated_half_period(monkeypatch, capsys):
+    # heights far too small for the half period put its end beyond the limit
+    tiny = QuadratureResult(value=1e-3, error_estimate=0.0, evaluations=0)
+    monkeypatch.setattr(render, "halfperiod_heights",
+                        lambda n, h, e: (tiny, tiny))
     code, out, err = run_cli(
-        ["render", "--n", "1", "--h", "0.05", "--e", "0.01"], capsys)
+        ["render", "--n", "1", "--h", "0.5", "--e", "0.3"], capsys)
     assert code == 3
     assert out == ""
-    assert "arclength limit 50" in err
+    assert "arclength limit" in err
+    monkeypatch.undo()
     code, out, _ = run_cli(
         ["render", "--n", "1", "--h", "0.5", "--e", "0.3"], capsys)
     assert code == 0
     assert ">Unduloid</text>" in out
+
+
+def test_render_long_half_period(capsys):
+    # t2 = pi / (4 H^2) ~ 314: the limit follows the half period's heights
+    code, out, _ = run_cli(
+        ["render", "--n", "1", "--h", "0.05", "--e", "0.01"], capsys)
+    assert code == 0
+    assert ">Unduloid</text>" in out
+    line = render.family_polyline(1, 0.05, 0.01)
+    assert line[-1][1] == pytest.approx(math.pi / 0.05**2, rel=1e-8)
 
 
 def test_render_requires_selector(capsys):
