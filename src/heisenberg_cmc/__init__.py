@@ -7,6 +7,7 @@ from .errors import (
     DivergentIntegralError,
     EnergyDriftError,
     GeometryError,
+    IntegrationError,
     NoAdmissibleRadiusError,
     NoCriticalPointError,
     QuadratureError,

@@ -38,6 +38,11 @@ class EnergyDriftError(GeometryError):
         self.trajectory = trajectory
 
 
+class IntegrationError(GeometryError):
+    """The ODE solver gave up, typically because the step size it needed
+    fell below the spacing of floating-point numbers."""
+
+
 class NoCriticalPointError(GeometryError):
     """A mirror reflection needs a critical-radius endpoint and found none."""
 

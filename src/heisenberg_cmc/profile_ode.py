@@ -8,10 +8,19 @@ angle sigma, where x' = sin(sigma), t' = cos(sigma) and
              - 2n H (x^2 sin^2(sigma) + cos^2(sigma))^{3/2} / x^2.
 
 Solutions conserve E = x^{2n-1} cos(sigma)/sqrt(x^2 sin^2 sigma + cos^2 sigma)
-- H x^{2n}; the integrator checks that invariant after the fact, retries at
-tighter tolerance when it drifted, and refuses to return a drifting
-trajectory.  Events mark critical radii (sin sigma = 0), vertical tangents
-(cos sigma = 0) and axis contact (x falling to the configured epsilon).
+- H x^{2n}.  After every accepted step the solver projects the state back
+onto that level set (the standard projection method for first integrals,
+Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4): sigma is
+reset to the angle the energy relation gives at the new x, except near
+critical radii and thin necks, where that reset is ill-conditioned.  Without
+it an energy error dE makes cos(sigma) ~ dE / x^{2n-1} near the axis, and
+every n >= 2 sphere turns back before reaching it.  The projection hides the
+integrator's error from the samples, so the gate reads the sum of the
+corrections it applied as well: when that or the sample drift exceeds the
+tolerance, the solve is retried at tighter tolerance, and a drifting
+trajectory is refused.  Events mark critical radii (sin sigma = 0), vertical
+tangents (cos sigma = 0) and axis contact (x falling to the configured
+epsilon).
 
 Internally the angle is carried as the pair (cos sigma, sin sigma).  Nodoids
 wind sigma down by 2 pi per period, and a solver controlling relative error
@@ -23,19 +32,26 @@ from __future__ import annotations
 
 import csv
 import enum
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .classify import Family, classify, cylinder_radius
 from .core import dimension_index
-from .errors import AxisPointError, EnergyDriftError, NoCriticalPointError
+from .errors import (
+    AxisPointError,
+    EnergyDriftError,
+    IntegrationError,
+    NoCriticalPointError,
+)
 
 __all__ = [
     "ProfileState",
     "SolveConfig",
+    "SolveStats",
     "EventKind",
     "Event",
     "Trajectory",
@@ -49,6 +65,8 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_to_json",
 ]
+
+_LOG = logging.getLogger("heisenberg_cmc")
 
 
 @dataclass(frozen=True)
@@ -86,6 +104,15 @@ class SolveConfig:
     def __post_init__(self):
         if self.stop_event is not None and self.stop_event[1] < 1:
             raise ValueError("stop_event count must be >= 1")
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """What the solve behind a trajectory cost, summed over its attempts."""
+
+    rhs_evals: int = 0
+    steps: int = 0  # accepted steps
+    retries: int = 0
 
 
 def _rhs_scalars(x, sigma, n, h):
@@ -137,14 +164,21 @@ def sigma_at_radius(n, h, e, x, rising=True):
     k = (e + h * x ** (2 * n)) / x ** (2 * n - 1)
     if abs(k) > 1.0 + 1e-12:
         raise ValueError(f"radius {x} lies outside the admissible band (|k|={abs(k)})")
-    k = min(max(k, -1.0), 1.0)
-    c2 = k * k * x * x / (1.0 + k * k * (x * x - 1.0))
-    c2 = min(c2, 1.0)
-    c = math.copysign(math.sqrt(c2), k) if k != 0.0 else 0.0
-    s = math.sqrt(max(1.0 - c2, 0.0))
-    if not rising:
-        s = -s
-    return math.atan2(s, c)
+    c, s = _level_pair(min(max(k, -1.0), 1.0), x)
+    return math.atan2(s if rising else -s, c)
+
+
+def _level_pair(k, x):
+    """(cos sigma, |sin sigma|) where cos / sqrt(x^2 sin^2 + cos^2) = k.
+
+    sin^2 is taken from 1 - k^2 = (1 - k)(1 + k), not from 1 - cos^2: near
+    |k| = 1 at large x that difference would cancel, and the error it leaves
+    in sin is amplified x^{2n+1}-fold in E.
+    """
+    kx2 = k * k * x * x
+    rest = (1.0 - k) * (1.0 + k)
+    q = rest + kx2
+    return math.copysign(math.sqrt(kx2 / q), k), math.sqrt(rest / q)
 
 
 def initial_state(n, h, e):
@@ -156,11 +190,14 @@ def initial_state(n, h, e):
     (-H, -E) profile, which traverses the same curve with t reversed.
     """
     n = dimension_index(n)
-    h, e = float(h), float(e)
+    return _start(classify(n, h, e), float(h), float(e))
+
+
+def _start(c, h, e):
+    """initial_state(c.n, h, e), given c = classify(c.n, h, e)."""
     if h < 0.0:
-        base = initial_state(n, -h, -e)
+        base = _start(c, -h, -e)
         return ProfileState(base.x, base.t, math.pi - base.sigma)
-    c = classify(n, h, e)
     if c.family is Family.HYPERPLANE:
         return ProfileState(1.0, 0.0, math.pi / 2.0)
     if c.family is Family.CATENOID:
@@ -168,10 +205,17 @@ def initial_state(n, h, e):
     if c.family is Family.SPHERE:
         return ProfileState(1.0 / h, 0.0, 0.0)
     if c.family is Family.CYLINDER:
-        return ProfileState(cylinder_radius(n, h), 0.0, 0.0)
+        return ProfileState(cylinder_radius(c.n, h), 0.0, 0.0)
     if c.family is Family.UNDULOID:
         return ProfileState(c.x1, 0.0, 0.0)
     return ProfileState(c.x2, 0.0, 0.0)  # nodoid, outer radius
+
+
+def _band_roots(c):
+    """Radii at which the canonical profile of c may turn (sin sigma = 0)."""
+    if c.family is Family.SPHERE:
+        return (1.0 / c.h,)
+    return tuple(x for x in (c.x1, c.x2) if x is not None)
 
 
 @dataclass
@@ -181,7 +225,9 @@ class Trajectory:
     states holds rows (x, t, sigma) at the arclength nodes s.  dense maps an
     arclength in [s[0], s[-1]] to (x, t, sigma): the solver's dense output,
     composed with the mirror maps for reflected trajectories, so state_at(s)
-    is exact between nodes too.
+    is exact between nodes too.  energy_correction is the sum of the
+    |E(y) - E| the level-set projection removed during the solve, and stats
+    its cost.
     """
 
     n: int
@@ -193,6 +239,8 @@ class Trajectory:
     config: SolveConfig
     dense: object
     notes: list = field(default_factory=list)
+    energy_correction: float = 0.0
+    stats: SolveStats = field(default_factory=SolveStats)
 
     @property
     def s_end(self):
@@ -209,8 +257,12 @@ class Trajectory:
         return self.s, self.states[:, 0], self.states[:, 1], self.states[:, 2]
 
     def energy_drift(self):
+        """The larger of the samples' drift from E and the projection's
+        correction sum: the samples sit on the level set by construction, so
+        the corrections are what measure the integrator."""
         x, sig = self.states[:, 0], self.states[:, 2]
-        return float(np.max(np.abs(_energy_arr(x, sig, self.n, self.h) - self.e)))
+        sampled = np.max(np.abs(_energy_arr(x, sig, self.n, self.h) - self.e))
+        return float(max(sampled, self.energy_correction))
 
 
 def _energy_arr(x, sigma, n, h):
@@ -220,7 +272,12 @@ def _energy_arr(x, sigma, n, h):
     )
 
 
-def _check_invariants(traj):
+def _check_invariants(traj, roots=None):
+    """Raise EnergyDriftError when traj drifted off its level set.
+
+    roots, given for a canonical start, are the radii where the profile may
+    turn; a CriticalRadius event anywhere else is a spurious turn.
+    """
     drift = traj.energy_drift()
     tol = traj.config.drift_tolerance * (1.0 + abs(traj.e))
     if drift > tol:
@@ -236,6 +293,18 @@ def _check_invariants(traj):
         raise EnergyDriftError(
             f"trajectory left the admissible band by {-worst:.3e}", trajectory=traj
         )
+    if roots is None:
+        return
+    for ev in traj.events:
+        x = ev.state.x
+        if ev.kind is EventKind.CRITICAL_RADIUS and not any(
+            abs(x - r) <= 1e-6 * x for r in roots
+        ):
+            raise EnergyDriftError(
+                f"critical radius at x = {x:.6g} (s = {ev.s:.6g}) is off the "
+                f"band roots {', '.join(f'{r:.6g}' for r in roots) or '(none)'}",
+                trajectory=traj,
+            )
 
 
 _TWO_PI = 2.0 * math.pi
@@ -262,7 +331,56 @@ class _DenseCurve:
         return (x, t, raw + _TWO_PI * round((guess - raw) / _TWO_PI))
 
 
-def _solve_attempt(n, h, initial, config, rel_tol, abs_tol, notes):
+class _LevelSetDOP853(DOP853):
+    """DOP853 that puts every accepted step back on the level set of E.
+
+    level = (n, h, e) names the level set.  After each accepted step
+    (cos sigma, sin sigma) is reset to the values the energy relation gives at
+    the new x, as sigma_at_radius computes them, keeping the sign of
+    sin sigma, and |E(y) - e| is added to tally[0].  The stored derivative is
+    then refreshed, so the step's dense output, built from y and f at both
+    ends, stays continuous through the projected node.
+
+    Moving sigma at fixed x turns an error dx in x into an error
+    (x sigma' / sin sigma) dx / x in sigma.  Where that factor exceeds 10 the
+    step is left alone: around every critical radius, where dE/dsigma
+    vanishes, and at the thin necks where sigma turns fast, the projection
+    would amplify the integrator's error instead of removing it.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, level, tally, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.level = level
+        self.tally = tally
+
+    def _step_impl(self):
+        accepted, message = super()._step_impl()
+        if accepted and self._project():
+            self.f = self.fun(self.t, self.y)
+        return accepted, message
+
+    def _project(self):
+        n, h, e = self.level
+        x, t, c, s = self.y
+        if x <= 0.0:
+            return False
+        p = x ** (2 * n - 1)
+        u = (e + h * x * p) / p
+        # (c, s) = r (cos, sin) and f[2:] = (-sin, cos) sigma', so
+        # x_dsigma / s = x sigma' / sin sigma.  u = 0 throughout is the
+        # hyperplane, vertical everywhere: cos sigma reset to exactly 0 would
+        # put every node on the VerticalTangent event
+        x_dsigma = x * (c * self.f[3] - s * self.f[2])
+        if abs(u) >= 1.0 or u == 0.0 or abs(x_dsigma) >= 10.0 * abs(s):
+            return False
+        self.tally[0] += abs(p * c / math.sqrt(x * x * s * s + c * c)
+                             - h * x * p - e)
+        c, sin = _level_pair(u, x)
+        self.y = np.array([x, t, c, math.copysign(sin, s)])
+        return True
+
+
+def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
     def fun(s, y):
         x = y[0] if y[0] > 1e-12 else 1e-12  # trial steps may undershoot
         sigma = math.atan2(y[3], y[2])
@@ -280,7 +398,14 @@ def _solve_attempt(n, h, initial, config, rel_tol, abs_tol, notes):
 
     ev_axis.terminal = True
     ev_axis.direction = -1.0
-    y0 = [initial.x, initial.t, math.cos(initial.sigma), math.sin(initial.sigma)]
+    # at a multiple of pi/2 the pair is exact: sin(pi) = 1.2e-16 would put a
+    # start on a critical radius beside its event instead of on it
+    quarter = round(initial.sigma / (math.pi / 2.0))
+    if quarter * (math.pi / 2.0) == initial.sigma:
+        c0, s0 = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[quarter % 4]
+    else:
+        c0, s0 = math.cos(initial.sigma), math.sin(initial.sigma)
+    y0 = [initial.x, initial.t, c0, s0]
     kinds = {
         EventKind.CRITICAL_RADIUS: ev_critical,
         EventKind.VERTICAL_TANGENT: ev_vertical,
@@ -289,24 +414,28 @@ def _solve_attempt(n, h, initial, config, rel_tol, abs_tol, notes):
     if config.stop_event is not None:
         kind, count = config.stop_event
         gev = kinds[EventKind(kind)]
-        # the solver reports an event at s = 0 whenever the start state sits
-        # on it; bump the terminal count so that phantom hit is not counted
-        at_start = abs(gev(0.0, np.array(y0))) < 1e-9
+        # the solver reports an event at s = 0 exactly when the start state
+        # sits on it; bump the terminal count so that phantom hit is not
+        # counted
+        at_start = gev(0.0, np.array(y0)) == 0.0
         gev.terminal = int(count) + (1 if at_start else 0)
 
     events = [ev_critical, ev_vertical, ev_axis]
+    tally = [0.0]
     sol = solve_ivp(
         fun,
         (0.0, config.max_arclength),
         y0,
-        method="DOP853",
+        method=_LevelSetDOP853,
         rtol=rel_tol,
         atol=abs_tol,
         dense_output=True,
         events=events,
+        level=(n, h, e),
+        tally=tally,
     )
     if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        raise IntegrationError(f"integration failed: {sol.message}")
 
     sigma_nodes = np.unwrap(np.arctan2(sol.y[3], sol.y[2]))
     # an explicit start may sit outside the principal branch
@@ -326,6 +455,11 @@ def _solve_attempt(n, h, initial, config, rel_tol, abs_tol, notes):
         for s_ev, y_ev in zip(sol.t_events[idx], sol.y_events[idx]):
             if s_ev > 1e-12:  # drop the phantom hit at the start state
                 sig = aligned(math.atan2(y_ev[3], y_ev[2]), float(s_ev))
+                if kind is EventKind.CRITICAL_RADIUS:
+                    # sin sigma = 0 defines the event; at a thin neck sigma
+                    # turns so fast that the located root keeps sin ~ 1e-8,
+                    # and a mirror about it would not join exactly
+                    sig = math.pi * round(sig / math.pi)
                 state = ProfileState(float(y_ev[0]), float(y_ev[1]), sig)
                 recorded.append(Event(kind, float(s_ev), state))
     recorded.sort(key=lambda ev: ev.s)
@@ -333,13 +467,15 @@ def _solve_attempt(n, h, initial, config, rel_tol, abs_tol, notes):
     return Trajectory(
         n=n,
         h=h,
-        e=energy(initial, n, h),
+        e=e,
         s=np.asarray(s_nodes, dtype=float),
         states=np.column_stack([sol.y[0], sol.y[1], sigma_nodes]),
         events=recorded,
         config=config,
         notes=list(notes),
         dense=_DenseCurve(sol.sol, np.asarray(s_nodes, dtype=float), sigma_nodes),
+        energy_correction=tally[0],
+        stats=SolveStats(rhs_evals=sol.nfev, steps=len(sol.t) - 1),
     )
 
 
@@ -382,20 +518,28 @@ def integrate(n, h, e=None, initial=None, config=None):
     """Integrate the profile system from a canonical or explicit start.
 
     Either pass e (energy) to start from initial_state(n, h, e), or pass an
-    explicit initial ProfileState (e is then derived from it).  Integration
+    explicit initial ProfileState (e is then derived from it).  Every step is
+    projected onto the level set of e; a canonical start projects onto the
+    requested e itself, whose start state carries roundoff.  Integration
     runs to config.max_arclength unless an axis contact or the configured
-    stop_event ends it earlier.  When the conserved quantity drifts beyond
-    tolerance the solve is retried at tolerances tightened a hundredfold,
-    twice at most; EnergyDriftError is raised only once that fails too.
+    stop_event ends it earlier.  When energy_drift() exceeds tolerance, or a
+    canonical start turns at a radius that is not a root of its band, the
+    solve is retried at tolerances tightened a hundredfold, twice at most;
+    EnergyDriftError is raised only once that fails too.
     """
     n = dimension_index(n)
     h = float(h)
     config = config or SolveConfig()
+    roots = None
     if initial is None:
         if e is None:
             raise ValueError("pass either e or an initial state")
-        initial = initial_state(n, h, e)
-    initial = ProfileState(*map(float, initial))
+        e = float(e)
+        c = classify(n, h, e)
+        initial, roots = _start(c, h, e), _band_roots(c)
+    else:
+        initial = ProfileState(*map(float, initial))
+        e = energy(initial, n, h)
     if initial.x <= config.axis_epsilon:
         raise AxisPointError(
             f"initial radius {initial.x} is inside the axis margin "
@@ -404,20 +548,27 @@ def integrate(n, h, e=None, initial=None, config=None):
 
     rel, abs_ = config.rel_tol, config.abs_tol
     retry_notes = []
+    rhs_evals = steps = 0
     while True:
         traj = truncated(
-            _solve_attempt(n, h, initial, config, rel, abs_, retry_notes), config
+            _solve_attempt(n, h, e, initial, config, rel, abs_, retry_notes),
+            config,
         )
+        rhs_evals += traj.stats.rhs_evals
+        steps += traj.stats.steps
+        traj = replace(traj, stats=SolveStats(rhs_evals, steps, len(retry_notes)))
         try:
-            _check_invariants(traj)
+            _check_invariants(traj, roots)
             return traj
-        except EnergyDriftError:
+        except EnergyDriftError as exc:
             if len(retry_notes) >= 2 or rel <= _REL_FLOOR * 1.01:
                 raise
-            retry_notes.append(
+            note = (
                 f"energy drift {traj.energy_drift():.3e} at rtol {rel:.1e}; "
                 "retrying at tighter tolerance"
             )
+            _LOG.info("n = %d, H = %r, E = %r: %s (%s)", n, h, e, note, exc)
+            retry_notes.append(note)
             rel = max(rel * 1e-2, _REL_FLOOR)
             abs_ = abs_ * 1e-2
 
@@ -461,14 +612,11 @@ def _mirrored(traj, at_end):
             return mirror(u, *base(s0 + (s0 - u)))[1:]
         return base(u)
 
-    return Trajectory(
-        n=traj.n,
-        h=traj.h,
-        e=traj.e,
+    return replace(
+        traj,
         s=np.concatenate([first[0], second[0][1:]]) + shift,
         states=np.vstack([first[1], second[1][1:]]),
         events=events,
-        config=traj.config,
         dense=dense,
         notes=list(traj.notes),
     )
@@ -506,7 +654,8 @@ def reflect_continue(traj, copies=1):
 
 
 def trajectory_to_json(traj):
-    """JSON-ready dict of a trajectory (samples, events, notes)."""
+    """JSON-ready dict of a trajectory (samples, events, notes and the
+    solve's diagnostics)."""
     return {
         "n": traj.n,
         "h": traj.h,
@@ -524,6 +673,12 @@ def trajectory_to_json(traj):
             for ev in traj.events
         ],
         "notes": list(traj.notes),
+        "diagnostics": {
+            "rhs_evals": traj.stats.rhs_evals,
+            "steps": traj.stats.steps,
+            "energy_correction": traj.energy_correction,
+            "retries": traj.stats.retries,
+        },
     }
 
 

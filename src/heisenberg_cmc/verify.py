@@ -90,37 +90,69 @@ def _guard(checks, name):
 # suites
 
 
-def energy_grid_drift(n):
-    """Worst relative energy drift, energy_drift() / (1 + |E|), over the
-    5x5 grid of H and E / E_cyl for one n.
+def _energy_grid(n):
+    """(h, e, trajectory) over the 5x5 grid of H and E / E_cyl for one n.
 
-    Trajectories stop at arclength 50 or the eighth critical radius,
-    whichever comes first; a drift tolerance of 1e-9 makes the solver
+    Trajectories stop at arclength 50, the eighth critical radius or the
+    axis, whichever comes first; a drift tolerance of 1e-9 makes the solver
     retry at tighter tolerances before it returns.
     """
-    worst = 0.0
+    cfg = SolveConfig(
+        max_arclength=50.0,
+        drift_tolerance=1e-9,
+        stop_event=(EventKind.CRITICAL_RADIUS, 8),
+    )
     for h in (0.25, 0.5, 1.0, 1.5, 2.0):
         ecyl = cylinder_energy(n, h)
         for frac in (-0.5, 0.0, 0.4, 0.8, 1.0):
             e = frac * ecyl
-            cfg = SolveConfig(
-                max_arclength=50.0,
-                drift_tolerance=1e-9,
-                stop_event=(EventKind.CRITICAL_RADIUS, 8),
-            )
-            traj = integrate(n, h, e=e, config=cfg)
-            worst = max(worst, traj.energy_drift() / (1.0 + abs(e)))
-    return worst
+            yield h, e, integrate(n, h, e=e, config=cfg)
+
+
+def _relative_drift(e, traj):
+    return traj.energy_drift() / (1.0 + abs(e))
+
+
+def energy_grid_drift(n):
+    """Worst relative energy drift, energy_drift() / (1 + |E|), over the
+    5x5 grid of H and E / E_cyl for one n."""
+    return max(_relative_drift(e, traj) for _, e, traj in _energy_grid(n))
+
+
+def _sphere_shape_error(h, traj):
+    """Worst |t - sphere_profile| over the samples of a sphere traced from
+    its equator; raises when the trace never reaches the axis."""
+    if not any(ev.kind is EventKind.AXIS_CONTACT for ev in traj.events):
+        raise AssertionError(
+            f"H = {h}: no AxisContact within arclength {traj.s_end:.6g}")
+    return max(abs(t - sphere_profile(h, min(x, 1.0 / h)))
+               for x, t in traj.states[:, :2])
 
 
 def _suite_energy(checks, rng):
     for n in (1, 2, 3):
+        spheres = []
         name = f"energy-drift-n{n}"
 
         @_guard(checks, name)
         def body(n=n, name=name):
-            _check(checks, name, energy_grid_drift(n), 1e-9,
+            worst = 0.0
+            for h, e, traj in _energy_grid(n):
+                worst = max(worst, _relative_drift(e, traj))
+                if e == 0.0:
+                    spheres.append((h, traj))
+            _check(checks, name, worst, 1e-9,
                    "max relative drift over the (H, E) grid")
+
+        name = f"sphere-shape-n{n}"
+
+        @_guard(checks, name)
+        def body(name=name):
+            if len(spheres) < 5:
+                raise AssertionError("the energy grid did not complete")
+            worst = max(_sphere_shape_error(h, traj) for h, traj in spheres)
+            _check(checks, name, worst, 1e-6,
+                   "E = 0 grid spheres reach the axis on sphere_profile")
 
 
 def _suite_closed_forms(checks, rng):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import heisenberg_cmc.profile_ode as pode
 import heisenberg_cmc.render as render
-from heisenberg_cmc.classify import cylinder_energy
+import heisenberg_cmc.verify as verify
+from heisenberg_cmc.classify import classify, cylinder_energy
 from heisenberg_cmc.cli import SWEEP_COLUMNS, main, run_report, sweep_rows
 from heisenberg_cmc.closed_forms import (
     QuadratureResult,
@@ -334,6 +335,79 @@ def test_trace_reflect_after_stop_count(tmp_path, capsys):
     assert len(doc["samples"]) == 2 * len(cut["samples"]) - 1
 
 
+# the two jittered H values are where projecting onto energy(initial_state)
+# instead of the requested E turns the sphere back short of the axis
+@pytest.mark.parametrize("n, h", [(2, 1.0), (3, 1.0),
+                                  (2, 1.0475908149008875),
+                                  (3, 0.9569630462633789)])
+def test_trace_sphere_reaches_axis(n, h, tmp_path, capsys):
+    doc = _trace_json(["--n", str(n), f"--h={h!r}", "--e", "0",
+                       "--stop-event", "AxisContact"], tmp_path, capsys)
+    jsonschema.validate(doc, _schema("trajectory"))
+    assert [ev["kind"] for ev in doc["events"]] == ["AxisContact"]
+    assert not any("not reached" in note for note in doc["notes"])
+    assert len(doc["samples"]) < 200
+    for _, x, t, _ in doc["samples"]:
+        assert abs(t - sphere_profile(h, min(x, 1.0 / h))) <= 1e-6
+    diag = doc["diagnostics"]
+    assert diag["retries"] == 0
+    assert diag["steps"] == len(doc["samples"]) - 1
+    assert diag["rhs_evals"] > 12 * diag["steps"]
+    assert 0.0 < diag["energy_correction"] <= 1e-8
+
+
+def test_trace_diagnostics_are_optional(tmp_path, capsys):
+    doc = _trace_json(["--n", "1", "--h", "0.5", "--e", "0.3",
+                       "--stop-event", "CriticalRadius", "--reflect", "1"],
+                      tmp_path, capsys)
+    assert set(doc["diagnostics"]) == {"rhs_evals", "steps",
+                                       "energy_correction", "retries"}
+    # a trace written before the diagnostics existed still loads
+    del doc["diagnostics"]
+    jsonschema.validate(doc, _schema("trajectory"))
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["render", "--trace", str(old)], capsys)
+    assert code == 0
+    assert "<polyline" in out
+
+
+def test_trace_off_band_turn_exits_3(monkeypatch, capsys):
+    # a turn away from every band root is refused as a numerical failure;
+    # here the roots are moved off the unduloid's true critical radii
+    monkeypatch.setattr(pode, "_band_roots", lambda c: (123.0,))
+    code, _, err = run_cli(["trace", "--n", "1", "--h", "0.5", "--e", "0.3",
+                            "--stop-event", "CriticalRadius"], capsys)
+    assert code == 3
+    assert "off the band roots" in err
+
+
+def test_trace_thin_neck_turns_on_band_roots(tmp_path, capsys):
+    # n = 3 nodoid with neck x1 = 5.7e-3: sigma turns so fast there that the
+    # located root of sin sigma is ~4e-9 off; the event records sin = 0, so
+    # the half period mirrors, and every turn sits on a band root
+    n, h, e = 3, 0.44641783236878757, -6.239398605445121e-12
+    doc = _trace_json(["--n", "3", f"--h={h!r}", f"--e={e!r}",
+                       "--max-arclength", "20"], tmp_path, capsys)
+    c = classify(n, h, e)
+    turns = [ev["state"] for ev in doc["events"]
+             if ev["kind"] == "CriticalRadius"]
+    assert len(turns) >= 3
+    for x, _, sigma in turns:
+        assert min(abs(x - c.x1), abs(x - c.x2)) <= 1e-6 * x
+        assert math.sin(sigma) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_trace_unresolvable_neck_exits_3(capsys):
+    # a nodoid neck of radius ~1.4e-6 turns sigma by pi within the spacing of
+    # floats in s; the solver gives up, and that is a numerical failure, not
+    # a traceback
+    code, _, err = run_cli(["trace", "--n", "1", "--h=0.5160190784461397",
+                            "--e=-1.4288568145075227e-06"], capsys)
+    assert code == 3
+    assert "integration failed" in err
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -459,6 +533,35 @@ def test_verify_detects_broken_dynamics(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "energy"], capsys)
     assert code == 3
     assert "FAIL" in out
+
+
+def _sphere_grid(n, limit):
+    """Stand-in for verify._energy_grid: its five E = 0 spheres only."""
+    cfg = pode.SolveConfig(max_arclength=limit, drift_tolerance=1e-9,
+                           stop_event=(pode.EventKind.CRITICAL_RADIUS, 8))
+    for h in (0.25, 0.5, 1.0, 1.5, 2.0):
+        yield h, 0.0, pode.integrate(n, h, e=0.0, config=cfg)
+
+
+def test_verify_energy_checks_sphere_shape(monkeypatch):
+    monkeypatch.setattr(verify, "_energy_grid",
+                        lambda n: _sphere_grid(n, 50.0))
+    checks = verify.run_suite("energy")["checks"]
+    assert [c["name"] for c in checks] == [
+        "energy-drift-n1", "sphere-shape-n1", "energy-drift-n2",
+        "sphere-shape-n2", "energy-drift-n3", "sphere-shape-n3"]
+    assert all(c["passed"] for c in checks)
+
+    # a sphere cut short of the axis fails its shape check
+    monkeypatch.setattr(verify, "_energy_grid",
+                        lambda n: _sphere_grid(n, 10.0))
+    report = verify.run_suite("energy")
+    assert not report["passed"]
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["sphere-shape-n1",
+                                           "sphere-shape-n2",
+                                           "sphere-shape-n3"]
+    assert all("no AxisContact" in c["detail"] for c in failed)
 
 
 # ---------------------------------------------------------------------------

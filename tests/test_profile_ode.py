@@ -1,13 +1,18 @@
 """Integration of the generating-curve system and its conserved quantity."""
 
 import io
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heisenberg_cmc.profile_ode as pode
 from heisenberg_cmc.classify import classify, cylinder_energy
+from heisenberg_cmc.closed_forms import sphere_profile
 from heisenberg_cmc.errors import (
     AxisPointError,
     EnergyDriftError,
@@ -124,16 +129,38 @@ def test_hyperplane_ray():
     assert np.max(np.abs(sig - math.pi / 2)) < 1e-12
 
 
-def test_sphere_reaches_axis():
-    h = 1.0
+# projected onto energy(initial_state), whose roundoff is ~1e-16 H^-(2n-1),
+# instead of E = 0, the spheres of the two jittered H values turn back short
+# of the axis
+@pytest.mark.parametrize("n, h", [(1, 1.0), (2, 1.0), (3, 1.0),
+                                  (2, 1.0475908149008875),
+                                  (3, 0.9569630462633789)])
+def test_sphere_reaches_axis(n, h):
     cfg = SolveConfig(axis_epsilon=1e-6, max_arclength=10.0)
-    traj = integrate(1, h, e=0.0, config=cfg)
+    traj = integrate(n, h, e=0.0, config=cfg)
     contacts = [ev for ev in traj.events if ev.kind is EventKind.AXIS_CONTACT]
     assert len(contacts) == 1
+    assert traj.s_end == contacts[0].s
     end = contacts[0].state
-    # the closed form gives t = pi/(4 H^2) at the pole
-    assert end.t == pytest.approx(math.pi / 4.0, abs=1e-5)
+    # the closed form gives t = pi/(4 H^2) at the pole, for every n
+    assert end.t == pytest.approx(math.pi / (4.0 * h * h), abs=1e-5)
     assert abs(math.sin(end.sigma)) > 1.0 - 1e-6
+    assert len(traj.s) < 200
+
+
+def _sphere_to_axis(n, h):
+    cfg = SolveConfig(stop_event=(EventKind.AXIS_CONTACT, 1))
+    return integrate(n, h, e=0.0, config=cfg)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.sampled_from([2, 3]), h=st.floats(0.2, 5.0))
+def test_sphere_profile_is_the_same_for_every_n(n, h):
+    traj = _sphere_to_axis(n, h)
+    assert traj.events[-1].kind is EventKind.AXIS_CONTACT
+    for x, t in traj.states[:, :2]:
+        assert abs(t - sphere_profile(h, min(x, 1.0 / h))) <= 1e-6
+    assert traj.s_end == pytest.approx(_sphere_to_axis(1, h).s_end, abs=1e-8)
 
 
 def test_catenoid_matches_closed_form():
@@ -235,6 +262,19 @@ def test_traversal_sign_symmetry():
         assert b.t == pytest.approx(-a.t, abs=1e-8)
         assert math.sin(b.sigma) == pytest.approx(math.sin(a.sigma), abs=1e-8)
         assert math.cos(b.sigma) == pytest.approx(-math.cos(a.sigma), abs=1e-8)
+
+
+@pytest.mark.parametrize("n, h, e", [(1, 1.0, -0.1), (2, 0.75, 0.2),
+                                     (3, 1.0, -1.0)])
+def test_mirrored_start_stops_at_first_critical_radius(n, h, e):
+    # the (-H, -E) start has sigma = pi; its sin must be exactly 0, or the
+    # solver misses the phantom event at s = 0 and integrates a whole extra
+    # half period past the requested stop
+    cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 1))
+    fwd = integrate(n, h, e=e, config=cfg)
+    rev = integrate(n, -h, e=-e, config=cfg)
+    assert rev.stats == fwd.stats
+    assert rev.s_end == pytest.approx(fwd.s_end, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +395,10 @@ def test_axis_start_rejected():
 
 
 def test_drift_retry_tightens_tolerance():
-    # e = 0 at n = 3 bounces off the axis repeatedly, the hardest stretch
-    # for the solver; the first attempt drifts past 1e-9 and the retry at
-    # tighter tolerance must bring it back under
+    # the n = 3 sphere of H = 0.25 is the hardest case of the energy grid:
+    # its approach to the axis makes the projection's corrections sum past
+    # 1e-9 at the first attempt, and the retry at tighter tolerance must
+    # bring them back under
     cfg = SolveConfig(max_arclength=50.0, drift_tolerance=1e-9)
     traj = integrate(3, 0.25, e=0.0, config=cfg)
     assert any("retrying" in note for note in traj.notes)
@@ -365,6 +406,120 @@ def test_drift_retry_tightens_tolerance():
 
     easy = integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=5.0))
     assert not any("retrying" in note for note in easy.notes)
+
+
+def _sample_drift(traj):
+    return max(abs(energy(row, traj.n, traj.h) - traj.e) for row in traj.states)
+
+
+def test_projection_keeps_samples_on_level_set():
+    # n = 1 sphere and a nodoid: the projected samples sit on the level set
+    # to roundoff (those near critical radii are left alone), and the gate
+    # reads the corrections the projection applied
+    for n, h, e in ((1, 1.0, 0.0), (2, 0.75, -0.3)):
+        traj = integrate(n, h, e=e, config=SolveConfig(max_arclength=5.0))
+        assert traj.e == e
+        drifts = [abs(energy(row, n, h) - e) for row in traj.states]
+        assert np.median(drifts) < 1e-15
+        assert traj.energy_correction > max(drifts)
+        assert traj.energy_drift() == traj.energy_correction
+
+
+def test_energy_drift_reads_samples_and_corrections():
+    traj = integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=5.0))
+    bumped = traj.states.copy()
+    bumped[len(bumped) // 2, 2] += 1e-3
+    for candidate in (replace(traj, states=bumped),
+                      replace(traj, energy_correction=1.0)):
+        assert candidate.energy_drift() >= _sample_drift(candidate)
+        assert candidate.energy_drift() >= candidate.energy_correction
+        assert candidate.energy_drift() > 1e-6
+    # truncation and reflection keep the correction sum of the solve
+    half = integrate(1, 0.5, e=0.3, config=SolveConfig(
+        stop_event=(EventKind.CRITICAL_RADIUS, 1)))
+    assert half.energy_correction > 0.0
+    assert reflect_continue(half).energy_correction == half.energy_correction
+    cut = pode.truncated(traj, SolveConfig(max_arclength=2.0))
+    assert cut.energy_correction == traj.energy_correction
+
+
+def test_dense_output_continuous_at_projected_nodes():
+    traj = integrate(2, 1.0, e=0.0, config=SolveConfig(max_arclength=10.0))
+    assert traj.energy_correction > 0.0
+    for s, row in zip(traj.s[1:-1], traj.states[1:-1]):
+        for side in (np.nextafter(s, -np.inf), s, np.nextafter(s, np.inf)):
+            assert tuple(traj.state_at(side)) == pytest.approx(tuple(row),
+                                                               abs=1e-12)
+
+
+def _off_level():
+    """The level-set solver, projecting onto E + 1e-15 instead of E."""
+
+    class OffLevel(pode._LevelSetDOP853):
+        def __init__(self, *args, level, **options):
+            n, h, e = level
+            super().__init__(*args, level=(n, h, e + 1e-15), **options)
+
+    return OffLevel
+
+
+def test_off_band_critical_radius_raises(monkeypatch):
+    # an n = 3 sphere projected onto E + 1e-15 turns at the neck x = 1e-3 of
+    # that unduloid, as the unprojected solve did at its own drift; the band
+    # of E = 0 has 1/H as its only root, so the solve must be refused
+    monkeypatch.setattr(pode, "_LevelSetDOP853", _off_level())
+    cfg = SolveConfig(max_arclength=6.0)
+    with pytest.raises(EnergyDriftError, match="off the band roots") as err:
+        integrate(3, 0.5, e=0.0, config=cfg)
+    crits = [ev for ev in err.value.trajectory.events
+             if ev.kind is EventKind.CRITICAL_RADIUS]
+    assert crits and crits[0].state.x < 2e-3
+    # explicit starts have no band to check
+    traj = integrate(3, 0.5, initial=ProfileState(2.0, 0.0, 0.0), config=cfg)
+    assert traj.s_end == 6.0
+
+
+def test_projection_accurate_at_large_radius():
+    # an n = 3 nodoid reaching x2 = 28, where the terms of E are ~1e7: taking
+    # sin^2 from 1 - cos^2 there leaves errors ~1e-6 in E that no retry cures
+    traj = integrate(3, 0.0357, e=-4.36e-4,
+                     config=SolveConfig(max_arclength=50.0))
+    assert traj.energy_drift() <= 1e-8
+    assert traj.energy_correction <= 1e-8
+
+
+def test_projection_skips_thin_neck():
+    # an unduloid with neck x1 = 0.066 where sigma' ~ 3000: resetting sigma
+    # from x there turns the solver's error in x into 4e-6 of error in the
+    # state; left alone, the solve stays within 1e-7 of a tight reference
+    n, h = 1, 1.15625
+    e = 0.28125 * cylinder_energy(n, h)
+    traj = integrate(n, h, e=e, config=SolveConfig(max_arclength=5.0))
+    ref = integrate(n, h, e=e, config=SolveConfig(
+        max_arclength=5.0, rel_tol=1e-13, abs_tol=1e-15))
+    for s in np.linspace(0.0, 5.0, 501):
+        assert tuple(traj.state_at(s)) == pytest.approx(
+            tuple(ref.state_at(s)), abs=1e-7)
+
+
+def test_retries_are_counted_and_logged(caplog):
+    cfg = SolveConfig(max_arclength=50.0, drift_tolerance=1e-9)
+    with caplog.at_level(logging.INFO, logger="heisenberg_cmc"):
+        traj = integrate(3, 0.25, e=0.0, config=cfg)
+    retries = [note for note in traj.notes if "retrying" in note]
+    assert traj.stats.retries == len(retries) >= 1
+    logged = [rec.getMessage() for rec in caplog.records]
+    assert len(logged) == len(retries)
+    for note, message in zip(retries, logged):
+        assert note in message
+    # the note reports the gated drift, which is the correction sum here
+    first = float(retries[0].split()[2])
+    assert first > 1e-9
+    single = integrate(3, 0.25, e=0.0, config=SolveConfig(max_arclength=50.0))
+    assert single.stats.retries == 0
+    assert first == pytest.approx(single.energy_drift(), rel=1e-3)
+    assert traj.stats.rhs_evals > single.stats.rhs_evals
+    assert traj.stats.steps > single.stats.steps
 
 
 def test_sigma_winding_conserves_energy():
