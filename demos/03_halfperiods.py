@@ -1,11 +1,11 @@
 """Half-period heights across the periodic families, and an n = 1 surprise.
 
 The height t2 gained while the radius sweeps its band once comes from a
-singular quadrature; the profile flow provides an independent check, since
-integrating to the first critical-radius event must gain exactly t2.  For
-n = 1 the quadrature collapses to pi / (4 H^2) whatever E is, so the whole
-column of the table is constant; for n >= 2 the height genuinely depends
-on E.
+Chebyshev series of dt/dtheta across the band, x = m - r cos(theta); the
+profile flow provides an independent check, since integrating to the first
+critical-radius event must gain exactly t2.  For n = 1 the integral
+collapses to pi / (4 H^2) whatever E is, so the whole column of the table is
+constant; for n >= 2 the height genuinely depends on E.
 """
 
 import math
@@ -35,14 +35,14 @@ def main():
         print(f"{label:>12s}  " + "  ".join(row))
     print(f"\nn = 1 column is pi / (4 H^2) = {math.pi / 4.0:.8f} for every E")
 
-    print("\nquadrature vs profile flow (first critical-radius event):")
+    print("\nseries vs profile flow (first critical-radius event):")
     for n, h_, e in ((1, 1.0, -0.4), (2, 0.75, -0.2), (3, 1.5, 0.2)):
         e = e if e < 0 else e * cylinder_energy(n, h_)
-        quad = halfperiod(n, h_, e)
+        series = halfperiod(n, h_, e)
         cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 1))
         ode = abs(integrate(n, h_, e=e, config=cfg).states[-1, 1])
-        print(f"  n={n} H={h_:<5g} E={e:+8.4f}: quad {quad:.10f}  "
-              f"ode {ode:.10f}  gap {abs(quad - ode):.2e}")
+        print(f"  n={n} H={h_:<5g} E={e:+8.4f}: series {series:.10f}  "
+              f"ode {ode:.10f}  gap {abs(series - ode):.2e}")
 
 
 if __name__ == "__main__":

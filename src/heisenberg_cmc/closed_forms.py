@@ -5,14 +5,14 @@ The sphere and the n = 1 catenoid admit elementary profiles:
     sphere   t(x) = (1/(2H^2)) (Hx sqrt(1 - H^2 x^2) + arccos(Hx)),
     catenoid x(t) = sqrt(t^2 + E^4) / E.
 
-For the periodic families the height gained over one half period is the
-integral of dt/dx = (E + H x^{2n}) x / sqrt(x^{4n-2} - (E + H x^{2n})^2)
-across the admissible band [x1, x2], and the catenoid slab half-width is
-t_inf = int_{x1}^{inf} E x / sqrt(x^{4n-2} - E^2) dx, finite only for n >= 2.
-All these radicands vanish like simple zeros at the band edges, so the
-quadrature layer works with exact endpoint offsets and two independent
-engines: a u^2 = x - a substitution fed to adaptive Gauss-Kronrod, and a
-hand-rolled tanh-sinh rule.
+Between its critical radii an unduloid or nodoid is the graph of
+dt/dx = w x / sqrt(x^{4n-2} - w^2), w = E + H x^{2n}, over the band [x1, x2].
+One Chebyshev series in the angle theta of x = m - r cos(theta), where the
+band edges' inverse square roots cancel, gives t1, t2 and the whole half
+period (_HalfPeriod).  The catenoid slab half-width t_inf = int_{x1}^{inf}
+E x / sqrt(x^{4n-2} - E^2) dx, finite only for n >= 2, keeps two quadrature
+engines with exact endpoint offsets: a u^2 = x - a substitution fed to
+adaptive Gauss-Kronrod, and a hand-rolled tanh-sinh rule.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebval
+from scipy.fft import dct
 from scipy.integrate import quad
 
 from .classify import Family, classify
@@ -39,10 +41,12 @@ __all__ = [
     "nodoid_halfperiod",
     "unduloid_halfperiod",
     "halfperiod_heights",
+    "halfperiod_curve",
 ]
 
 _SINGULAR_SPECS = ("lower", "upper", "both", "none")
 _SCHEMES = ("substitution", "tanh_sinh")
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -289,153 +293,151 @@ def catenoid_slab_halfwidth(n, e, *, scheme="substitution",
     )
 
 
+
 # ---------------------------------------------------------------------------
-# half-period heights of the periodic families
+# half periods of the periodic families
+
+_ZERO = QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
 
 
-def _nodoid_factors(n, h, x1, x2):
-    """Positive cofactors g1, g2 with radicand = (x-x1) g1 (x2-x) g2.
-
-    x^{4n-2} - w^2 factors as (x^{2n-1} + w)(x^{2n-1} - w) with
-    w = E + H x^{2n}; dividing out the simple zeros at x1 and x2 leaves
-    sums with no cancellation.
-    """
-
-    def g1(x):
-        return math.fsum(
-            x ** i * x1 ** (2 * n - 2 - i) for i in range(2 * n - 1)
-        ) + h * math.fsum(x ** i * x1 ** (2 * n - 1 - i) for i in range(2 * n))
-
-    def g2(x):
-        return h * math.fsum(
-            x ** i * x2 ** (2 * n - 1 - i) for i in range(2 * n)
-        ) - math.fsum(x ** i * x2 ** (2 * n - 2 - i) for i in range(2 * n - 1))
-
-    return g1, g2
-
-
-def _unduloid_cofactor(n, h, e, x1, x2):
-    """Polynomial q with x^{2n-1} - w = (x-x1)(x2-x) q(x), q > 0 on the band."""
-    coeffs = np.zeros(2 * n + 1)
-    coeffs[0] = -h
-    coeffs[1] = 1.0
-    coeffs[-1] = -e
-    q, _ = np.polydiv(coeffs, np.array([1.0, -x1]))
-    q, _ = np.polydiv(q, np.array([1.0, -x2]))
-
-    def cofactor(x):
-        return -float(np.polyval(q, x))
-
-    return cofactor
-
-
-def _band_integrands(cls):
-    """Half-period integrands across the band of a periodic classification.
-
-    Returns the raw dt/dx = w x / sqrt(x^{4n-2} - w^2) and, for nodoids,
-    the regularized form (None for unduloids).  Both take (x, x - x1, x2 - x)
-    so the simple zeros of the factored radicand at x1 and x2 come from
-    exact offsets.
-    """
+def _band_cofactor(cls):
+    """q > 0 with x^{4n-2} - w^2 = (x - x1)(x2 - x) q(x), taking arrays:
+    (x^{2n-1} - w)(x^{2n-1} + w) with the band edges divided out, written
+    without cancellation."""
     n, h, e, x1, x2 = cls.n, cls.h, cls.e, cls.x1, cls.x2
     if cls.family is Family.UNDULOID:
-        cofactor = _unduloid_cofactor(n, h, e, x1, x2)
+        coeffs = np.zeros(2 * n + 1)
+        coeffs[0], coeffs[1], coeffs[-1] = -h, 1.0, -e
+        rest = np.polydiv(np.polydiv(coeffs, [1.0, -x1])[0], [1.0, -x2])[0]
+        return lambda x: (-np.polyval(rest, x)
+                          * (x ** (2 * n - 1) + e + h * x ** (2 * n)))
 
-        def raw(x, d1, d2):
-            w = e + h * x ** (2 * n)
-            f1 = x ** (2 * n - 1) + e + h * x ** (2 * n)
-            return w * x / math.sqrt(d1 * d2 * cofactor(x) * f1)
+    def powsum(x, a, k):  # (x^k - a^k) / (x - a)
+        return sum(x ** i * a ** (k - 1 - i) for i in range(k))
 
-        return raw, None
-    g1, g2 = _nodoid_factors(n, h, x1, x2)
-
-    def raw(x, d1, d2):
-        w = e + h * x ** (2 * n)
-        return w * x / math.sqrt(d1 * d2 * g1(x) * g2(x))
-
-    def regularized(x, d1, d2):
-        w = e + h * x ** (2 * n)
-        num = 2.0 * (n - 1) * x ** (1 - 2 * n) * w * w + x ** (2 * n - 1)
-        return num / (2 * n * h) / math.sqrt(d1 * d2 * g1(x) * g2(x))
-
-    return raw, regularized
+    lift = -e / x2 ** (2 * n - 1)  # H x2 - 1, which cancels as a difference
+    return lambda x: ((powsum(x, x1, 2 * n - 1) + h * powsum(x, x1, 2 * n))
+                      * (lift * powsum(x, x2, 2 * n - 1) + h * x ** (2 * n - 1)))
 
 
-def _halfperiod(cls, raw, regularized, kw):
-    """t2 = int raw across the band; with a regularized integrand, its
-    value is returned after a cross-check against the raw one."""
-    a = singular_quadrature(raw, cls.x1, cls.x2, "both", **kw)
-    if regularized is None:
-        return a
-    b = singular_quadrature(regularized, cls.x1, cls.x2, "both", **kw)
-    gap = abs(a.value - b.value)
-    allowed = max(1e-10 * (1.0 + abs(b.value)),
-                  2.0 * (a.error_estimate + b.error_estimate))
-    if gap > allowed:
-        raise QuadratureError(
-            "raw and regularized half-period integrals disagree: "
-            "%.17g vs %.17g" % (a.value, b.value)
-        )
-    return QuadratureResult(
-        value=b.value,
-        error_estimate=b.error_estimate,
-        evaluations=a.evaluations + b.evaluations,
-    )
+def _chop(coeffs, tol):
+    """How many Chebyshev coefficients to keep, None while unresolved:
+    Aurentz & Trefethen's standardChop ("Chopping a Chebyshev series", 2017),
+    which finds where |coeffs| levels off into a plateau, even one that
+    roundoff holds well above tol."""
+    n = len(coeffs)
+    if n < 17:
+        return None
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    for j in range(2, n + 1):  # 1-based, as in the paper
+        j2 = round(1.25 * j + 5)
+        if j2 > n:
+            return None
+        e1 = env[j - 1]
+        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    if env[j - 2] == 0.0:
+        return j - 1
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    # least envelope plus a line that favours short series
+    biased = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(biased)), 1)
 
 
-def nodoid_halfperiod(n, h, e, *, scheme="substitution",
-                      rel_tol=1e-12, abs_tol=1e-14):
-    """Height t2 gained while the profile radius sweeps the band once.
+class _HalfPeriod:
+    """One half period of an unduloid or nodoid as a Chebyshev series.
 
-    Evaluates the regularized integrand
-        (2(n-1) x^{1-2n} w^2 + x^{2n-1}) / (2nH sqrt(x^{4n-2} - w^2)),
-    whose numerator is strictly positive, and cross-checks it against the
-    raw form w x / sqrt(x^{4n-2} - w^2); disagreement beyond the combined
-    error estimates raises QuadratureError.
+    x(theta) = m - r cos(theta) runs from x1 at theta = 0 to x2 at pi, and
+    the band edges' inverse square roots cancel against dx = r sin(theta)
+    dtheta: dt/dtheta = w x / sqrt(q(x)) is analytic on [0, pi].  Its
+    Chebyshev interpolant (degree doubled until _chop finds it resolved)
+    integrates to T(theta), the height gained from x1 (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 3, 7 and 19).
     """
-    cls = classify(n, h, e)
-    if not (cls.h > 0.0 and cls.e < 0.0):
+
+    def __init__(self, cls):
+        self.cls = cls
+        cofactor = _band_cofactor(cls)
+        degree, self.evaluations, keep = 8, 0, None
+        while keep is None:
+            if degree >= 4096:
+                raise QuadratureError(
+                    "half-period series unresolved at degree %d" % degree)
+            degree *= 2
+            y = np.cos(np.arange(degree + 1) * math.pi / degree)
+            x = self.radius(0.5 * math.pi * (1.0 + y))
+            scale = x / np.sqrt(cofactor(x))
+            terms = cls.h * x ** (2 * cls.n)
+            samples = (cls.e + terms) * scale
+            self.evaluations += degree + 1
+            coeffs = dct(samples, type=1) / degree
+            coeffs[[0, -1]] *= 0.5
+            noise = _EPS * float(np.max((abs(cls.e) + terms) * scale))
+            keep = _chop(coeffs, noise / float(np.max(np.abs(samples))))
+        # in y = 2 theta / pi - 1, dtheta = (pi / 2) dy; the error is the
+        # dropped tail plus the rounding of w's terms, which can exceed w
+        self._series = chebint(coeffs[:keep], lbnd=-1.0) * (0.5 * math.pi)
+        self.error = math.pi * (float(np.sum(np.abs(coeffs[keep:]))) + noise)
+
+    def radius(self, theta):
+        """x(theta), offset from the nearer band edge so it stays exact."""
+        x1, x2 = self.cls.x1, self.cls.x2
+        d1 = (x2 - x1) * np.sin(0.5 * theta) ** 2
+        d2 = (x2 - x1) * np.cos(0.5 * theta) ** 2
+        return np.where(d1 <= d2, x1 + d1, x2 - d2)
+
+    def height(self, theta):
+        return chebval(2.0 * np.asarray(theta) / math.pi - 1.0, self._series)
+
+
+def nodoid_halfperiod(n, h, e):
+    """Height t2 gained while the profile radius sweeps the band once."""
+    if h == 0.0 or not e * math.copysign(1.0, h) < 0.0:
         raise ValueError("nodoid half-period needs EH < 0")
-    kw = dict(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
-    return _halfperiod(cls, *_band_integrands(cls), kw)
+    return halfperiod_heights(n, h, e)[1]
 
 
-def unduloid_halfperiod(n, h, e, *, scheme="substitution",
-                        rel_tol=1e-12, abs_tol=1e-14):
-    """Height t2 of one rising half period, w x / sqrt(x^{4n-2} - w^2)
-    integrated across [x1, x2]; zero for the cylinder."""
-    cls = classify(n, h, e)
-    if not (cls.h > 0.0 and cls.e > 0.0):
+def unduloid_halfperiod(n, h, e):
+    """Height t2 of one rising half period; zero for the cylinder."""
+    if h == 0.0 or not e * math.copysign(1.0, h) > 0.0:
         raise ValueError("unduloid half-period needs EH > 0")
-    if cls.family is Family.CYLINDER:
-        return QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
-    kw = dict(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
-    return _halfperiod(cls, *_band_integrands(cls), kw)
+    return halfperiod_heights(n, h, e)[1]
 
 
-def halfperiod_heights(n, h, e, *, scheme="substitution",
-                       rel_tol=1e-12, abs_tol=1e-14):
-    """Heights (t1, t2) at the interior radius x0 and at the far band edge.
-
-    t1 integrates dt/dx from the starting edge of the traversal to x0: from
-    x1 for unduloids (x0 is the inflection radius) and from x2 downward for
-    nodoids (x0 is the vertical-tangent radius).  t2 is the full half-period
-    height.  Cylinders degenerate to (0, 0).
-    """
+def halfperiod_heights(n, h, e):
+    """Heights (t1, t2) gained from the start of the canonical traversal, x1
+    for unduloids and x2 for nodoids, to x0 (the inflection or the vertical
+    tangent) and to the far band edge.  Cylinders degenerate to (0, 0)."""
     cls = classify(n, h, e)
     if cls.family is Family.CYLINDER:
-        zero = QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
-        return zero, zero
+        return _ZERO, _ZERO
     if cls.family not in (Family.UNDULOID, Family.NODOID):
         raise ValueError(
             "half-period heights exist only for the periodic families")
-    kw = dict(scheme=scheme, rel_tol=rel_tol, abs_tol=abs_tol)
-    raw, regularized = _band_integrands(cls)
-    x1, x2, x0 = cls.x1, cls.x2, cls.x0
-    if cls.family is Family.UNDULOID:
-        t1 = singular_quadrature(lambda x, da, db: raw(x, da, x2 - x),
-                                 x1, x0, "lower", **kw)
-    else:
-        t1 = singular_quadrature(lambda x, da, db: raw(x, x - x1, db),
-                                 x0, x2, "upper", **kw)
-    return t1, _halfperiod(cls, raw, regularized, kw)
+    half = _HalfPeriod(cls)
+    # x0 sits where tan(theta/2) = sqrt((x0 - x1) / (x2 - x0))
+    t0 = float(half.height(2.0 * math.atan2(math.sqrt(cls.x0 - cls.x1),
+                                            math.sqrt(cls.x2 - cls.x0))))
+    t2 = float(half.height(math.pi))
+    t1 = t0 if cls.family is Family.UNDULOID else t2 - t0
+    return tuple(QuadratureResult(t, half.error, half.evaluations)
+                 for t in (t1, t2))
+
+
+def halfperiod_curve(cls, count):
+    """(x, t) arrays of count + 1 points, evenly spaced in theta, on one half
+    period of the periodic cls as its canonical start traverses it: an
+    unduloid from x1 out to x2, a nodoid from x2 in to x1, t from 0 to t2."""
+    half = _HalfPeriod(cls)
+    theta = np.linspace(0.0, math.pi, count + 1)
+    x, t = half.radius(theta), half.height(theta)
+    if cls.family is Family.NODOID:
+        return x[::-1], t[-1] - t[::-1]
+    return x, t - t[0]

@@ -44,7 +44,7 @@ class IntegrationError(GeometryError):
 
 
 class NoCriticalPointError(GeometryError):
-    """A mirror reflection needs a critical-radius endpoint and found none."""
+    """reflect_continue found no critical-radius endpoint to mirror about."""
 
 
 class NoAdmissibleRadiusError(GeometryError):
@@ -60,4 +60,4 @@ class DivergentIntegralError(GeometryError):
 
 
 class QuadratureError(GeometryError):
-    """Numerical quadrature failed to converge or cross-checks disagree."""
+    """A quadrature or a Chebyshev series failed to converge."""

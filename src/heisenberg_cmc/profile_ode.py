@@ -398,6 +398,11 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
 
     ev_axis.terminal = True
     ev_axis.direction = -1.0
+    if h == 0.0 and e == 0.0:
+        # H = E = 0 is the vertical ray: through sigma = atan2(1, c) the rhs
+        # would give cos sigma = 6e-17 and let it dither about 0, and a curve
+        # vertical everywhere has no isolated VerticalTangent event
+        fun, ev_vertical = lambda s, y: (y[3], y[2], 0.0, 0.0), lambda s, y: 1.0
     # at a multiple of pi/2 the pair is exact: sin(pi) = 1.2e-16 would put a
     # start on a critical radius beside its event instead of on it
     quarter = round(initial.sigma / (math.pi / 2.0))

@@ -8,15 +8,16 @@ no timestamps or environment state enter the output.
 
 import math
 
+import numpy as np
+
 from .classify import Family, classify, cylinder_radius
 from .closed_forms import (
     catenoid_generating_curve,
-    halfperiod_heights,
+    halfperiod_curve,
     sphere_generating_curve,
 )
 from .core import dimension_index
-from .errors import NoCriticalPointError
-from .profile_ode import EventKind, SolveConfig, integrate, reflect_continue
+from .profile_ode import SolveConfig, integrate, reflect_continue
 
 __all__ = [
     "PANEL_WIDTH",
@@ -55,10 +56,10 @@ def family_polyline(n, h, e, samples=400):
     """Generating curve of the (n, H, E) profile as a list of (x, t) pairs.
 
     Closed-form families are sampled uniformly in their natural parameter.
-    Unduloids and nodoids are integrated over one half period and mirrored
-    at the critical radii into two full periods, so the nodoid's
-    self-intersections are visible; the n >= 2 catenoid's forward branch is
-    mirrored at its waist.
+    Unduloids and nodoids take one half period from its Chebyshev series,
+    mirrored at the critical radii into two full periods from the canonical
+    start to t = 4 t2 (-4 t2 for H < 0), so the nodoid's self-intersections
+    are visible; the n >= 2 catenoid's branch is mirrored at its waist.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -90,21 +91,13 @@ def family_polyline(n, h, e, samples=400):
         branch = integrate(n, h, e=e,
                            config=SolveConfig(max_arclength=3.0 * c.x1 + 3.0))
         return trace_polyline(reflect_continue(branch))
-    # ds <= |dx| + |dt|, x is monotone between the critical radii and t
-    # turns at most once, at x0: this bounds the half period's arclength
-    t1, t2 = (q.value for q in halfperiod_heights(n, h, e))
-    bound = (c.x2 - c.x1) + abs(t1) + abs(t2 - t1)
-    # each mirror doubles the curve, so two copies of one half period span
-    # two full periods
-    cfg = SolveConfig(max_arclength=1.05 * bound + 1.0,
-                      stop_event=(EventKind.CRITICAL_RADIUS, 1))
-    half = integrate(n, h, e=e, config=cfg)
-    if not any(ev.kind is EventKind.CRITICAL_RADIUS for ev in half.events):
-        raise NoCriticalPointError(
-            "one half period is longer than the arclength limit "
-            f"{cfg.max_arclength}"
-        )
-    return trace_polyline(reflect_continue(half, copies=2))
+    # mirrored about the critical radius ending it, a half period continues
+    # as the next, t -> 2 t2 - t; four of them span two full periods
+    x, t = halfperiod_curve(c, max(samples // 4, 1))
+    x, t = np.append(x, x[-2::-1]), np.append(t, 2.0 * t[-1] - t[-2::-1])
+    x, t = np.append(x, x[1:]), np.append(t, t[-1] + t[1:])
+    sign = math.copysign(1.0, h)  # H < 0 runs the same curve down in t
+    return [(float(a), sign * float(b)) for a, b in zip(x, t)]
 
 
 def trace_polyline(traj):

@@ -18,7 +18,6 @@ import heisenberg_cmc.verify as verify
 from heisenberg_cmc.classify import classify, cylinder_energy
 from heisenberg_cmc.cli import SWEEP_COLUMNS, main, run_report, sweep_rows
 from heisenberg_cmc.closed_forms import (
-    QuadratureResult,
     catenoid_generating_curve,
     halfperiod_heights,
     sphere_profile,
@@ -160,6 +159,37 @@ def test_classify_large_sphere(n, h, capsys):
     assert report["family"] == "Sphere"
     estimates = report["diagnostics"]["error_estimates"]
     assert estimates["perimeter"] == estimates["volume"] == 0.0
+
+
+# admissible periodic points where the band quadratures once failed: a
+# QUADPACK roundoff flag, or a false alarm of the raw/regularized cross-check
+HALFPERIOD_REGRESSIONS = [
+    (1, "0.25", "-0.6052631578947368"),
+    (1, "1", "-2.5e-09"),
+    (2, "1", "-1.0546875e-09"),
+    (3, "0.001", "-66979595336076.836"),
+    (3, "1", "-6.697959533607684e-10"),
+]
+
+
+@pytest.mark.parametrize("n, h, e", HALFPERIOD_REGRESSIONS)
+def test_classify_halfperiod_regressions(n, h, e, capsys):
+    code, out, err = run_cli(
+        ["classify", "--n", str(n), f"--h={h}", f"--e={e}", "--json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    t2 = report["summary"]["t2"]
+    cls = classify(n, float(h), float(e))
+    if n == 1:
+        reference = math.pi / (4.0 * float(h) ** 2)
+        assert t2 == pytest.approx(reference, rel=1e-12)
+    elif cls.x1 >= 1e-3:
+        cfg = pode.SolveConfig(stop_event=(pode.EventKind.CRITICAL_RADIUS, 1),
+                               rel_tol=1e-12, abs_tol=1e-14,
+                               max_arclength=10.0 * t2)
+        traj = pode.integrate(n, float(h), e=float(e), config=cfg)
+        assert traj.events[-1].kind is pode.EventKind.CRITICAL_RADIUS
+        assert t2 == pytest.approx(traj.states[-1, 1], rel=1e-8)
 
 
 @given(n=st.sampled_from((1, 2, 3)), u=st.floats(-3.0, 3.0),
@@ -408,6 +438,18 @@ def test_trace_unresolvable_neck_exits_3(capsys):
     assert "integration failed" in err
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trace_hyperplane_has_no_vertical_tangent(n, capsys):
+    # the ray is vertical everywhere; cos sigma must not dither across 0
+    code, out, _ = run_cli(["trace", "--n", str(n), "--h", "0", "--e", "0",
+                            "--max-arclength", "5", "--format", "json"],
+                           capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert not [ev for ev in doc["events"] if ev["kind"] == "VerticalTangent"]
+    assert all(row[2] == 0.0 for row in doc["samples"])
+
+
 # ---------------------------------------------------------------------------
 # render
 
@@ -432,17 +474,9 @@ def test_render_single_family(capsys):
     assert 'viewBox="0 0 800 600"' in out
 
 
-def test_render_rejects_truncated_half_period(monkeypatch, capsys):
-    # heights far too small for the half period put its end beyond the limit
-    tiny = QuadratureResult(value=1e-3, error_estimate=0.0, evaluations=0)
-    monkeypatch.setattr(render, "halfperiod_heights",
-                        lambda n, h, e: (tiny, tiny))
-    code, out, err = run_cli(
-        ["render", "--n", "1", "--h", "0.5", "--e", "0.3"], capsys)
-    assert code == 3
-    assert out == ""
-    assert "arclength limit" in err
-    monkeypatch.undo()
+def test_render_rejects_truncated_half_period(capsys):
+    # the half period comes from its series, with no arclength limit to
+    # exceed: the unduloid is drawn whole
     code, out, _ = run_cli(
         ["render", "--n", "1", "--h", "0.5", "--e", "0.3"], capsys)
     assert code == 0
@@ -591,6 +625,19 @@ def test_sweep_nodoids_positive_halfperiod(capsys):
         cells = line.split(",")
         assert cells[3] == "Nodoid"
         assert float(cells[7]) > 0.0  # t2 column
+
+
+def test_sweep_roadmap_grid_completes(capsys):
+    # the grid used to abort on a QUADPACK roundoff flag at n = 1, H = 0.25
+    code, out, err = run_cli(
+        ["sweep", "--n", "1,2,3", "--h", "0.25:2:8", "--e=-1:0.5:20"], capsys)
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 480
+    for row in rows:
+        if row["n"] == "1" and row["family"] in ("Unduloid", "Nodoid"):
+            reference = math.pi / (4.0 * float(row["h"]) ** 2)
+            assert float(row["t2"]) == pytest.approx(reference, rel=1e-12)
 
 
 def test_sweep_empty_grid(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from heisenberg_cmc.classify import classify, cylinder_energy
@@ -266,12 +268,6 @@ def test_nodoid_sign_normalization():
     assert mirrored.value == pytest.approx(direct.value, abs=1e-14)
 
 
-def test_nodoid_schemes_agree():
-    a = nodoid_halfperiod(1, 1.0, -0.1)
-    b = nodoid_halfperiod(1, 1.0, -0.1, scheme="tanh_sinh")
-    assert a.value == pytest.approx(b.value, abs=1e-11)
-
-
 UNDULOID_CASES = [(1, 1.0, 0.4), (2, 0.75, 0.7), (1, 0.5, 0.9)]
 
 
@@ -317,3 +313,29 @@ def test_n1_halfperiod_height_is_parameter_free(h, e):
     else:
         value = nodoid_halfperiod(1, h, e).value
     assert value == pytest.approx(math.pi / (4.0 * h * h), abs=1e-10)
+
+
+# E over E_cyl, log-spaced across each band: an unduloid toward its thin neck
+# (down to 1e-12) and toward the cylinder (up to 1 - 1e-10), a nodoid from
+# -1e-12 to -1e3
+BAND_FRACTIONS = st.one_of(
+    st.floats(-12.0, -0.3).map(lambda v: 10.0 ** v),
+    st.floats(-10.0, -0.3).map(lambda v: 1.0 - 10.0 ** v),
+    st.floats(-12.0, 3.0).map(lambda v: -(10.0 ** v)),
+)
+
+
+@given(n=st.integers(1, 3), u=st.floats(-3.0, 3.0),
+       sign=st.sampled_from((1.0, -1.0)), frac=BAND_FRACTIONS)
+@settings(max_examples=40, deadline=None)
+def test_halfperiod_property(n, u, sign, frac):
+    h = sign * 10.0 ** u
+    e = frac * cylinder_energy(n, abs(h)) * sign
+    heights = halfperiod_heights(n, h, e)
+    assert heights == halfperiod_heights(n, -h, -e)
+    t1, t2 = heights
+    assert t2.value > 0.0
+    assert math.isfinite(t1.value)
+    assert math.isfinite(t2.error_estimate)
+    if n == 1:
+        assert t2.value == pytest.approx(math.pi / (4.0 * h * h), rel=1e-9)
