@@ -12,6 +12,7 @@ failure.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -183,8 +184,7 @@ def cmd_classify(args):
     report = run_report(args.raw_argv, args.n, args.h, args.e)
     with _out_stream(args.out) as stream:
         if args.json:
-            json.dump(report, stream, indent=2)
-            stream.write("\n")
+            _write_json(report, stream)
         else:
             _print_report(report, stream)
     return EXIT_OK
@@ -220,8 +220,7 @@ def cmd_trace(args):
         traj = reflect_continue(traj, copies=args.reflect)
     with _out_stream(args.out) as stream:
         if args.format == "json":
-            json.dump(trajectory_to_json(traj), stream, indent=2)
-            stream.write("\n")
+            _write_json(trajectory_to_json(traj), stream)
         else:
             trajectory_to_csv(traj, stream)
     return EXIT_OK
@@ -317,8 +316,7 @@ def cmd_verify(args):
     report = run_suite(args.suite, seed=args.seed)
     with _out_stream(args.out) as stream:
         if args.json:
-            json.dump(report, stream, indent=2)
-            stream.write("\n")
+            _write_json(report, stream)
         else:
             for check in report["checks"]:
                 mark = "ok  " if check["passed"] else "FAIL"
@@ -381,8 +379,7 @@ def cmd_sweep(args):
     rows = sweep_rows(args.n, args.h, args.e)
     with _out_stream(args.out) as stream:
         if args.format == "json":
-            json.dump({"rows": rows}, stream, indent=2)
-            stream.write("\n")
+            _write_json({"rows": rows}, stream)
         else:
             print(",".join(SWEEP_COLUMNS), file=stream)
             for row in rows:
@@ -395,6 +392,13 @@ def cmd_sweep(args):
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+def _write_json(doc, stream):
+    """doc as one compact JSON line; without indent, json.dumps runs
+    CPython's C encoder."""
+    stream.write(json.dumps(doc))
+    stream.write("\n")
 
 
 class _out_stream:
@@ -416,7 +420,10 @@ class _out_stream:
         return False
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, so every main call reuses it."""
     parser = _Parser(
         prog="heisenberg-cmc",
         description=__doc__.splitlines()[0],

@@ -665,10 +665,7 @@ def trajectory_to_json(traj):
         "n": traj.n,
         "h": traj.h,
         "e": traj.e,
-        "samples": [
-            [float(s), float(x), float(t), float(sig)]
-            for s, (x, t, sig) in zip(traj.s, traj.states)
-        ],
+        "samples": np.column_stack((traj.s, traj.states)).tolist(),
         "events": [
             {
                 "kind": ev.kind.value,
@@ -692,5 +689,5 @@ def trajectory_to_csv(traj, stream):
     digits so the values survive a round trip."""
     writer = csv.writer(stream)
     writer.writerow(["s", "x", "t", "sigma"])
-    for s, (x, t, sig) in zip(traj.s, traj.states):
-        writer.writerow(["%.17g" % v for v in (s, x, t, sig)])
+    rows = np.column_stack((traj.s, traj.states)).tolist()
+    writer.writerows(["%.17g" % v for v in row] for row in rows)

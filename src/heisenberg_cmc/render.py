@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .classify import Family, classify, cylinder_radius
+from .classify import Family, classify, cylinder_energy, cylinder_radius
 from .closed_forms import (
     catenoid_generating_curve,
     halfperiod_curve,
@@ -26,22 +26,11 @@ __all__ = [
     "trace_polyline",
     "render_panel",
     "render_gallery",
-    "GALLERY_PARAMETERS",
+    "gallery_parameters",
 ]
 
 PANEL_WIDTH = 800
 PANEL_HEIGHT = 600
-
-# one representative parameter set per family, n = 1; the cylinder energy at
-# H = 1/2 is exactly 1/2, so (0.5, 0.5) sits on the cylinder locus
-GALLERY_PARAMETERS = (
-    ("Hyperplane", 0.0, 0.0),
-    ("Catenoid", 0.0, 1.0),
-    ("Sphere", 1.0, 0.0),
-    ("Cylinder", 0.5, 0.5),
-    ("Unduloid", 0.5, 0.3),
-    ("Nodoid", 1.0, -0.1),
-)
 
 _CURVE_STYLE = 'fill="none" stroke="#004488" stroke-width="2"'
 _AXIS_STYLE = 'stroke="#444444" stroke-width="1"'
@@ -105,11 +94,11 @@ def trace_polyline(traj):
     return [(float(x), float(t)) for x, t in traj.states[:, :2]]
 
 
-def _bounds(polylines):
-    xs = [p[0] for line in polylines for p in line]
-    ts = [p[1] for line in polylines for p in line]
-    lo_x, hi_x = min(0.0, min(xs)), max(xs)
-    lo_t, hi_t = min(ts), max(ts)
+def _bounds(lines):
+    """Padded window (lo_x, hi_x, lo_t, hi_t) around (k, 2) point arrays."""
+    xy = np.concatenate(lines)
+    lo_x, hi_x = min(0.0, float(xy[:, 0].min())), float(xy[:, 0].max())
+    lo_t, hi_t = float(xy[:, 1].min()), float(xy[:, 1].max())
     if hi_x - lo_x < 1e-12:
         lo_x, hi_x = lo_x - 0.5, hi_x + 0.5
     if hi_t - lo_t < 1e-12:
@@ -121,12 +110,17 @@ def _bounds(polylines):
 
 def render_panel(polylines, title, width=PANEL_WIDTH, height=PANEL_HEIGHT,
                  standalone=True, origin=(0, 0)):
-    """One fixed-size SVG panel; standalone=False nests it in a gallery."""
-    lo_x, hi_x, lo_t, hi_t = _bounds(polylines)
+    """One fixed-size SVG panel; standalone=False nests it in a gallery.
+
+    Each polyline is a sequence of (x, t) pairs or a (k, 2) array.
+    """
+    lines = [np.asarray(line, dtype=float) for line in polylines]
+    lo_x, hi_x, lo_t, hi_t = _bounds(lines)
     margin_l, margin_r, margin_t, margin_b = 50, 20, 46, 34
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
+    # sx and sy map a float or, elementwise, an array to panel coordinates
     def sx(v):
         return margin_l + (v - lo_x) / (hi_x - lo_x) * plot_w
 
@@ -164,11 +158,27 @@ def render_panel(polylines, title, width=PANEL_WIDTH, height=PANEL_HEIGHT,
     parts.append(f'<text x="{_fmt(sx(0.0) + 6)}" y="{margin_t + 14}" '
                  'font-family="sans-serif" font-size="14" '
                  'fill="#444444">t</text>')
-    for line in polylines:
-        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(t))}" for x, t in line)
+    # the margins keep every curve point positive, so no -0.000 to mend
+    for xy in lines:
+        points = zip(sx(xy[:, 0]).tolist(), sy(xy[:, 1]).tolist())
+        coords = " ".join(["%.3f,%.3f" % p for p in points])
         parts.append(f'<polyline {_CURVE_STYLE} points="{coords}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + ("\n" if standalone else "")
+
+
+def gallery_parameters(n):
+    """(label, H, E) of one representative profile per family for dimension
+    index n; the cylinder sits at the cylinder energy of H = 1/2, which is
+    exactly 1/2 for n = 1."""
+    return (
+        ("Hyperplane", 0.0, 0.0),
+        ("Catenoid", 0.0, 1.0),
+        ("Sphere", 1.0, 0.0),
+        ("Cylinder", 0.5, cylinder_energy(n, 0.5)),
+        ("Unduloid", 0.5, 0.3),
+        ("Nodoid", 1.0, -0.1),
+    )
 
 
 def render_gallery(n=1):
@@ -181,7 +191,7 @@ def render_gallery(n=1):
         f'width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for index, (label, h, e) in enumerate(GALLERY_PARAMETERS):
+    for index, (label, h, e) in enumerate(gallery_parameters(n)):
         col, row = index % cols, index // cols
         line = family_polyline(n, h, e)
         title = f"{label} (H={_fmt(h)}, E={_fmt(e)})"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heisenberg_cmc.cli as cli
 import heisenberg_cmc.profile_ode as pode
 import heisenberg_cmc.render as render
 import heisenberg_cmc.verify as verify
@@ -448,6 +449,91 @@ def test_trace_hyperplane_has_no_vertical_tangent(n, capsys):
     doc = json.loads(out)
     assert not [ev for ev in doc["events"] if ev["kind"] == "VerticalTangent"]
     assert all(row[2] == 0.0 for row in doc["samples"])
+
+
+# (trace arguments, the same trajectory solved in-process)
+EXPORT_CASES = {
+    "periodic": (
+        ["--n", "1", "--h", "0.5", "--e", "0.3"],
+        lambda: cli._canonical_trace(1, 0.5, 0.3, pode.SolveConfig())),
+    "sphere": (
+        ["--n", "1", "--h", "1", "--e", "0", "--stop-event", "AxisContact"],
+        lambda: pode.integrate(1, 1.0, e=0.0, config=pode.SolveConfig(
+            stop_event=(pode.EventKind.AXIS_CONTACT, 1)))),
+    "catenoid": (
+        ["--n", "1", "--h", "0", "--e", "1", "--max-arclength", "8"],
+        lambda: pode.integrate(1, 0.0, e=1.0, config=pode.SolveConfig(
+            max_arclength=8.0))),
+    "catenoid-n2": (
+        ["--n", "2", "--h", "0", "--e", "0.5"],
+        lambda: pode.integrate(2, 0.0, e=0.5)),
+    "explicit": (
+        ["--n", "1", "--h", "1", "--x0", "0.7", "--sigma0", "-2.0",
+         "--stop-event", "VerticalTangent"],
+        lambda: pode.integrate(
+            1, 1.0, initial=pode.ProfileState(0.7, 0.0, -2.0),
+            config=pode.SolveConfig(
+                stop_event=(pode.EventKind.VERTICAL_TANGENT, 1)))),
+}
+
+
+@pytest.mark.parametrize("case", ["periodic", "sphere", "catenoid-n2"])
+def test_trace_json_is_one_line_of_exact_samples(case, capsys):
+    argv, solve = EXPORT_CASES[case]
+    code, out, err = run_cli(["trace", *argv, "--format", "json"], capsys)
+    assert code == 0, err
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    jsonschema.validate(doc, _schema("trajectory"))
+    traj = solve()
+    samples = np.array(doc["samples"])
+    expected = np.column_stack((traj.s, traj.states))
+    assert samples.dtype == expected.dtype
+    assert samples.shape == expected.shape
+    assert samples.tobytes() == expected.tobytes()
+
+
+def _per_sample_csv(traj):
+    """trajectory_to_csv as it formatted one zipped sample at a time."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["s", "x", "t", "sigma"])
+    for s, (x, t, sig) in zip(traj.s, traj.states):
+        writer.writerow(["%.17g" % v for v in (s, x, t, sig)])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("case",
+                         ["sphere", "periodic", "catenoid", "explicit"])
+def test_trace_csv_matches_per_sample_rows(case, capsys):
+    argv, solve = EXPORT_CASES[case]
+    code, out, err = run_cli(["trace", *argv], capsys)
+    assert code == 0, err
+    assert out == _per_sample_csv(solve())
+
+
+# one process, parser built once: no call may see state an earlier call left
+PARSER_SEQUENCE = (
+    ["trace", "--n", "1", "--h", "0.5", "--e", "0.3", "--max-arclength", "3",
+     "--format", "json"],
+    ["trace", "--n", "1", "--h", "0.5", "--e", "0.3", "--max-arclength", "3"],
+    ["classify", "--n", "1"],
+    ["classify", "--n", "1", "--h", "1", "--e", "0"],
+)
+
+
+def test_main_calls_leak_no_parser_state(capsys):
+    warm = [run_cli(argv, capsys) for argv in PARSER_SEQUENCE]
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    assert warm == fresh
+    assert [code for code, _, _ in warm] == [0, 0, 1, 0]
+    assert json.loads(warm[0][1])["samples"]
+    assert warm[1][1].startswith("s,x,t,sigma\r\n")
+    assert "required" in warm[2][2]
+    assert "family: Sphere" in warm[3][1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """SVG output: determinism, panel geometry, and curve content."""
 
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heisenberg_cmc.classify import classify
 from heisenberg_cmc.closed_forms import (
     catenoid_generating_curve,
     halfperiod_heights,
@@ -11,10 +16,11 @@ from heisenberg_cmc.closed_forms import (
 )
 from heisenberg_cmc.profile_ode import SolveConfig, integrate
 from heisenberg_cmc.render import (
-    GALLERY_PARAMETERS,
     PANEL_HEIGHT,
     PANEL_WIDTH,
+    _fmt,
     family_polyline,
+    gallery_parameters,
     render_gallery,
     render_panel,
     trace_polyline,
@@ -124,9 +130,18 @@ def test_panel_fixed_viewbox_and_style():
 def test_gallery_structure():
     svg = render_gallery(1)
     assert svg.count('<svg x="') == 6  # six nested panels
-    for label, _, _ in GALLERY_PARAMETERS:
+    for label, _, _ in gallery_parameters(1):
         assert label in svg
     assert f'viewBox="0 0 {3 * PANEL_WIDTH} {2 * PANEL_HEIGHT}"' in svg
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gallery_titles_name_the_drawn_family(n):
+    titles = re.findall(r'font-size="20" fill="#000000">(\w+) \(H=',
+                        render_gallery(n))
+    assert titles == [classify(n, h, e).family.value
+                      for _, h, e in gallery_parameters(n)]
+    assert titles == [label for label, _, _ in gallery_parameters(n)]
 
 
 def test_gallery_deterministic():
@@ -139,3 +154,66 @@ def test_panel_handles_degenerate_window():
     svg = render_panel([[(1.0, 0.0)]], "point")
     assert "<polyline" in svg
     assert "nan" not in svg
+
+
+def _reference_points(polylines, width=PANEL_WIDTH, height=PANEL_HEIGHT):
+    """Points attributes as render_panel formatted them one point at a time."""
+    xs = [p[0] for line in polylines for p in line]
+    ts = [p[1] for line in polylines for p in line]
+    lo_x, hi_x = min(0.0, min(xs)), max(xs)
+    lo_t, hi_t = min(ts), max(ts)
+    if hi_x - lo_x < 1e-12:
+        lo_x, hi_x = lo_x - 0.5, hi_x + 0.5
+    if hi_t - lo_t < 1e-12:
+        lo_t, hi_t = lo_t - 0.5, hi_t + 0.5
+    pad_x = 0.08 * (hi_x - lo_x)
+    pad_t = 0.08 * (hi_t - lo_t)
+    lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
+    lo_t, hi_t = lo_t - pad_t, hi_t + pad_t
+    margin_l, margin_r, margin_t, margin_b = 50, 20, 46, 34
+    plot_w = width - margin_l - margin_r
+    plot_h = height - margin_t - margin_b
+
+    def sx(v):
+        return margin_l + (v - lo_x) / (hi_x - lo_x) * plot_w
+
+    def sy(v):
+        return height - margin_b - (v - lo_t) / (hi_t - lo_t) * plot_h
+
+    return [" ".join(f"{_fmt(sx(x))},{_fmt(sy(t))}" for x, t in line)
+            for line in polylines]
+
+
+# 0 and spans under 1e-12 take the +-0.5 window
+_SPANS = (0.0, 1e-13, 9e-13, 1e-6, 1.0, 300.0)
+
+
+@st.composite
+def _polylines(draw):
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        # x0 = 0 puts points exactly on the window's left bound
+        x0 = draw(st.sampled_from((0.0, 1.0)) | st.floats(-5.0, 50.0))
+        t0 = draw(st.floats(-50.0, 50.0))
+        span_x, span_t = draw(st.sampled_from(_SPANS)), draw(
+            st.sampled_from(_SPANS))
+        unit = draw(st.lists(st.tuples(st.floats(0.0, 1.0),
+                                       st.floats(-1.0, 1.0)),
+                             min_size=1, max_size=30))
+        lines.append([(x0 + span_x * u, t0 + span_t * v) for u, v in unit])
+    return lines
+
+
+# a panel ~1e13 wide prints ~16 significant digits at three decimals, so a
+# change in the last bit of a mapped coordinate shows in the bytes
+@given(polylines=_polylines(),
+       size=st.sampled_from([(PANEL_WIDTH, PANEL_HEIGHT),
+                             (10 ** 13, 3 * 10 ** 12)]))
+@settings(max_examples=300, deadline=None)
+def test_panel_points_match_per_point_formatting(polylines, size):
+    width, height = size
+    expected = _reference_points(polylines, width, height)
+    svg = render_panel(polylines, "curve", width, height)
+    assert re.findall(r'points="([^"]*)"', svg) == expected
+    assert render_panel([np.array(line) for line in polylines], "curve",
+                        width, height) == svg
