@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .classify import Family, classify, cylinder_energy
 from .closed_forms import (
@@ -41,7 +40,6 @@ from .profile_ode import (
     reflect_continue,
     trajectory_to_csv,
     trajectory_to_json,
-    truncated,
 )
 from .render import render_gallery, render_panel, family_polyline
 from .verify import SUITES, run_suite
@@ -215,7 +213,7 @@ def cmd_trace(args):
     else:
         if args.e is None:
             raise ValueError("pass either --e or an explicit start")
-        traj = _canonical_trace(args.n, args.h, args.e, config)
+        traj = integrate(args.n, args.h, e=args.e, config=config)
     if args.reflect:
         traj = reflect_continue(traj, copies=args.reflect)
     with _out_stream(args.out) as stream:
@@ -224,42 +222,6 @@ def cmd_trace(args):
         else:
             trajectory_to_csv(traj, stream)
     return EXIT_OK
-
-
-def _canonical_trace(n, h, e, config):
-    """The profile from initial_state(n, h, e), cut as config says.
-
-    An unduloid or nodoid is periodic and symmetric about each critical
-    radius, so one half period is solved and mirrored until it covers the
-    arclength limit or holds the requested stop event; the direct long
-    solve would accumulate error over every period instead.
-    """
-    if classify(n, h, e).family not in (Family.UNDULOID, Family.NODOID):
-        return integrate(n, h, e=e, config=config)
-    half = integrate(n, h, e=e, config=replace(
-        config, stop_event=(EventKind.CRITICAL_RADIUS, 1)))
-    if not any(ev.kind is EventKind.CRITICAL_RADIUS for ev in half.events):
-        # no critical radius within the limit: the solve is the direct one,
-        # and its last note is the half period's own "not reached"
-        return truncated(replace(half, notes=half.notes[:-1]), config)
-    tiled = half
-    while tiled.s_end < config.max_arclength and not _holds(tiled, config):
-        tiled = reflect_continue(tiled)
-    out = truncated(tiled, config)
-    if tiled is not half:
-        out.notes.append(
-            f"periodic: one half period (arclength {half.s_end:.12g}) "
-            f"mirrored to arclength {out.s_end:.12g}"
-        )
-    return out
-
-
-def _holds(traj, config):
-    """Whether traj holds the k-th event of config's stop_event."""
-    if config.stop_event is None:
-        return False
-    kind, count = EventKind(config.stop_event[0]), config.stop_event[1]
-    return sum(ev.kind is kind for ev in traj.events) >= count
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +238,9 @@ def _load_trace(path):
             samples = doc.get("samples")
             if not samples:
                 raise ValueError(f"{path}: no samples in trace")
+            if not all(isinstance(row, list) and len(row) >= 3
+                       for row in samples):
+                raise ValueError(f"{path}: trace samples need s, x, t")
             polyline = [(row[1], row[2]) for row in samples]
             try:
                 title = f"trace (n = {doc['n']}, H = {doc['h']:.6g})"

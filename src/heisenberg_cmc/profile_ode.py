@@ -531,11 +531,18 @@ def integrate(n, h, e=None, initial=None, config=None):
     canonical start turns at a radius that is not a root of its band, the
     solve is retried at tolerances tightened a hundredfold, twice at most;
     EnergyDriftError is raised only once that fails too.
+
+    A canonical unduloid or nodoid is periodic and symmetric about each
+    critical radius, so only its first half period is solved (and gated);
+    reflect_continue mirrors it until it covers the arclength limit or holds
+    the stop event, and a note records the tiling.  The direct long solve
+    would pay for, and accumulate error over, every period.  Explicit starts
+    and the other families are solved directly.
     """
     n = dimension_index(n)
     h = float(h)
     config = config or SolveConfig()
-    roots = None
+    c = roots = None
     if initial is None:
         if e is None:
             raise ValueError("pass either e or an initial state")
@@ -550,7 +557,36 @@ def integrate(n, h, e=None, initial=None, config=None):
             f"initial radius {initial.x} is inside the axis margin "
             f"{config.axis_epsilon}"
         )
+    if c is None or c.family not in (Family.UNDULOID, Family.NODOID):
+        return _solve(n, h, e, initial, roots, config)
+    half = _solve(n, h, e, initial, roots, replace(
+        config, stop_event=(EventKind.CRITICAL_RADIUS, 1)))
+    if not any(ev.kind is EventKind.CRITICAL_RADIUS for ev in half.events):
+        # no critical radius within the limit: the solve is the direct one,
+        # and its last note is the half period's own "not reached"
+        return truncated(replace(half, notes=half.notes[:-1]), config)
+    tiled = half
+    while tiled.s_end < config.max_arclength and not _holds(tiled, config):
+        tiled = reflect_continue(tiled)
+    out = truncated(tiled, config)
+    if tiled is not half:
+        out.notes.append(
+            f"periodic: one half period (arclength {half.s_end:.12g}) "
+            f"mirrored to arclength {out.s_end:.12g}"
+        )
+    return out
 
+
+def _holds(traj, config):
+    """Whether traj holds the k-th event of config's stop_event."""
+    if config.stop_event is None:
+        return False
+    kind, count = EventKind(config.stop_event[0]), config.stop_event[1]
+    return sum(ev.kind is kind for ev in traj.events) >= count
+
+
+def _solve(n, h, e, initial, roots, config):
+    """The direct solve behind integrate, with its drift gate and retries."""
     rel, abs_ = config.rel_tol, config.abs_tol
     retry_notes = []
     rhs_evals = steps = 0

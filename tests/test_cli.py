@@ -316,7 +316,9 @@ def test_periodic_trace_matches_direct_solve(n, nodoid, sign, h, spec, limit,
     config = pode.SolveConfig(
         max_arclength=limit,
         stop_event=None if stop is None else (pode.EventKind(stop[0]), stop[1]))
-    direct = pode.integrate(n, h, e=e, config=config)
+    # an explicit start takes the direct solve over the whole limit
+    direct = pode.integrate(n, h, initial=pode.initial_state(n, h, e),
+                            config=config)
 
     samples = np.asarray(doc["samples"])
     at_event = stop is not None and not any(
@@ -455,7 +457,7 @@ def test_trace_hyperplane_has_no_vertical_tangent(n, capsys):
 EXPORT_CASES = {
     "periodic": (
         ["--n", "1", "--h", "0.5", "--e", "0.3"],
-        lambda: cli._canonical_trace(1, 0.5, 0.3, pode.SolveConfig())),
+        lambda: pode.integrate(1, 0.5, e=0.3)),
     "sphere": (
         ["--n", "1", "--h", "1", "--e", "0", "--stop-event", "AxisContact"],
         lambda: pode.integrate(1, 1.0, e=0.0, config=pode.SolveConfig(
@@ -616,6 +618,12 @@ def test_render_trace_rejects_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(["render", "--trace", str(bad)], capsys)
     assert code == 2
     assert "x and t columns" in err
+    short = tmp_path / "short.json"
+    short.write_text('{"n": 1, "h": 1, "samples": [[0, 1], [1, 2]]}',
+                     encoding="utf-8")
+    code, _, err = run_cli(["render", "--trace", str(short)], capsys)
+    assert code == 2
+    assert "samples need s, x, t" in err
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,8 @@ def test_reflection_matches_direct_integration():
     half = integrate(1, 0.5, e=0.3, config=cfg)
     full = reflect_continue(half)
     direct = integrate(
-        1, 0.5, e=0.3, config=SolveConfig(max_arclength=full.s_end + 0.5)
+        1, 0.5, initial=initial_state(1, 0.5, 0.3),
+        config=SolveConfig(max_arclength=full.s_end + 0.5),
     )
     # compare the reflected trajectory's own nodes against the direct run's
     # dense solution
@@ -370,6 +371,85 @@ def test_reflection_doubles_per_copy():
     half = integrate(1, 0.5, e=0.3, config=cfg)
     quad = reflect_continue(half, copies=2)
     assert quad.s_end == pytest.approx(4.0 * half.s_end)
+
+
+# ---------------------------------------------------------------------------
+# canonical periodic profiles: one half period, mirrored
+
+
+def _is_tiling_note(note):
+    return note.startswith("periodic: one half period")
+
+
+@pytest.mark.parametrize("n, h, e", [
+    (1, 0.5, 0.3),
+    (2, 2.0, -0.0066),
+    (3, 0.25, -0.5 * cylinder_energy(3, 0.25)),
+    (1, -1.0, 0.1),
+], ids=["unduloid", "nodoid-n2", "nodoid-n3", "mirrored-nodoid"])
+def test_canonical_periodic_is_mirrored_half_period(n, h, e):
+    cfg = SolveConfig(max_arclength=200.0,
+                      stop_event=(EventKind.CRITICAL_RADIUS, 8))
+    tiled = integrate(n, h, e=e, config=cfg)
+    half = integrate(n, h, e=e, config=replace(
+        cfg, stop_event=(EventKind.CRITICAL_RADIUS, 1)))
+    assert tiled.stats == half.stats
+    assert tiled.config == cfg
+    assert [note for note in tiled.notes if _is_tiling_note(note)] == [
+        f"periodic: one half period (arclength {half.s_end:.12g}) "
+        f"mirrored to arclength {tiled.s_end:.12g}"]
+    # the turns alternate between the band roots, starting at the one the
+    # canonical start is not on
+    c = classify(n, h, e)
+    start = initial_state(n, h, e).x
+    other = c.x2 if start == c.x1 else c.x1
+    crits = [ev.state.x for ev in tiled.events
+             if ev.kind is EventKind.CRITICAL_RADIUS]
+    assert crits == pytest.approx([other, start] * 4, rel=1e-6)
+    assert tiled.s_end == pytest.approx(8.0 * half.s_end, rel=1e-12)
+    # every node sits on the direct solve of every period
+    direct = integrate(n, h, initial=initial_state(n, h, e),
+                       config=SolveConfig(max_arclength=tiled.s_end + 0.5))
+    assert direct.stats.rhs_evals > 5 * tiled.stats.rhs_evals
+    for s, state in zip(tiled.s, tiled.states):
+        assert np.max(np.abs(state - list(direct.state_at(s)))) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_direct_solve_conserves_energy_over_eight_half_periods(n):
+    # the nodoids of verify's energy grid that cost the direct solve most;
+    # verify mirrors their half periods, so the long-run conservation of the
+    # ODE itself is held here
+    h = 2.0
+    e = -0.5 * cylinder_energy(n, h)
+    cfg = SolveConfig(max_arclength=50.0, drift_tolerance=1e-9,
+                      stop_event=(EventKind.CRITICAL_RADIUS, 8))
+    traj = integrate(n, h, initial=initial_state(n, h, e), config=cfg)
+    c = classify(n, h, e)
+    crits = [ev.state.x for ev in traj.events
+             if ev.kind is EventKind.CRITICAL_RADIUS]
+    assert crits == pytest.approx([c.x1, c.x2] * 4, rel=1e-6)
+    assert traj.s_end == traj.events[-1].s
+    assert traj.energy_drift() / (1.0 + abs(traj.e)) <= 1e-9
+
+
+def test_canonical_periodic_without_critical_radius_in_limit():
+    # the first turn of the (1, 0.5, 0.3) unduloid lies at s = 3.53: within
+    # 0.5 the half-period solve is the direct one, cut as requested
+    cfg = SolveConfig(max_arclength=0.5)
+    traj = integrate(1, 0.5, e=0.3, config=cfg)
+    assert traj.notes == []
+    assert traj.config == cfg
+    assert traj.s_end == 0.5
+    assert not traj.events
+    direct = integrate(1, 0.5, initial=initial_state(1, 0.5, 0.3), config=cfg)
+    assert traj.stats == direct.stats
+    assert np.max(np.abs(traj.states - direct.states)) <= 1e-12
+    # only the caller's own unreached stop event is noted
+    cfg = SolveConfig(max_arclength=0.5,
+                      stop_event=(EventKind.CRITICAL_RADIUS, 2))
+    assert integrate(1, 0.5, e=0.3, config=cfg).notes == [
+        "stop event CriticalRadius x2 not reached within arclength 0.5"]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +605,10 @@ def test_retries_are_counted_and_logged(caplog):
 def test_sigma_winding_conserves_energy():
     # sigma falls by 2 pi per nodoid period; the conserved quantity must not
     # degrade with the accumulated winding, nodes and dense output alike
-    traj = integrate(1, 2.0, e=-0.125, config=SolveConfig(max_arclength=25.0))
+    # the explicit start solves every period; a canonical one would mirror
+    traj = integrate(1, 2.0, initial=initial_state(1, 2.0, -0.125),
+                     config=SolveConfig(max_arclength=25.0))
+    assert not traj.notes
     sig = traj.states[:, 2]
     assert sig[-1] < -100.0
     assert np.all(np.diff(sig) < 1e-12)
