@@ -2,7 +2,8 @@
 
 For n >= 2 the minimal profile with E > 0 stays inside a slab |t| < t_inf:
 the height integral converges even though the radius grows without bound.
-For n = 1 the same integrand tends to the constant E at large radius, so the
+Its value is the Beta function (x1^2 / 2p) B(1/2, 1/2 - 1/p), p = 2n - 1,
+printed beside the x-integral done by singular_quadrature.  For n = 1 the same integrand tends to the constant E at large radius, so the
 partial heights grow linearly with the cutoff and the slab half-width is
 reported divergent rather than silently truncated.
 """
@@ -11,14 +12,19 @@ import math
 
 from heisenberg_cmc.closed_forms import catenoid_slab_halfwidth, singular_quadrature
 from heisenberg_cmc.errors import DivergentIntegralError
+from heisenberg_cmc.verify import slab_halfwidth_quadrature
 
 
 def main():
-    print("slab half-width t_inf for n >= 2:\n")
-    print(f"{'E':>6s}" + "".join(f"  n={n:<12d}" for n in (2, 3)))
-    for e in (0.5, 1.0, 2.0):
-        row = [f"{catenoid_slab_halfwidth(n, e).value:14.10f}" for n in (2, 3)]
-        print(f"{e:6.2f}" + "".join(f"  {v}" for v in row))
+    print("slab half-width t_inf for n >= 2, closed form and quadrature:\n")
+    print(f"{'n':>2s} {'E':>6s}  {'Beta closed form':>19s}  "
+          f"{'quadrature':>19s}  {'relative gap':>12s}")
+    for n in (2, 3):
+        for e in (0.5, 1.0, 2.0):
+            exact = catenoid_slab_halfwidth(n, e)
+            reference = slab_halfwidth_quadrature(n, e)
+            print(f"{n:2d} {e:6.2f}  {exact:19.16f}  {reference:19.16f}  "
+                  f"{abs(exact / reference - 1.0):12.1e}")
 
     print("\nn = 1, E = 1: partial heights up to a radius cutoff")
     print("(integrand x / sqrt(x^2 - 1), exact partial height sqrt(X^2 - 1))")

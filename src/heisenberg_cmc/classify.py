@@ -18,6 +18,7 @@ direction, so inputs are normalized to H >= 0.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,10 +227,14 @@ def classify(n, h, e, cylinder_tol=1e-12):
     H = 0 gives the hyperplane (E = 0) or a catenoid-type end-to-end profile;
     H != 0 gives the sphere (E = 0), and otherwise cylinder, unduloid
     (0 < E < E_cyl after normalization) or nodoid (E < 0).  E beyond the
-    cylinder energy leaves no admissible radius and raises.
+    cylinder energy leaves no admissible radius and raises, and so does a
+    non-finite H or E.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
+    for name, value in (("H", h), ("E", e)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if h < 0.0:
         h, e = -h, -e
     if h == 0.0:

@@ -9,10 +9,13 @@ Between its critical radii an unduloid or nodoid is the graph of
 dt/dx = w x / sqrt(x^{4n-2} - w^2), w = E + H x^{2n}, over the band [x1, x2].
 One Chebyshev series in the angle theta of x = m - r cos(theta), where the
 band edges' inverse square roots cancel, gives t1, t2 and the whole half
-period (_HalfPeriod).  The catenoid slab half-width t_inf = int_{x1}^{inf}
-E x / sqrt(x^{4n-2} - E^2) dx, finite only for n >= 2, keeps two quadrature
-engines with exact endpoint offsets: a u^2 = x - a substitution fed to
-adaptive Gauss-Kronrod, and a hand-rolled tanh-sinh rule.
+period (_HalfPeriod).  The minimal (H = 0) profile for n >= 2 is the graph of
+dt/dx = E x / sqrt(x^{2p} - E^2), p = 2n - 1, and x = x1 sec^{1/p}(phi),
+x1 = E^{1/p}, turns it into dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab
+half-width t_inf is a complete Beta function and the height above the waist
+an incomplete one.  singular_quadrature, a u^2 = x - a substitution fed to
+adaptive Gauss-Kronrod with exact endpoint offsets, stays as the reference
+for integrals with inverse-square-root endpoints.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval
 from scipy.fft import dct
 from scipy.integrate import quad
+from scipy.special import beta, betainc
 
 from .classify import Family, classify
 from .core import dimension_index
@@ -38,6 +42,7 @@ __all__ = [
     "catenoid_profile_h1",
     "catenoid_generating_curve",
     "catenoid_slab_halfwidth",
+    "catenoid_curve",
     "nodoid_halfperiod",
     "unduloid_halfperiod",
     "halfperiod_heights",
@@ -45,8 +50,8 @@ __all__ = [
 ]
 
 _SINGULAR_SPECS = ("lower", "upper", "both", "none")
-_SCHEMES = ("substitution", "tanh_sinh")
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -63,98 +68,16 @@ class QuadratureResult:
             raise ValueError("error estimate must be nonnegative")
 
 
-def _quad_checked(fun, lo, hi, abs_tol, rel_tol):
-    out = quad(fun, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(out[3])
-    return out[0], out[1]
-
-
-def _substitution(g, a, b, singular, abs_tol, rel_tol):
-    span = b - a
-    mid = 0.5 * (a + b)
-    total = 0.0
-    err = 0.0
-    if singular in ("lower", "both"):
-        # x = a + u^2 absorbs an inverse-square-root endpoint
-        def left(u):
-            da = u * u
-            return 2.0 * u * g(a + da, da, span - da)
-
-        v, e1 = _quad_checked(left, 0.0, math.sqrt(mid - a), abs_tol, rel_tol)
-    else:
-        v, e1 = _quad_checked(lambda x: g(x, x - a, b - x), a, mid, abs_tol, rel_tol)
-    total += v
-    err += e1
-    if singular in ("upper", "both"):
-        def right(u):
-            db = u * u
-            return 2.0 * u * g(b - db, span - db, db)
-
-        v, e2 = _quad_checked(right, 0.0, math.sqrt(b - mid), abs_tol, rel_tol)
-    else:
-        v, e2 = _quad_checked(lambda x: g(x, x - a, b - x), mid, b, abs_tol, rel_tol)
-    total += v
-    err += e2
-    return total, err
-
-
-def _tanh_sinh(g, a, b, abs_tol, rel_tol, max_level):
-    """Trapezoid sums over x = mid + (b-a)/2 tanh((pi/2) sinh(tau)).
-
-    The substitution pushes endpoint singularities into double-exponentially
-    small weights; halving the step until successive sums agree gives the
-    error estimate.  tau is truncated at 4, small enough for anything up to
-    an inverse-square-root blowup.  Nodes whose abscissa rounds onto an
-    endpoint are still evaluated: the offsets da, db stay exact and positive.
-    """
-    span = b - a
-    mid = 0.5 * (a + b)
-    half = 0.5 * span
-    tau_max = 4.0
-
-    def contribution(tau):
-        z = 0.5 * math.pi * math.sinh(tau)
-        da = span / (1.0 + math.exp(-2.0 * z))
-        db = span / (1.0 + math.exp(2.0 * z))
-        # build x from the nearer endpoint so the offset survives rounding
-        x = a + da if z <= 0.0 else b - db
-        weight = 0.5 * math.pi * math.cosh(tau) / math.cosh(z) ** 2
-        return half * weight * g(x, da, db)
-
-    terms = [contribution(0.0)]
-    for j in range(1, int(tau_max) + 1):  # level-0 grid tau = 0, +-1, ..., +-tau_max
-        terms.append(contribution(float(j)))
-        terms.append(contribution(float(-j)))
-    step = 1.0
-    previous = math.fsum(terms) * step
-    for _ in range(max_level):
-        step *= 0.5
-        tau = step
-        while tau < tau_max:
-            terms.append(contribution(tau))
-            terms.append(contribution(-tau))
-            tau += 2.0 * step
-        value = math.fsum(terms) * step
-        err = abs(value - previous)
-        previous = value
-        if err <= max(abs_tol, rel_tol * abs(value)):
-            return value, err
-    raise QuadratureError(
-        "tanh-sinh rule did not converge within %d refinement levels" % max_level
-    )
-
-
-def singular_quadrature(f, a, b, singular="both", *, scheme="substitution",
-                        rel_tol=1e-12, abs_tol=1e-14, max_level=12):
+def singular_quadrature(f, a, b, singular="both", *, rel_tol=1e-12,
+                        abs_tol=1e-14):
     """Integrate f over [a, b] allowing inverse-square-root endpoint blowup.
 
     ``singular`` declares which endpoints are singular ("lower", "upper",
-    "both", "none"); the substitution scheme applies u^2 = x - a there and
-    plain adaptive quadrature elsewhere, while the tanh-sinh scheme treats
-    every endpoint uniformly.  The integrand is called as f(x, da, db) with
-    da = x - a and db = b - x computed without cancellation, so endpoint
-    singularities should be evaluated from the offsets, not from x.
+    "both", "none"); u^2 = x - a (or b - x) is substituted there, and each
+    half of [a, b] goes to adaptive Gauss-Kronrod quadrature (QUADPACK).
+    The integrand is called as f(x, da, db) with da = x - a and db = b - x
+    computed without cancellation, so endpoint singularities should be
+    evaluated from the offsets, not from x.
     """
     a = float(a)
     b = float(b)
@@ -162,19 +85,39 @@ def singular_quadrature(f, a, b, singular="both", *, scheme="substitution",
         raise ValueError("integration interval must be finite with a < b")
     if singular not in _SINGULAR_SPECS:
         raise ValueError("singular must be one of %s" % (_SINGULAR_SPECS,))
-    if scheme not in _SCHEMES:
-        raise ValueError("scheme must be one of %s" % (_SCHEMES,))
+    span, mid = b - a, 0.5 * (a + b)
     calls = 0
 
-    def counted(x, da, db):
+    def g(x, da, db):
         nonlocal calls
         calls += 1
         return f(x, da, db)
 
-    if scheme == "substitution":
-        value, err = _substitution(counted, a, b, singular, abs_tol, rel_tol)
-    else:
-        value, err = _tanh_sinh(counted, a, b, abs_tol, rel_tol, max_level)
+    def left(u):
+        da = u * u
+        return 2.0 * u * g(a + da, da, span - da)
+
+    def right(u):
+        db = u * u
+        return 2.0 * u * g(b - db, span - db, db)
+
+    def plain(x):
+        return g(x, x - a, b - x)
+
+    halves = (
+        (left, 0.0, math.sqrt(mid - a)) if singular in ("lower", "both")
+        else (plain, a, mid),
+        (right, 0.0, math.sqrt(b - mid)) if singular in ("upper", "both")
+        else (plain, mid, b),
+    )
+    value = err = 0.0
+    for fun, lo, hi in halves:
+        out = quad(fun, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=200,
+                   full_output=1)
+        if len(out) > 3:
+            raise QuadratureError(out[3])
+        value += out[0]
+        err += out[1]
     return QuadratureResult(value=value, error_estimate=abs(err), evaluations=calls)
 
 
@@ -247,20 +190,22 @@ def catenoid_generating_curve(e, t):
     return (q / e, t, t / (e * q), 1.0, e ** 3 / q ** 3, 0.0)
 
 
-def catenoid_slab_halfwidth(n, e, *, scheme="substitution",
-                            rel_tol=1e-12, abs_tol=1e-14):
+def catenoid_slab_halfwidth(n, e):
     """Half-width t_inf of the slab containing the minimal profile.
 
-    t_inf = int_{x1}^{inf} E x / sqrt(x^{4n-2} - E^2) dx with x1 = E^{1/(2n-1)}.
-    The integrand tends to E x^{2-2n}, so the tail converges only for n >= 2;
-    for n = 1 the partial integrals E sqrt(X^2 - E^2) grow linearly and a
-    DivergentIntegralError reports them.
+    t_inf = int_{x1}^{inf} E x / sqrt(x^{4n-2} - E^2) dx with x1 = E^{1/p},
+    p = 2n - 1.  x = x1 sec^{1/p}(phi) turns it into (x1^2/p) times
+    int_0^{pi/2} sec^{2/p}(phi) dphi = B(1/2, 1/2 - 1/p) / 2 (DLMF 5.12.2).
+    The integrand tends to E x^{2-2n}, so the tail converges only for
+    n >= 2; for n = 1 the partial integrals E sqrt(X^2 - E^2) grow linearly
+    and a DivergentIntegralError reports them.
     """
     n = dimension_index(n)
     e = float(e)
-    if e <= 0.0:
-        raise ValueError("slab half-width needs E > 0")
-    x1 = e ** (1.0 / (2 * n - 1))
+    if not 0.0 < e < math.inf:
+        raise ValueError("slab half-width needs a finite E > 0")
+    p = 2 * n - 1
+    x1 = e ** (1.0 / p)
     if n == 1:
         partials = ", ".join(
             "P(%g x1) = %.6g" % (m, e * math.sqrt((m * x1) ** 2 - e * e))
@@ -270,28 +215,39 @@ def catenoid_slab_halfwidth(n, e, *, scheme="substitution",
             "slab half-width diverges for n = 1: the integrand tends to E, so "
             "partial integrals grow linearly in the cutoff (%s)" % partials
         )
+    return float(x1 * x1 / (2 * p) * beta(0.5, 0.5 - 1.0 / p))
 
-    def near(x, da, db):
-        # x^{2n-1} - E = (x - x1) sum_i x^i x1^{2n-2-i}
-        s = math.fsum(x ** i * x1 ** (2 * n - 2 - i) for i in range(2 * n - 1))
-        return e * x / math.sqrt(da * s * (x ** (2 * n - 1) + e))
 
-    cut = 2.0 * x1
-    head = singular_quadrature(near, x1, cut, "lower", scheme=scheme,
-                               rel_tol=rel_tol, abs_tol=abs_tol)
-
-    def tail(u, da, db):
-        # x = 1/u turns the tail into int_0^{1/cut} E u^{2n-4} (...) du
-        return e * u ** (2 * n - 4) / math.sqrt(1.0 - e * e * u ** (4 * n - 2))
-
-    far = singular_quadrature(tail, 0.0, 1.0 / cut, "none", scheme=scheme,
-                              rel_tol=rel_tol, abs_tol=abs_tol)
-    return QuadratureResult(
-        value=head.value + far.value,
-        error_estimate=head.error_estimate + far.error_estimate,
-        evaluations=head.evaluations + far.evaluations,
-    )
-
+def catenoid_curve(n, e, count):
+    """(x, t) arrays of the n >= 2 minimal profile of energy E > 0: 2 count + 1
+    points evenly spaced in phi over [-phi_max, phi_max], where
+    x = x1 sec^{1/p}(phi), with the waist (x1, 0) in the middle and
+    x = 4 x1 + 3 at both ends.  The height above the waist is
+    t = t_inf I_{sin^2 phi}(1/2, 1/2 - 1/p) (DLMF 8.17), t_inf the slab
+    half-width.
+    """
+    t_inf = catenoid_slab_halfwidth(n, e)
+    p = 2 * dimension_index(n) - 1
+    x1 = float(e) ** (1.0 / p)
+    x_end = 4.0 * x1 + 3.0
+    # cos(phi_max) = (x1 / x_end)^p, read as sin(psi) of psi = pi/2 - phi so
+    # that small cosines keep their digits; the floor keeps it off 0 when E
+    # is near the underflow threshold
+    psi_min = math.asin(max((x1 / x_end) ** p, _TINY))
+    frac = np.linspace(0.0, 1.0, count + 1)
+    phi = frac * (0.5 * math.pi - psi_min)
+    psi = psi_min + (0.5 * math.pi - psi_min) * (1.0 - frac)
+    inner = phi <= psi
+    cos = np.where(inner, np.cos(phi), np.sin(psi))
+    sin = np.where(inner, np.sin(phi), np.cos(psi))
+    b = 0.5 - 1.0 / p
+    x = x1 / cos ** (1.0 / p)
+    x[-1] = x_end
+    # I_y(a, b) = 1 - I_{1-y}(b, a) (DLMF 8.17.4): past phi = pi/4 the small
+    # cos^2, not 1 - sin^2, is the argument
+    t = t_inf * np.where(inner, betainc(0.5, b, sin * sin),
+                         1.0 - betainc(b, 0.5, cos * cos))
+    return np.append(x[:0:-1], x), np.append(-t[:0:-1], t)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,9 @@ class SolveConfig:
     def __post_init__(self):
         if self.stop_event is not None and self.stop_event[1] < 1:
             raise ValueError("stop_event count must be >= 1")
+        if not math.isfinite(self.max_arclength):
+            raise ValueError(
+                f"max_arclength must be finite, got {self.max_arclength!r}")
 
 
 @dataclass(frozen=True)
@@ -551,6 +554,11 @@ def integrate(n, h, e=None, initial=None, config=None):
         initial, roots = _start(c, h, e), _band_roots(c)
     else:
         initial = ProfileState(*map(float, initial))
+        # a non-finite H or state would leave E non-finite
+        if not all(map(math.isfinite, (h, *initial))):
+            raise ValueError(
+                f"an explicit start needs finite H, x, t and sigma, got "
+                f"H = {h!r} and {tuple(initial)}")
         e = energy(initial, n, h)
     if initial.x <= config.axis_epsilon:
         raise AxisPointError(

@@ -12,18 +12,19 @@ import numpy as np
 
 from .classify import Family, classify, cylinder_energy, cylinder_radius
 from .closed_forms import (
+    catenoid_curve,
     catenoid_generating_curve,
     halfperiod_curve,
     sphere_generating_curve,
 )
 from .core import dimension_index
-from .profile_ode import SolveConfig, integrate, reflect_continue
+# unused here; kept bound because perfbench/tracer.py wraps render's name
+from .profile_ode import integrate  # noqa: F401
 
 __all__ = [
     "PANEL_WIDTH",
     "PANEL_HEIGHT",
     "family_polyline",
-    "trace_polyline",
     "render_panel",
     "render_gallery",
     "gallery_parameters",
@@ -44,11 +45,12 @@ def _fmt(value):
 def family_polyline(n, h, e, samples=400):
     """Generating curve of the (n, H, E) profile as a list of (x, t) pairs.
 
-    Closed-form families are sampled uniformly in their natural parameter.
-    Unduloids and nodoids take one half period from its Chebyshev series,
-    mirrored at the critical radii into two full periods from the canonical
-    start to t = 4 t2 (-4 t2 for H < 0), so the nodoid's self-intersections
-    are visible; the n >= 2 catenoid's branch is mirrored at its waist.
+    Closed-form families are sampled uniformly in their natural parameter;
+    the n >= 2 catenoid takes 2 floor(samples/2) + 1 points from
+    catenoid_curve, out to x = 4 x1 + 3.  Unduloids and nodoids take one half
+    period from its Chebyshev series, mirrored at the critical radii into two
+    full periods from the canonical start to t = 4 t2 (-4 t2 for H < 0), so
+    the nodoid's self-intersections are visible.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -76,10 +78,8 @@ def family_polyline(n, h, e, samples=400):
                 x = catenoid_generating_curve(ee, t)[0]
                 pts.append((x, t))
             return pts
-        # the waist is a critical radius: mirror the forward branch there
-        branch = integrate(n, h, e=e,
-                           config=SolveConfig(max_arclength=3.0 * c.x1 + 3.0))
-        return trace_polyline(reflect_continue(branch))
+        x, t = catenoid_curve(n, abs(e), max(samples // 2, 1))
+        return [(float(a), float(b)) for a, b in zip(x, t)]
     # mirrored about the critical radius ending it, a half period continues
     # as the next, t -> 2 t2 - t; four of them span two full periods
     x, t = halfperiod_curve(c, max(samples // 4, 1))
@@ -87,11 +87,6 @@ def family_polyline(n, h, e, samples=400):
     x, t = np.append(x, x[1:]), np.append(t, t[-1] + t[1:])
     sign = math.copysign(1.0, h)  # H < 0 runs the same curve down in t
     return [(float(a), sign * float(b)) for a, b in zip(x, t)]
-
-
-def trace_polyline(traj):
-    """Recorded solver nodes of a trajectory as (x, t) pairs."""
-    return [(float(x), float(t)) for x, t in traj.states[:, :2]]
 
 
 def _bounds(lines):

@@ -46,7 +46,7 @@ from heisenberg_cmc.profile_ode import (
     integrate,
     reflect_continue,
 )
-from heisenberg_cmc.verify import energy_grid_drift
+from heisenberg_cmc.verify import energy_grid_drift, slab_halfwidth_quadrature
 
 _DURATIONS = []
 
@@ -227,10 +227,9 @@ def test_criterion_06_unduloid_structure():
 
 def test_criterion_07_slab_behavior():
     start = time.perf_counter()
-    a = catenoid_slab_halfwidth(2, 1.0, scheme="substitution")
-    b = catenoid_slab_halfwidth(2, 1.0, scheme="tanh_sinh")
-    gap = abs(a.value - b.value)
-    finite = math.isfinite(a.value) and a.value > 0.0
+    a = catenoid_slab_halfwidth(2, 1.0)
+    gap = abs(a / slab_halfwidth_quadrature(2, 1.0) - 1.0)
+    finite = math.isfinite(a) and a > 0.0
 
     diverged = False
     try:
@@ -250,8 +249,9 @@ def test_criterion_07_slab_behavior():
     linear = abs(ratio - 2.0) <= 0.02 and abs(t40 - math.sqrt(1599.0)) <= 1e-9
     elapsed = time.perf_counter() - start
     _report(7, "slab half-width finite for n = 2 and divergent for n = 1",
-            gap <= 1e-6 and finite and diverged and linear,
-            f"scheme gap {gap:.3e} <= 1e-06, half-width {a.value:.6f}, "
+            gap <= 1e-12 and finite and diverged and linear,
+            f"closed form vs quadrature, relative gap {gap:.3e} <= 1e-12, "
+            f"half-width {a:.6f}, "
             f"n = 1 divergence raised: {diverged}, cutoff growth ratio "
             f"{ratio:.4f}", elapsed)
 

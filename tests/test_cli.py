@@ -78,6 +78,64 @@ def test_exit_code_invalid_params(capsys):
     assert code == 2  # neither --e nor an explicit start
 
 
+@pytest.mark.parametrize("command", ["classify", "sweep", "render"])
+def test_nan_energy_exits_2(command, capsys):
+    # used to end in an AssertionError traceback from classify's Descartes
+    # sign count
+    code, _, err = run_cli(
+        [command, "--n", "1", "--h", "0.5", "--e", "nan"], capsys)
+    assert code == 2
+    assert "E must be finite" in err
+
+
+def test_infinite_h_exits_2(capsys):
+    # used to report a sphere with t2 = 0 and volume 0
+    code, out, err = run_cli(
+        ["classify", "--n", "1", "--h", "inf", "--e", "0"], capsys)
+    assert code == 2
+    assert "H must be finite" in err
+    assert out == ""
+
+
+def test_trace_nan_h_explicit_start_exits_2(capsys):
+    # used to run forever
+    code, _, err = run_cli(
+        ["trace", "--n", "1", "--h", "nan", "--x0", "1", "--sigma0", "0"],
+        capsys)
+    assert code == 2
+    assert "finite H" in err
+
+
+@pytest.mark.parametrize("limit", ["nan", "inf"])
+def test_trace_non_finite_arclength_exits_2(limit, capsys):
+    # used to run forever, the inf case mirroring half periods without end
+    code, _, err = run_cli(
+        ["trace", "--n", "1", "--h", "1", "--e", "0.1",
+         "--max-arclength", limit], capsys)
+    assert code == 2
+    assert "max_arclength must be finite" in err
+
+
+@pytest.mark.parametrize("e", ["1e-300", "1e-200"])
+def test_catenoid_tiny_energy(e, capsys):
+    # classify used to divide by zero in the slab integrand, and render's
+    # ODE start fell inside the axis margin
+    code, out, err = run_cli(
+        ["classify", "--n", "2", "--h", "0", "--e", e, "--json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    x1 = report["radii"]["x1"]
+    # (x1^2 / 2p) B(1/2, 1/2 - 1/p) at p = 3
+    expected = (x1 * x1 / 6.0 * math.gamma(0.5) * math.gamma(1.0 / 6.0)
+                / math.gamma(2.0 / 3.0))
+    assert report["summary"]["t2"] == pytest.approx(expected, rel=1e-14)
+    assert report["diagnostics"]["error_estimates"]["t2"] == 0.0
+    code, out, err = run_cli(
+        ["render", "--n", "2", "--h", "0", "--e", e], capsys)
+    assert code == 0, err
+    assert out.count("<polyline") == 1
+
+
 def test_exit_code_numerical_failure(capsys):
     # reflection needs a critical-radius endpoint; start mid-band and stop
     # at a vertical tangent so neither end qualifies

@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 from heisenberg_cmc.classify import classify, cylinder_energy
 from heisenberg_cmc.closed_forms import (
     QuadratureResult,
+    catenoid_curve,
     catenoid_generating_curve,
     catenoid_profile_h1,
     catenoid_slab_halfwidth,
@@ -25,11 +26,14 @@ from heisenberg_cmc.closed_forms import (
 from heisenberg_cmc.errors import DivergentIntegralError, QuadratureError
 from heisenberg_cmc.profile_ode import (
     EventKind,
+    ProfileState,
     SolveConfig,
     integrate,
 )
+from heisenberg_cmc.verify import slab_halfwidth_quadrature
 
-SCHEMES = ("substitution", "tanh_sinh")
+# singular_quadrature has one engine; the parameter names it in the test ids
+SCHEMES = ("substitution",)
 
 
 # ---------------------------------------------------------------------------
@@ -39,26 +43,25 @@ SCHEMES = ("substitution", "tanh_sinh")
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_quadrature_frozen_integrals(scheme):
     r = singular_quadrature(lambda x, da, db: 1.0 / math.sqrt(da), 0.0, 1.0,
-                            "lower", scheme=scheme)
+                            "lower")
     assert r.value == pytest.approx(2.0, abs=1e-10)
     assert r.evaluations > 0
     assert r.error_estimate >= 0.0
 
     r = singular_quadrature(lambda x, da, db: 1.0 / math.sqrt(da * db),
-                            0.0, 1.0, "both", scheme=scheme)
+                            0.0, 1.0, "both")
     assert r.value == pytest.approx(math.pi, abs=1e-10)
 
     # sphere half-height: int_0^1 x^2/sqrt(1-x^2) dx with 1-x^2 = db (1+x)
     r = singular_quadrature(lambda x, da, db: x * x / math.sqrt(db * (1.0 + x)),
-                            0.0, 1.0, "upper", scheme=scheme)
+                            0.0, 1.0, "upper")
     assert r.value == pytest.approx(math.pi / 4.0, abs=1e-10)
     assert r.value == pytest.approx(sphere_profile(1.0, 0.0), abs=1e-10)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_quadrature_smooth_integrand(scheme):
-    r = singular_quadrature(lambda x, da, db: math.exp(x), 0.0, 1.0, "none",
-                            scheme=scheme)
+    r = singular_quadrature(lambda x, da, db: math.exp(x), 0.0, 1.0, "none")
     assert r.value == pytest.approx(math.e - 1.0, rel=1e-12)
 
 
@@ -71,21 +74,13 @@ def test_quadrature_validation():
     with pytest.raises(ValueError):
         singular_quadrature(f, 0.0, 1.0, "sideways")
     with pytest.raises(ValueError):
-        singular_quadrature(f, 0.0, 1.0, "both", scheme="monte-carlo")
-    with pytest.raises(ValueError):
         QuadratureResult(value=1.0, error_estimate=-1e-3, evaluations=4)
 
 
 def test_quadrature_budget_exhaustion():
     # a genuine 1/x blowup is not integrable; the adaptive rule gives up
     with pytest.raises(QuadratureError):
-        singular_quadrature(lambda x, da, db: 1.0 / da, 0.0, 1.0, "lower",
-                            scheme="substitution")
-    # one refinement level cannot hit a near-machine tolerance
-    with pytest.raises(QuadratureError):
-        singular_quadrature(lambda x, da, db: 1.0 / math.sqrt(da), 0.0, 1.0,
-                            "lower", scheme="tanh_sinh", max_level=1,
-                            rel_tol=1e-16, abs_tol=1e-300)
+        singular_quadrature(lambda x, da, db: 1.0 / da, 0.0, 1.0, "lower")
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +178,59 @@ def test_slab_diverges_for_n1():
         catenoid_slab_halfwidth(2, -1.0)
 
 
-def test_slab_schemes_agree():
+def test_slab_matches_quadrature():
     a = catenoid_slab_halfwidth(2, 1.0)
-    b = catenoid_slab_halfwidth(2, 1.0, scheme="tanh_sinh")
-    assert a.value > 0.0
-    assert a.value == pytest.approx(b.value, abs=1e-6)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
+    b = slab_halfwidth_quadrature(2, 1.0)
+    assert a > 0.0
+    assert a == pytest.approx(b, rel=1e-12)
+    # B(1/2, 1/6) / 6 = Gamma(1/2) Gamma(1/6) / (6 Gamma(2/3))
+    assert a == pytest.approx(math.gamma(0.5) * math.gamma(1.0 / 6.0)
+                              / (6.0 * math.gamma(2.0 / 3.0)), rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), k=st.floats(-12.0, 12.0))
+def test_slab_closed_form_matches_quadrature(n, k):
+    e = 10.0 ** k
+    a = catenoid_slab_halfwidth(n, e)
+    assert math.isfinite(a) and a > 0.0
+    assert a == pytest.approx(slab_halfwidth_quadrature(n, e),
+                              rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("e", [0.5, 2.0])
+def test_catenoid_curve_matches_ode(n, e):
+    x, t = catenoid_curve(n, e, 100)
+    x1 = e ** (1.0 / (2 * n - 1))
+    cfg = SolveConfig(max_arclength=x[-1] + t[-1] + 1.0,
+                      rel_tol=1e-12, abs_tol=1e-14)
+    traj = integrate(n, 0.0, initial=ProfileState(x1, 0.0, 0.0), config=cfg)
+    assert traj.states[-1, 0] > x[-1]
+    worst = 0.0
+    for xk, tk in zip(x[101:], t[101:]):
+        # the ODE point at the same height, and the gap along the normal
+        s = brentq(lambda s: traj.state_at(s).t - tk, 0.0, traj.s_end,
+                   xtol=1e-15)
+        at = traj.state_at(s)
+        worst = max(worst, abs(at.x - xk) * abs(math.cos(at.sigma)))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("e", [1e-300, 5e-324])
+def test_catenoid_curve_tiny_energy(e):
+    # cos(phi_max) = (x1 / x_end)^3 underflows for the subnormal E, yet the
+    # ends stay at x = 4 x1 + 3 and t = +-t_inf
+    x, t = catenoid_curve(2, e, 10)
+    assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+    assert x[0] == x[-1] == 4.0 * e ** (1.0 / 3.0) + 3.0
+    assert t[-1] == -t[0] == catenoid_slab_halfwidth(2, e)
+    assert np.all(np.diff(t) > 0.0)
 
 
 def test_slab_partial_integrals_increase_to_limit():
     e = 1.0
-    total = catenoid_slab_halfwidth(2, e).value
+    total = catenoid_slab_halfwidth(2, e)
 
     def near(x, da, db):
         s = math.fsum(x ** i for i in range(3))
@@ -209,7 +246,7 @@ def test_slab_partial_integrals_increase_to_limit():
 
 def test_slab_matches_ode_tail():
     e = 1.0
-    tinf = catenoid_slab_halfwidth(2, e).value
+    tinf = catenoid_slab_halfwidth(2, e)
     cfg = SolveConfig(max_arclength=60.0, rel_tol=1e-12, abs_tol=1e-14)
     traj = integrate(2, 0.0, e=e, config=cfg)
     x_end, t_end = traj.states[-1, 0], traj.states[-1, 1]

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heisenberg_cmc.closed_forms as closed_forms
+import heisenberg_cmc.profile_ode as profile_ode
 from heisenberg_cmc.classify import classify
+from heisenberg_cmc.cli import main
 from heisenberg_cmc.closed_forms import (
     catenoid_generating_curve,
+    catenoid_slab_halfwidth,
     halfperiod_heights,
     sphere_generating_curve,
 )
-from heisenberg_cmc.profile_ode import SolveConfig, integrate
 from heisenberg_cmc.render import (
     PANEL_HEIGHT,
     PANEL_WIDTH,
@@ -23,7 +26,6 @@ from heisenberg_cmc.render import (
     gallery_parameters,
     render_gallery,
     render_panel,
-    trace_polyline,
 )
 
 
@@ -107,11 +109,38 @@ def test_periodic_polyline_spans_two_periods(n, h, e):
     assert line[-1][1] == pytest.approx(4.0 * t2, abs=1e-8)
 
 
-def test_trace_polyline_is_node_sequence():
-    traj = integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=4.0))
-    line = trace_polyline(traj)
-    assert len(line) == len(traj.s)
-    assert line[0] == (traj.states[0, 0], traj.states[0, 1])
+@pytest.mark.parametrize("n, e", [(2, 1.0), (2, 0.3), (3, 2.0), (4, 1e-6)])
+def test_catenoid_polyline_closed_form(n, e):
+    line = family_polyline(n, 0.0, e, samples=201)
+    assert len(line) == 201
+    assert len(family_polyline(n, 0.0, e)) == 401  # 2 floor(400 / 2) + 1
+    assert all(xa == xb and ta == -tb
+               for (xa, ta), (xb, tb) in zip(line, reversed(line)))
+    x1 = e ** (1.0 / (2 * n - 1))
+    assert line[100] == (pytest.approx(x1, rel=1e-15), 0.0)
+    assert min(x for x, _ in line) == line[100][0]
+    assert line[-1][0] == pytest.approx(4.0 * x1 + 3.0, rel=1e-15)
+    t_inf = catenoid_slab_halfwidth(n, e)
+    assert all(abs(t) < t_inf for _, t in line)
+    assert family_polyline(n, 0.0, -e, samples=201) == line
+
+
+def test_render_and_sweep_run_no_ode_and_no_quadpack(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an ODE solve or a QUADPACK call ran")
+
+    monkeypatch.setattr(profile_ode, "solve_ivp", forbidden)
+    monkeypatch.setattr(closed_forms, "quad", forbidden)
+    for n in (1, 2, 3):
+        assert main(["render", "--panel", "all", "--n", str(n)]) == 0
+        assert main(["render", "--n", str(n), "--h", "0", "--e", "0.5"]) == 0
+    capsys.readouterr()
+    # the ROADMAP grid, and catenoids on the H = 0 line
+    assert main(["sweep", "--n", "1,2,3", "--h", "0.25:2:8",
+                 "--e=-1:0.5:20"]) == 0
+    assert main(["sweep", "--n", "1,2,3", "--h", "0", "--e=-2:2:9"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("Catenoid") == 3 * 8
 
 
 # ---------------------------------------------------------------------------
