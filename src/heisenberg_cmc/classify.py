@@ -38,6 +38,8 @@ __all__ = [
     "descartes_bound",
 ]
 
+_CYLINDER_TOL = 1e-12
+
 
 class Family(str, enum.Enum):
     HYPERPLANE = "Hyperplane"
@@ -66,9 +68,6 @@ class Classification:
     x1: float | None = None
     x2: float | None = None
     x0: float | None = None
-
-    def radii(self):
-        return {"x1": self.x1, "x2": self.x2, "x0": self.x0}
 
 
 def cylinder_radius(n, h):
@@ -119,18 +118,18 @@ def _polish(f, df, x, lo, hi):
     return x
 
 
-def _expand_right(f, hi, limit_factor=1e6):
+def _expand_right(f, hi):
     """Nudge hi rightward until f(hi) < 0 (guards endpoint cancellation)."""
     start, delta = hi, 4e-16
     while f(hi) >= 0.0:
         hi = start * (1.0 + delta)
         delta *= 2.0
-        if delta > limit_factor:
+        if delta > 1e6:
             raise RootBracketFailureError("could not bracket the outer radius")
     return hi
 
 
-def admissible_radii(n, h, e, cylinder_tol=1e-12):
+def admissible_radii(n, h, e):
     """Boundary radii (x1, x2) of the band x^{2n-1} >= |e + h x^{2n}|.
 
     For e h > 0 both radii come from f2 bracketed on either side of the
@@ -162,7 +161,7 @@ def admissible_radii(n, h, e, cylinder_tol=1e-12):
 
     if e > 0.0:
         ecyl = cylinder_energy(n, h)
-        if e > ecyl * (1.0 + cylinder_tol):
+        if e > ecyl * (1.0 + _CYLINDER_TOL):
             raise NoAdmissibleRadiusError(
                 f"energy {e} exceeds the cylinder energy {ecyl}: empty band"
             )
@@ -221,7 +220,7 @@ def inflection_radius(n, h, e, bracket):
     return brentq(p, x1, x2, xtol=1e-14, rtol=8.9e-16)
 
 
-def classify(n, h, e, cylinder_tol=1e-12):
+def classify(n, h, e):
     """Classify the complete profile generated by parameters (n, H, E).
 
     H = 0 gives the hyperplane (E = 0) or a catenoid-type end-to-end profile;
@@ -246,12 +245,12 @@ def classify(n, h, e, cylinder_tol=1e-12):
         return Classification(Family.SPHERE, n, h, e)
     if e > 0.0:
         ecyl = cylinder_energy(n, h)
-        if abs(e - ecyl) <= cylinder_tol * ecyl:
+        if abs(e - ecyl) <= _CYLINDER_TOL * ecyl:
             r = cylinder_radius(n, h)
             return Classification(Family.CYLINDER, n, h, e, x1=r, x2=r, x0=r)
-        x1, x2 = admissible_radii(n, h, e, cylinder_tol)
+        x1, x2 = admissible_radii(n, h, e)
         x0 = inflection_radius(n, h, e, (x1, x2))
         return Classification(Family.UNDULOID, n, h, e, x1=x1, x2=x2, x0=x0)
-    x1, x2 = admissible_radii(n, h, e, cylinder_tol)
+    x1, x2 = admissible_radii(n, h, e)
     x0 = (-e / h) ** (1.0 / (2 * n))
     return Classification(Family.NODOID, n, h, e, x1=x1, x2=x2, x0=x0)

@@ -114,11 +114,11 @@ def run_report(command, n, h, e):
             summary["t2"] = catenoid_slab_halfwidth(n, abs(cls.e))
             estimates["t2"] = 0.0
             notes.append("t2 is the slab half-width t_inf")
+            curve = "catenoid_curve"
         except DivergentIntegralError:
             notes.append("n = 1: the profile is unbounded in t, no slab")
-        notes.append(
-            "closed-form profile: closed_forms.catenoid_generating_curve"
-        )
+            curve = "catenoid_generating_curve"
+        notes.append(f"closed-form profile: closed_forms.{curve}")
     elif cls.family is Family.CYLINDER:
         summary["t1"] = estimates["t1"] = 0.0
         summary["t2"] = estimates["t2"] = 0.0
@@ -193,9 +193,6 @@ def cmd_classify(args):
 
 def cmd_trace(args):
     config = SolveConfig(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        axis_epsilon=args.axis_epsilon,
         max_arclength=args.max_arclength,
         stop_event=(
             (EventKind(args.stop_event), args.stop_count)
@@ -260,13 +257,13 @@ def cmd_render(args):
         document = render_gallery(args.n)
     elif args.trace:
         polyline, title = _load_trace(args.trace)
-        document = render_panel([polyline], args.title or title)
+        document = render_panel([polyline], title)
     else:
         if args.h is None or args.e is None:
             raise ValueError("pass --panel all, --trace FILE, or --h and --e")
         cls = classify(args.n, args.h, args.e)
         polyline = family_polyline(args.n, args.h, args.e)
-        document = render_panel([polyline], args.title or cls.family.value)
+        document = render_panel([polyline], cls.family.value)
     with _out_stream(args.out) as stream:
         stream.write(document)
     return EXIT_OK
@@ -409,10 +406,8 @@ def build_parser():
     p.add_argument("--x0", type=float, help="explicit start radius")
     p.add_argument("--t0", type=float, help="explicit start height")
     p.add_argument("--sigma0", type=float, help="explicit start angle")
-    p.add_argument("--max-arclength", type=float, default=50.0)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--axis-epsilon", type=float, default=1e-6)
+    p.add_argument("--max-arclength", type=float,
+                   default=SolveConfig.max_arclength)
     p.add_argument(
         "--stop-event",
         choices=[kind.value for kind in EventKind],
@@ -436,7 +431,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--h", type=float)
     p.add_argument("--e", type=float)
-    p.add_argument("--title", help="panel title override")
     p.add_argument("--out", help="output file (default stdout)")
     p.set_defaults(func=cmd_render)
 
@@ -475,14 +469,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except (NoAdmissibleRadiusError, AxisPointError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, failure = EXIT_PARAMS, exc
+    except OverflowError as exc:
+        code, failure = EXIT_PARAMS, f"the parameters overflow a float ({exc})"
+    except (GeometryError, OSError) as exc:
+        code, failure = EXIT_NUMERICAL, exc
+    print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ __all__ = [
 _SINGULAR_SPECS = ("lower", "upper", "both", "none")
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_QUAD_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,7 @@ class QuadratureResult:
             raise ValueError("error estimate must be nonnegative")
 
 
-def singular_quadrature(f, a, b, singular="both", *, rel_tol=1e-12,
-                        abs_tol=1e-14):
+def singular_quadrature(f, a, b, singular="both", *, abs_tol=1e-14):
     """Integrate f over [a, b] allowing inverse-square-root endpoint blowup.
 
     ``singular`` declares which endpoints are singular ("lower", "upper",
@@ -112,7 +112,7 @@ def singular_quadrature(f, a, b, singular="both", *, rel_tol=1e-12,
     )
     value = err = 0.0
     for fun, lo, hi in halves:
-        out = quad(fun, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=200,
+        out = quad(fun, lo, hi, epsabs=abs_tol, epsrel=_QUAD_REL_TOL, limit=200,
                    full_output=1)
         if len(out) > 3:
             raise QuadratureError(out[3])

@@ -39,6 +39,8 @@ __all__ = [
     "frame_to_euclidean",
 ]
 
+SINGULAR_TOL = 1e-12
+
 
 def dimension_index(n):
     """Validate the Heisenberg index n (an integer >= 1) and return it as int.
@@ -289,16 +291,16 @@ def horizontal_part(u):
     return FrameVector(u.a, u.b, 0.0)
 
 
-def horizontal_unit_normal(normal, singular_tol=1e-12):
+def horizontal_unit_normal(normal):
     """Normalized horizontal projection N_H / |N_H| of a normal vector.
 
-    Raises SingularPointError when |N_H| <= singular_tol * |N|; those are the
+    Raises SingularPointError when |N_H| <= SINGULAR_TOL * |N|; those are the
     points where the tangent hyperplane coincides with the horizontal
     distribution and no horizontal normal exists.
     """
     nh = horizontal_part(normal)
     m = nh.norm()
-    if m <= singular_tol * normal.norm():
+    if m <= SINGULAR_TOL * normal.norm():
         raise SingularPointError(
             f"|N_H| = {m:.3e} is below the singular tolerance"
         )

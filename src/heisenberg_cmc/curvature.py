@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SINGULAR_TOL,
     FrameVector,
     Point,
     connection,
@@ -49,6 +50,9 @@ __all__ = [
     "GraphSurface",
     "RotationalSurface",
 ]
+
+_DEGENERATE_TOL = 1e-10
+_IDENTITY_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ def second_fundamental_form(jet):
     return out
 
 
-def _horizontal_tangent_basis(jet, singular_tol, degenerate_tol):
+def _horizontal_tangent_basis(jet):
     """Orthonormal basis of the horizontal tangent space, first vector G(nu_H).
 
     Returns (basis arrays, |N_H| of the unit normal, tangent matrix).
@@ -116,14 +120,14 @@ def _horizontal_tangent_basis(jet, singular_tol, degenerate_tol):
     tm = jet.tangent_matrix()
     q, r = np.linalg.qr(tm)
     diag = np.abs(np.diag(r))
-    if diag.min() <= degenerate_tol * max(diag.max(), 1.0):
+    if diag.min() <= _DEGENERATE_TOL * max(diag.max(), 1.0):
         raise DegenerateTangentsError("tangent vectors are numerically dependent")
 
     nrm = jet.normal.norm()
     if nrm == 0.0:
         raise ValueError("jet normal is zero")
     unit_normal = jet.normal * (1.0 / nrm)
-    nu = horizontal_unit_normal(unit_normal, singular_tol)
+    nu = horizontal_unit_normal(unit_normal)
     nh = horizontal_part(unit_normal).norm()
 
     proj = q @ q.T
@@ -139,7 +143,7 @@ def _horizontal_tangent_basis(jet, singular_tol, degenerate_tol):
 
     z1 = proj_h @ g_operator(nu).as_array()
     z1n = float(np.linalg.norm(z1))
-    if z1n <= degenerate_tol:
+    if z1n <= _DEGENERATE_TOL:
         raise DegenerateTangentsError("G(nu_H) does not survive tangent projection")
     basis = [z1 / z1n]
 
@@ -153,7 +157,7 @@ def _horizontal_tangent_basis(jet, singular_tol, degenerate_tol):
             rn = float(np.linalg.norm(resid))
             if rn > best_norm:
                 best, best_norm = resid, rn
-        if best_norm <= degenerate_tol:
+        if best_norm <= _DEGENERATE_TOL:
             raise DegenerateTangentsError(
                 "horizontal tangent space has deficient dimension"
             )
@@ -161,7 +165,7 @@ def _horizontal_tangent_basis(jet, singular_tol, degenerate_tol):
     return basis, nh, tm
 
 
-def mean_curvature_general(jet, singular_tol=1e-12, degenerate_tol=1e-10):
+def mean_curvature_general(jet):
     """Mean curvature from the frame assembly.
 
     H = (1 / (2n |N_H|)) sum_i II(Z_i, Z_i) over an orthonormal basis Z_i of
@@ -169,7 +173,7 @@ def mean_curvature_general(jet, singular_tol=1e-12, degenerate_tol=1e-10):
     the unit normal.  Raises SingularPointError where |N_H| vanishes.
     """
     n = jet.n
-    basis, nh, tm = _horizontal_tangent_basis(jet, singular_tol, degenerate_tol)
+    basis, nh, tm = _horizontal_tangent_basis(jet)
     nrm = jet.normal.norm()
     unit_normal = jet.normal * (1.0 / nrm)
     m = len(jet.tangents)
@@ -184,7 +188,7 @@ def mean_curvature_general(jet, singular_tol=1e-12, degenerate_tol=1e-10):
     return total / (2.0 * n * nh)
 
 
-def mean_curvature_graph_h1(grad, hess, at, singular_tol=1e-12):
+def mean_curvature_graph_h1(grad, hess, at):
     """Mean curvature of the vertical graph t = f(x, y) in H^1.
 
     grad = (f_x, f_y) and hess = ((f_xx, f_xy), (f_xy, f_yy)) at the point
@@ -204,13 +208,13 @@ def mean_curvature_graph_h1(grad, hess, at, singular_tol=1e-12):
     a = fx - y
     b = fy + x
     d = a * a + b * b
-    if d <= singular_tol * singular_tol * (1.0 + d):
+    if d <= SINGULAR_TOL * SINGULAR_TOL * (1.0 + d):
         raise SingularPointError("graph point is singular: f_x = y and f_y = -x")
     num = b * b * fxx - 2.0 * a * b * fxy + a * a * fyy
     return -0.5 * num / d**1.5
 
 
-def mean_curvature_rotational(x, dx, ddx, dt, ddt, n, singular_tol=1e-12):
+def mean_curvature_rotational(x, dx, ddx, dt, ddt, n):
     """Mean curvature of a rotationally invariant hypersurface in H^n.
 
     The generating curve s -> (x(s), t(s)) need not be parameterized by
@@ -229,7 +233,7 @@ def mean_curvature_rotational(x, dx, ddx, dt, ddt, n, singular_tol=1e-12):
     if speed2 == 0.0:
         raise ValueError("generating curve has zero velocity")
     horiz2 = x * x * dx * dx + dt * dt
-    if horiz2 <= singular_tol * singular_tol * (speed2 + horiz2):
+    if horiz2 <= SINGULAR_TOL * SINGULAR_TOL * (speed2 + horiz2):
         raise SingularPointError("horizontal normal vanishes at this point")
     num = (
         x**3 * (dx * ddt - ddx * dt)
@@ -419,7 +423,7 @@ class RotationalSurface:
         return rotational_jet(self.n, self.omega_at(v), x, t, dx, dt, ddx, ddt)
 
 
-def chmy_identity_residual(surface, params, step=1e-5):
+def chmy_identity_residual(surface, params):
     """Residual |D_Z Z - 2 H nu_H| of the characteristic direction identity.
 
     Z = G(nu_H) spans the horizontal tangent line of a surface in H^1.  The
@@ -445,7 +449,7 @@ def chmy_identity_residual(surface, params, step=1e-5):
         un = j.normal * (1.0 / j.normal.norm())
         return g_operator(horizontal_unit_normal(un)).as_array()
 
-    eps = step * (1.0 + float(np.linalg.norm(params)))
+    eps = _IDENTITY_STEP * (1.0 + float(np.linalg.norm(params)))
     dz = (z_coeffs(eps) - z_coeffs(-eps)) / (2.0 * eps)
     target = 2.0 * h * nu.as_array()
     return float(np.linalg.norm(dz - target))

@@ -154,6 +154,8 @@ def horizontal_normal_density(x, dx, dt):
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_VARIATION_STEP = 1e-4  # first_variation_check's central difference
+_AXIS_TOL = 1e-6  # radius below which a perturbation must vanish
 
 
 def _composite(fun, lo, hi, panels):
@@ -265,8 +267,7 @@ def _perturbed_profile(profile, u, du, tau):
                              panels=profile.panels)
 
 
-def first_variation_check(profile, u, *, du=None, step=1e-4, axis_tol=1e-6,
-                          panels=None):
+def first_variation_check(profile, u, *, du=None):
     """Compare the numeric derivative of the perimeter under a perturbation
     by u along the horizontal unit normal with the first-variation formula
     -2n int H u dP.
@@ -286,7 +287,7 @@ def first_variation_check(profile, u, *, du=None, step=1e-4, axis_tol=1e-6,
     peak = max(magnitudes)
     for s, mag in zip(samples, magnitudes):
         x = profile.at(float(s))[0]
-        if x <= axis_tol and mag > 1e-12 * (1.0 + peak):
+        if x <= _AXIS_TOL and mag > 1e-12 * (1.0 + peak):
             raise AxisPointError("perturbation support touches the axis")
 
     n = profile.n
@@ -298,11 +299,11 @@ def first_variation_check(profile, u, *, du=None, step=1e-4, axis_tol=1e-6,
         return mean * u(s) * x ** (2 * n - 1) * _horizontal_norm(x, dx, dt)
 
     formula = -2.0 * n * scale * _composite(
-        formula_integrand, lo, hi, panels or profile.panels
+        formula_integrand, lo, hi, profile.panels
     )
-    plus = perimeter(_perturbed_profile(profile, u, du, step), panels=panels)
-    minus = perimeter(_perturbed_profile(profile, u, du, -step), panels=panels)
-    return (plus - minus) / (2.0 * step), formula
+    plus = perimeter(_perturbed_profile(profile, u, du, _VARIATION_STEP))
+    minus = perimeter(_perturbed_profile(profile, u, du, -_VARIATION_STEP))
+    return (plus - minus) / (2.0 * _VARIATION_STEP), formula
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,9 @@ class SolveConfig:
     def __post_init__(self):
         if self.stop_event is not None and self.stop_event[1] < 1:
             raise ValueError("stop_event count must be >= 1")
-        if not math.isfinite(self.max_arclength):
-            raise ValueError(
-                f"max_arclength must be finite, got {self.max_arclength!r}")
+        if not 0.0 < self.max_arclength < math.inf:
+            raise ValueError("max_arclength must be finite and positive, "
+                             f"got {self.max_arclength!r}")
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,12 @@ def _check_invariants(traj, roots=None):
     drift = traj.energy_drift()
     tol = traj.config.drift_tolerance * (1.0 + abs(traj.e))
     if drift > tol:
+        terms = float(np.max(abs(traj.h) * traj.states[:, 0] ** (2 * traj.n)))
+        rounding = terms * np.finfo(float).eps
+        why = (f"; the terms of E reach {terms:.3e}, so their rounding alone "
+               f"is ~{rounding:.3e}" if rounding > 0.1 * tol else "")
         raise EnergyDriftError(
-            f"energy drifted by {drift:.3e} (tolerance {tol:.3e})", trajectory=traj
+            f"energy drifted by {drift:.3e} (tolerance {tol:.3e}){why}", trajectory=traj
         )
     # the admissible band is conserved too; allow slack an order above drift
     x = traj.states[:, 0]

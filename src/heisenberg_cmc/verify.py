@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .classify import Family, classify, cylinder_energy, cylinder_radius
+from .classify import Family, classify, cylinder_energy
 from .closed_forms import (
     catenoid_generating_curve,
     catenoid_slab_halfwidth,
@@ -38,14 +38,11 @@ from .measures import (
     first_variation_check,
     perimeter,
     sphere_surface,
-    unit_sphere_area,
 )
 from .profile_ode import (
     EventKind,
     ProfileState,
     SolveConfig,
-    energy,
-    initial_state,
     integrate,
 )
 
@@ -381,8 +378,7 @@ def _suite_measures(checks, rng):
 
     @_guard(checks, "sphere-perimeter-two-pipeline")
     def body():
-        cfg = SolveConfig(stop_event=(EventKind.AXIS_CONTACT, 1),
-                          axis_epsilon=1e-6)
+        cfg = SolveConfig(stop_event=(EventKind.AXIS_CONTACT, 1))
         traj = integrate(1, 1.0, initial=ProfileState(1.0, 0.0, 0.0),
                          config=cfg)
         p_ode = perimeter(RotationalProfile.from_trajectory(traj))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 from importlib import resources
 
 import jsonschema
@@ -114,6 +115,41 @@ def test_trace_non_finite_arclength_exits_2(limit, capsys):
          "--max-arclength", limit], capsys)
     assert code == 2
     assert "max_arclength must be finite" in err
+
+
+@pytest.mark.parametrize("limit", ["-5", "0"])
+def test_trace_non_positive_arclength_exits_2(limit, capsys):
+    # -5 used to integrate backwards and then fail in state_at; 0 wrote two
+    # identical samples
+    code, out, err = run_cli(
+        ["trace", "--n", "1", "--h", "1", "--e", "0.1",
+         f"--max-arclength={limit}"], capsys)
+    assert code == 2
+    assert "max_arclength must be finite and positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "2", "--h", "1e-300", "--e", "1"],
+    ["classify", "--n", "3", "--h", "1", "--e=-1e300"],
+    ["trace", "--n", "1", "--h", "1", "--x0", "1e200", "--sigma0", "0"],
+], ids=["classify-cylinder-energy", "classify-band", "trace-energy"])
+def test_float_overflow_exits_2(argv, capsys):
+    # each used to end in an OverflowError traceback, exit 1
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: the parameters overflow a float")
+    assert out == ""
+
+
+def test_catenoid_closed_form_note(capsys):
+    # the n >= 2 report used to name the n = 1 formula
+    for n, curve in ((1, "catenoid_generating_curve"), (2, "catenoid_curve"),
+                     (3, "catenoid_curve")):
+        code, out, err = run_cli(
+            ["classify", "--n", str(n), "--h", "0", "--e", "1"], capsys)
+        assert code == 0, err
+        assert f"note: closed-form profile: closed_forms.{curve}\n" in out
 
 
 @pytest.mark.parametrize("e", ["1e-300", "1e-200"])
@@ -497,6 +533,23 @@ def test_trace_unresolvable_neck_exits_3(capsys):
                             "--e=-1.4288568145075227e-06"], capsys)
     assert code == 3
     assert "integration failed" in err
+
+
+def test_trace_drift_message_names_rounding(capsys):
+    # n = 3, small H: the terms of E reach ~6e7, so rounding alone is ~1e-8,
+    # the size of the drift bound; the gate still fails, and says why
+    code, out, err = run_cli(
+        ["trace", "--n", "3", "--h=0.02800872426336685",
+         "--e=-0.0008021832421422288", "--max-arclength", "50"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "energy drifted by" in err
+    match = re.search(r"the terms of E reach (\S+), so their rounding alone "
+                      r"is ~(\S+)\n", err)
+    assert match, err
+    terms, rounding = float(match[1]), float(match[2])
+    assert 5e7 < terms < 7e7
+    assert rounding == pytest.approx(terms * np.finfo(float).eps, rel=1e-3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -469,6 +469,22 @@ def test_energy_drift_detected(monkeypatch):
     assert err.value.trajectory.energy_drift() > 1e-8
 
 
+def test_energy_drift_message_without_rounding(monkeypatch):
+    # |H| x^{2n} stays below 10 on this unduloid, so rounding cannot explain
+    # the drift and the message adds no rounding clause
+    original = pode._rhs_scalars
+
+    def broken(x, sigma, n, h):
+        sin, cos, dsig = original(x, sigma, n, h)
+        return sin, cos, dsig * 1.01
+
+    monkeypatch.setattr(pode, "_rhs_scalars", broken)
+    with pytest.raises(EnergyDriftError) as err:
+        integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=10.0))
+    assert str(err.value).startswith("energy drifted by")
+    assert "rounding" not in str(err.value)
+
+
 def test_axis_start_rejected():
     with pytest.raises(AxisPointError):
         integrate(1, 0.5, initial=ProfileState(1e-9, 0.0, 0.0))
