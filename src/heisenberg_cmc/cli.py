@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -242,14 +243,20 @@ def _load_trace(path):
                 title = f"trace (n = {doc['n']}, H = {doc['h']:.6g})"
             except (KeyError, TypeError, ValueError):
                 title = f"trace ({os.path.basename(path)})"
-            return polyline, title
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"x", "t"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: trace CSV needs x and t columns")
-        polyline = [(float(row["x"]), float(row["t"])) for row in reader]
-        if not polyline:
-            raise ValueError(f"{path}: no samples in trace")
-        return polyline, f"trace ({os.path.basename(path)})"
+        else:
+            reader = csv.DictReader(handle)
+            if (reader.fieldnames is None
+                    or not {"x", "t"} <= set(reader.fieldnames)):
+                raise ValueError(f"{path}: trace CSV needs x and t columns")
+            polyline = [(float(row["x"]), float(row["t"])) for row in reader]
+            if not polyline:
+                raise ValueError(f"{path}: no samples in trace")
+            title = f"trace ({os.path.basename(path)})"
+    # one NaN or infinity would turn every vertex of the drawing into NaN
+    if not all(isinstance(v, (int, float)) and math.isfinite(v)
+               for point in polyline for v in point):
+        raise ValueError(f"{path}: trace samples must be finite numbers")
+    return polyline, title
 
 
 def cmd_render(args):
@@ -304,13 +311,25 @@ def cmd_verify(args):
 # sweep
 
 
-def _sweep_row(n, h, e):
-    """The sweep columns of run_report; inadmissible rows keep only n, h, e."""
+class _SweepOverflowError(OverflowError):
+    """Rows of a sweep overflow a float; rows holds the whole grid."""
+
+    def __init__(self, message, rows):
+        super().__init__(message)
+        self.rows = rows
+
+
+def _sweep_row(n, h, e, overflows):
+    """The sweep columns of run_report; inadmissible rows keep only n, h, e,
+    and so do rows that overflow a float, which are named in overflows."""
     row = dict.fromkeys(SWEEP_COLUMNS)
     row.update({"n": n, "h": h, "e": e})
     try:
         report = run_report(("sweep",), n, h, e)
     except NoAdmissibleRadiusError:
+        return row
+    except OverflowError as exc:
+        overflows.append(f"n = {n}, H = {h!r}, E = {e!r}: {exc}")
         return row
     row["family"] = report["family"]
     row.update(report["radii"])
@@ -322,8 +341,20 @@ def _sweep_row(n, h, e):
 
 
 def sweep_rows(ns, hs, es):
-    """Sweep the grid; rows come back in grid order (n outer, e inner)."""
-    return [_sweep_row(n, h, e) for n in ns for h in hs for e in es]
+    """Sweep the grid; rows come back in grid order (n outer, e inner).
+
+    A row that overflows a float keeps only n, h and e.  The grid is still
+    finished; then an OverflowError naming the first such row is raised,
+    with the rows in its rows attribute.
+    """
+    overflows = []
+    rows = [_sweep_row(n, h, e, overflows) for n in ns for h in hs for e in es]
+    if overflows:
+        more = len(overflows) - 1
+        raise _SweepOverflowError(
+            overflows[0] + (f"; {more} more rows overflow" if more else ""),
+            rows)
+    return rows
 
 
 def _csv_cell(value):
@@ -337,7 +368,10 @@ def _csv_cell(value):
 
 
 def cmd_sweep(args):
-    rows = sweep_rows(args.n, args.h, args.e)
+    try:
+        rows, overflow = sweep_rows(args.n, args.h, args.e), None
+    except _SweepOverflowError as exc:
+        rows, overflow = exc.rows, exc
     with _out_stream(args.out) as stream:
         if args.format == "json":
             _write_json({"rows": rows}, stream)
@@ -348,6 +382,8 @@ def cmd_sweep(args):
                     ",".join(_csv_cell(row[col]) for col in SWEEP_COLUMNS),
                     file=stream,
                 )
+    if overflow is not None:
+        raise overflow
     return EXIT_OK
 
 

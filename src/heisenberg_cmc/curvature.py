@@ -10,7 +10,11 @@ up the frame rotation terms automatically.
 Mean curvature is computed three independent ways that the tests compare
 against each other: the frame assembly (mean_curvature_general), the graph
 formula for n = 1 (mean_curvature_graph_h1), and the closed rotational
-formula (mean_curvature_rotational).
+formula (mean_curvature_rotational).  The frame assembly is the paper's
+definition, the sum of II over an orthonormal basis of the horizontal tangent
+space divided by 2n |N_H|.  That sum is the trace tr(II P), where
+P = sum_i Z_i Z_i^T in chart coordinates has a closed form in the Gram matrix
+of the tangents, so no basis is built.
 """
 
 from __future__ import annotations
@@ -108,17 +112,26 @@ def second_fundamental_form(jet):
     return out
 
 
-def _horizontal_tangent_basis(jet):
-    """Orthonormal basis of the horizontal tangent space, first vector G(nu_H).
+def mean_curvature_general(jet):
+    """Mean curvature from the frame assembly.
 
-    Returns (basis arrays, |N_H| of the unit normal, tangent matrix).
+    H = tr(II P) / (2n |N_H|), the trace of the second fundamental form over
+    the horizontal tangent space.  II is second_fundamental_form / |N| and
+    |N_H| is taken from the unit normal.  With T the tangent matrix, G = T^T T
+    and a the vertical row of T,
+
+        P = G^-1 - G^-1 a a^T G^-1 / (a^T G^-1 a)
+
+    is sum_i Z_i Z_i^T over any orthonormal basis Z_i of the horizontal chart
+    directions {c : a.c = 0}, so no basis is built.  Raises SingularPointError
+    where |N_H| vanishes or the tangent hyperplane is horizontal.
     """
     n = jet.n
     m = len(jet.tangents)
     if m != 2 * n:
         raise ValueError(f"hypersurface in H^{n} needs 2n = {2 * n} tangents, got {m}")
     tm = jet.tangent_matrix()
-    q, r = np.linalg.qr(tm)
+    r = np.linalg.qr(tm, mode="r")
     diag = np.abs(np.diag(r))
     if diag.min() <= _DEGENERATE_TOL * max(diag.max(), 1.0):
         raise DegenerateTangentsError("tangent vectors are numerically dependent")
@@ -127,65 +140,23 @@ def _horizontal_tangent_basis(jet):
     if nrm == 0.0:
         raise ValueError("jet normal is zero")
     unit_normal = jet.normal * (1.0 / nrm)
-    nu = horizontal_unit_normal(unit_normal)
+    if np.any(
+        np.abs(unit_normal.as_array() @ tm)
+        > _DEGENERATE_TOL * np.linalg.norm(tm, axis=0)
+    ):
+        raise ValueError("jet normal is not orthogonal to the tangents")
+    horizontal_unit_normal(unit_normal)  # SingularPointError where |N_H| vanishes
     nh = horizontal_part(unit_normal).norm()
 
-    proj = q @ q.T
-    dim = 2 * n + 1
-    e_t = np.zeros(dim)
-    e_t[-1] = 1.0
-    w = proj @ e_t
-    wn = float(np.linalg.norm(w))
-    if wn > 1e-14:
-        proj_h = proj - np.outer(w, w) / (wn * wn)
-    else:
-        proj_h = proj
-
-    z1 = proj_h @ g_operator(nu).as_array()
-    z1n = float(np.linalg.norm(z1))
-    if z1n <= _DEGENERATE_TOL:
-        raise DegenerateTangentsError("G(nu_H) does not survive tangent projection")
-    basis = [z1 / z1n]
-
-    candidates = [proj_h[:, k] for k in range(dim)]
-    while len(basis) < 2 * n - 1:
-        best, best_norm = None, 0.0
-        for cand in candidates:
-            resid = cand.copy()
-            for b in basis:
-                resid -= (resid @ b) * b
-            rn = float(np.linalg.norm(resid))
-            if rn > best_norm:
-                best, best_norm = resid, rn
-        if best_norm <= _DEGENERATE_TOL:
-            raise DegenerateTangentsError(
-                "horizontal tangent space has deficient dimension"
-            )
-        basis.append(best / best_norm)
-    return basis, nh, tm
-
-
-def mean_curvature_general(jet):
-    """Mean curvature from the frame assembly.
-
-    H = (1 / (2n |N_H|)) sum_i II(Z_i, Z_i) over an orthonormal basis Z_i of
-    the horizontal tangent space, with Z_1 = G(nu_H).  |N_H| is taken from
-    the unit normal.  Raises SingularPointError where |N_H| vanishes.
-    """
-    n = jet.n
-    basis, nh, tm = _horizontal_tangent_basis(jet)
-    nrm = jet.normal.norm()
-    unit_normal = jet.normal * (1.0 / nrm)
-    m = len(jet.tangents)
-    ii = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            ii[i, j] = unit_normal.dot(covariant_tangent_derivative(jet, i, j))
-    total = 0.0
-    for z in basis:
-        coeff, *_ = np.linalg.lstsq(tm, z, rcond=None)
-        total += float(coeff @ ii @ coeff)
-    return total / (2.0 * n * nh)
+    rinv = np.linalg.inv(r)
+    ginv = rinv @ rinv.T  # G^-1, with G = R^T R
+    ga = ginv @ tm[-1]
+    aga = float(tm[-1] @ ga)
+    if aga <= 0.0:
+        raise SingularPointError("tangent hyperplane is horizontal")
+    proj = ginv - np.outer(ga, ga) / aga
+    ii = second_fundamental_form(jet) / nrm
+    return float(np.sum(ii * proj)) / (2.0 * n * nh)
 
 
 def mean_curvature_graph_h1(grad, hess, at):
@@ -285,22 +256,10 @@ def graph_jet(at, grad, hess, f=None):
 def _sphere_frame(omega):
     """Orthonormal frame [J omega, u_3, ..., u_{2n}] of T_omega S^{2n-1}."""
     omega = np.asarray(omega, dtype=float)
-    dim = omega.size
-    n = dim // 2
+    n = omega.size // 2
     j_omega = np.concatenate([-omega[n:], omega[:n]])
-    basis = [omega, j_omega]
-    while len(basis) < dim:
-        best, best_norm = None, 0.0
-        for k in range(dim):
-            resid = np.zeros(dim)
-            resid[k] = 1.0
-            for b in basis:
-                resid -= (resid @ b) * b
-            rn = float(np.linalg.norm(resid))
-            if rn > best_norm:
-                best, best_norm = resid, rn
-        basis.append(best / best_norm)
-    return basis[1:]
+    q = np.linalg.qr(np.column_stack([omega, j_omega, np.eye(2 * n)]))[0]
+    return [j_omega, *q[:, 2:].T]
 
 
 def rotational_jet(n, omega, x, t, dx, dt, ddx, ddt):

@@ -333,9 +333,13 @@ class _DenseCurve:
 
     def __call__(self, s):
         x, t, c, si = self._raw(s)
-        raw = math.atan2(si, c)
+        return (x, t, self.branch(s, math.atan2(si, c)))
+
+    def branch(self, s, raw):
+        """The angle raw moved by a multiple of 2 pi onto the branch of the
+        interpolated node sigma at s."""
         guess = float(np.interp(s, self._s, self._sigma))
-        return (x, t, raw + _TWO_PI * round((guess - raw) / _TWO_PI))
+        return raw + _TWO_PI * round((guess - raw) / _TWO_PI)
 
 
 class _LevelSetDOP853(DOP853):
@@ -452,11 +456,8 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
     sigma_nodes = np.unwrap(np.arctan2(sol.y[3], sol.y[2]))
     # an explicit start may sit outside the principal branch
     sigma_nodes += _TWO_PI * round((initial.sigma - sigma_nodes[0]) / _TWO_PI)
-    s_nodes = sol.t
-
-    def aligned(raw, s_ev):
-        guess = float(np.interp(s_ev, s_nodes, sigma_nodes))
-        return raw + _TWO_PI * round((guess - raw) / _TWO_PI)
+    s_nodes = np.asarray(sol.t, dtype=float)
+    dense = _DenseCurve(sol.sol, s_nodes, sigma_nodes)
 
     recorded = []
     for kind, idx in (
@@ -466,7 +467,7 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
     ):
         for s_ev, y_ev in zip(sol.t_events[idx], sol.y_events[idx]):
             if s_ev > 1e-12:  # drop the phantom hit at the start state
-                sig = aligned(math.atan2(y_ev[3], y_ev[2]), float(s_ev))
+                sig = dense.branch(float(s_ev), math.atan2(y_ev[3], y_ev[2]))
                 if kind is EventKind.CRITICAL_RADIUS:
                     # sin sigma = 0 defines the event; at a thin neck sigma
                     # turns so fast that the located root keeps sin ~ 1e-8,
@@ -480,12 +481,12 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
         n=n,
         h=h,
         e=e,
-        s=np.asarray(s_nodes, dtype=float),
+        s=s_nodes,
         states=np.column_stack([sol.y[0], sol.y[1], sigma_nodes]),
         events=recorded,
         config=config,
         notes=list(notes),
-        dense=_DenseCurve(sol.sol, np.asarray(s_nodes, dtype=float), sigma_nodes),
+        dense=dense,
         energy_correction=tally[0],
         stats=SolveStats(rhs_evals=sol.nfev, steps=len(sol.t) - 1),
     )

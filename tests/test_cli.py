@@ -735,6 +735,18 @@ def test_render_trace_rejects_malformed_file(tmp_path, capsys):
     code, _, err = run_cli(["render", "--trace", str(short)], capsys)
     assert code == 2
     assert "samples need s, x, t" in err
+    # a non-finite sample used to draw every vertex at NaN, exit 0
+    for name, text in [
+        ("null.json", '{"n": 1, "h": 1, "samples": [[0, null, 1], [1, 2, 3]]}'),
+        ("nan.json", '{"n": 1, "h": 1, "samples": [[0, NaN, 1], [1, 2, 3]]}'),
+        ("nan.csv", "s,x,t\n0,nan,1\n1,2,3\n"),
+    ]:
+        bad = tmp_path / name
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(["render", "--trace", str(bad)], capsys)
+        assert code == 2, name
+        assert "samples must be finite numbers" in err
+        assert out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -843,6 +855,33 @@ def test_sweep_roadmap_grid_completes(capsys):
         if row["n"] == "1" and row["family"] in ("Unduloid", "Nodoid"):
             reference = math.pi / (4.0 * float(row["h"]) ** 2)
             assert float(row["t2"]) == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_finishes_past_overflowing_row(fmt, capsys):
+    # the H = 1e-300 row's cylinder energy overflows a float; it used to end
+    # the sweep with exit 2 before any row was written
+    code, out, err = run_cli(
+        ["sweep", "--n", "2", "--h", "1e-300:1:2", "--e", "1", "--format", fmt],
+        capsys)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("error: the parameters overflow a float")
+    assert "n = 2, H = 1e-300, E = 1.0" in err
+    if fmt == "json":
+        doc = json.loads(out)
+        jsonschema.validate(doc, _schema("sweep"))
+        rows = doc["rows"]
+    else:
+        header, *lines = out.splitlines()
+        assert header == ",".join(SWEEP_COLUMNS)
+        rows = [dict(zip(SWEEP_COLUMNS, line.split(","))) for line in lines]
+    assert [(float(r["h"]), float(r["e"])) for r in rows] == [
+        (1e-300, 1.0), (1.0, 1.0)]
+    assert all(r["family"] in (None, "") for r in rows)
+    with pytest.raises(OverflowError) as info:
+        sweep_rows([2], [1e-300, 1.0], [1.0])
+    assert len(info.value.rows) == 2
 
 
 def test_sweep_empty_grid(capsys):

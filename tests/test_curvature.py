@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenberg_cmc.core import FrameVector, frame_to_euclidean
+from heisenberg_cmc.core import FrameVector, Point, frame_to_euclidean
 from heisenberg_cmc.curvature import (
     GraphSurface,
     ImmersionJet,
@@ -262,6 +262,69 @@ def test_orientation_flip():
     assert mean_curvature_general(flipped) == pytest.approx(
         -mean_curvature_general(jet), rel=1e-12
     )
+
+
+def _recharted(jet, a):
+    """The jet in the chart u = A u': tangents T A and second derivatives
+    dtangents'[i][j] = sum_lk A_li A_kj dtangents[l][k]."""
+    m = len(jet.tangents)
+    tm = jet.tangent_matrix() @ a
+    raw = np.array([[v.as_array() for v in row] for row in jet.dtangents])
+    raw = np.einsum("li,kj,lkc->ijc", a, a, raw)
+    return ImmersionJet(
+        jet.point,
+        [FrameVector.from_array(tm[:, j]) for j in range(m)],
+        [[FrameVector.from_array(raw[i, j]) for j in range(m)] for i in range(m)],
+        jet.normal,
+    )
+
+
+def test_mean_curvature_is_chart_invariant():
+    # H is a trace over the horizontal tangent space, so no chart may change
+    # it; II transforms as the bilinear form A^T II A
+    rng = np.random.default_rng(5)
+    jets = []
+    for n in (1, 2, 3):
+        for _ in range(8):
+            om = unit(rng.normal(size=2 * n))
+            x = float(rng.uniform(0.3, 2.0))
+            dx, dt, ddx, ddt = rng.uniform(-1.0, 1.0, size=4)
+            if x * x * dx * dx + dt * dt < 1e-2:
+                dt += 0.7
+            jets.append(rotational_jet(n, om, x, 0.2, dx, dt, ddx, ddt))
+    while len(jets) < 32:
+        c = rng.uniform(-1.0, 1.0, size=6)
+        x, y = rng.uniform(-2.0, 2.0, size=2)
+        grad = (2 * c[0] * x + c[1] * y + c[3], c[1] * x + 2 * c[2] * y + c[4])
+        hess = ((2 * c[0], c[1]), (c[1], 2 * c[2]))
+        if (grad[0] - y) ** 2 + (grad[1] + x) ** 2 >= 1e-2:
+            jets.append(graph_jet((x, y), grad, hess))
+    for jet in jets:
+        m = len(jet.tangents)
+        a = rng.normal(size=(m, m))
+        if np.linalg.cond(a) > 1e3:
+            a += 3.0 * np.eye(m)
+        recharted = _recharted(jet, a)
+        h = mean_curvature_general(jet)
+        assert mean_curvature_general(recharted) == pytest.approx(
+            h, rel=1e-10, abs=1e-10)
+        ii = a.T @ second_fundamental_form(jet) @ a
+        assert np.allclose(second_fundamental_form(recharted), ii,
+                           rtol=1e-10, atol=1e-10 * np.abs(ii).max())
+
+
+def test_normal_off_the_tangents_is_rejected():
+    # tangents X and Y span the horizontal plane at the origin of H^1, whose
+    # normal is T; (0.6, 0, 0.8) is not normal to them
+    zero = FrameVector.zero(1)
+    jet = ImmersionJet(
+        Point.origin(1),
+        (FrameVector.unit_x(1), FrameVector.unit_y(1)),
+        ((zero, zero), (zero, zero)),
+        FrameVector((0.6,), (0.0,), 0.8),
+    )
+    with pytest.raises(ValueError, match="not orthogonal"):
+        mean_curvature_general(jet)
 
 
 def test_covariant_tangent_derivative_symmetry():
