@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import dimension_index
 from .errors import NoAdmissibleRadiusError, RootBracketFailureError
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 _CYLINDER_TOL = 1e-12
+# tolerances and iteration cap of the bracketed root search, _brentq
+_XTOL, _RTOL, _MAXITER = 1e-14, 8.9e-16, 100
 
 
 class Family(str, enum.Enum):
@@ -108,8 +109,60 @@ def _band_polynomials(n, h, e):
     return f1, f2
 
 
+def _brentq(f, xa, xb):
+    """Root of f bracketed by [xa, xb], by Brent's zeroin as SciPy's
+    brentq.c writes it, step for step, so the roots agree to the bit."""
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x}) is NaN; the root search cannot go on")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a short interpolation step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RootBracketFailureError(
+        f"Brent's method did not converge in {_MAXITER} iterations "
+        f"(last x = {xcur})")
+
+
 def _polish(f, df, x, lo, hi):
-    # a few Newton steps after brentq, clipped to the bracket
+    # a few Newton steps after _brentq, clipped to the bracket
     for _ in range(3):
         d = df(x)
         if d == 0.0:
@@ -170,15 +223,15 @@ def admissible_radii(n, h, e):
         if e >= ecyl or f2(r) <= 0.0:
             return r, r
         hi = _expand_right(f2, 1.0 / h)
-        x1 = brentq(f2, 0.0, r, xtol=1e-14, rtol=8.9e-16)
-        x2 = brentq(f2, r, hi, xtol=1e-14, rtol=8.9e-16)
+        x1 = _brentq(f2, 0.0, r)
+        x2 = _brentq(f2, r, hi)
         x1 = _polish(f2, df2, x1, 0.0, r)
         x2 = _polish(f2, df2, x2, r, hi)
     else:
         # exactly one positive root each: signs (+,+,-) and (-,+,+)
         assert descartes_bound(c1) == 1 and descartes_bound(c2) == 1
         top = abs(e) ** (1.0 / (2 * n - 1))
-        x1 = brentq(f1, 0.0, top, xtol=1e-14, rtol=8.9e-16)
+        x1 = _brentq(f1, 0.0, top)
         x1 = _polish(f1, df1, x1, 0.0, top)
         lo = 1.0 / h
         delta = 4e-16
@@ -188,7 +241,7 @@ def admissible_radii(n, h, e):
             if delta > 1e-6:
                 raise RootBracketFailureError("could not bracket the outer radius")
         hi = _expand_right(f2, (1.0 + abs(e) * h ** (2 * n - 1)) / h)
-        x2 = brentq(f2, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        x2 = _brentq(f2, lo, hi)
         x2 = _polish(f2, df2, x2, lo, hi)
     return x1, x2
 
@@ -217,7 +270,7 @@ def inflection_radius(n, h, e, bracket):
         raise RootBracketFailureError(
             f"p({x1}) = {p1}, p({x2}) = {p2}: no sign change across the band"
         )
-    return brentq(p, x1, x2, xtol=1e-14, rtol=8.9e-16)
+    return _brentq(p, x1, x2)
 
 
 def classify(n, h, e):

@@ -25,9 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval
-from scipy.fft import dct
-from scipy.integrate import quad
-from scipy.special import beta, betainc
 
 from .classify import Family, classify
 from .core import dimension_index
@@ -67,6 +64,14 @@ class QuadratureResult:
     def __post_init__(self):
         if not self.error_estimate >= 0.0:
             raise ValueError("error estimate must be nonnegative")
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call so that importing
+    this module loads no SciPy."""
+    from scipy.integrate import quad as quadpack
+
+    return quadpack(*args, **kwargs)
 
 
 def singular_quadrature(f, a, b, singular="both", *, abs_tol=1e-14):
@@ -195,7 +200,8 @@ def catenoid_slab_halfwidth(n, e):
 
     t_inf = int_{x1}^{inf} E x / sqrt(x^{4n-2} - E^2) dx with x1 = E^{1/p},
     p = 2n - 1.  x = x1 sec^{1/p}(phi) turns it into (x1^2/p) times
-    int_0^{pi/2} sec^{2/p}(phi) dphi = B(1/2, 1/2 - 1/p) / 2 (DLMF 5.12.2).
+    int_0^{pi/2} sec^{2/p}(phi) dphi = B(1/2, 1/2 - 1/p) / 2 (DLMF 5.12.2),
+    with B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b).
     The integrand tends to E x^{2-2n}, so the tail converges only for
     n >= 2; for n = 1 the partial integrals E sqrt(X^2 - E^2) grow linearly
     and a DivergentIntegralError reports them.
@@ -215,7 +221,9 @@ def catenoid_slab_halfwidth(n, e):
             "slab half-width diverges for n = 1: the integrand tends to E, so "
             "partial integrals grow linearly in the cutoff (%s)" % partials
         )
-    return float(x1 * x1 / (2 * p) * beta(0.5, 0.5 - 1.0 / p))
+    b = 0.5 - 1.0 / p
+    beta = math.gamma(0.5) * math.gamma(b) / math.gamma(0.5 + b)
+    return x1 * x1 / (2 * p) * beta
 
 
 def catenoid_curve(n, e, count):
@@ -226,6 +234,8 @@ def catenoid_curve(n, e, count):
     t = t_inf I_{sin^2 phi}(1/2, 1/2 - 1/p) (DLMF 8.17), t_inf the slab
     half-width.
     """
+    from scipy.special import betainc
+
     t_inf = catenoid_slab_halfwidth(n, e)
     p = 2 * dimension_index(n) - 1
     x1 = float(e) ** (1.0 / p)
@@ -274,6 +284,12 @@ def _band_cofactor(cls):
     lift = -e / x2 ** (2 * n - 1)  # H x2 - 1, which cancels as a difference
     return lambda x: ((powsum(x, x1, 2 * n - 1) + h * powsum(x, x1, 2 * n))
                       * (lift * powsum(x, x2, 2 * n - 1) + h * x ** (2 * n - 1)))
+
+
+def _dct1(samples):
+    """Unnormalized DCT-I, y_k = s_0 + (-1)^k s_N + 2 sum s_j cos(pi j k / N),
+    as the real FFT of the even extension [s_0..s_N, s_{N-1}..s_1]."""
+    return np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real
 
 
 def _chop(coeffs, tol):
@@ -333,7 +349,7 @@ class _HalfPeriod:
             terms = cls.h * x ** (2 * cls.n)
             samples = (cls.e + terms) * scale
             self.evaluations += degree + 1
-            coeffs = dct(samples, type=1) / degree
+            coeffs = _dct1(samples) / degree
             coeffs[[0, -1]] *= 0.5
             noise = _EPS * float(np.max((abs(cls.e) + terms) * scale))
             keep = _chop(coeffs, noise / float(np.max(np.abs(samples))))

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
 
 from .classify import Family, classify, cylinder_radius
 from .core import dimension_index
@@ -342,53 +342,70 @@ class _DenseCurve:
         return raw + _TWO_PI * round((guess - raw) / _TWO_PI)
 
 
-class _LevelSetDOP853(DOP853):
-    """DOP853 that puts every accepted step back on the level set of E.
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call so that
+    importing this module loads no SciPy."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-    level = (n, h, e) names the level set.  After each accepted step
-    (cos sigma, sin sigma) is reset to the values the energy relation gives at
-    the new x, as sigma_at_radius computes them, keeping the sign of
-    sin sigma, and |E(y) - e| is added to tally[0].  The stored derivative is
-    then refreshed, so the step's dense output, built from y and f at both
-    ends, stays continuous through the projected node.
+    return scipy_solve_ivp(*args, **kwargs)
 
-    Moving sigma at fixed x turns an error dx in x into an error
-    (x sigma' / sin sigma) dx / x in sigma.  Where that factor exceeds 10 the
-    step is left alone: around every critical radius, where dE/dsigma
-    vanishes, and at the thin necks where sigma turns fast, the projection
-    would amplify the integrator's error instead of removing it.
-    """
 
-    def __init__(self, fun, t0, y0, t_bound, level, tally, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.level = level
-        self.tally = tally
+@functools.cache
+def _level_set_dop853():
+    """The level-set solver class.  It subclasses SciPy's DOP853, so it is
+    built on the first call rather than when this module is imported."""
+    from scipy.integrate import DOP853
 
-    def _step_impl(self):
-        accepted, message = super()._step_impl()
-        if accepted and self._project():
-            self.f = self.fun(self.t, self.y)
-        return accepted, message
+    class _LevelSetDOP853(DOP853):
+        """DOP853 that puts every accepted step back on the level set of E.
 
-    def _project(self):
-        n, h, e = self.level
-        x, t, c, s = self.y
-        if x <= 0.0:
-            return False
-        p = x ** (2 * n - 1)
-        u = (e + h * x * p) / p
-        # (c, s) = r (cos, sin) and f[2:] = (-sin, cos) sigma', so
-        # x_dsigma / s = x sigma' / sin sigma.  u = 0 throughout is the
-        # hyperplane, vertical everywhere: cos sigma reset to exactly 0 would
-        # put every node on the VerticalTangent event
-        x_dsigma = x * (c * self.f[3] - s * self.f[2])
-        if abs(u) >= 1.0 or u == 0.0 or abs(x_dsigma) >= 10.0 * abs(s):
-            return False
-        self.tally[0] += abs(p * c / math.sqrt(x * x * s * s + c * c)
-                             - h * x * p - e)
-        c, sin = _level_pair(u, x)
-        self.y = np.array([x, t, c, math.copysign(sin, s)])
-        return True
+        level = (n, h, e) names the level set.  After each accepted step
+        (cos sigma, sin sigma) is reset to the values the energy relation
+        gives at the new x, as sigma_at_radius computes them, keeping the
+        sign of sin sigma, and |E(y) - e| is added to tally[0].  The stored
+        derivative is then refreshed, so the step's dense output, built from
+        y and f at both ends, stays continuous through the projected node.
+
+        Moving sigma at fixed x turns an error dx in x into an error
+        (x sigma' / sin sigma) dx / x in sigma.  Where that factor exceeds 10
+        the step is left alone: around every critical radius, where dE/dsigma
+        vanishes, and at the thin necks where sigma turns fast, the
+        projection would amplify the integrator's error instead of removing
+        it.
+        """
+
+        def __init__(self, fun, t0, y0, t_bound, level, tally, **options):
+            super().__init__(fun, t0, y0, t_bound, **options)
+            self.level = level
+            self.tally = tally
+
+        def _step_impl(self):
+            accepted, message = super()._step_impl()
+            if accepted and self._project():
+                self.f = self.fun(self.t, self.y)
+            return accepted, message
+
+        def _project(self):
+            n, h, e = self.level
+            x, t, c, s = self.y
+            if x <= 0.0:
+                return False
+            p = x ** (2 * n - 1)
+            u = (e + h * x * p) / p
+            # (c, s) = r (cos, sin) and f[2:] = (-sin, cos) sigma', so
+            # x_dsigma / s = x sigma' / sin sigma.  u = 0 throughout is the
+            # hyperplane, vertical everywhere: cos sigma reset to exactly 0
+            # would put every node on the VerticalTangent event
+            x_dsigma = x * (c * self.f[3] - s * self.f[2])
+            if abs(u) >= 1.0 or u == 0.0 or abs(x_dsigma) >= 10.0 * abs(s):
+                return False
+            self.tally[0] += abs(p * c / math.sqrt(x * x * s * s + c * c)
+                                 - h * x * p - e)
+            c, sin = _level_pair(u, x)
+            self.y = np.array([x, t, c, math.copysign(sin, s)])
+            return True
+
+    return _LevelSetDOP853
 
 
 def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
@@ -442,7 +459,7 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
         fun,
         (0.0, config.max_arclength),
         y0,
-        method=_LevelSetDOP853,
+        method=_level_set_dop853(),
         rtol=rel_tol,
         atol=abs_tol,
         dense_output=True,

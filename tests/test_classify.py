@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+import heisenberg_cmc.classify as classify_module
 from heisenberg_cmc.classify import (
     Classification,
     Family,
@@ -174,3 +176,48 @@ def test_family_ladder(n, h):
     assert classify(n, h, 0.0).family is Family.SPHERE
     assert classify(n, h, 0.5 * ecyl).family is Family.UNDULOID
     assert classify(n, h, ecyl).family is Family.CYLINDER
+
+
+# ---------------------------------------------------------------------------
+# the Brent root search, pinned against scipy.optimize.brentq
+
+
+def test_brent_port_matches_scipy(monkeypatch):
+    # every root search of a classify grid, repeated by SciPy on the same
+    # function and bracket, must return the same float
+    pairs = []
+    port = classify_module._brentq
+
+    def both(f, a, b):
+        root = port(f, a, b)
+        pairs.append((root, brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)))
+        return root
+
+    monkeypatch.setattr(classify_module, "_brentq", both)
+    for n in range(1, 5):
+        for h in (-2.0, -0.3, 0.05, 0.7, 3.0):
+            ecyl = cylinder_energy(n, abs(h)) * math.copysign(1.0, h)
+            for frac in (-40.0, -3.0, -0.5, -1e-6, 1e-9, 0.01, 0.3, 0.9,
+                         1.0 - 1e-9):
+                classify(n, h, frac * ecyl)
+    assert len(pairs) > 300
+    assert [a for a, _ in pairs] == [b for _, b in pairs]
+
+
+def test_brent_port_out_of_iterations():
+    # a step function on a bracket 1e314 times xtol needs ~1000 bisections
+    def step(x):
+        return -1.0 if x < 1.0 else 1.0
+
+    with pytest.raises(RuntimeError):
+        brentq(step, 0.0, 1e300, xtol=1e-14, rtol=8.9e-16)
+    with pytest.raises(RootBracketFailureError, match="100 iterations"):
+        classify_module._brentq(step, 0.0, 1e300)
+    assert classify_module._brentq(step, 0.0, 2.0) == pytest.approx(1.0)
+
+
+def test_brent_port_rejects_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        classify_module._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heisenberg_cmc.classify as classify_module
 import heisenberg_cmc.cli as cli
 import heisenberg_cmc.profile_ode as pode
 import heisenberg_cmc.render as render
@@ -180,6 +181,16 @@ def test_exit_code_numerical_failure(capsys):
          "--stop-event", "VerticalTangent", "--reflect", "1"], capsys)
     assert code == 3
     assert "critical" in err
+
+
+def test_root_search_out_of_iterations_exits_3(capsys, monkeypatch):
+    # a root search that runs out of iterations is a numerical failure, not
+    # a traceback
+    monkeypatch.setattr(classify_module, "_MAXITER", 2)
+    code, _, err = run_cli(
+        ["classify", "--n", "2", "--h", "1", "--e", "0.05"], capsys)
+    assert code == 3
+    assert "did not converge in 2 iterations" in err
 
 
 def test_exit_code_io_failure(capsys):

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 from scipy.optimize import brentq
+from scipy.special import beta
 
 from heisenberg_cmc.classify import classify, cylinder_energy
 from heisenberg_cmc.closed_forms import (
     QuadratureResult,
+    _dct1,
     catenoid_curve,
     catenoid_generating_curve,
     catenoid_profile_h1,
@@ -188,6 +191,18 @@ def test_slab_matches_quadrature():
                               / (6.0 * math.gamma(2.0 / 3.0)), rel=1e-14)
 
 
+def test_slab_gamma_route_matches_scipy_beta():
+    # B(1/2, b) = Gamma(1/2) Gamma(b) / Gamma(1/2 + b) and scipy.special.beta
+    # agree to 2.5e-16 for n = 2..8; the product with x1^2 / (2p) rounds
+    # once more, so the half-widths of the two routes lie within 3 ulp
+    for n in range(2, 9):
+        p = 2 * n - 1
+        for e in np.logspace(-3.0, 3.0, 61):
+            x1 = e ** (1.0 / p)
+            old = float(x1 * x1 / (2 * p) * beta(0.5, 0.5 - 1.0 / p))
+            assert abs(catenoid_slab_halfwidth(n, e) - old) <= 3 * math.ulp(old)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 4), k=st.floats(-12.0, 12.0))
 def test_slab_closed_form_matches_quadrature(n, k):
@@ -272,6 +287,16 @@ def test_slab_matches_ode_tail():
 
 
 NODOID_CASES = [(1, 1.0, -0.1), (2, 0.75, -0.3), (3, 1.0, -1.0), (1, 2.0, -0.05)]
+
+
+def test_dct1_matches_scipy_dct():
+    # the half-period series doubles its degree from 16 to 4096; a stride
+    # covers the degrees between
+    rng = np.random.default_rng(13)
+    degrees = sorted({2 ** k for k in range(4, 13)} | set(range(16, 4097, 37)))
+    for degree in degrees:
+        samples = rng.standard_normal(degree + 1)
+        assert np.array_equal(_dct1(samples), dct(samples, type=1)), degree
 
 
 @pytest.mark.parametrize("n,h,e", NODOID_CASES)

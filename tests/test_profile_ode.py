@@ -551,7 +551,7 @@ def test_dense_output_continuous_at_projected_nodes():
 def _off_level():
     """The level-set solver, projecting onto E + 1e-15 instead of E."""
 
-    class OffLevel(pode._LevelSetDOP853):
+    class OffLevel(pode._level_set_dop853()):
         def __init__(self, *args, level, **options):
             n, h, e = level
             super().__init__(*args, level=(n, h, e + 1e-15), **options)
@@ -563,7 +563,8 @@ def test_off_band_critical_radius_raises(monkeypatch):
     # an n = 3 sphere projected onto E + 1e-15 turns at the neck x = 1e-3 of
     # that unduloid, as the unprojected solve did at its own drift; the band
     # of E = 0 has 1/H as its only root, so the solve must be refused
-    monkeypatch.setattr(pode, "_LevelSetDOP853", _off_level())
+    off = _off_level()
+    monkeypatch.setattr(pode, "_level_set_dop853", lambda: off)
     cfg = SolveConfig(max_arclength=6.0)
     with pytest.raises(EnergyDriftError, match="off the band roots") as err:
         integrate(3, 0.5, e=0.0, config=cfg)
