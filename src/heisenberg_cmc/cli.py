@@ -20,6 +20,7 @@ import sys
 
 from .classify import Family, classify, cylinder_energy
 from .closed_forms import (
+    canonical_trajectory,
     catenoid_slab_halfwidth,
     halfperiod_heights,
     sphere_profile,
@@ -29,6 +30,7 @@ from .errors import (
     DivergentIntegralError,
     GeometryError,
     NoAdmissibleRadiusError,
+    QuadratureError,
 )
 # unused here; kept bound because perfbench/tracer.py wraps cli's two names
 from .measures import enclosed_volume_result, perimeter_result  # noqa: F401
@@ -45,7 +47,8 @@ from .profile_ode import (
 from .render import render_gallery, render_panel, family_polyline
 from .verify import SUITES, run_suite
 
-__all__ = ["main", "run_report", "sweep_rows", "SWEEP_COLUMNS"]
+__all__ = ["main", "canonical_trace", "run_report", "sweep_rows",
+           "SWEEP_COLUMNS"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -192,6 +195,23 @@ def cmd_classify(args):
 # trace
 
 
+# the canonical starts that closed_forms.canonical_trajectory traces
+_CLOSED_FORM = (Family.SPHERE, Family.UNDULOID, Family.NODOID)
+
+
+def canonical_trace(n, h, e, config):
+    """The trace of the canonical (n, H, E) start: spheres, unduloids and
+    nodoids from closed forms, the other families, and any series that needs
+    a degree above closed_forms' cap, from integrate."""
+    cls = classify(n, h, e)
+    if cls.family in _CLOSED_FORM:
+        try:
+            return canonical_trajectory(cls, h, config)
+        except QuadratureError:
+            pass
+    return integrate(n, h, e=e, config=config)
+
+
 def cmd_trace(args):
     config = SolveConfig(
         max_arclength=args.max_arclength,
@@ -210,7 +230,7 @@ def cmd_trace(args):
     else:
         if args.e is None:
             raise ValueError("pass either --e or an explicit start")
-        traj = integrate(args.n, args.h, e=args.e, config=config)
+        traj = canonical_trace(args.n, args.h, args.e, config)
     if args.reflect:
         traj = reflect_continue(traj, copies=args.reflect)
     with _out_stream(args.out) as stream:

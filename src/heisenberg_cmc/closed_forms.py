@@ -16,6 +16,10 @@ half-width t_inf is a complete Beta function and the height above the waist
 an incomplete one.  singular_quadrature, a u^2 = x - a substitution fed to
 adaptive Gauss-Kronrod with exact endpoint offsets, stays as the reference
 for integrals with inverse-square-root endpoints.
+
+canonical_trajectory traces the canonical start of a sphere, unduloid or
+nodoid from these curves, with a second Chebyshev series for the arclength,
+and returns the profile_ode.Trajectory that the ODE would: no ODE is solved.
 """
 
 from __future__ import annotations
@@ -28,7 +32,15 @@ from numpy.polynomial.chebyshev import chebint, chebval
 
 from .classify import Family, classify
 from .core import dimension_index
-from .errors import DivergentIntegralError, QuadratureError
+from .errors import AxisPointError, DivergentIntegralError, QuadratureError
+from .profile_ode import (
+    Event,
+    EventKind,
+    ProfileState,
+    Trajectory,
+    periodic_continuation,
+    truncated,
+)
 
 __all__ = [
     "QuadratureResult",
@@ -44,6 +56,7 @@ __all__ = [
     "unduloid_halfperiod",
     "halfperiod_heights",
     "halfperiod_curve",
+    "canonical_trajectory",
 ]
 
 _SINGULAR_SPECS = ("lower", "upper", "both", "none")
@@ -323,6 +336,43 @@ def _chop(coeffs, tol):
     return max(int(np.argmin(biased)), 1)
 
 
+_MAX_DEGREE = 4096
+_NEWTON_STEPS = 8
+
+
+def _resolved(sample):
+    """Chebyshev series in y on [-1, 1] of the functions that sample(y)
+    yields as (values, noise) pairs at the Chebyshev points y.  The degree is
+    doubled from 16 until _chop finds every series resolved against its
+    values' rounding noise, and a series still unresolved at degree 4096
+    raises QuadratureError.  The functions after an unresolved one are not
+    sampled at that degree.  Returns the (coeffs, keep, noise) triple of
+    each function and the number of points sampled."""
+    degree, evaluations = 8, 0
+    while True:
+        if degree >= _MAX_DEGREE:
+            raise QuadratureError(
+                "Chebyshev series unresolved at degree %d" % degree)
+        degree *= 2
+        y = np.cos(np.arange(degree + 1) * math.pi / degree)
+        evaluations += degree + 1
+        fits = []
+        for values, noise in sample(y):
+            coeffs = _dct1(values) / degree
+            coeffs[[0, -1]] *= 0.5
+            keep = _chop(coeffs, noise / float(np.max(np.abs(values))))
+            if keep is None:
+                break
+            fits.append((coeffs, keep, noise))
+        else:
+            return fits, evaluations
+
+
+def _sin(theta):
+    """sin(theta) on [0, pi], exactly 0 at both ends and accurate near pi."""
+    return np.sin(np.minimum(theta, math.pi - theta))
+
+
 class _HalfPeriod:
     """One half period of an unduloid or nodoid as a Chebyshev series.
 
@@ -332,31 +382,39 @@ class _HalfPeriod:
     Chebyshev interpolant (degree doubled until _chop finds it resolved)
     integrates to T(theta), the height gained from x1 (Trefethen,
     Approximation Theory and Approximation Practice, ch. 3, 7 and 19).
+    With arclength=True the same samples give a second series, of
+    ds/dtheta = sqrt(r^2 sin^2(theta) + (dt/dtheta)^2), which integrates to
+    S(theta), the arclength from x1; the degree then grows until both are
+    resolved.
     """
 
-    def __init__(self, cls):
+    def __init__(self, cls, arclength=False):
         self.cls = cls
-        cofactor = _band_cofactor(cls)
-        degree, self.evaluations, keep = 8, 0, None
-        while keep is None:
-            if degree >= 4096:
-                raise QuadratureError(
-                    "half-period series unresolved at degree %d" % degree)
-            degree *= 2
-            y = np.cos(np.arange(degree + 1) * math.pi / degree)
-            x = self.radius(0.5 * math.pi * (1.0 + y))
-            scale = x / np.sqrt(cofactor(x))
+        self._cofactor = _band_cofactor(cls)
+
+        def sample(y):
+            theta = 0.5 * math.pi * (1.0 + y)
+            x = self.radius(theta)
+            scale = x / np.sqrt(self._cofactor(x))
             terms = cls.h * x ** (2 * cls.n)
-            samples = (cls.e + terms) * scale
-            self.evaluations += degree + 1
-            coeffs = _dct1(samples) / degree
-            coeffs[[0, -1]] *= 0.5
+            rise = (cls.e + terms) * scale
             noise = _EPS * float(np.max((abs(cls.e) + terms) * scale))
-            keep = _chop(coeffs, noise / float(np.max(np.abs(samples))))
+            yield rise, noise
+            if arclength:
+                speed = np.hypot(self.run(theta), rise)
+                yield speed, noise + _EPS * float(np.max(speed))
+
+        fits, self.evaluations = _resolved(sample)
+        coeffs, keep, noise = fits[0]
+        self.degree = keep - 1
         # in y = 2 theta / pi - 1, dtheta = (pi / 2) dy; the error is the
         # dropped tail plus the rounding of w's terms, which can exceed w
         self._series = chebint(coeffs[:keep], lbnd=-1.0) * (0.5 * math.pi)
         self.error = math.pi * (float(np.sum(np.abs(coeffs[keep:]))) + noise)
+        if arclength:
+            coeffs, keep, _ = fits[1]
+            self._speed = coeffs[:keep]
+            self._arclength = chebint(self._speed, lbnd=-1.0) * (0.5 * math.pi)
 
     def radius(self, theta):
         """x(theta), offset from the nearer band edge so it stays exact."""
@@ -367,6 +425,24 @@ class _HalfPeriod:
 
     def height(self, theta):
         return chebval(2.0 * np.asarray(theta) / math.pi - 1.0, self._series)
+
+    def arclength(self, theta):
+        return chebval(2.0 * np.asarray(theta) / math.pi - 1.0,
+                       self._arclength)
+
+    def speed(self, theta):
+        """ds/dtheta from its series, the derivative of arclength."""
+        return chebval(2.0 * np.asarray(theta) / math.pi - 1.0, self._speed)
+
+    def run(self, theta):
+        """dx/dtheta = r sin(theta)."""
+        return 0.5 * (self.cls.x2 - self.cls.x1) * _sin(theta)
+
+    def rise(self, theta):
+        """dt/dtheta = w x / sqrt(q(x)) from the formula."""
+        x = self.radius(theta)
+        w = self.cls.e + self.cls.h * x ** (2 * self.cls.n)
+        return w * (x / np.sqrt(self._cofactor(x)))
 
 
 def nodoid_halfperiod(n, h, e):
@@ -413,3 +489,162 @@ def halfperiod_curve(cls, count):
     if cls.family is Family.NODOID:
         return x[::-1], t[-1] - t[::-1]
     return x, t - t[0]
+
+
+# ---------------------------------------------------------------------------
+# canonical traces without an ODE solve
+
+
+class _PeriodicArc:
+    """The canonical traversal of one half period, parameterized by theta:
+    an unduloid runs from x1 (theta = 0) out to x2, a nodoid from x2
+    (theta = pi) in to x1, where it stops early at the axis margin when x1
+    lies inside it.  Nodes sit at theta = pi k / m, m the kept degree of the
+    height series."""
+
+    def __init__(self, cls, axis_epsilon):
+        half = self.half = _HalfPeriod(cls, arclength=True)
+        self.nodoid = cls.family is Family.NODOID
+        m = max(half.degree, 1)
+        theta = np.arange(m + 1) * (math.pi / m)
+        self._t0, self._t_pi = half.height(0.0), half.height(math.pi)
+        self._s0, self._s_pi = half.arclength(0.0), half.arclength(math.pi)
+        self.interior = []
+        if not self.nodoid:
+            self.nodes, self.end = theta, EventKind.CRITICAL_RADIUS
+            return
+        # x0 sits where tan(theta/2) = sqrt((x0 - x1) / (x2 - x0))
+        theta0 = 2.0 * math.atan2(math.sqrt(cls.x0 - cls.x1),
+                                  math.sqrt(cls.x2 - cls.x0))
+        stop = 0.0
+        self.end = EventKind.CRITICAL_RADIUS
+        if cls.x1 < axis_epsilon:
+            # x(theta) = x1 + (x2 - x1) sin^2(theta / 2) reaches the margin
+            stop = 2.0 * math.asin(math.sqrt(
+                (axis_epsilon - cls.x1) / (cls.x2 - cls.x1)))
+            self.end = EventKind.AXIS_CONTACT
+        if theta0 > stop:
+            self.interior.append((EventKind.VERTICAL_TANGENT, theta0))
+        self.nodes = np.append(theta[theta > stop][::-1], stop)
+
+    def arclength(self, theta):
+        if self.nodoid:
+            return self._s_pi - self.half.arclength(theta)
+        return self.half.arclength(theta) - self._s0
+
+    def slope(self, theta):
+        speed = self.half.speed(theta)
+        return -speed if self.nodoid else speed
+
+    def state(self, theta):
+        """(x, t, sigma), sigma = atan2(dx, dt) along the traversal; it stays
+        within (-pi, 0] on a nodoid's half period, so needs no unwinding."""
+        half = self.half
+        run, rise = half.run(theta), half.rise(theta)
+        if self.nodoid:
+            t, run = self._t_pi - half.height(theta), -run
+        else:
+            t = half.height(theta) - self._t0
+        return half.radius(theta), t, np.arctan2(run, rise)
+
+
+class _SphereArc:
+    """The sphere from its equator to the axis margin, parameterized by
+    phi = psi - pi/2 of sphere_generating_curve: x = cos(phi) / H,
+    t = (phi + sin(phi) cos(phi)) / (2 H^2), with the arclength a Chebyshev
+    series of ds/dphi = sqrt(sin^2(phi) / H^2 + cos^4(phi) / H^4) on
+    [0, pi/2].  The curve is the same for every n."""
+
+    interior = ()
+    end = EventKind.AXIS_CONTACT
+
+    def __init__(self, h, axis_epsilon):
+        self.h = h
+
+        def sample(y):
+            speed = self.slope(0.25 * math.pi * (1.0 + y))
+            yield speed, _EPS * float(np.max(speed))
+
+        fits, _ = _resolved(sample)
+        coeffs, keep, _ = fits[0]
+        self._series = chebint(coeffs[:keep], lbnd=-1.0) * (0.25 * math.pi)
+        m = max(keep - 1, 1)
+        phi = np.arange(m + 1) * (0.5 * math.pi / m)
+        stop = 0.5 * math.pi - math.asin(h * axis_epsilon)  # x = epsilon
+        self.nodes = np.append(phi[phi < stop], stop)
+
+    def slope(self, phi):
+        """ds/dphi from the formula."""
+        h = self.h
+        return np.hypot(np.sin(phi) / h, np.cos(phi) ** 2 / (h * h))
+
+    def arclength(self, phi):
+        y = 4.0 * np.asarray(phi) / math.pi - 1.0
+        return chebval(y, self._series) - chebval(-1.0, self._series)
+
+    def state(self, phi):
+        h, sin, cos = self.h, np.sin(phi), np.cos(phi)
+        return (cos / h, (phi + sin * cos) / (2.0 * h * h),
+                np.arctan2(-h * sin, cos * cos))
+
+
+def canonical_trajectory(cls, h, config):
+    """The trace of integrate(cls.n, h, e=e, config=config), cls =
+    classify(n, h, e), from closed forms instead of the ODE, for the sphere,
+    the unduloid and the nodoid.
+
+    Samples, events and the dense evaluator come from the curve's closed
+    form or Chebyshev series: the dense map s -> state finds the curve
+    parameter by Newton's method on the arclength series.  Events are the
+    ODE's: CriticalRadius where a half period ends (not at the start),
+    VerticalTangent at a nodoid's x0, and a terminal AxisContact where x
+    falls to config.axis_epsilon; a start inside that margin raises
+    AxisPointError.  Half periods are tiled by periodic_continuation, as in
+    integrate; H < 0 runs the (x, -t, pi - sigma) mirror.  The samples carry
+    no drift gate: their level-set residual is the rounding of E's terms.
+    Raises QuadratureError where a series needs a degree above 4096.
+    """
+    h = float(h)
+    eps = config.axis_epsilon
+    if cls.family is Family.SPHERE:
+        start = 1.0 / cls.h
+    elif cls.family in (Family.UNDULOID, Family.NODOID):
+        start = cls.x2 if cls.family is Family.NODOID else cls.x1
+    else:
+        raise ValueError(f"no closed-form trace for the {cls.family.value}")
+    if start <= eps:
+        raise AxisPointError(
+            f"initial radius {start} is inside the axis margin {eps}")
+    if cls.family is Family.SPHERE:
+        arc = _SphereArc(cls.h, eps)
+    else:
+        arc = _PeriodicArc(cls, eps)
+    flip = h < 0.0
+
+    def where(p):
+        x, t, sigma = arc.state(p)
+        # + 0.0 turns the -0.0 of atan2(-0.0, c) into the start's 0
+        return (x, -t, math.pi - sigma) if flip else (x, t, sigma + 0.0)
+
+    def dense(s):
+        p = float(np.interp(s, s_nodes, arc.nodes))
+        for _ in range(_NEWTON_STEPS):
+            step = (float(arc.arclength(p)) - s) / float(arc.slope(p))
+            p -= step
+            if abs(step) <= 4.0 * _EPS:
+                break
+        return tuple(float(v) for v in where(p))
+
+    s_nodes = arc.arclength(arc.nodes)
+    states = np.column_stack(where(arc.nodes))
+    events = [Event(kind, float(arc.arclength(p)),
+                    ProfileState(*map(float, where(p))))
+              for kind, p in arc.interior]
+    events.append(Event(arc.end, float(s_nodes[-1]),
+                        ProfileState(*map(float, states[-1]))))
+    traj = Trajectory(n=cls.n, h=h, e=-cls.e if flip else cls.e, s=s_nodes,
+                      states=states, events=events, config=config, dense=dense,
+                      engine="closed-form")
+    if arc.end is EventKind.CRITICAL_RADIUS:
+        return periodic_continuation(traj, config)
+    return truncated(traj, config)

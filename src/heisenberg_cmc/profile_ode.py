@@ -60,6 +60,7 @@ __all__ = [
     "sigma_at_radius",
     "initial_state",
     "integrate",
+    "periodic_continuation",
     "reflect_continue",
     "truncated",
     "trajectory_to_csv",
@@ -230,7 +231,8 @@ class Trajectory:
     composed with the mirror maps for reflected trajectories, so state_at(s)
     is exact between nodes too.  energy_correction is the sum of the
     |E(y) - E| the level-set projection removed during the solve, and stats
-    its cost.
+    its cost.  engine names what produced the curve: "ode" for the solver,
+    "closed-form" for closed_forms.canonical_trajectory.
     """
 
     n: int
@@ -244,6 +246,7 @@ class Trajectory:
     notes: list = field(default_factory=list)
     energy_correction: float = 0.0
     stats: SolveStats = field(default_factory=SolveStats)
+    engine: str = "ode"
 
     @property
     def s_end(self):
@@ -559,8 +562,8 @@ def integrate(n, h, e=None, initial=None, config=None):
 
     A canonical unduloid or nodoid is periodic and symmetric about each
     critical radius, so only its first half period is solved (and gated);
-    reflect_continue mirrors it until it covers the arclength limit or holds
-    the stop event, and a note records the tiling.  The direct long solve
+    periodic_continuation mirrors it until it covers the arclength limit or
+    holds the stop event, and a note records the tiling.  The direct long solve
     would pay for, and accumulate error over, every period.  Explicit starts
     and the other families are solved directly.
     """
@@ -595,6 +598,13 @@ def integrate(n, h, e=None, initial=None, config=None):
         # no critical radius within the limit: the solve is the direct one,
         # and its last note is the half period's own "not reached"
         return truncated(replace(half, notes=half.notes[:-1]), config)
+    return periodic_continuation(half, config)
+
+
+def periodic_continuation(half, config):
+    """half, a canonical half period ending at a critical radius, mirrored
+    there until it reaches config's arclength limit or holds its stop event,
+    then cut by truncated; a note records the tiling."""
     tiled = half
     while tiled.s_end < config.max_arclength and not _holds(tiled, config):
         tiled = reflect_continue(tiled)
@@ -672,8 +682,9 @@ def _mirrored(traj, at_end):
     joint = Event(EventKind.CRITICAL_RADIUS, s0, ProfileState(x0, t0, sig0))
     # dict.fromkeys drops the joint's duplicates in a fixed order; a set
     # would order tied events by the string hash seed
-    events = dict.fromkeys(first[2] + second[2] + [joint])
-    events = [Event(ev.kind, ev.s + shift, ev.state) for ev in events]
+    events = list(dict.fromkeys(first[2] + second[2] + [joint]))
+    if shift:
+        events = [Event(ev.kind, ev.s + shift, ev.state) for ev in events]
     events.sort(key=lambda ev: ev.s)
     base = traj.dense
 
@@ -742,6 +753,8 @@ def trajectory_to_json(traj):
         ],
         "notes": list(traj.notes),
         "diagnostics": {
+            "engine": traj.engine,
+            "energy_drift": traj.energy_drift(),
             "rhs_evals": traj.stats.rhs_evals,
             "steps": traj.stats.steps,
             "energy_correction": traj.energy_correction,

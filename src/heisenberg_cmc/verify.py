@@ -12,6 +12,7 @@ import numpy as np
 
 from .classify import Family, classify, cylinder_energy
 from .closed_forms import (
+    canonical_trajectory,
     catenoid_generating_curve,
     catenoid_slab_halfwidth,
     halfperiod_heights,
@@ -89,23 +90,28 @@ def _guard(checks, name):
 # suites
 
 
-def _energy_grid(n):
-    """(h, e, trajectory) over the 5x5 grid of H and E / E_cyl for one n.
+# the energy grid's solves: arclength 50, the eighth critical radius or the
+# axis, whichever comes first; a drift tolerance of 1e-9 makes the solver
+# retry at tighter tolerances before it returns
+_GRID_CONFIG = SolveConfig(
+    max_arclength=50.0,
+    drift_tolerance=1e-9,
+    stop_event=(EventKind.CRITICAL_RADIUS, 8),
+)
 
-    Trajectories stop at arclength 50, the eighth critical radius or the
-    axis, whichever comes first; a drift tolerance of 1e-9 makes the solver
-    retry at tighter tolerances before it returns.
-    """
-    cfg = SolveConfig(
-        max_arclength=50.0,
-        drift_tolerance=1e-9,
-        stop_event=(EventKind.CRITICAL_RADIUS, 8),
-    )
+
+# the grid's H whose solves the closed-forms suite compares closed-form
+# traces against
+_TRACE_H = 1.0
+
+
+def _energy_grid(n):
+    """(h, e, trajectory) over the 5x5 grid of H and E / E_cyl for one n."""
     for h in (0.25, 0.5, 1.0, 1.5, 2.0):
         ecyl = cylinder_energy(n, h)
         for frac in (-0.5, 0.0, 0.4, 0.8, 1.0):
             e = frac * ecyl
-            yield h, e, integrate(n, h, e=e, config=cfg)
+            yield h, e, integrate(n, h, e=e, config=_GRID_CONFIG)
 
 
 def _relative_drift(e, traj):
@@ -151,7 +157,7 @@ def _sphere_shape_error(h, traj):
                for x, t in traj.states[:, :2])
 
 
-def _suite_energy(checks, rng):
+def _suite_energy(checks, rng, solved):
     for n in (1, 2, 3):
         spheres = []
         name = f"energy-drift-n{n}"
@@ -161,6 +167,8 @@ def _suite_energy(checks, rng):
             worst = 0.0
             for h, e, traj in _energy_grid(n):
                 worst = max(worst, _relative_drift(e, traj))
+                if h == _TRACE_H:
+                    solved[n, e] = traj.events
                 if e == 0.0:
                     spheres.append((h, traj))
             _check(checks, name, worst, 1e-9,
@@ -177,7 +185,45 @@ def _suite_energy(checks, rng):
                    "E = 0 grid spheres reach the axis on sphere_profile")
 
 
-def _suite_closed_forms(checks, rng):
+def _events_up_to(events, kind, count):
+    """events through the count-th of kind (all when there are fewer)."""
+    seen = 0
+    for i, ev in enumerate(events):
+        seen += ev.kind is kind
+        if seen == count:
+            return events[:i + 1]
+    return events
+
+
+def _suite_closed_forms(checks, rng, solved):
+    @_guard(checks, "closed-form-trace-vs-ode")
+    def body():
+        # the sphere, unduloid and nodoid of the energy grid at H = 1, whose
+        # solves' events a run of the energy suite leaves in solved
+        worst = 0.0
+        for n in (1, 2, 3):
+            ecyl = cylinder_energy(n, _TRACE_H)
+            for e in (0.0, 0.4 * ecyl, -0.5 * ecyl):
+                stop = ((EventKind.AXIS_CONTACT, 1) if e == 0.0
+                        else (EventKind.CRITICAL_RADIUS, 4))
+                events = solved.get((n, e))
+                if events is None:
+                    events = integrate(n, _TRACE_H, e=e,
+                                       config=_GRID_CONFIG).events
+                reference = _events_up_to(events, *stop)
+                trace = canonical_trajectory(
+                    classify(n, _TRACE_H, e), _TRACE_H,
+                    SolveConfig(max_arclength=50.0, stop_event=stop))
+                if [ev.kind for ev in trace.events] != [
+                        ev.kind for ev in reference]:
+                    raise AssertionError(
+                        f"n = {n}, E = {e!r}: event kinds differ from the ODE")
+                for ev, ref in zip(trace.events, reference):
+                    worst = max(worst, abs(ev.s - ref.s), *(
+                        abs(a - b) for a, b in zip(ev.state, ref.state)))
+        _check(checks, "closed-form-trace-vs-ode", worst, 1e-6,
+               "event arclengths and states, n = 1, 2, 3 at H = 1")
+
     @_guard(checks, "sphere-ode-vs-closed-form")
     def body():
         worst = 0.0
@@ -240,7 +286,7 @@ def _suite_closed_forms(checks, rng):
                    "n=1 integral correctly reported divergent")
 
 
-def _suite_curvature(checks, rng):
+def _suite_curvature(checks, rng, solved):
     @_guard(checks, "graph-vs-general")
     def body():
         worst = 0.0
@@ -310,7 +356,7 @@ def _expected_family(n, h, e):
     return Family.UNDULOID if e < ecyl else None
 
 
-def _suite_classification(checks, rng):
+def _suite_classification(checks, rng, solved):
     @_guard(checks, "classification-truth-table")
     def body():
         mismatches = 0
@@ -362,7 +408,7 @@ def _suite_classification(checks, rng):
                "(H, E) -> (-H, -E) leaves the family unchanged")
 
 
-def _suite_measures(checks, rng):
+def _suite_measures(checks, rng, solved):
     @_guard(checks, "cylinder-measures-exact")
     def body():
         band = cylinder_band(1, 1.0, 1.0)
@@ -420,9 +466,10 @@ def run_suite(name, seed=0):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     names = [s for s in SUITES if s != "all"] if name == "all" else [name]
     checks = []
+    solved = {}  # (n, e) -> events of the energy grid's solve at H = _TRACE_H
     for suite_name in names:
         rng = np.random.default_rng(seed)
-        _SUITE_BODIES[suite_name](checks, rng)
+        _SUITE_BODIES[suite_name](checks, rng, solved)
     return {
         "suite": name,
         "seed": int(seed),

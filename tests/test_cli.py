@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import heisenberg_cmc.classify as classify_module
 import heisenberg_cmc.cli as cli
+import heisenberg_cmc.closed_forms as closed_forms
 import heisenberg_cmc.profile_ode as pode
 import heisenberg_cmc.render as render
 import heisenberg_cmc.verify as verify
@@ -25,6 +26,7 @@ from heisenberg_cmc.closed_forms import (
     halfperiod_heights,
     sphere_profile,
 )
+from heisenberg_cmc.errors import QuadratureError
 
 
 def _schema(name):
@@ -375,10 +377,9 @@ def test_trace_csv_roundtrip_precision(capsys):
          "--stop-event", "CriticalRadius"], capsys)
     assert code == 0
     header, rows = _csv_rows(out)
-    traj = pode.integrate(
-        1, 0.5, e=0.3,
-        config=pode.SolveConfig(
-            stop_event=(pode.EventKind.CRITICAL_RADIUS, 1)))
+    traj = cli.canonical_trace(
+        1, 0.5, 0.3,
+        pode.SolveConfig(stop_event=(pode.EventKind.CRITICAL_RADIUS, 1)))
     assert len(rows) == len(traj.s)
     for row, s, state in zip(rows, traj.s, traj.states):
         assert row[0] == s  # 17 significant digits survive the round trip
@@ -488,8 +489,22 @@ def test_trace_sphere_reaches_axis(n, h, tmp_path, capsys):
     for _, x, t, _ in doc["samples"]:
         assert abs(t - sphere_profile(h, min(x, 1.0 / h))) <= 1e-6
     diag = doc["diagnostics"]
+    assert diag["engine"] == "closed-form"
+    assert diag["rhs_evals"] == diag["steps"] == diag["retries"] == 0
+    assert diag["energy_correction"] == 0.0
+    assert diag["energy_drift"] <= 1e-15
+    # the ODE, which the trace no longer runs, reaches the axis as well
+    traj = pode.integrate(n, h, e=0.0, config=pode.SolveConfig(
+        stop_event=(pode.EventKind.AXIS_CONTACT, 1)))
+    assert [ev.kind for ev in traj.events] == [pode.EventKind.AXIS_CONTACT]
+    assert not any("not reached" in note for note in traj.notes)
+    assert len(traj.s) < 200
+    for x, t, _ in traj.states:
+        assert abs(t - sphere_profile(h, min(x, 1.0 / h))) <= 1e-6
+    diag = pode.trajectory_to_json(traj)["diagnostics"]
+    assert diag["engine"] == "ode"
     assert diag["retries"] == 0
-    assert diag["steps"] == len(doc["samples"]) - 1
+    assert diag["steps"] == len(traj.s) - 1
     assert diag["rhs_evals"] > 12 * diag["steps"]
     assert 0.0 < diag["energy_correction"] <= 1e-8
 
@@ -498,8 +513,8 @@ def test_trace_diagnostics_are_optional(tmp_path, capsys):
     doc = _trace_json(["--n", "1", "--h", "0.5", "--e", "0.3",
                        "--stop-event", "CriticalRadius", "--reflect", "1"],
                       tmp_path, capsys)
-    assert set(doc["diagnostics"]) == {"rhs_evals", "steps",
-                                       "energy_correction", "retries"}
+    assert set(doc["diagnostics"]) == {"engine", "energy_drift", "rhs_evals",
+                                       "steps", "energy_correction", "retries"}
     # a trace written before the diagnostics existed still loads
     del doc["diagnostics"]
     jsonschema.validate(doc, _schema("trajectory"))
@@ -512,8 +527,14 @@ def test_trace_diagnostics_are_optional(tmp_path, capsys):
 
 def test_trace_off_band_turn_exits_3(monkeypatch, capsys):
     # a turn away from every band root is refused as a numerical failure;
-    # here the roots are moved off the unduloid's true critical radii
+    # here the roots are moved off the unduloid's true critical radii, and
+    # the trace takes the ODE fallback of a series that does not resolve
     monkeypatch.setattr(pode, "_band_roots", lambda c: (123.0,))
+
+    def unresolved(*args):
+        raise QuadratureError("series unresolved")
+
+    monkeypatch.setattr(cli, "canonical_trajectory", unresolved)
     code, _, err = run_cli(["trace", "--n", "1", "--h", "0.5", "--e", "0.3",
                             "--stop-event", "CriticalRadius"], capsys)
     assert code == 3
@@ -539,19 +560,25 @@ def test_trace_thin_neck_turns_on_band_roots(tmp_path, capsys):
 def test_trace_unresolvable_neck_exits_3(capsys):
     # a nodoid neck of radius ~1.4e-6 turns sigma by pi within the spacing of
     # floats in s; the solver gives up, and that is a numerical failure, not
-    # a traceback
+    # a traceback.  The canonical start (E = -1.4288568145075227e-06) is
+    # traced from closed forms; the explicit start at its outer radius x2
+    # still takes the ODE
     code, _, err = run_cli(["trace", "--n", "1", "--h=0.5160190784461397",
-                            "--e=-1.4288568145075227e-06"], capsys)
+                            "--x0=1.9379142731080432", "--sigma0", "0"],
+                           capsys)
     assert code == 3
     assert "integration failed" in err
 
 
 def test_trace_drift_message_names_rounding(capsys):
     # n = 3, small H: the terms of E reach ~6e7, so rounding alone is ~1e-8,
-    # the size of the drift bound; the gate still fails, and says why
+    # the size of the drift bound; the gate still fails, and says why.  The
+    # start is the outer radius x2 of the nodoid E = -0.0008021832421422288,
+    # explicit so that the ODE runs
     code, out, err = run_cli(
         ["trace", "--n", "3", "--h=0.02800872426336685",
-         "--e=-0.0008021832421422288", "--max-arclength", "50"], capsys)
+         "--x0=35.703161293988195", "--sigma0", "0", "--max-arclength", "50"],
+        capsys)
     assert code == 3
     assert out == ""
     assert "energy drifted by" in err
@@ -561,6 +588,113 @@ def test_trace_drift_message_names_rounding(capsys):
     terms, rounding = float(match[1]), float(match[2])
     assert 5e7 < terms < 7e7
     assert rounding == pytest.approx(terms * np.finfo(float).eps, rel=1e-3)
+
+
+def _critical_gaps(doc, start=None):
+    """|t| gained between CriticalRadius events, and from the start height
+    when one is given."""
+    heights = [ev["state"][1] for ev in doc["events"]
+               if ev["kind"] == "CriticalRadius"]
+    return np.abs(np.diff(([] if start is None else [start]) + heights))
+
+
+def test_trace_small_h_n3_nodoid_from_closed_form(tmp_path, capsys):
+    # the canonical start of the case above: the closed form carries no drift
+    # gate, and its samples sit on the level set to the rounding of E's terms
+    n, h, e = 3, 0.02800872426336685, -0.0008021832421422288
+    argv = ["--n", "3", f"--h={h!r}", f"--e={e!r}"]
+    doc = _trace_json([*argv, "--max-arclength", "50"], tmp_path, capsys)
+    assert doc["diagnostics"]["engine"] == "closed-form"
+    samples = np.asarray(doc["samples"])
+    assert samples[-1, 0] == 50.0
+    x = samples[:, 1]
+    residual = max(abs(pode.energy(row[1:], n, h) - e) for row in samples)
+    bound = 4.0 * np.finfo(float).eps * float(np.max(abs(h) * x ** (2 * n)))
+    assert residual <= bound
+    assert doc["diagnostics"]["energy_drift"] == residual
+    # a half period rises t2 ~ 1001 over an arclength of ~1008
+    doc = _trace_json([*argv, "--max-arclength", "4000", "--stop-event",
+                       "CriticalRadius", "--stop-count", "3"],
+                      tmp_path, capsys)
+    t2 = halfperiod_heights(n, h, e)[1].value
+    gaps = _critical_gaps(doc, start=0.0)
+    assert len(gaps) == 3
+    assert np.max(np.abs(gaps - t2)) <= 1e-8 * t2
+
+
+@pytest.mark.parametrize("h, e", [("1", "-2.5e-06"),
+                                  ("0.5160190784461397",
+                                   "-1.4288568145075227e-06")])
+def test_trace_n1_thin_neck_from_closed_form(h, e, tmp_path, capsys):
+    # nodoid necks the ODE cannot resolve (x1 ~ 1e-6) trace from the series;
+    # for n = 1 every half period rises t2 = pi / (4 H^2)
+    doc = _trace_json(["--n", "1", f"--h={h}", f"--e={e}"], tmp_path, capsys)
+    assert doc["diagnostics"]["engine"] == "closed-form"
+    t2 = halfperiod_heights(1, float(h), float(e))[1].value
+    assert t2 == pytest.approx(math.pi / (4.0 * float(h) ** 2), rel=1e-9)
+    gaps = _critical_gaps(doc)
+    assert len(gaps) >= 2
+    assert np.max(np.abs(gaps - t2)) <= 1e-8 * t2
+
+
+def test_trace_unresolved_series_falls_back_to_the_ode(tmp_path, capsys):
+    # n = 2 unduloid at 1e-8 E_cyl: the arclength series of its thin neck
+    # needs a degree above 4096, so the trace takes the ODE
+    doc = _trace_json(["--n", "2", "--h", "1", "--e=1.0546875e-09"],
+                      tmp_path, capsys)
+    assert doc["diagnostics"]["engine"] == "ode"
+    assert doc["diagnostics"]["rhs_evals"] > 0
+
+
+def test_trace_unduloid_neck_inside_axis_margin_exits_2(capsys):
+    # n = 1, H = 1: x1 ~ E = 1e-7 lies inside the axis margin 1e-6
+    assert classify(1, 1.0, 1e-7).x1 < 1e-6
+    code, out, err = run_cli(["trace", "--n", "1", "--h", "1", "--e=1e-07"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "is inside the axis margin 1e-06" in err
+
+
+@given(n=st.sampled_from((1, 2, 3)), sign=st.sampled_from((1.0, -1.0)),
+       h=st.floats(0.25, 4.0),
+       limit=st.one_of(st.none(), st.floats(0.05, 5.0)))
+@settings(max_examples=20, deadline=None)
+def test_sphere_trace_matches_direct_solve(n, sign, h, limit,
+                                           tmp_path_factory):
+    # stop at the axis, or at a random arclength that may cut the curve
+    # short of it.  The reference is integrate's canonical sphere, a direct
+    # solve from the equator onto E = 0: an explicit equator start projects
+    # onto the rounding energy of its state, and for n >= 2 that turns some
+    # spheres back short of the axis
+    h *= sign
+    argv = ["--n", str(n), f"--h={h!r}", "--e", "0"]
+    if limit is None:
+        argv += ["--stop-event", "AxisContact"]
+        config = pode.SolveConfig(stop_event=(pode.EventKind.AXIS_CONTACT, 1))
+    else:
+        argv += ["--max-arclength", repr(limit)]
+        config = pode.SolveConfig(max_arclength=limit)
+    out_file = tmp_path_factory.mktemp("trace") / "trace.json"
+    assert main(["trace", *argv, "--format", "json",
+                 "--out", str(out_file)]) == 0
+    doc = json.loads(out_file.read_text())
+    direct = pode.integrate(n, h, e=0.0, config=config)
+    assert direct.stats.rhs_evals > 0
+    samples = np.asarray(doc["samples"])
+    assert samples[-1, 0] == pytest.approx(direct.s_end, abs=1e-6)
+    assert [ev["kind"] for ev in doc["events"]] == [
+        ev.kind.value for ev in direct.events]
+    for ev, ref in zip(doc["events"], direct.events):
+        assert ev["s"] == pytest.approx(ref.s, abs=1e-6)
+        assert np.max(np.abs(np.subtract(ev["state"], list(ref.state)))) \
+            <= 5e-6
+    for s, *state in samples[samples[:, 0] <= direct.s_end]:
+        ref = direct.state_at(s)
+        assert np.max(np.abs(np.subtract(state, list(ref)))) <= 5e-6
+    # the closed form has no solver to retry
+    assert doc["notes"] == [note for note in direct.notes
+                            if not note.endswith("at tighter tolerance")]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -579,10 +713,10 @@ def test_trace_hyperplane_has_no_vertical_tangent(n, capsys):
 EXPORT_CASES = {
     "periodic": (
         ["--n", "1", "--h", "0.5", "--e", "0.3"],
-        lambda: pode.integrate(1, 0.5, e=0.3)),
+        lambda: cli.canonical_trace(1, 0.5, 0.3, pode.SolveConfig())),
     "sphere": (
         ["--n", "1", "--h", "1", "--e", "0", "--stop-event", "AxisContact"],
-        lambda: pode.integrate(1, 1.0, e=0.0, config=pode.SolveConfig(
+        lambda: cli.canonical_trace(1, 1.0, 0.0, pode.SolveConfig(
             stop_event=(pode.EventKind.AXIS_CONTACT, 1)))),
     "catenoid": (
         ["--n", "1", "--h", "0", "--e", "1", "--max-arclength", "8"],
@@ -795,6 +929,42 @@ def test_verify_detects_broken_dynamics(monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "energy"], capsys)
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_closed_form_trace_check(monkeypatch):
+    def check():
+        report = verify.run_suite("closed-forms")
+        return {c["name"]: c for c in report["checks"]}[
+            "closed-form-trace-vs-ode"]
+
+    assert check()["passed"]
+    # an arclength series off by 1e-5 moves every periodic event
+    orig = closed_forms._HalfPeriod.arclength
+    monkeypatch.setattr(closed_forms._HalfPeriod, "arclength",
+                        lambda self, theta: orig(self, theta) * (1.0 + 1e-5))
+    failed = check()
+    assert not failed["passed"]
+    assert failed["error"] > 1e-6
+
+
+def test_verify_all_reuses_the_grid_solves(monkeypatch):
+    # closed-form-trace-vs-ode takes its nine ODE references from the energy
+    # grid when the energy suite ran first, and solves them when it did not
+    calls = []
+    orig = verify.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "integrate", counted)
+    counts = {}
+    for suite in ("energy", "closed-forms", "measures", "all"):
+        calls.clear()
+        assert verify.run_suite(suite)["passed"]
+        counts[suite] = len(calls)
+    assert counts["all"] == (counts["energy"] + counts["closed-forms"]
+                             + counts["measures"] - 9)
 
 
 def _sphere_grid(n, limit):

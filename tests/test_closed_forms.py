@@ -14,6 +14,8 @@ from heisenberg_cmc.classify import classify, cylinder_energy
 from heisenberg_cmc.closed_forms import (
     QuadratureResult,
     _dct1,
+    _HalfPeriod,
+    canonical_trajectory,
     catenoid_curve,
     catenoid_generating_curve,
     catenoid_profile_h1,
@@ -401,3 +403,90 @@ def test_halfperiod_property(n, u, sign, frac):
     assert math.isfinite(t2.error_estimate)
     if n == 1:
         assert t2.value == pytest.approx(math.pi / (4.0 * h * h), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# closed-form canonical traces
+
+
+@pytest.mark.parametrize("n, h, frac", [(1, 1.0, 0.5), (2, 0.75, -1.0),
+                                        (3, 1.5, 0.5), (2, 0.5, -3.0)])
+def test_arclength_series_matches_ode_half_period(n, h, frac):
+    e = frac * cylinder_energy(n, h)
+    half = _HalfPeriod(classify(n, h, e), arclength=True)
+    s_half = float(half.arclength(math.pi) - half.arclength(0.0))
+    cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 1),
+                      rel_tol=1e-12, abs_tol=1e-14)
+    ode = integrate(n, h, e=e, config=cfg)
+    assert ode.events[-1].kind is EventKind.CRITICAL_RADIUS
+    assert s_half == pytest.approx(ode.s_end, rel=1e-10)
+
+
+def test_arclength_series_cap_leaves_the_height_series():
+    # an n = 2 neck at 1e-8 E_cyl: the height series resolves, the
+    # arclength series would need a degree above the cap
+    cls = classify(2, 1.0, 1.0546875e-09)
+    assert _HalfPeriod(cls).degree < 4096
+    with pytest.raises(QuadratureError, match="unresolved at degree 4096"):
+        _HalfPeriod(cls, arclength=True)
+
+
+@pytest.mark.parametrize("n, h, e, stop", [
+    (1, 1.0, 0.0, (EventKind.AXIS_CONTACT, 1)),
+    (3, -2.0, 0.0, None),
+    (2, 0.75, -0.25, None),
+    (1, -0.5, -0.3, (EventKind.VERTICAL_TANGENT, 3)),
+    (3, 1.0, 0.02, (EventKind.CRITICAL_RADIUS, 5)),
+])
+def test_canonical_trajectory_dense_states_are_exact(n, h, e, stop):
+    traj = canonical_trajectory(classify(n, h, e), h,
+                                SolveConfig(stop_event=stop))
+    assert traj.engine == "closed-form"
+    assert traj.stats.rhs_evals == 0 and traj.energy_correction == 0.0
+    assert traj.s[0] == 0.0 and tuple(traj.states[0, 1:]) == (
+        0.0, 0.0 if h > 0.0 else math.pi)
+    assert np.all(np.diff(traj.s) > 0.0)
+    # the dense map inverts the arclength series at every node, also across
+    # the mirror joints
+    for s, state in zip(traj.s[::7], traj.states[::7]):
+        assert np.max(np.abs(np.subtract(list(traj.state_at(s)), state))) \
+            <= 1e-11 * (1.0 + np.max(np.abs(state)))
+    for ev in traj.events:
+        # sigma winds by pi per nodoid half period; allow its rounding
+        slack = 4.0 * np.finfo(float).eps * (1.0 + abs(ev.state.sigma))
+        if ev.kind is EventKind.CRITICAL_RADIUS:
+            assert abs(math.sin(ev.state.sigma)) <= slack
+        if ev.kind is EventKind.VERTICAL_TANGENT:
+            assert abs(math.cos(ev.state.sigma)) <= 1e-12
+    assert traj.energy_drift() <= 1e-13
+
+
+def test_canonical_trajectory_negative_h_is_the_mirror():
+    cfg = SolveConfig(max_arclength=20.0)
+    up = canonical_trajectory(classify(2, 1.0, -0.05), 1.0, cfg)
+    down = canonical_trajectory(classify(2, -1.0, 0.05), -1.0, cfg)
+    assert (down.h, down.e) == (-1.0, 0.05)
+    assert np.array_equal(up.s, down.s)
+    assert np.array_equal(up.states[:, 0], down.states[:, 0])
+    assert np.array_equal(up.states[:, 1], -down.states[:, 1])
+    assert np.allclose(math.pi - up.states[:, 2], down.states[:, 2],
+                       rtol=0.0, atol=1e-13)
+    assert [ev.kind for ev in up.events] == [ev.kind for ev in down.events]
+
+
+def test_canonical_trajectory_stops_at_the_axis_margin():
+    # n = 1 nodoid with neck x1 ~ 2.5e-9, inside the margin: the trace ends
+    # at x = 1e-6 on a terminal AxisContact, after the vertical tangent
+    e = -1e-8 * cylinder_energy(1, 1.0)
+    cls = classify(1, 1.0, e)
+    assert cls.x1 < 1e-6
+    traj = canonical_trajectory(cls, 1.0, SolveConfig())
+    assert [ev.kind for ev in traj.events] == [EventKind.VERTICAL_TANGENT,
+                                              EventKind.AXIS_CONTACT]
+    assert traj.states[-1, 0] == pytest.approx(1e-6, rel=1e-9)
+    assert traj.s_end == traj.events[-1].s < 50.0
+
+
+def test_canonical_trajectory_rejects_other_families():
+    with pytest.raises(ValueError, match="Catenoid"):
+        canonical_trajectory(classify(2, 0.0, 0.5), 0.0, SolveConfig())

@@ -1,7 +1,8 @@
-"""Reports start without SciPy: classify, sweep and the n = 1 gallery load no
-scipy module, while trace still reaches the integrator through the lazy
-imports.  Each check runs in a fresh interpreter, since the test session
-itself has SciPy loaded."""
+"""Reports start without SciPy: classify, sweep, the n = 1 gallery and the
+closed-form traces of spheres and periodic profiles load no scipy module,
+while catenoid and explicit-start traces still reach the integrator through
+the lazy imports.  Each check runs in a fresh interpreter, since the pytest
+process itself has SciPy loaded."""
 
 import json
 import os
@@ -48,7 +49,18 @@ def test_reports_load_no_scipy(tmp_path):
     assert _scipy_modules_after(argvs, tmp_path) == []
 
 
+def test_closed_form_traces_load_no_scipy(tmp_path):
+    argvs = [
+        ["trace", "--n", "2", "--h", "1", "--e", "0",
+         "--stop-event", "AxisContact", "--out", "sphere.csv"],
+        ["trace", "--n", "2", "--h", "1", "--e", "0.05",
+         "--max-arclength", "5", "--out", "unduloid.csv"],
+    ]
+    assert _scipy_modules_after(argvs, tmp_path) == []
+
+
 def test_trace_loads_the_integrator(tmp_path):
-    argvs = [["trace", "--n", "1", "--h", "1", "--e", "0.1",
-              "--max-arclength", "2", "--out", "trace.csv"]]
-    assert "scipy.integrate" in _scipy_modules_after(argvs, tmp_path)
+    for argv in (["--n", "2", "--h", "0", "--e", "0.5"],       # catenoid
+                 ["--n", "1", "--h", "1", "--x0", "0.7", "--sigma0", "0"]):
+        argvs = [["trace", *argv, "--max-arclength", "2", "--out", "t.csv"]]
+        assert "scipy.integrate" in _scipy_modules_after(argvs, tmp_path)
