@@ -109,7 +109,7 @@ def _band_polynomials(n, h, e):
     return f1, f2
 
 
-def _brentq(f, xa, xb):
+def _brentq(f, xa, xb, xtol=_XTOL, rtol=_RTOL):
     """Root of f bracketed by [xa, xb], by Brent's zeroin as SciPy's
     brentq.c writes it, step for step, so the roots agree to the bit."""
 
@@ -135,7 +135,7 @@ def _brentq(f, xa, xb):
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur

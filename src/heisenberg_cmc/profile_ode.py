@@ -30,16 +30,18 @@ stays on the unit circle no matter how far the curve winds.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .classify import Family, classify, cylinder_radius
+from .classify import Family, _brentq, classify, cylinder_radius
 from .core import dimension_index
 from .errors import (
     AxisPointError,
@@ -117,6 +119,7 @@ class SolveStats:
     rhs_evals: int = 0
     steps: int = 0  # accepted steps
     retries: int = 0
+    rejected: int = 0  # rejected trial steps
 
 
 def _rhs_scalars(x, sigma, n, h):
@@ -247,6 +250,7 @@ class Trajectory:
     energy_correction: float = 0.0
     stats: SolveStats = field(default_factory=SolveStats)
     engine: str = "ode"
+    rel_tol: float | None = None
 
     @property
     def s_end(self):
@@ -318,7 +322,7 @@ def _check_invariants(traj, roots=None):
 
 
 _TWO_PI = 2.0 * math.pi
-_REL_FLOOR = 2.3e-14  # just above the solver's own clip at 100*eps
+_REL_FLOOR = 2.3e-14  # just above 100*eps, where step control meets rounding
 
 
 class _DenseCurve:
@@ -345,95 +349,315 @@ class _DenseCurve:
         return raw + _TWO_PI * round((guess - raw) / _TWO_PI)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call so that
-    importing this module loads no SciPy."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+class _Tableau(NamedTuple):
+    """Dormand-Prince 8(5,3) as rows of nonzero (stage, weight) pairs."""
 
-    return scipy_solve_ivp(*args, **kwargs)
+    stages: tuple  # stages 1..11 from the stages before them
+    b: tuple  # the 8th-order solution
+    e5: tuple  # the 5th- and 3rd-order error estimates
+    e3: tuple
+    extra: tuple  # stages 13..15, for the dense output only
+    d: tuple  # the dense output's four highest coefficients
 
 
 @functools.cache
-def _level_set_dop853():
-    """The level-set solver class.  It subclasses SciPy's DOP853, so it is
-    built on the first call rather than when this module is imported."""
-    from scipy.integrate import DOP853
+def _dop853():
+    """SciPy's DOP853 tableau, read on the first solve so that importing
+    this module loads no SciPy.  No abscissa is kept: the profile system
+    does not depend on arclength."""
+    from scipy.integrate._ivp import dop853_coefficients as co
 
-    class _LevelSetDOP853(DOP853):
-        """DOP853 that puts every accepted step back on the level set of E.
+    def nonzero(row):
+        return tuple((j, float(w)) for j, w in enumerate(row) if w != 0.0)
 
-        level = (n, h, e) names the level set.  After each accepted step
-        (cos sigma, sin sigma) is reset to the values the energy relation
-        gives at the new x, as sigma_at_radius computes them, keeping the
-        sign of sin sigma, and |E(y) - e| is added to tally[0].  The stored
-        derivative is then refreshed, so the step's dense output, built from
-        y and f at both ends, stays continuous through the projected node.
+    last = co.N_STAGES
+    return _Tableau(
+        stages=tuple(nonzero(co.A[i, :i]) for i in range(1, last)),
+        b=nonzero(co.B),
+        e5=nonzero(co.E5),
+        e3=nonzero(co.E3),
+        extra=tuple(nonzero(co.A[i, :i])
+                    for i in range(last + 1, co.N_STAGES_EXTENDED)),
+        d=tuple(nonzero(row) for row in co.D),
+    )
 
-        Moving sigma at fixed x turns an error dx in x into an error
-        (x sigma' / sin sigma) dx / x in sigma.  Where that factor exceeds 10
-        the step is left alone: around every critical radius, where dE/dsigma
-        vanishes, and at the thin necks where sigma turns fast, the
-        projection would amplify the integrator's error instead of removing
-        it.
-        """
 
-        def __init__(self, fun, t0, y0, t_bound, level, tally, **options):
-            super().__init__(fun, t0, y0, t_bound, **options)
-            self.level = level
-            self.tally = tally
+# step control as SciPy's RungeKutta: a step grows or shrinks by
+# SAFETY * err^(-1/8), within [MIN, MAX], and never grows right after a
+# rejection
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / 8.0  # -1 / (order of the error estimator + 1)
+_ROOT_TOL = 4.0 * math.ulp(1.0)  # event roots, xtol = rtol
 
-        def _step_impl(self):
-            accepted, message = super()._step_impl()
-            if accepted and self._project():
-                self.f = self.fun(self.t, self.y)
-            return accepted, message
 
-        def _project(self):
-            n, h, e = self.level
-            x, t, c, s = self.y
-            if x <= 0.0:
-                return False
-            p = x ** (2 * n - 1)
-            u = (e + h * x * p) / p
-            # (c, s) = r (cos, sin) and f[2:] = (-sin, cos) sigma', so
-            # x_dsigma / s = x sigma' / sin sigma.  u = 0 throughout is the
-            # hyperplane, vertical everywhere: cos sigma reset to exactly 0
-            # would put every node on the VerticalTangent event
-            x_dsigma = x * (c * self.f[3] - s * self.f[2])
-            if abs(u) >= 1.0 or u == 0.0 or abs(x_dsigma) >= 10.0 * abs(s):
-                return False
-            self.tally[0] += abs(p * c / math.sqrt(x * x * s * s + c * c)
-                                 - h * x * p - e)
-            c, sin = _level_pair(u, x)
-            self.y = np.array([x, t, c, math.copysign(sin, s)])
-            return True
+def _combine(k, row):
+    """sum_j w_j k_j over the (j, w) of row, per component of the k_j."""
+    x = t = c = s = 0.0
+    for j, w in row:
+        kx, kt, kc, ks = k[j]
+        x += w * kx
+        t += w * kt
+        c += w * kc
+        s += w * ks
+    return x, t, c, s
 
-    return _LevelSetDOP853
+
+def _rms(values):
+    return math.sqrt(sum(v * v for v in values)) / 2.0
+
+
+def _initial_step(fun, y, f, s_end, rtol, atol):
+    """SciPy's select_initial_step (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.4) for an error estimator of order 7."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / w for v, w in zip(y, scale)])
+    d1 = _rms([v / w for v, w in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, s_end)
+    x, _, c, s = (v + h0 * dv for v, dv in zip(y, f))
+    d2 = _rms([(b - a) / w for a, b, w in zip(f, fun(x, c, s), scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return min(100.0 * h0, h1, s_end)
+
+
+def _interpolate(piece, u):
+    """The dense output of one step at arclength u."""
+    s0, h, coefficients = piece
+    r = (u - s0) / h
+    q = 1.0 - r
+    return tuple(
+        ((((((f6 * r + f5) * q + f4) * r + f3) * q + f2) * r + f1) * q + f0) * r
+        + y0
+        for y0, f0, f1, f2, f3, f4, f5, f6 in coefficients
+    )
+
+
+class _DenseOutput:
+    """Piecewise dense output; at a node the step before it is used."""
+
+    def __init__(self, nodes, pieces):
+        self._nodes = nodes
+        self._pieces = pieces
+
+    def __call__(self, u):
+        i = bisect.bisect_left(self._nodes, u) - 1
+        return _interpolate(
+            self._pieces[min(max(i, 0), len(self._pieces) - 1)], u)
+
+
+@dataclass
+class _OdeResult:
+    """What solve_ivp returns: the nodes t (arclengths) and y (states), the
+    event roots and states per event, the dense output sol, the right-hand
+    side evaluations nfev, the rejected trial steps, and the sum of the
+    corrections the projection reported."""
+
+    t: list
+    y: list
+    t_events: list
+    y_events: list
+    sol: _DenseOutput
+    nfev: int
+    rejected: int
+    correction: float
+
+
+def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
+    """Integrate y = (x, t, cos sigma, sin sigma) from s = 0 to s_end.
+
+    The method is Dormand-Prince 8(5,3) with SciPy's DOP853 step control,
+    initial step, error norm and dense output, run on Python floats.  fun(x,
+    c, s) gives y'; t enters no derivative.  project(y, f) sees every
+    accepted step and returns None or the pair (moved y, correction); f is
+    then refreshed at the moved y, the step's dense output is built from
+    both, and the corrections are summed.
+
+    events holds (g, direction, terminal) triples.  As in SciPy, an event
+    occurs in a step whose end nodes give g(y) opposite signs or a 0,
+    falling only for direction < 0, rising only for direction > 0; unlike
+    SciPy, a g that is exactly 0 at s = 0 is no event, so a start state on
+    an event does not report it.  The root is found by Brent's method on the
+    step's dense output, and the solve ends at the terminal-th root of an
+    event with terminal > 0.  Raises IntegrationError when the step falls
+    below ten ulps of s.
+    """
+    stages, b, e5, e3, extra, d = _dop853()
+    y = tuple(map(float, y0))
+    f = fun(y[0], y[2], y[3])
+    h_abs = _initial_step(fun, y, f, s_end, rtol, atol)
+    nfev, rejected, correction = 2, 0, 0.0
+    # NaN fails every comparison below: a g that is 0 at the start finds no
+    # event in the first step
+    g_old = [g(y) or math.nan for g, _, _ in events]
+    counts = [0] * len(events)
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    nodes, states, pieces = [0.0], [y], []
+    s_old = 0.0
+    while True:
+        x, t, c, s = y
+        min_step = 10.0 * (math.nextafter(s_old, math.inf) - s_old)
+        h_abs = max(h_abs, min_step)
+        retried = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    "integration failed: Required step size is less than "
+                    "spacing between numbers.")
+            s_new = min(s_old + h_abs, s_end)
+            h = s_new - s_old
+            k = [f]
+            for row in stages:
+                dx, _, dc, ds = _combine(k, row)
+                k.append(fun(x + dx * h, c + dc * h, s + ds * h))
+            bx, bt, bc, bs = _combine(k, b)
+            y_new = (x + h * bx, t + h * bt, c + h * bc, s + h * bs)
+            k.append(fun(y_new[0], y_new[2], y_new[3]))
+            nfev += 12
+            norm5 = norm3 = 0.0
+            for v, w, a5, a3 in zip(y, y_new, _combine(k, e5), _combine(k, e3)):
+                scale = atol + max(abs(v), abs(w)) * rtol
+                norm5 += (a5 / scale) ** 2
+                norm3 += (a3 / scale) ** 2
+            if norm5 == 0.0 and norm3 == 0.0:
+                err = 0.0
+            else:
+                err = h * norm5 / math.sqrt((norm5 + 0.01 * norm3) * 4.0)
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0 else
+                          min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+                h_abs = h * (min(1.0, factor) if retried else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            retried = True
+            rejected += 1
+
+        f_new = k[12]
+        moved = project(y_new, f_new)
+        if moved is not None:
+            y_new, step_correction = moved
+            correction += step_correction
+            f_new = fun(y_new[0], y_new[2], y_new[3])
+            nfev += 1
+        for row in extra:
+            dx, _, dc, ds = _combine(k, row)
+            k.append(fun(x + dx * h, c + dc * h, s + ds * h))
+        nfev += 3
+        coefficients = []
+        for i, high in enumerate(zip(*(_combine(k, row) for row in d))):
+            delta = y_new[i] - y[i]
+            coefficients.append((
+                y[i],
+                delta,
+                h * f[i] - delta,
+                2.0 * delta - h * (f_new[i] + f[i]),
+                *(h * v for v in high),
+            ))
+        piece = (s_old, h, coefficients)
+        pieces.append(piece)
+
+        g_new = [g(y_new) for g, _, _ in events]
+        hits = []
+        for i, (g, direction, _) in enumerate(events):
+            rising = g_old[i] <= 0.0 <= g_new[i]
+            falling = g_old[i] >= 0.0 >= g_new[i]
+            if rising and direction >= 0 or falling and direction <= 0:
+                root = _brentq(lambda u, g=g: g(_interpolate(piece, u)),
+                               s_old, s_new, _ROOT_TOL, _ROOT_TOL)
+                counts[i] += 1
+                hits.append((root, i))
+        hits.sort()
+        # the first terminal root ends the solve; the roots after it are lost
+        end = next((n for n, (_, i) in enumerate(hits)
+                    if 0 < events[i][2] <= counts[i]), None)
+        if end is not None:
+            hits = hits[:end + 1]
+        for root, i in hits:
+            t_events[i].append(root)
+            y_events[i].append(_interpolate(piece, root))
+        if end is not None:
+            root, i = hits[-1]
+            if root == nodes[-1]:  # ended on the last node: no new segment
+                pieces.pop()
+            else:
+                nodes.append(root)
+                states.append(y_events[i][-1])
+            break
+        nodes.append(s_new)
+        states.append(y_new)
+        if s_new >= s_end:
+            break
+        s_old, y, f, g_old = s_new, y_new, f_new, g_new
+
+    return _OdeResult(t=nodes, y=states, t_events=t_events, y_events=y_events,
+                     sol=_DenseOutput(nodes, pieces), nfev=nfev,
+                     rejected=rejected, correction=correction)
+
+
+def _project(level, y, f):
+    """y put back on the level set level = (n, h, e) of E, with the |E(y) -
+    e| that removed, or None where y is left alone.
+
+    (cos sigma, sin sigma) is reset to the values the energy relation gives
+    at y's x, as sigma_at_radius computes them, keeping the sign of sin
+    sigma.  Moving sigma at fixed x turns an error dx in x into an error
+    (x sigma' / sin sigma) dx / x in sigma.  Where that factor exceeds 10
+    the step is left alone: around every critical radius, where dE/dsigma
+    vanishes, and at the thin necks where sigma turns fast, the projection
+    would amplify the integrator's error instead of removing it.
+    """
+    n, h, e = level
+    x, t, c, s = y
+    if x <= 0.0:
+        return None
+    p = x ** (2 * n - 1)
+    u = (e + h * x * p) / p
+    # (c, s) = r (cos, sin) and f[2:] = (-sin, cos) sigma', so x_dsigma / s =
+    # x sigma' / sin sigma.  u = 0 throughout is the hyperplane, vertical
+    # everywhere: cos sigma reset to exactly 0 would put every node on the
+    # VerticalTangent event
+    x_dsigma = x * (c * f[3] - s * f[2])
+    if abs(u) >= 1.0 or u == 0.0 or abs(x_dsigma) >= 10.0 * abs(s):
+        return None
+    correction = abs(p * c / math.sqrt(x * x * s * s + c * c) - h * x * p - e)
+    c, sin = _level_pair(u, x)
+    return (x, t, c, math.copysign(sin, s)), correction
 
 
 def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
-    def fun(s, y):
-        x = y[0] if y[0] > 1e-12 else 1e-12  # trial steps may undershoot
-        sigma = math.atan2(y[3], y[2])
-        sin, cos, dsigma = _rhs_scalars(x, sigma, n, h)
-        return (sin, cos, -sin * dsigma, cos * dsigma)
+    def fun(x, c, s):
+        sigma = math.atan2(s, c)
+        # trial steps may undershoot the axis
+        sin, cos, dsigma = _rhs_scalars(x if x > 1e-12 else 1e-12, sigma, n, h)
+        return sin, cos, -sin * dsigma, cos * dsigma
 
-    def ev_critical(s, y):
-        return y[3]
-
-    def ev_vertical(s, y):
+    def vertical(y):
         return y[2]
 
-    def ev_axis(s, y):
-        return y[0] - config.axis_epsilon
-
-    ev_axis.terminal = True
-    ev_axis.direction = -1.0
     if h == 0.0 and e == 0.0:
         # H = E = 0 is the vertical ray: through sigma = atan2(1, c) the rhs
         # would give cos sigma = 6e-17 and let it dither about 0, and a curve
         # vertical everywhere has no isolated VerticalTangent event
-        fun, ev_vertical = lambda s, y: (y[3], y[2], 0.0, 0.0), lambda s, y: 1.0
+        def fun(x, c, s):
+            return s, c, 0.0, 0.0
+
+        def vertical(y):
+            return 1.0
+
+    # (kind, event function, direction); reaching the axis ends every solve
+    watched = (
+        (EventKind.CRITICAL_RADIUS, lambda y: y[3], 0),
+        (EventKind.VERTICAL_TANGENT, vertical, 0),
+        (EventKind.AXIS_CONTACT, lambda y: y[0] - config.axis_epsilon, -1),
+    )
+    terminal = {EventKind.AXIS_CONTACT: 1}
+    if config.stop_event is not None:
+        terminal[EventKind(config.stop_event[0])] = int(config.stop_event[1])
+    events = [(g, direction, terminal.get(kind, 0))
+              for kind, g, direction in watched]
     # at a multiple of pi/2 the pair is exact: sin(pi) = 1.2e-16 would put a
     # start on a critical radius beside its event instead of on it
     quarter = round(initial.sigma / (math.pi / 2.0))
@@ -441,60 +665,30 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
         c0, s0 = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[quarter % 4]
     else:
         c0, s0 = math.cos(initial.sigma), math.sin(initial.sigma)
-    y0 = [initial.x, initial.t, c0, s0]
-    kinds = {
-        EventKind.CRITICAL_RADIUS: ev_critical,
-        EventKind.VERTICAL_TANGENT: ev_vertical,
-        EventKind.AXIS_CONTACT: ev_axis,
-    }
-    if config.stop_event is not None:
-        kind, count = config.stop_event
-        gev = kinds[EventKind(kind)]
-        # the solver reports an event at s = 0 exactly when the start state
-        # sits on it; bump the terminal count so that phantom hit is not
-        # counted
-        at_start = gev(0.0, np.array(y0)) == 0.0
-        gev.terminal = int(count) + (1 if at_start else 0)
+    level = (n, h, e)
+    sol = solve_ivp(fun, (initial.x, initial.t, c0, s0), config.max_arclength,
+                    rel_tol, abs_tol, events,
+                    project=lambda y, f: _project(level, y, f))
 
-    events = [ev_critical, ev_vertical, ev_axis]
-    tally = [0.0]
-    sol = solve_ivp(
-        fun,
-        (0.0, config.max_arclength),
-        y0,
-        method=_level_set_dop853(),
-        rtol=rel_tol,
-        atol=abs_tol,
-        dense_output=True,
-        events=events,
-        level=(n, h, e),
-        tally=tally,
-    )
-    if not sol.success and sol.status != 1:
-        raise IntegrationError(f"integration failed: {sol.message}")
-
-    sigma_nodes = np.unwrap(np.arctan2(sol.y[3], sol.y[2]))
+    nodes = np.array(sol.y)
+    sigma_nodes = np.unwrap(np.arctan2(nodes[:, 3], nodes[:, 2]))
     # an explicit start may sit outside the principal branch
     sigma_nodes += _TWO_PI * round((initial.sigma - sigma_nodes[0]) / _TWO_PI)
-    s_nodes = np.asarray(sol.t, dtype=float)
+    s_nodes = np.array(sol.t)
     dense = _DenseCurve(sol.sol, s_nodes, sigma_nodes)
 
     recorded = []
-    for kind, idx in (
-        (EventKind.CRITICAL_RADIUS, 0),
-        (EventKind.VERTICAL_TANGENT, 1),
-        (EventKind.AXIS_CONTACT, 2),
-    ):
-        for s_ev, y_ev in zip(sol.t_events[idx], sol.y_events[idx]):
-            if s_ev > 1e-12:  # drop the phantom hit at the start state
-                sig = dense.branch(float(s_ev), math.atan2(y_ev[3], y_ev[2]))
-                if kind is EventKind.CRITICAL_RADIUS:
-                    # sin sigma = 0 defines the event; at a thin neck sigma
-                    # turns so fast that the located root keeps sin ~ 1e-8,
-                    # and a mirror about it would not join exactly
-                    sig = math.pi * round(sig / math.pi)
-                state = ProfileState(float(y_ev[0]), float(y_ev[1]), sig)
-                recorded.append(Event(kind, float(s_ev), state))
+    for (kind, _, _), roots, states in zip(watched, sol.t_events,
+                                           sol.y_events):
+        for s_ev, y_ev in zip(roots, states):
+            sig = dense.branch(s_ev, math.atan2(y_ev[3], y_ev[2]))
+            if kind is EventKind.CRITICAL_RADIUS:
+                # sin sigma = 0 defines the event; at a thin neck sigma
+                # turns so fast that the located root keeps sin ~ 1e-8,
+                # and a mirror about it would not join exactly
+                sig = math.pi * round(sig / math.pi)
+            recorded.append(
+                Event(kind, s_ev, ProfileState(y_ev[0], y_ev[1], sig)))
     recorded.sort(key=lambda ev: ev.s)
 
     return Trajectory(
@@ -502,13 +696,15 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
         h=h,
         e=e,
         s=s_nodes,
-        states=np.column_stack([sol.y[0], sol.y[1], sigma_nodes]),
+        states=np.column_stack([nodes[:, 0], nodes[:, 1], sigma_nodes]),
         events=recorded,
         config=config,
         notes=list(notes),
         dense=dense,
-        energy_correction=tally[0],
-        stats=SolveStats(rhs_evals=sol.nfev, steps=len(sol.t) - 1),
+        energy_correction=sol.correction,
+        stats=SolveStats(rhs_evals=sol.nfev, steps=len(sol.t) - 1,
+                         rejected=sol.rejected),
+        rel_tol=rel_tol,
     )
 
 
@@ -601,10 +797,38 @@ def integrate(n, h, e=None, initial=None, config=None):
     return periodic_continuation(half, config)
 
 
+# the most samples periodic_continuation tiles a curve to: 2^22 rows of
+# (s, x, t, sigma) take 128 MB, and the doubling holds two such arrays
+_MAX_TILED_SAMPLES = 2**22
+
+
+def _tiled_samples(half, config):
+    """The samples periodic_continuation builds from half.  Each mirror
+    doubles the half periods, so it builds 2^k of them, for the first k that
+    reaches the arclength limit or, at the latest, holds the stop event:
+    every tile repeats half's events, and a CriticalRadius joins each pair."""
+    needed = math.ceil(config.max_arclength / half.s_end)
+    if config.stop_event is not None:
+        kind, count = EventKind(config.stop_event[0]), config.stop_event[1]
+        per_half = sum(ev.kind is kind for ev in half.events)
+        if per_half:
+            needed = min(needed, -(-count // per_half) + 1)
+    halves = 1 << (needed - 1).bit_length()  # the power of two >= needed
+    return (len(half.s) - 1) * halves + 1
+
+
 def periodic_continuation(half, config):
     """half, a canonical half period ending at a critical radius, mirrored
     there until it reaches config's arclength limit or holds its stop event,
-    then cut by truncated; a note records the tiling."""
+    then cut by truncated; a note records the tiling.  Raises ValueError,
+    before tiling, where that would take more than 2^22 samples."""
+    samples = _tiled_samples(half, config)
+    if samples > _MAX_TILED_SAMPLES:
+        raise ValueError(
+            f"tiling half periods of arclength {half.s_end:.6g} up to "
+            f"{config.max_arclength:g} would take {samples} samples, more "
+            f"than the {_MAX_TILED_SAMPLES} allowed; lower the arclength "
+            "limit (trace --max-arclength)")
     tiled = half
     while tiled.s_end < config.max_arclength and not _holds(tiled, config):
         tiled = reflect_continue(tiled)
@@ -629,7 +853,7 @@ def _solve(n, h, e, initial, roots, config):
     """The direct solve behind integrate, with its drift gate and retries."""
     rel, abs_ = config.rel_tol, config.abs_tol
     retry_notes = []
-    rhs_evals = steps = 0
+    rhs_evals = steps = rejected = 0
     while True:
         traj = truncated(
             _solve_attempt(n, h, e, initial, config, rel, abs_, retry_notes),
@@ -637,7 +861,9 @@ def _solve(n, h, e, initial, roots, config):
         )
         rhs_evals += traj.stats.rhs_evals
         steps += traj.stats.steps
-        traj = replace(traj, stats=SolveStats(rhs_evals, steps, len(retry_notes)))
+        rejected += traj.stats.rejected
+        traj = replace(traj, stats=SolveStats(
+            rhs_evals, steps, len(retry_notes), rejected))
         try:
             _check_invariants(traj, roots)
             return traj
@@ -759,6 +985,8 @@ def trajectory_to_json(traj):
             "steps": traj.stats.steps,
             "energy_correction": traj.energy_correction,
             "retries": traj.stats.retries,
+            "rejected_steps": traj.stats.rejected,
+            "rel_tol": traj.rel_tol,
         },
     }
 

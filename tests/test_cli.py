@@ -514,7 +514,8 @@ def test_trace_diagnostics_are_optional(tmp_path, capsys):
                        "--stop-event", "CriticalRadius", "--reflect", "1"],
                       tmp_path, capsys)
     assert set(doc["diagnostics"]) == {"engine", "energy_drift", "rhs_evals",
-                                       "steps", "energy_correction", "retries"}
+                                       "steps", "energy_correction", "retries",
+                                       "rejected_steps", "rel_tol"}
     # a trace written before the diagnostics existed still loads
     del doc["diagnostics"]
     jsonschema.validate(doc, _schema("trajectory"))
@@ -557,6 +558,28 @@ def test_trace_thin_neck_turns_on_band_roots(tmp_path, capsys):
         assert math.sin(sigma) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_trace_refuses_tiling_past_the_sample_cap(monkeypatch, capsys):
+    # n = 1, H = 1000, E = 0.5 E_cyl: s = 50 holds 70,711 half periods,
+    # which the closed-form trace would tile to 4.6M samples; it refuses
+    # before tiling, and exits 2 like other parameters the program cannot
+    # serve (test_profile_ode checks integrate's ODE tiling)
+    def tiled(*args, **kwargs):
+        raise AssertionError("the tiling ran")
+
+    e = repr(0.5 * cylinder_energy(1, 1000.0))
+    argv = ["trace", "--n", "1", "--h", "1000", f"--e={e}"]
+    monkeypatch.setattr(pode, "reflect_continue", tiled)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "samples, more than the 4194304 allowed" in err
+    assert "--max-arclength" in err
+    # the limit the message suggests lowering traces
+    monkeypatch.undo()
+    code, out, _ = run_cli(argv + ["--max-arclength", "0.5"], capsys)
+    assert code == 0
+    assert out.count("\n") > 10000
+
+
 def test_trace_unresolvable_neck_exits_3(capsys):
     # a nodoid neck of radius ~1.4e-6 turns sigma by pi within the spacing of
     # floats in s; the solver gives up, and that is a numerical failure, not
@@ -573,11 +596,13 @@ def test_trace_unresolvable_neck_exits_3(capsys):
 def test_trace_drift_message_names_rounding(capsys):
     # n = 3, small H: the terms of E reach ~6e7, so rounding alone is ~1e-8,
     # the size of the drift bound; the gate still fails, and says why.  The
-    # start is the outer radius x2 of the nodoid E = -0.0008021832421422288,
-    # explicit so that the ODE runs
+    # start is one ulp inside the outer radius x2 = 35.703161293988195 of the
+    # nodoid E = -0.0008021832421422288, explicit so that the ODE runs.  The
+    # drift reads one or two ulps of the terms (7.5e-9 or 1.5e-8) depending
+    # on rounding; from this start it reads two
     code, out, err = run_cli(
         ["trace", "--n", "3", "--h=0.02800872426336685",
-         "--x0=35.703161293988195", "--sigma0", "0", "--max-arclength", "50"],
+         "--x0=35.70316129398819", "--sigma0", "0", "--max-arclength", "50"],
         capsys)
     assert code == 3
     assert out == ""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import heisenberg_cmc.profile_ode as pode
 from heisenberg_cmc.classify import classify, cylinder_energy
-from heisenberg_cmc.closed_forms import sphere_profile
+from heisenberg_cmc.closed_forms import canonical_trajectory, sphere_profile
 from heisenberg_cmc.errors import (
     AxisPointError,
     EnergyDriftError,
@@ -548,23 +548,21 @@ def test_dense_output_continuous_at_projected_nodes():
                                                                abs=1e-12)
 
 
-def _off_level():
-    """The level-set solver, projecting onto E + 1e-15 instead of E."""
+def _off_level(project):
+    """The level-set projection, onto E + 1e-15 instead of E."""
 
-    class OffLevel(pode._level_set_dop853()):
-        def __init__(self, *args, level, **options):
-            n, h, e = level
-            super().__init__(*args, level=(n, h, e + 1e-15), **options)
+    def off(level, y, f):
+        n, h, e = level
+        return project((n, h, e + 1e-15), y, f)
 
-    return OffLevel
+    return off
 
 
 def test_off_band_critical_radius_raises(monkeypatch):
     # an n = 3 sphere projected onto E + 1e-15 turns at the neck x = 1e-3 of
     # that unduloid, as the unprojected solve did at its own drift; the band
     # of E = 0 has 1/H as its only root, so the solve must be refused
-    off = _off_level()
-    monkeypatch.setattr(pode, "_level_set_dop853", lambda: off)
+    monkeypatch.setattr(pode, "_project", _off_level(pode._project))
     cfg = SolveConfig(max_arclength=6.0)
     with pytest.raises(EnergyDriftError, match="off the band roots") as err:
         integrate(3, 0.5, e=0.0, config=cfg)
@@ -617,6 +615,108 @@ def test_retries_are_counted_and_logged(caplog):
     assert first == pytest.approx(single.energy_drift(), rel=1e-3)
     assert traj.stats.rhs_evals > single.stats.rhs_evals
     assert traj.stats.steps > single.stats.steps
+
+
+# ---------------------------------------------------------------------------
+# the scalar DOP853 loop against the SciPy solve_ivp loop it replaced
+
+# (n, H, start, config, accepted steps, rhs evaluations, end state) as the
+# SciPy DOP853 loop with the same projection gave them: same tableau, same
+# step control, same dense output, so the same steps.  Rounding differs (the
+# SciPy loop sums stages by BLAS), hence the 1e-12 on the end state
+_NODOID_E = -0.5 * cylinder_energy(3, 1.0)
+PINNED_SOLVES = [
+    (1, 0.5, initial_state(1, 0.5, 0.3), SolveConfig(max_arclength=10.0),
+     95, 1773, (1.60728526041326, 8.840337958138559, 0.0871062829216548)),
+    (3, 1.0, initial_state(3, 1.0, _NODOID_E),
+     SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 4)),
+     144, 2813, (1.029025624693551, 2.4100345766669053, -12.566370614359172)),
+]
+
+
+def _rhs_count_fits(stats):
+    # 2 evaluations pick the first step, 12 make each trial step, 3 the
+    # dense output of each accepted one, and 1 refreshes f after each
+    # projection, which most steps take
+    low = 2 + 12 * (stats.steps + stats.rejected) + 3 * stats.steps
+    return low <= stats.rhs_evals <= low + stats.steps
+
+
+@pytest.mark.parametrize("n, h, start, cfg, steps, rhs_evals, end",
+                         PINNED_SOLVES)
+def test_solve_repeats_the_scipy_loop(n, h, start, cfg, steps, rhs_evals, end):
+    traj = integrate(n, h, initial=start, config=cfg)
+    assert (traj.stats.steps, traj.stats.rhs_evals) == (steps, rhs_evals)
+    assert traj.stats.retries == 0
+    assert _rhs_count_fits(traj.stats)
+    assert tuple(traj.states[-1]) == pytest.approx(end, abs=1e-12)
+
+
+def test_sphere_to_axis_agrees_with_the_scipy_loop():
+    # the SciPy loop took the n = 2 sphere to AxisContact in 53 steps and
+    # 1281 evaluations, ending at s = 1.4674612093530306 on (1e-6,
+    # 0.7853981634119803, -1.5707963267950076).  Near the axis the error
+    # estimate is a cancellation at the rounding level, so its steps are
+    # noise: H moved by one ulp took that loop through 53 to 60 steps and
+    # its end sigma through pi/2 +- 2.2e-12
+    traj = integrate(2, 1.0, e=0.0, config=SolveConfig(
+        stop_event=(EventKind.AXIS_CONTACT, 1)))
+    assert traj.s_end == pytest.approx(1.4674612093530306, abs=1e-12)
+    assert tuple(traj.states[-1]) == pytest.approx(
+        (1e-6, 0.7853981634119803, -1.5707963267950076), abs=1e-11)
+    assert abs(traj.stats.steps - 53) <= 8
+    assert _rhs_count_fits(traj.stats)
+
+
+def test_rejected_steps_and_final_tolerance():
+    # DOP853's controller rejects a share of trial steps on periodic
+    # profiles; the count is summed over attempts, and the trajectory keeps
+    # the tolerance of the attempt that passed the gate
+    traj = integrate(1, 0.5, initial=initial_state(1, 0.5, 0.3),
+                     config=SolveConfig(max_arclength=10.0))
+    assert traj.stats.rejected > 0
+    assert traj.rel_tol == 1e-10
+    diagnostics = trajectory_to_json(traj)["diagnostics"]
+    assert diagnostics["rejected_steps"] == traj.stats.rejected
+    assert diagnostics["rel_tol"] == 1e-10
+    cfg = SolveConfig(max_arclength=50.0, drift_tolerance=1e-9)
+    retried = integrate(3, 0.25, e=0.0, config=cfg)
+    assert retried.stats.retries == 1
+    assert retried.rel_tol == 1e-12
+    first = integrate(3, 0.25, e=0.0, config=SolveConfig(max_arclength=50.0))
+    assert retried.stats.rejected > first.stats.rejected > 0
+    # a closed-form trace ran no solver
+    closed = canonical_trajectory(classify(1, 0.5, 0.3), 0.5, SolveConfig())
+    diagnostics = trajectory_to_json(closed)["diagnostics"]
+    assert (diagnostics["rejected_steps"], diagnostics["rel_tol"]) == (0, None)
+
+
+def test_start_on_an_event_is_not_reported():
+    # the canonical unduloid starts on a critical radius (sin sigma = 0
+    # exactly); its first CriticalRadius event is the next one
+    traj = integrate(1, 0.5, initial=initial_state(1, 0.5, 0.3),
+                     config=SolveConfig(
+                         stop_event=(EventKind.CRITICAL_RADIUS, 1)))
+    assert traj.events[0].s > 1.0
+    assert traj.s_end == traj.events[0].s
+
+
+def test_tiling_refuses_past_the_sample_cap(monkeypatch):
+    # n = 1, H = 1000, E = 0.5 E_cyl: s = 50 holds 70,711 half periods of
+    # arclength 7.1e-4, which the doubling would tile to 2^17 of ~210 nodes
+    def tiled(*args, **kwargs):
+        raise AssertionError("the tiling ran")
+
+    monkeypatch.setattr(pode, "reflect_continue", tiled)
+    e = 0.5 * cylinder_energy(1, 1000.0)
+    with pytest.raises(ValueError, match=r"would take \d+ samples, more than "
+                       r"the 4194304 allowed; lower the arclength limit"):
+        integrate(1, 1000.0, e=e)
+    # a stop event ends the tiling early, and the count knows it
+    cfg = SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 3))
+    monkeypatch.undo()
+    traj = integrate(1, 1000.0, e=e, config=cfg)
+    assert sum(ev.kind is EventKind.CRITICAL_RADIUS for ev in traj.events) == 3
 
 
 def test_sigma_winding_conserves_energy():
