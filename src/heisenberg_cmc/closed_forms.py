@@ -12,10 +12,11 @@ band edges' inverse square roots cancel, gives t1, t2 and the whole half
 period (_HalfPeriod).  The minimal (H = 0) profile for n >= 2 is the graph of
 dt/dx = E x / sqrt(x^{2p} - E^2), p = 2n - 1, and x = x1 sec^{1/p}(phi),
 x1 = E^{1/p}, turns it into dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab
-half-width t_inf is a complete Beta function and the height above the waist
-an incomplete one.  singular_quadrature, a u^2 = x - a substitution fed to
-adaptive Gauss-Kronrod with exact endpoint offsets, stays as the reference
-for integrals with inverse-square-root endpoints.
+half-width t_inf is a complete Beta function, from math.gamma, and the
+height above the waist an incomplete one, from its continued fraction.
+singular_quadrature, a u^2 = x - a substitution with exact endpoint offsets
+fed to Gauss-Legendre rules of doubling order, stays as the reference for
+integrals with inverse-square-root endpoints.  Nothing here needs SciPy.
 
 canonical_trajectory traces the canonical start of a sphere, unduloid or
 nodoid from these curves, with a second Chebyshev series for the arclength,
@@ -24,11 +25,13 @@ and returns the profile_ode.Trajectory that the ODE would: no ODE is solved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval
+from numpy.polynomial.legendre import leggauss
 
 from .classify import Family, classify
 from .core import dimension_index
@@ -79,23 +82,46 @@ class QuadratureResult:
             raise ValueError("error estimate must be nonnegative")
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call so that importing
-    this module loads no SciPy."""
-    from scipy.integrate import quad as quadpack
+# quad's Gauss-Legendre orders double from the first to the last
+_FIRST_ORDER, _LAST_ORDER = 8, 1024
+_leggauss = functools.cache(leggauss)  # order -> (nodes, weights)
 
-    return quadpack(*args, **kwargs)
+
+def quad(fun, a, b, *, epsabs, epsrel):
+    """int_a^b fun(x) dx by Gauss-Legendre rules of order N = 8, 16, ...,
+    1024, stopping at the first N whose I_N agrees with I_{N/2} to
+    max(epsabs, epsrel |I_N|).  Returns (I_N, |I_N - I_{N/2}|, {"neval":
+    evaluations over all orders}), the shape of QUADPACK's full output, and
+    a fourth element, a message, when no two orders agree."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    order, previous, neval = _FIRST_ORDER, None, 0
+    while True:
+        nodes, weights = _leggauss(order)
+        values = [fun(x) for x in (mid + half * nodes).tolist()]
+        neval += order
+        value = half * float(np.dot(weights, values))
+        if previous is not None:
+            err = abs(value - previous)
+            if err <= max(epsabs, epsrel * abs(value)):
+                return value, err, {"neval": neval}
+            if order >= _LAST_ORDER:
+                return value, err, {"neval": neval}, (
+                    f"Gauss-Legendre orders {order // 2} and {order} differ "
+                    f"by {err:.3e}")
+        previous = value
+        order *= 2
 
 
 def singular_quadrature(f, a, b, singular="both", *, abs_tol=1e-14):
     """Integrate f over [a, b] allowing inverse-square-root endpoint blowup.
 
     ``singular`` declares which endpoints are singular ("lower", "upper",
-    "both", "none"); u^2 = x - a (or b - x) is substituted there, and each
-    half of [a, b] goes to adaptive Gauss-Kronrod quadrature (QUADPACK).
-    The integrand is called as f(x, da, db) with da = x - a and db = b - x
-    computed without cancellation, so endpoint singularities should be
-    evaluated from the offsets, not from x.
+    "both", "none"); u^2 = x - a (or b - x) is substituted there, which
+    leaves a smooth integrand, and each half of [a, b] goes to quad's
+    Gauss-Legendre rules.  The integrand is called as f(x, da, db) with
+    da = x - a and db = b - x computed without cancellation, so endpoint
+    singularities should be evaluated from the offsets, not from x.  Raises
+    QuadratureError where no two orders agree.
     """
     a = float(a)
     b = float(b)
@@ -130,8 +156,7 @@ def singular_quadrature(f, a, b, singular="both", *, abs_tol=1e-14):
     )
     value = err = 0.0
     for fun, lo, hi in halves:
-        out = quad(fun, lo, hi, epsabs=abs_tol, epsrel=_QUAD_REL_TOL, limit=200,
-                   full_output=1)
+        out = quad(fun, lo, hi, epsabs=abs_tol, epsrel=_QUAD_REL_TOL)
         if len(out) > 3:
             raise QuadratureError(out[3])
         value += out[0]
@@ -239,6 +264,31 @@ def catenoid_slab_halfwidth(n, e):
     return x1 * x1 / (2 * p) * beta
 
 
+_CF_TERMS = 40
+
+
+def _betainc(a, b, x):
+    """Regularized incomplete Beta function I_x(a, b) of an array x in
+    [0, 1/2], for a, b in (0, 1]: x^a (1 - x)^b / (a B(a, b)) over the
+    continued fraction 1 + d_1 / (1 + d_2 / (1 + ...)) of DLMF 8.17.22,
+    d_{2m+1} = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)) and
+    d_{2m} = m (b - m) x / ((a + 2m - 1)(a + 2m)).  It is evaluated from
+    d_40 back to d_1: on x <= 1/2 the terms past d_30 change no bit, and
+    the backward recurrence, unlike the running product of the forward
+    (Lentz) method, keeps the rounding to a few ulps."""
+    x = np.asarray(x, dtype=float)
+    tail = np.ones_like(x)
+    for k in range(_CF_TERMS, 0, -1):
+        m = k // 2
+        if k % 2:
+            d = -(a + m) * (a + b + m) / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            d = m * (b - m) / ((a + 2 * m - 1) * (a + 2 * m))
+        tail = 1.0 + d * x / tail
+    scale = math.gamma(a + b) / (a * math.gamma(a) * math.gamma(b))
+    return x ** a * (1.0 - x) ** b * scale / tail
+
+
 def catenoid_curve(n, e, count):
     """(x, t) arrays of the n >= 2 minimal profile of energy E > 0: 2 count + 1
     points evenly spaced in phi over [-phi_max, phi_max], where
@@ -247,8 +297,6 @@ def catenoid_curve(n, e, count):
     t = t_inf I_{sin^2 phi}(1/2, 1/2 - 1/p) (DLMF 8.17), t_inf the slab
     half-width.
     """
-    from scipy.special import betainc
-
     t_inf = catenoid_slab_halfwidth(n, e)
     p = 2 * dimension_index(n) - 1
     x1 = float(e) ** (1.0 / p)
@@ -267,9 +315,12 @@ def catenoid_curve(n, e, count):
     x = x1 / cos ** (1.0 / p)
     x[-1] = x_end
     # I_y(a, b) = 1 - I_{1-y}(b, a) (DLMF 8.17.4): past phi = pi/4 the small
-    # cos^2, not 1 - sin^2, is the argument
-    t = t_inf * np.where(inner, betainc(0.5, b, sin * sin),
-                         1.0 - betainc(b, 0.5, cos * cos))
+    # cos^2, not 1 - sin^2, is the argument.  Each branch runs on its own
+    # points only: _betainc holds only for arguments up to 1/2
+    t = np.empty(count + 1)
+    t[inner] = _betainc(0.5, b, sin[inner] ** 2)
+    t[~inner] = 1.0 - _betainc(b, 0.5, cos[~inner] ** 2)
+    t *= t_inf
     return np.append(x[:0:-1], x), np.append(-t[:0:-1], t)
 
 

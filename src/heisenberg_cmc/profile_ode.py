@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
-import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -360,26 +359,90 @@ class _Tableau(NamedTuple):
     d: tuple  # the dense output's four highest coefficients
 
 
-@functools.cache
-def _dop853():
-    """SciPy's DOP853 tableau, read on the first solve so that importing
-    this module loads no SciPy.  No abscissa is kept: the profile system
-    does not depend on arclength."""
-    from scipy.integrate._ivp import dop853_coefficients as co
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
+# every float the shortest repr of the one in SciPy's dop853_coefficients,
+# so the two tableaus are equal bit for bit.  _A[i - 1] is row i of the
+# Butcher matrix left of its diagonal: rows 1..11 give the stages, row 12
+# the 8th-order weights (its stage is the step's end), rows 13..15 the dense
+# output's extra stages.  No abscissa is kept: the profile system does not
+# depend on arclength.
+_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0)
+_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0)
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+)
 
-    def nonzero(row):
-        return tuple((j, float(w)) for j, w in enumerate(row) if w != 0.0)
 
-    last = co.N_STAGES
-    return _Tableau(
-        stages=tuple(nonzero(co.A[i, :i]) for i in range(1, last)),
-        b=nonzero(co.B),
-        e5=nonzero(co.E5),
-        e3=nonzero(co.E3),
-        extra=tuple(nonzero(co.A[i, :i])
-                    for i in range(last + 1, co.N_STAGES_EXTENDED)),
-        d=tuple(nonzero(row) for row in co.D),
-    )
+def _nonzero(row):
+    return tuple((j, w) for j, w in enumerate(row) if w != 0.0)
+
+
+_TABLEAU = _Tableau(
+    stages=tuple(map(_nonzero, _A[:11])),
+    b=_nonzero(_A[11]),
+    e5=_nonzero(_E5),
+    e3=_nonzero(_E3),
+    extra=tuple(map(_nonzero, _A[12:])),
+    d=tuple(map(_nonzero, _D)),
+)
 
 
 # step control as SciPy's RungeKutta: a step grows or shrinks by
@@ -479,12 +542,13 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
     occurs in a step whose end nodes give g(y) opposite signs or a 0,
     falling only for direction < 0, rising only for direction > 0; unlike
     SciPy, a g that is exactly 0 at s = 0 is no event, so a start state on
-    an event does not report it.  The root is found by Brent's method on the
-    step's dense output, and the solve ends at the terminal-th root of an
-    event with terminal > 0.  Raises IntegrationError when the step falls
-    below ten ulps of s.
+    an event does not report it, and neither is a g exactly 0 at both ends
+    of a step, as sin sigma is all along a cylinder.  The root is found by
+    Brent's method on the step's dense output, and the solve ends at the
+    terminal-th root of an event with terminal > 0.  Raises IntegrationError
+    when the step falls below ten ulps of s.
     """
-    stages, b, e5, e3, extra, d = _dop853()
+    stages, b, e5, e3, extra, d = _TABLEAU
     y = tuple(map(float, y0))
     f = fun(y[0], y[2], y[3])
     h_abs = _initial_step(fun, y, f, s_end, rtol, atol)
@@ -562,6 +626,8 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
         g_new = [g(y_new) for g, _, _ in events]
         hits = []
         for i, (g, direction, _) in enumerate(events):
+            if g_old[i] == 0.0 == g_new[i]:
+                continue  # g vanishes along the step: no isolated root
             rising = g_old[i] <= 0.0 <= g_new[i]
             falling = g_old[i] >= 0.0 >= g_new[i]
             if rising and direction >= 0 or falling and direction <= 0:
@@ -671,6 +737,11 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
                     project=lambda y, f: _project(level, y, f))
 
     nodes = np.array(sol.y)
+    notes = list(notes)
+    if not nodes[:, 3].any():
+        notes.append("sin sigma is exactly 0 at every node: the radius is "
+                     "constant and critical throughout, so no CriticalRadius "
+                     "event is recorded")
     sigma_nodes = np.unwrap(np.arctan2(nodes[:, 3], nodes[:, 2]))
     # an explicit start may sit outside the principal branch
     sigma_nodes += _TWO_PI * round((initial.sigma - sigma_nodes[0]) / _TWO_PI)
@@ -699,7 +770,7 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
         states=np.column_stack([nodes[:, 0], nodes[:, 1], sigma_nodes]),
         events=recorded,
         config=config,
-        notes=list(notes),
+        notes=notes,
         dense=dense,
         energy_correction=sol.correction,
         stats=SolveStats(rhs_evals=sol.nfev, steps=len(sol.t) - 1,

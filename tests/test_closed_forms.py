@@ -1,6 +1,7 @@
 """Closed-form profiles and singular quadrature against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 from scipy.optimize import brentq
-from scipy.special import beta
+from scipy.special import beta, betainc
 
 from heisenberg_cmc.classify import classify, cylinder_energy
 from heisenberg_cmc.closed_forms import (
     QuadratureResult,
+    _betainc,
     _dct1,
     _HalfPeriod,
     canonical_trajectory,
@@ -22,6 +24,7 @@ from heisenberg_cmc.closed_forms import (
     catenoid_slab_halfwidth,
     halfperiod_heights,
     nodoid_halfperiod,
+    quad,
     singular_quadrature,
     sphere_generating_curve,
     sphere_profile,
@@ -86,6 +89,18 @@ def test_quadrature_budget_exhaustion():
     # a genuine 1/x blowup is not integrable; the adaptive rule gives up
     with pytest.raises(QuadratureError):
         singular_quadrature(lambda x, da, db: 1.0 / da, 0.0, 1.0, "lower")
+
+
+def test_quad_returns_quadpacks_shape():
+    # (value, error estimate, {"neval": ...}) as QUADPACK's full output, and
+    # a fourth element, a message, where no two Gauss-Legendre orders agree
+    value, err, info = quad(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+    assert value == pytest.approx(math.e - 1.0, rel=1e-15)
+    assert 0.0 <= err <= 1e-12 * value
+    assert info == {"neval": 8 + 16}
+    out = quad(lambda u: 1.0 / u, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12)
+    assert len(out) == 4 and "differ" in out[3]
+    assert out[2]["neval"] == sum(2 ** k for k in range(3, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +258,24 @@ def test_catenoid_curve_tiny_energy(e):
     assert x[0] == x[-1] == 4.0 * e ** (1.0 / 3.0) + 3.0
     assert t[-1] == -t[0] == catenoid_slab_halfwidth(2, e)
     assert np.all(np.diff(t) > 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_betainc_matches_scipy(n):
+    # both argument orders catenoid_curve uses, p = 2n - 1, on x in [0, 1/2]
+    b = 0.5 - 1.0 / (2 * n - 1)
+    x = np.linspace(0.0, 0.5, 2001)
+    for args in ((0.5, b), (b, 0.5)):
+        assert np.max(np.abs(_betainc(*args, x) - betainc(*args, x))) <= 2e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_catenoid_curve_tiny_energy_warns_nothing(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, t = catenoid_curve(n, 1e-300, 50)
+    assert np.all(np.isfinite(x)) and np.all(np.diff(t) > 0.0)
+    assert t[-1] == catenoid_slab_halfwidth(n, 1e-300)
 
 
 def test_slab_partial_integrals_increase_to_limit():

@@ -1,8 +1,7 @@
-"""Reports start without SciPy: classify, sweep, the n = 1 gallery and the
-closed-form traces of spheres and periodic profiles load no scipy module,
-while catenoid and explicit-start traces still reach the integrator through
-the lazy imports.  Each check runs in a fresh interpreter, since the pytest
-process itself has SciPy loaded."""
+"""No CLI command loads SciPy: classify, sweep, the galleries, every trace
+(closed-form or solved), the render of an n >= 2 catenoid and verify load
+no scipy module; the tests use SciPy only as an oracle.  Each check runs in
+a fresh interpreter, since the pytest process itself has SciPy loaded."""
 
 import json
 import os
@@ -59,8 +58,13 @@ def test_closed_form_traces_load_no_scipy(tmp_path):
     assert _scipy_modules_after(argvs, tmp_path) == []
 
 
-def test_trace_loads_the_integrator(tmp_path):
-    for argv in (["--n", "2", "--h", "0", "--e", "0.5"],       # catenoid
-                 ["--n", "1", "--h", "1", "--x0", "0.7", "--sigma0", "0"]):
-        argvs = [["trace", *argv, "--max-arclength", "2", "--out", "t.csv"]]
-        assert "scipy.integrate" in _scipy_modules_after(argvs, tmp_path)
+def test_solving_commands_load_no_scipy(tmp_path):
+    argvs = [
+        ["trace", "--n", "2", "--h", "0", "--e", "0.5",          # catenoid
+         "--max-arclength", "2", "--out", "catenoid.csv"],
+        ["trace", "--n", "1", "--h", "1", "--x0", "0.7", "--sigma0", "0",
+         "--max-arclength", "2", "--out", "explicit.csv"],
+        ["render", "--n", "2", "--h", "0", "--e", "0.5", "--out", "cat.svg"],
+        ["verify", "all", "--out", "verify.txt"],
+    ]
+    assert _scipy_modules_after(argvs, tmp_path) == []

@@ -121,6 +121,21 @@ def test_cylinder_stays_put():
     assert traj.energy_drift() < 1e-10
 
 
+def test_cylinder_records_no_critical_radius():
+    # sin sigma is exactly 0 at every node, and the inclusive sign test once
+    # found a root in every step: n = 1, H = 0.5 to s = 20 reported
+    # CriticalRadius at s = 0.014, 0.092, 0.512, 2.759 and 14.768
+    cfg = SolveConfig(max_arclength=20.0,
+                      stop_event=(EventKind.CRITICAL_RADIUS, 8))
+    traj = integrate(1, 0.5, e=cylinder_energy(1, 0.5), config=cfg)
+    assert traj.s_end == 20.0
+    assert [ev.kind for ev in traj.events] == []
+    assert any("no CriticalRadius event" in note for note in traj.notes)
+    unduloid = integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=5.0))
+    assert not any("no CriticalRadius event" in note
+                   for note in unduloid.notes)
+
+
 def test_hyperplane_ray():
     traj = integrate(1, 0.0, e=0.0, config=SolveConfig(max_arclength=5.0))
     _, x, t, sig = traj.arrays()
@@ -689,6 +704,20 @@ def test_rejected_steps_and_final_tolerance():
     closed = canonical_trajectory(classify(1, 0.5, 0.3), 0.5, SolveConfig())
     diagnostics = trajectory_to_json(closed)["diagnostics"]
     assert (diagnostics["rejected_steps"], diagnostics["rel_tol"]) == (0, None)
+
+
+def test_tableau_is_scipys_bit_for_bit():
+    from scipy.integrate._ivp import dop853_coefficients as co
+
+    def bits(row):
+        return [float(w).hex() for w in row]
+
+    assert [bits(row) for row in pode._A] == [
+        bits(co.A[i, :i]) for i in range(1, co.N_STAGES_EXTENDED)]
+    assert bits(pode._A[co.N_STAGES - 1]) == bits(co.B)
+    assert bits(pode._E5) == bits(co.E5)
+    assert bits(pode._E3) == bits(co.E3)
+    assert [bits(row) for row in pode._D] == [bits(row) for row in co.D]
 
 
 def test_start_on_an_event_is_not_reported():
