@@ -196,13 +196,14 @@ def cmd_classify(args):
 
 
 # the canonical starts that closed_forms.canonical_trajectory traces
-_CLOSED_FORM = (Family.SPHERE, Family.UNDULOID, Family.NODOID)
+_CLOSED_FORM = (Family.SPHERE, Family.CYLINDER, Family.UNDULOID,
+                Family.NODOID)
 
 
 def canonical_trace(n, h, e, config):
-    """The trace of the canonical (n, H, E) start: spheres, unduloids and
-    nodoids from closed forms, the other families, and any series that needs
-    a degree above closed_forms' cap, from integrate."""
+    """The trace of the canonical (n, H, E) start: spheres, cylinders,
+    unduloids and nodoids from closed forms, the other families, and any
+    series that needs a degree above closed_forms' cap, from integrate."""
     cls = classify(n, h, e)
     if cls.family in _CLOSED_FORM:
         try:
@@ -213,14 +214,8 @@ def canonical_trace(n, h, e, config):
 
 
 def cmd_trace(args):
-    config = SolveConfig(
-        max_arclength=args.max_arclength,
-        stop_event=(
-            (EventKind(args.stop_event), args.stop_count)
-            if args.stop_event
-            else None
-        ),
-    )
+    stop = (args.stop_event, args.stop_count) if args.stop_event else None
+    config = SolveConfig(max_arclength=args.max_arclength, stop_event=stop)
     explicit = [v is not None for v in (args.x0, args.t0, args.sigma0)]
     if any(explicit):
         if args.x0 is None or args.sigma0 is None:

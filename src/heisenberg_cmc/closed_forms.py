@@ -18,8 +18,8 @@ singular_quadrature, a u^2 = x - a substitution with exact endpoint offsets
 fed to Gauss-Legendre rules of doubling order, stays as the reference for
 integrals with inverse-square-root endpoints.  Nothing here needs SciPy.
 
-canonical_trajectory traces the canonical start of a sphere, unduloid or
-nodoid from these curves, with a second Chebyshev series for the arclength,
+canonical_trajectory traces canonical spheres, cylinders, unduloids and
+nodoids from these curves, with a second Chebyshev series for the arclength,
 and returns the profile_ode.Trajectory that the ODE would: no ODE is solved.
 """
 
@@ -37,6 +37,7 @@ from .classify import Family, classify
 from .core import dimension_index
 from .errors import AxisPointError, DivergentIntegralError, QuadratureError
 from .profile_ode import (
+    CYLINDER_NOTE,
     Event,
     EventKind,
     ProfileState,
@@ -642,7 +643,7 @@ class _SphereArc:
 def canonical_trajectory(cls, h, config):
     """The trace of integrate(cls.n, h, e=e, config=config), cls =
     classify(n, h, e), from closed forms instead of the ODE, for the sphere,
-    the unduloid and the nodoid.
+    the cylinder, the unduloid and the nodoid.
 
     Samples, events and the dense evaluator come from the curve's closed
     form or Chebyshev series: the dense map s -> state finds the curve
@@ -650,27 +651,34 @@ def canonical_trajectory(cls, h, config):
     ODE's: CriticalRadius where a half period ends (not at the start),
     VerticalTangent at a nodoid's x0, and a terminal AxisContact where x
     falls to config.axis_epsilon; a start inside that margin raises
-    AxisPointError.  Half periods are tiled by periodic_continuation, as in
-    integrate; H < 0 runs the (x, -t, pi - sigma) mirror.  The samples carry
-    no drift gate: their level-set residual is the rounding of E's terms.
-    Raises QuadratureError where a series needs a degree above 4096.
+    AxisPointError; a cylinder, (x1, s, 0), records none.  Half periods are
+    tiled by periodic_continuation, as in integrate; H < 0 runs the (x, -t,
+    pi - sigma) mirror.  The samples carry no drift gate: their level-set
+    residual is the rounding of E's terms.  Raises QuadratureError where a
+    series needs a degree above 4096.
     """
     h = float(h)
     eps = config.axis_epsilon
     if cls.family is Family.SPHERE:
         start = 1.0 / cls.h
-    elif cls.family in (Family.UNDULOID, Family.NODOID):
+    elif cls.family in (Family.CYLINDER, Family.UNDULOID, Family.NODOID):
         start = cls.x2 if cls.family is Family.NODOID else cls.x1
     else:
         raise ValueError(f"no closed-form trace for the {cls.family.value}")
     if start <= eps:
         raise AxisPointError(
             f"initial radius {start} is inside the axis margin {eps}")
-    if cls.family is Family.SPHERE:
-        arc = _SphereArc(cls.h, eps)
-    else:
-        arc = _PeriodicArc(cls, eps)
     flip = h < 0.0
+    if cls.family is Family.CYLINDER:
+        way, angle = (-1.0, math.pi) if flip else (1.0, 0.0)
+        end = config.max_arclength
+        return truncated(Trajectory(
+            n=cls.n, h=h, e=-cls.e if flip else cls.e, s=np.array([0.0, end]),
+            states=np.array([[start, 0.0, angle], [start, way * end, angle]]),
+            events=[], config=config, dense=lambda u: (start, way * u, angle),
+            notes=[CYLINDER_NOTE], engine="closed-form"), config)
+    arc = (_SphereArc(cls.h, eps) if cls.family is Family.SPHERE
+           else _PeriodicArc(cls, eps))
 
     def where(p):
         x, t, sigma = arc.state(p)

@@ -69,6 +69,9 @@ __all__ = [
 ]
 
 _LOG = logging.getLogger("heisenberg_cmc")
+CYLINDER_NOTE = ("sin sigma is exactly 0 at every node: the radius is constant "
+                 "and critical throughout, so no CriticalRadius event is "
+                 "recorded")
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,11 @@ class SolveConfig:
     stop_event: tuple | None = None  # (EventKind, count)
 
     def __post_init__(self):
-        if self.stop_event is not None and self.stop_event[1] < 1:
-            raise ValueError("stop_event count must be >= 1")
+        if self.stop_event is not None:
+            kind, count = self.stop_event
+            if count < 1:
+                raise ValueError("stop_event count must be >= 1")
+            object.__setattr__(self, "stop_event", (EventKind(kind), int(count)))
         if not 0.0 < self.max_arclength < math.inf:
             raise ValueError("max_arclength must be finite and positive, "
                              f"got {self.max_arclength!r}")
@@ -721,7 +727,7 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
     )
     terminal = {EventKind.AXIS_CONTACT: 1}
     if config.stop_event is not None:
-        terminal[EventKind(config.stop_event[0])] = int(config.stop_event[1])
+        terminal[config.stop_event[0]] = config.stop_event[1]
     events = [(g, direction, terminal.get(kind, 0))
               for kind, g, direction in watched]
     # at a multiple of pi/2 the pair is exact: sin(pi) = 1.2e-16 would put a
@@ -739,9 +745,7 @@ def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
     nodes = np.array(sol.y)
     notes = list(notes)
     if not nodes[:, 3].any():
-        notes.append("sin sigma is exactly 0 at every node: the radius is "
-                     "constant and critical throughout, so no CriticalRadius "
-                     "event is recorded")
+        notes.append(CYLINDER_NOTE)
     sigma_nodes = np.unwrap(np.arctan2(nodes[:, 3], nodes[:, 2]))
     # an explicit start may sit outside the principal branch
     sigma_nodes += _TWO_PI * round((initial.sigma - sigma_nodes[0]) / _TWO_PI)
@@ -790,7 +794,7 @@ def truncated(traj, config):
     s_cut, last = config.max_arclength, None
     notes = list(traj.notes)
     if config.stop_event is not None:
-        kind, count = EventKind(config.stop_event[0]), config.stop_event[1]
+        kind, count = config.stop_event
         matching = [ev for ev in traj.events if ev.kind is kind]
         if len(matching) >= count and matching[count - 1].s <= s_cut:
             s_cut, last = matching[count - 1].s, matching[count - 1].state
@@ -829,10 +833,10 @@ def integrate(n, h, e=None, initial=None, config=None):
 
     A canonical unduloid or nodoid is periodic and symmetric about each
     critical radius, so only its first half period is solved (and gated);
-    periodic_continuation mirrors it until it covers the arclength limit or
-    holds the stop event, and a note records the tiling.  The direct long solve
-    would pay for, and accumulate error over, every period.  Explicit starts
-    and the other families are solved directly.
+    periodic_continuation tiles it to the fewest half periods that cover the
+    arclength limit or hold the stop event, and a note records the tiling.
+    The direct long solve would pay for, and accumulate error over, every
+    period.  Explicit starts and the other families are solved directly.
     """
     n = dimension_index(n)
     h = float(h)
@@ -868,56 +872,28 @@ def integrate(n, h, e=None, initial=None, config=None):
     return periodic_continuation(half, config)
 
 
-# the most samples periodic_continuation tiles a curve to: 2^22 rows of
-# (s, x, t, sigma) take 128 MB, and the doubling holds two such arrays
-_MAX_TILED_SAMPLES = 2**22
-
-
-def _tiled_samples(half, config):
-    """The samples periodic_continuation builds from half.  Each mirror
-    doubles the half periods, so it builds 2^k of them, for the first k that
-    reaches the arclength limit or, at the latest, holds the stop event:
-    every tile repeats half's events, and a CriticalRadius joins each pair."""
-    needed = math.ceil(config.max_arclength / half.s_end)
-    if config.stop_event is not None:
-        kind, count = EventKind(config.stop_event[0]), config.stop_event[1]
-        per_half = sum(ev.kind is kind for ev in half.events)
-        if per_half:
-            needed = min(needed, -(-count // per_half) + 1)
-    halves = 1 << (needed - 1).bit_length()  # the power of two >= needed
-    return (len(half.s) - 1) * halves + 1
-
-
 def periodic_continuation(half, config):
-    """half, a canonical half period ending at a critical radius, mirrored
-    there until it reaches config's arclength limit or holds its stop event,
-    then cut by truncated; a note records the tiling.  Raises ValueError,
-    before tiling, where that would take more than 2^22 samples."""
-    samples = _tiled_samples(half, config)
-    if samples > _MAX_TILED_SAMPLES:
-        raise ValueError(
-            f"tiling half periods of arclength {half.s_end:.6g} up to "
-            f"{config.max_arclength:g} would take {samples} samples, more "
-            f"than the {_MAX_TILED_SAMPLES} allowed; lower the arclength "
-            "limit (trace --max-arclength)")
-    tiled = half
-    while tiled.s_end < config.max_arclength and not _holds(tiled, config):
-        tiled = reflect_continue(tiled)
-    out = truncated(tiled, config)
-    if tiled is not half:
-        out.notes.append(
-            f"periodic: one half period (arclength {half.s_end:.12g}) "
-            f"mirrored to arclength {out.s_end:.12g}"
-        )
+    """half, a canonical half period, tiled to the fewest half periods that
+    reach config's arclength limit or hold its stop event, then cut by
+    truncated; a note records the tiling.  half starts on a critical radius,
+    where no event is recorded, and ends at its first turn, so every joint
+    turns, and so does the end of each tile that is not a mirror image.
+    Raises ValueError, before tiling, past 2^22 samples."""
+    halves = math.ceil(config.max_arclength / half.s_end)
+    if config.stop_event is not None:
+        kind, count = config.stop_event
+        if kind is EventKind.CRITICAL_RADIUS:
+            # h halves turn h times for odd h, h - 1 times for even h
+            halves = min(halves, count + 1 - count % 2)
+        elif per_half := sum(ev.kind is kind for ev in half.events):
+            halves = min(halves, -(-count // per_half))
+    if halves <= 1:
+        return truncated(half, config)
+    _check_tiling(half, halves)
+    out = truncated(_tiled(half, halves), config)
+    out.notes.append(f"periodic: one half period (arclength {half.s_end:.12g}) "
+                     f"mirrored to arclength {out.s_end:.12g}")
     return out
-
-
-def _holds(traj, config):
-    """Whether traj holds the k-th event of config's stop_event."""
-    if config.stop_event is None:
-        return False
-    kind, count = EventKind(config.stop_event[0]), config.stop_event[1]
-    return sum(ev.kind is kind for ev in traj.events) >= count
 
 
 def _solve(n, h, e, initial, roots, config):
@@ -951,85 +927,106 @@ def _solve(n, h, e, initial, roots, config):
             abs_ = abs_ * 1e-2
 
 
-def _mirrored(traj, at_end):
-    """traj joined to its mirror image about its end (or start) state.
+# the most samples _tiled builds: 2^22 rows of (s, x, t, sigma) take 128 MB
+_MAX_TILED_SAMPLES = 2**22
 
-    At a critical radius the profile is symmetric under the reflection
-    (s, x, t, sigma) -> (2 s0 - s, x, 2 t0 - t, 2 sigma0 - sigma); samples,
-    events and the dense evaluator are all carried across it, and the joint
-    is recorded as a CriticalRadius event.  A mirror about the start is
-    shifted so the result begins where traj began.
+
+def _check_tiling(traj, halves):
+    """Raise ValueError where _tiled(traj, halves) would build more than
+    _MAX_TILED_SAMPLES samples."""
+    samples = (len(traj.s) - 1) * halves + 1
+    if samples > _MAX_TILED_SAMPLES:
+        raise ValueError(
+            f"tiling {halves} copies of a curve of arclength "
+            f"{traj.s_end - traj.s[0]:.6g} would take {samples} samples, more "
+            f"than the {_MAX_TILED_SAMPLES} allowed; lower the arclength limit "
+            "(trace --max-arclength) or the reflections (trace --reflect)")
+
+
+def _tiled(traj, halves, at_end=True):
+    """halves copies of traj in a row, built in one pass: tile j is traj
+    mirrored (j mod 2) times about its end, then moved by floor(j / 2)
+    periods (ds, dt, dsigma), twice traj's advance from start to end.
+
+    The mirror (s, x, t, sigma) -> (2 s0 - s, x, 2 t0 - t, 2 sigma0 - sigma)
+    about a critical radius is a symmetry of the profile, so past two tiles
+    traj must start and end on one.  Events are carried across, each joint
+    becomes a CriticalRadius event, and the dense evaluator finds its tile by
+    one division by the period.  at_end False tiles backwards from the start,
+    shifted to begin where traj began.  Callers size it by _check_tiling.
     """
-    k = -1 if at_end else 0
-    s0 = float(traj.s[k])
-    x0, t0, sig0 = traj.states[k]
+    rows, events = np.column_stack((traj.s, traj.states)), traj.events
+    if not at_end:  # tile backwards: the start is the end of the reversal
+        rows, events = rows[::-1], events[::-1]
+    # the critical radius mirrored about, and the period, as Python floats
+    s0, _, t0, sig0 = rows[-1].tolist()
+    ps, _, pt, psig = (2.0 * (rows[-1] - rows[0])).tolist()
+    shift = 0.0 if at_end else (halves - 1) * (traj.s_end - s0)
 
     def mirror(s, x, t, sig):
         return s0 + (s0 - s), x, 2.0 * t0 - t, 2.0 * sig0 - sig
 
-    s_m, *columns = mirror(traj.s[::-1], *traj.states[::-1].T)
-    events_m = []
-    for ev in reversed(traj.events):
-        s, *state = mirror(ev.s, *ev.state)
-        events_m.append(Event(ev.kind, s, ProfileState(*state)))
-    original = (traj.s, traj.states, traj.events)
-    mirrored = (s_m, np.column_stack(columns), events_m)
-    first, second = (original, mirrored) if at_end else (mirrored, original)
-    shift = 0.0 if at_end else traj.s_end - s0
-    joint = Event(EventKind.CRITICAL_RADIUS, s0, ProfileState(x0, t0, sig0))
-    # dict.fromkeys drops the joint's duplicates in a fixed order; a set
-    # would order tied events by the string hash seed
-    events = list(dict.fromkeys(first[2] + second[2] + [joint]))
-    if shift:
-        events = [Event(ev.kind, ev.s + shift, ev.state) for ev in events]
-    events.sort(key=lambda ev: ev.s)
-    base = traj.dense
+    out = np.empty((1 + halves * (len(rows) - 1), 4))
+    out[0] = rows[0]
+    tiles = out[1:].reshape(halves, -1, 4)  # each tile without its first row
+    tiles[0::2] = rows[1:]
+    tiles[1::2] = np.column_stack(mirror(*rows[-2::-1].T))
+    tiles[2:] += np.arange(2, halves)[:, None, None] // 2 * [ps, 0.0, pt, psig]
+    # each tile's events and the joint at its end but the last one, as (kind,
+    # s, x, t, sigma); dict.fromkeys drops duplicates in a fixed order, where
+    # a set would order ties by the string hash seed
+    cr = EventKind.CRITICAL_RADIUS
+    images = ([(ev.kind, ev.s, *ev.state) for ev in events]
+              + [(cr, *rows[-1].tolist())],
+              [(ev.kind, *mirror(ev.s, *ev.state)) for ev in events[::-1]]
+              + [(cr, *mirror(*rows[0].tolist()))])
+    moved = [(kind, s + (i // 2) * ps + shift, x, t + (i // 2) * pt,
+              sig + (i // 2) * psig)
+             for i in range(halves) for kind, s, x, t, sig in images[i % 2]]
+    tiled_events = [Event(kind, s, ProfileState(x, t, sig))
+                    for kind, s, x, t, sig in dict.fromkeys(moved[:-1])]
+    if not at_end:
+        out, tiled_events = out[::-1], tiled_events[::-1]
+    out[:, 0] += shift
+    base, start, last = traj.dense, float(rows[0, 0]), (halves - 1) // 2
 
     def dense(s):
         u = s - shift
-        if (u > s0) == at_end:  # u lies on the mirror image
-            return mirror(u, *base(s0 + (s0 - u)))[1:]
-        return base(u)
+        k = min(max(int((u - start) // ps), 0), last)
+        u -= k * ps
+        if (u > s0) == at_end:  # u lies on a mirror image
+            _, x, t, sig = mirror(u, *base(s0 + (s0 - u)))
+        else:
+            x, t, sig = base(u)
+        return x, t + k * pt, sig + k * psig
 
-    return replace(
-        traj,
-        s=np.concatenate([first[0], second[0][1:]]) + shift,
-        states=np.vstack([first[1], second[1][1:]]),
-        events=events,
-        dense=dense,
-        notes=list(traj.notes),
-    )
+    return replace(traj, s=out[:, 0], states=out[:, 1:], events=tiled_events,
+                   dense=dense, notes=list(traj.notes))
 
 
 def reflect_continue(traj, copies=1):
     """Extend a trajectory by mirror reflection at a critical radius.
 
-    When the trajectory ends where sin(sigma) = 0, the continuation is the
-    t-mirror of the whole curve, appended; when instead it starts there, the
-    mirror is prepended (a profile integrated away from its only critical
-    point, like the closed sphere cap, gets completed backwards).  Each joint
-    is recorded as a CriticalRadius event, and the result keeps an exact
-    dense evaluator.  Cylinders are their own reflection and are returned
-    unchanged with a note.  Raises NoCriticalPointError when neither end
-    qualifies.
+    A trajectory that starts and ends where sin(sigma) = 0 becomes 2^copies
+    alternately t-mirrored copies of itself.  One with only its end there
+    gets its mirror appended once, one with only its start there gets it
+    prepended once (completing, say, the closed sphere cap).  Joints are
+    recorded as CriticalRadius events, and the dense evaluator stays exact.
+    Cylinders are their own reflection and come back unchanged with a note.
+    Raises NoCriticalPointError when neither end qualifies, and ValueError,
+    before building anything, past 2^22 samples.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
     if float(np.max(np.abs(np.sin(traj.states[:, 2])))) < 1e-9:
         return replace(traj, notes=traj.notes + ["cylinder: self-mirrored"])
-    out = traj
-    for i in range(copies):
-        if abs(math.sin(out.states[-1, 2])) <= 1e-9:
-            out = _mirrored(out, at_end=True)
-        elif abs(math.sin(out.states[0, 2])) <= 1e-9:
-            out = _mirrored(out, at_end=False)
-        elif i == 0:
-            raise NoCriticalPointError(
-                "trajectory neither starts nor ends at a critical radius"
-            )
-        else:
-            break
-    return out
+    at_start, at_end = np.abs(np.sin(traj.states[[0, -1], 2])) <= 1e-9
+    if not (at_start or at_end):
+        raise NoCriticalPointError(
+            "trajectory neither starts nor ends at a critical radius")
+    halves = 2**copies if at_start and at_end else 2
+    _check_tiling(traj, halves)
+    return _tiled(traj, halves, at_end)
 
 
 def trajectory_to_json(traj):

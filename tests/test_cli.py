@@ -19,7 +19,11 @@ import heisenberg_cmc.closed_forms as closed_forms
 import heisenberg_cmc.profile_ode as pode
 import heisenberg_cmc.render as render
 import heisenberg_cmc.verify as verify
-from heisenberg_cmc.classify import classify, cylinder_energy
+from heisenberg_cmc.classify import (
+    classify,
+    cylinder_energy,
+    cylinder_radius,
+)
 from heisenberg_cmc.cli import SWEEP_COLUMNS, main, run_report, sweep_rows
 from heisenberg_cmc.closed_forms import (
     catenoid_generating_curve,
@@ -559,16 +563,16 @@ def test_trace_thin_neck_turns_on_band_roots(tmp_path, capsys):
 
 
 def test_trace_refuses_tiling_past_the_sample_cap(monkeypatch, capsys):
-    # n = 1, H = 1000, E = 0.5 E_cyl: s = 50 holds 70,711 half periods,
-    # which the closed-form trace would tile to 4.6M samples; it refuses
+    # n = 1, H = 2000, E = 0.5 E_cyl: s = 50 holds 141,422 half periods,
+    # which the closed-form trace would tile to 4.9M samples; it refuses
     # before tiling, and exits 2 like other parameters the program cannot
     # serve (test_profile_ode checks integrate's ODE tiling)
     def tiled(*args, **kwargs):
         raise AssertionError("the tiling ran")
 
-    e = repr(0.5 * cylinder_energy(1, 1000.0))
-    argv = ["trace", "--n", "1", "--h", "1000", f"--e={e}"]
-    monkeypatch.setattr(pode, "reflect_continue", tiled)
+    e = repr(0.5 * cylinder_energy(1, 2000.0))
+    argv = ["trace", "--n", "1", "--h", "2000", f"--e={e}"]
+    monkeypatch.setattr(pode, "_tiled", tiled)
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert "samples, more than the 4194304 allowed" in err
@@ -578,6 +582,41 @@ def test_trace_refuses_tiling_past_the_sample_cap(monkeypatch, capsys):
     code, out, _ = run_cli(argv + ["--max-arclength", "0.5"], capsys)
     assert code == 0
     assert out.count("\n") > 10000
+
+
+def test_trace_reflect_refuses_past_the_sample_cap(monkeypatch, capsys):
+    # 2^17 copies of the 41-sample half period would take 5,373,953
+    # samples; the count refuses them before anything is built
+    def tiled(*args, **kwargs):
+        raise AssertionError("the tiling ran")
+
+    monkeypatch.setattr(pode, "_tiled", tiled)
+    code, out, err = run_cli(
+        ["trace", "--n", "1", "--h", "1", "--e=-0.1", "--stop-event",
+         "CriticalRadius", "--reflect", "17"], capsys)
+    assert (code, out) == (2, "")
+    assert "5373953 samples, more than the 4194304 allowed" in err
+    assert "--reflect" in err
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("h", [1.5, -1.5])
+def test_trace_cylinder_is_the_closed_form_line(n, h, tmp_path, capsys):
+    # the ODE's rounding let sin sigma dither about 0 along these cylinders
+    # and record spurious turns (135 for n = 1, 26 for n = 3 at H = 1.5);
+    # the closed form is the line x = x_cyl, t = s, sigma = 0, mirrored to
+    # (x, -s, pi) for H < 0
+    e = math.copysign(cylinder_energy(n, abs(h)), h)
+    doc = _trace_json(["--n", str(n), f"--h={h!r}", f"--e={e!r}"],
+                      tmp_path, capsys)
+    assert doc["events"] == []
+    assert doc["diagnostics"]["engine"] == "closed-form"
+    assert pode.CYLINDER_NOTE in doc["notes"]
+    up = h > 0.0
+    for s, x, t, sigma in doc["samples"]:
+        assert x == cylinder_radius(n, abs(h))
+        assert (t, sigma) == ((s, 0.0) if up else (-s, math.pi))
+    assert doc["samples"][-1][0] == 50.0
 
 
 def test_trace_unresolvable_neck_exits_3(capsys):

@@ -4,10 +4,11 @@ import io
 import logging
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heisenberg_cmc.profile_ode as pode
@@ -736,7 +737,7 @@ def test_tiling_refuses_past_the_sample_cap(monkeypatch):
     def tiled(*args, **kwargs):
         raise AssertionError("the tiling ran")
 
-    monkeypatch.setattr(pode, "reflect_continue", tiled)
+    monkeypatch.setattr(pode, "_tiled", tiled)
     e = 0.5 * cylinder_energy(1, 1000.0)
     with pytest.raises(ValueError, match=r"would take \d+ samples, more than "
                        r"the 4194304 allowed; lower the arclength limit"):
@@ -746,6 +747,120 @@ def test_tiling_refuses_past_the_sample_cap(monkeypatch):
     monkeypatch.undo()
     traj = integrate(1, 1000.0, e=e, config=cfg)
     assert sum(ev.kind is EventKind.CRITICAL_RADIUS for ev in traj.events) == 3
+
+
+def test_reflect_refuses_past_the_sample_cap(monkeypatch):
+    # 2^64 copies of a half period: refused from the count alone, before any
+    # array is allocated
+    def tiled(*args, **kwargs):
+        raise AssertionError("the tiling ran")
+
+    half = canonical_trajectory(classify(1, 1.0, -0.1), 1.0, SolveConfig(
+        stop_event=(EventKind.CRITICAL_RADIUS, 1)))
+    monkeypatch.setattr(pode, "_tiled", tiled)
+    with pytest.raises(ValueError, match=r"would take \d+ samples, more than "
+                       r"the 4194304 allowed;.*--reflect"):
+        reflect_continue(half, copies=64)
+
+
+def test_stop_event_is_parsed_once():
+    cfg = SolveConfig(stop_event=("VerticalTangent", 2.0))
+    assert cfg.stop_event == (EventKind.VERTICAL_TANGENT, 2)
+    assert cfg.stop_event[0] is EventKind.VERTICAL_TANGENT
+    assert type(cfg.stop_event[1]) is int
+    with pytest.raises(ValueError):
+        SolveConfig(stop_event=("CriticalRadius", 0))
+    with pytest.raises(ValueError):
+        SolveConfig(stop_event=("NoSuchEvent", 1))
+
+
+def _mirror_tiles(traj, halves):
+    """Oracle for _tiled: rows (s, x, t, sigma) and events (kind, s, x, t,
+    sigma) of halves tiles, each the mirror of the one before about its end,
+    with a CriticalRadius joint at each interior boundary."""
+    tile = np.column_stack((traj.s, traj.states))
+    events = [(ev.kind, ev.s, *ev.state) for ev in traj.events]
+    rows, every = [tile], list(events)
+    flip = np.array([-1.0, 1.0, -1.0, -1.0])
+    for _ in range(halves - 1):
+        pivot = tile[-1] * np.array([2.0, 0.0, 2.0, 2.0])
+        every.append((EventKind.CRITICAL_RADIUS, *tile[-1]))
+        tile = pivot + flip * tile[::-1]
+        events = [(kind, *(pivot + flip * v)) for kind, *v in events[::-1]]
+        rows.append(tile[1:])
+        every += events
+    return np.concatenate(rows), list(dict.fromkeys(every))
+
+
+def _assert_close(a, b, slack=0.0):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)) + slack)
+
+
+_PERIODIC = st.tuples(
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(0.5, 2.0),
+    st.one_of(st.floats(0.05, 0.95), st.floats(-3.0, -0.05)),  # E / E_cyl
+)
+
+
+def _half_period(n, sign, h, spec):
+    e = sign * spec * cylinder_energy(n, h)
+    return canonical_trajectory(classify(n, sign * h, e), sign * h, SolveConfig(
+        stop_event=(EventKind.CRITICAL_RADIUS, 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(curve=_PERIODIC, halves=st.integers(1, 12))
+@example(curve=(1, 1.0, 1.0, 0.25), halves=6)  # a neck of radius 0.067
+def test_tiling_matches_repeated_mirrors(curve, halves):
+    half = _half_period(*curve)
+    tiled = pode._tiled(half, halves)
+    rows, events = _mirror_tiles(half, halves)
+    _assert_close(np.column_stack((tiled.s, tiled.states)), rows)
+    assert [ev.kind for ev in tiled.events] == [ev[0] for ev in events]
+    _assert_close([(ev.s, *ev.state) for ev in tiled.events],
+                  [ev[1:] for ev in events])
+    # a tile's arclength carries a rounding of its own, which the slope of
+    # the state carries into the dense value: sigma' ~ 1/x^3 at a thin neck
+    n, h = half.n, half.h
+    slope = np.abs([rhs(state, n, h) for state in tiled.states])
+    _assert_close([tiled.dense(s) for s in tiled.s], tiled.states,
+                  8.0 * np.finfo(float).eps * np.abs(tiled.s)[:, None] * slope)
+
+
+@settings(max_examples=30, deadline=None)
+@given(curve=_PERIODIC, limit=st.floats(0.3, 6.0), stop=st.one_of(
+    st.none(), st.tuples(st.sampled_from([EventKind.CRITICAL_RADIUS,
+                                          EventKind.VERTICAL_TANGENT]),
+                         st.integers(1, 7))))
+def test_continuation_builds_the_halves_it_needs(curve, limit, stop):
+    # the fewest half periods whose repeated mirrors reach the arclength
+    # limit or hold the stop event, not a power of two
+    half = _half_period(*curve)
+    config = SolveConfig(max_arclength=limit * half.s_end, stop_event=stop)
+    needed = 1
+    while True:
+        rows, events = _mirror_tiles(half, needed)
+        held = stop is not None and sum(
+            ev[0] is stop[0] for ev in events) >= stop[1]
+        if rows[-1, 0] >= config.max_arclength or held:
+            break
+        needed += 1
+    with mock.patch.object(pode, "_tiled", wraps=pode._tiled) as spy:
+        out = pode.periodic_continuation(half, config)
+    built = [call.args[1] for call in spy.call_args_list]
+    assert len(built) <= 1 and 1 not in built
+    halves = built[0] if built else 1
+    # a limit of a whole number k of half periods is a tie: L / s_end and the
+    # tiles' ends may round to either side of it, and k or k + 1 halves end
+    # the same curve within an ulp of it
+    k = round(limit)
+    tie = abs(limit - k) <= 4.0 * np.finfo(float).eps * limit
+    assert halves == needed or tie and {halves, needed} == {k, k + 1}
+    assert out.s_end <= config.max_arclength + 1e-12
 
 
 def test_sigma_winding_conserves_energy():
