@@ -33,10 +33,10 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,15 +127,15 @@ class SolveStats:
     rejected: int = 0  # rejected trial steps
 
 
-def _rhs_scalars(x, sigma, n, h):
+def _rhs_scalars(x, cos, sin, n, h):
     # kept module-level so a deliberately broken copy can be swapped in to
     # prove the drift detector notices
-    sin = math.sin(sigma)
-    cos = math.cos(sigma)
+    cx, sin2, x2 = cos / x, sin * sin, x * x
+    q = x2 * sin2 + cos * cos
     dsigma = (
-        (2 * n - 1) * cos**3 / x**3
-        + 2 * (n - 1) * sin * sin * cos / x
-        - 2 * n * h * (x * x * sin * sin + cos * cos) ** 1.5 / (x * x)
+        (2 * n - 1) * cx * cx * cx
+        + 2 * (n - 1) * sin2 * cx
+        - 2 * n * h * q * math.sqrt(q) / x2
     )
     return sin, cos, dsigma
 
@@ -146,7 +146,9 @@ def rhs(state, n, h):
     x, _, sigma = state
     if x <= 0.0:
         raise AxisPointError(f"profile equation needs x > 0, got x = {x}")
-    return _rhs_scalars(float(x), float(sigma), n, float(h))
+    sigma = float(sigma)
+    return _rhs_scalars(float(x), math.cos(sigma), math.sin(sigma), n,
+                        float(h))
 
 
 def energy(state, n, h):
@@ -354,17 +356,6 @@ class _DenseCurve:
         return raw + _TWO_PI * round((guess - raw) / _TWO_PI)
 
 
-class _Tableau(NamedTuple):
-    """Dormand-Prince 8(5,3) as rows of nonzero (stage, weight) pairs."""
-
-    stages: tuple  # stages 1..11 from the stages before them
-    b: tuple  # the 8th-order solution
-    e5: tuple  # the 5th- and 3rd-order error estimates
-    e3: tuple
-    extra: tuple  # stages 13..15, for the dense output only
-    d: tuple  # the dense output's four highest coefficients
-
-
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
 # every float the shortest repr of the one in SciPy's dop853_coefficients,
 # so the two tableaus are equal bit for bit.  _A[i - 1] is row i of the
@@ -437,20 +428,6 @@ _D = (
 )
 
 
-def _nonzero(row):
-    return tuple((j, w) for j, w in enumerate(row) if w != 0.0)
-
-
-_TABLEAU = _Tableau(
-    stages=tuple(map(_nonzero, _A[:11])),
-    b=_nonzero(_A[11]),
-    e5=_nonzero(_E5),
-    e3=_nonzero(_E3),
-    extra=tuple(map(_nonzero, _A[12:])),
-    d=tuple(map(_nonzero, _D)),
-)
-
-
 # step control as SciPy's RungeKutta: a step grows or shrinks by
 # SAFETY * err^(-1/8), within [MIN, MAX], and never grows right after a
 # rejection
@@ -459,16 +436,77 @@ _EXPONENT = -1.0 / 8.0  # -1 / (order of the error estimator + 1)
 _ROOT_TOL = 4.0 * math.ulp(1.0)  # event roots, xtol = rtol
 
 
-def _combine(k, row):
-    """sum_j w_j k_j over the (j, w) of row, per component of the k_j."""
-    x = t = c = s = 0.0
-    for j, w in row:
-        kx, kt, kc, ks = k[j]
-        x += w * kx
-        t += w * kt
-        c += w * kc
-        s += w * ks
-    return x, t, c, s
+def _total(row, part):
+    """Source of sum_j w_j k_j over the nonzero weights of row, for one
+    component part ("x", "t", "c" or "s") of the stages k_j.  The terms are
+    added in stage order from 0.0, as a loop over the weights adds them, so
+    the sum rounds the same; every weight is its shortest repr."""
+    return "0.0" + "".join(f" + {w!r} * k{j}{part}"
+                           for j, w in enumerate(row) if w != 0.0)
+
+
+def _stage(j, row):
+    """Source of stage j: fun at the step's start moved by h times the sums
+    of row.  t enters no derivative, so it is not moved."""
+    args = ", ".join(f"{v} + ({_total(row, v)}) * h" for v in "xcs")
+    return f"    k{j}x, k{j}t, k{j}c, k{j}s = fun({args})"
+
+
+@functools.cache
+def _steps():
+    """The trial and dense DOP853 steps, straight-line code generated from
+    _A, _E5, _E3 and _D and compiled on the first solve, so a process that
+    solves nothing never pays the compile.
+
+    trial(fun, y, f, h, rtol, atol) makes stages 1..12 from y and f = fun(y)
+    and returns the error norm, the 8th-order y_new, fun(y_new) and the
+    stages the dense step reads.  dense(fun, y, f, h, y_new, f_new, kept)
+    makes stages 13..15 and returns, per component of y, the eight
+    coefficients of the step's interpolant at the accepted (possibly
+    projected) y_new with f_new = fun(y_new).
+    """
+    parts = "xtcs"
+    read = sorted({j for row in (*_A[12:], *_D)
+                   for j, w in enumerate(row) if w != 0.0 and 0 < j <= 12})
+    kept = ", ".join(f"k{j}{v}" for j in read for v in parts)
+    trial = [
+        "def trial(fun, y, f, h, rtol, atol):",
+        "    x, t, c, s = y",
+        "    k0x, k0t, k0c, k0s = f",
+        *(_stage(j, row) for j, row in enumerate(_A[:11], 1)),
+        *(f"    {v}n = {v} + h * ({_total(_A[11], v)})" for v in parts),
+        "    f_new = fun(xn, cn, sn)",
+        "    k12x, k12t, k12c, k12s = f_new",
+        *(f"    w{v} = atol + max(abs({v}), abs({v}n)) * rtol" for v in parts),
+        *(f"    norm{order} = 0.0" + "".join(
+            f" + (({_total(row, v)}) / w{v}) ** 2" for v in parts)
+          for order, row in ((5, _E5), (3, _E3))),
+        "    if norm5 == 0.0 and norm3 == 0.0:",
+        "        err = 0.0",
+        "    else:",
+        "        err = h * norm5 / sqrt((norm5 + 0.01 * norm3) * 4.0)",
+        f"    return err, (xn, tn, cn, sn), f_new, ({kept})",
+    ]
+    dense = [
+        "def dense(fun, y, f, h, y_new, f_new, kept):",
+        "    x, t, c, s = y",
+        "    k0x, k0t, k0c, k0s = f",
+        "    xn, tn, cn, sn = y_new",
+        "    fx, ft, fc, fs = f_new",
+        f"    {kept} = kept",
+        *(_stage(j, row) for j, row in enumerate(_A[12:], 13)),
+        *(f"    d{v} = {v}n - {v}" for v in parts),
+        "    return (",
+        *(f"        ({v}, d{v}, h * k0{v} - d{v}, "
+          f"2.0 * d{v} - h * (f{v} + k0{v}), "
+          + ", ".join(f"h * ({_total(row, v)})" for row in _D) + "),"
+          for v in parts),
+        "    )",
+    ]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(trial + dense), "<DOP853 steps>", "exec"),
+         namespace)
+    return namespace["trial"], namespace["dense"]
 
 
 def _rms(values):
@@ -538,11 +576,13 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
     """Integrate y = (x, t, cos sigma, sin sigma) from s = 0 to s_end.
 
     The method is Dormand-Prince 8(5,3) with SciPy's DOP853 step control,
-    initial step, error norm and dense output, run on Python floats.  fun(x,
-    c, s) gives y'; t enters no derivative.  project(y, f) sees every
-    accepted step and returns None or the pair (moved y, correction); f is
-    then refreshed at the moved y, the step's dense output is built from
-    both, and the corrections are summed.
+    initial step, error norm and dense output, run on Python floats by the
+    straight-line steps of _steps.  fun(x, c, s) gives y'; t enters no
+    derivative.  A trial step that ends at x <= 0 is rejected as if its
+    error were infinite: past the axis the system has no value.  project(y,
+    f) sees every accepted step and returns None or the pair (moved y,
+    correction); f is then refreshed at the moved y, the step's dense output
+    is built from both, and the corrections are summed.
 
     events holds (g, direction, terminal) triples.  As in SciPy, an event
     occurs in a step whose end nodes give g(y) opposite signs or a 0,
@@ -554,7 +594,7 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
     terminal-th root of an event with terminal > 0.  Raises IntegrationError
     when the step falls below ten ulps of s.
     """
-    stages, b, e5, e3, extra, d = _TABLEAU
+    trial, dense = _steps()
     y = tuple(map(float, y0))
     f = fun(y[0], y[2], y[3])
     h_abs = _initial_step(fun, y, f, s_end, rtol, atol)
@@ -568,7 +608,6 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
     nodes, states, pieces = [0.0], [y], []
     s_old = 0.0
     while True:
-        x, t, c, s = y
         min_step = 10.0 * (math.nextafter(s_old, math.inf) - s_old)
         h_abs = max(h_abs, min_step)
         retried = False
@@ -579,23 +618,12 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
                     "spacing between numbers.")
             s_new = min(s_old + h_abs, s_end)
             h = s_new - s_old
-            k = [f]
-            for row in stages:
-                dx, _, dc, ds = _combine(k, row)
-                k.append(fun(x + dx * h, c + dc * h, s + ds * h))
-            bx, bt, bc, bs = _combine(k, b)
-            y_new = (x + h * bx, t + h * bt, c + h * bc, s + h * bs)
-            k.append(fun(y_new[0], y_new[2], y_new[3]))
+            err, y_new, f_new, kept = trial(fun, y, f, h, rtol, atol)
             nfev += 12
-            norm5 = norm3 = 0.0
-            for v, w, a5, a3 in zip(y, y_new, _combine(k, e5), _combine(k, e3)):
-                scale = atol + max(abs(v), abs(w)) * rtol
-                norm5 += (a5 / scale) ** 2
-                norm3 += (a3 / scale) ** 2
-            if norm5 == 0.0 and norm3 == 0.0:
-                err = 0.0
-            else:
-                err = h * norm5 / math.sqrt((norm5 + 0.01 * norm3) * 4.0)
+            if not y_new[0] > 0.0:
+                # stages past the axis, with x clamped, would spoil the
+                # step's dense output
+                err = math.inf
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0 else
                           min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
@@ -605,28 +633,14 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
             retried = True
             rejected += 1
 
-        f_new = k[12]
         moved = project(y_new, f_new)
         if moved is not None:
             y_new, step_correction = moved
             correction += step_correction
             f_new = fun(y_new[0], y_new[2], y_new[3])
             nfev += 1
-        for row in extra:
-            dx, _, dc, ds = _combine(k, row)
-            k.append(fun(x + dx * h, c + dc * h, s + ds * h))
+        piece = (s_old, h, dense(fun, y, f, h, y_new, f_new, kept))
         nfev += 3
-        coefficients = []
-        for i, high in enumerate(zip(*(_combine(k, row) for row in d))):
-            delta = y_new[i] - y[i]
-            coefficients.append((
-                y[i],
-                delta,
-                h * f[i] - delta,
-                2.0 * delta - h * (f_new[i] + f[i]),
-                *(h * v for v in high),
-            ))
-        piece = (s_old, h, coefficients)
         pieces.append(piece)
 
         g_new = [g(y_new) for g, _, _ in events]
@@ -699,30 +713,28 @@ def _project(level, y, f):
     return (x, t, c, math.copysign(sin, s)), correction
 
 
-def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
+def _solver_rhs(n, h):
+    """fun(x, c, s) = y' of the solver's state y = (x, t, cos sigma, sin
+    sigma), through _rhs_scalars as it stands when this is called.  Between
+    projections the pair leaves the unit circle by the step's error, so it
+    is normalised first; trial stages may undershoot the axis."""
+    rhs_scalars, hypot = _rhs_scalars, math.hypot
+
     def fun(x, c, s):
-        sigma = math.atan2(s, c)
-        # trial steps may undershoot the axis
-        sin, cos, dsigma = _rhs_scalars(x if x > 1e-12 else 1e-12, sigma, n, h)
+        r = hypot(c, s)
+        sin, cos, dsigma = rhs_scalars(x if x > 1e-12 else 1e-12, c / r, s / r,
+                                       n, h)
         return sin, cos, -sin * dsigma, cos * dsigma
 
-    def vertical(y):
-        return y[2]
+    return fun
 
-    if h == 0.0 and e == 0.0:
-        # H = E = 0 is the vertical ray: through sigma = atan2(1, c) the rhs
-        # would give cos sigma = 6e-17 and let it dither about 0, and a curve
-        # vertical everywhere has no isolated VerticalTangent event
-        def fun(x, c, s):
-            return s, c, 0.0, 0.0
 
-        def vertical(y):
-            return 1.0
-
+def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
+    fun = _solver_rhs(n, h)
     # (kind, event function, direction); reaching the axis ends every solve
     watched = (
         (EventKind.CRITICAL_RADIUS, lambda y: y[3], 0),
-        (EventKind.VERTICAL_TANGENT, vertical, 0),
+        (EventKind.VERTICAL_TANGENT, lambda y: y[2], 0),
         (EventKind.AXIS_CONTACT, lambda y: y[0] - config.axis_epsilon, -1),
     )
     terminal = {EventKind.AXIS_CONTACT: 1}
@@ -1059,10 +1071,18 @@ def trajectory_to_json(traj):
     }
 
 
+# the sample rows trajectory_to_csv turns into Python floats at a time: ~1 MB
+# of them, where a whole 2^22-sample tiling would take ~0.9 GB
+_CSV_BLOCK_ROWS = 4096
+
+
 def trajectory_to_csv(traj, stream):
     """Write sample rows (s, x, t, sigma) to a text stream, 17 significant
-    digits so the values survive a round trip."""
+    digits so the values survive a round trip, in blocks of _CSV_BLOCK_ROWS
+    rows."""
     writer = csv.writer(stream)
     writer.writerow(["s", "x", "t", "sigma"])
-    rows = np.column_stack((traj.s, traj.states)).tolist()
-    writer.writerows(["%.17g" % v for v in row] for row in rows)
+    table = np.column_stack((traj.s, traj.states))
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        rows = table[start:start + _CSV_BLOCK_ROWS].tolist()
+        writer.writerows(["%.17g" % v for v in row] for row in rows)

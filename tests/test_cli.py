@@ -635,13 +635,14 @@ def test_trace_unresolvable_neck_exits_3(capsys):
 def test_trace_drift_message_names_rounding(capsys):
     # n = 3, small H: the terms of E reach ~6e7, so rounding alone is ~1e-8,
     # the size of the drift bound; the gate still fails, and says why.  The
-    # start is one ulp inside the outer radius x2 = 35.703161293988195 of the
-    # nodoid E = -0.0008021832421422288, explicit so that the ODE runs.  The
-    # drift reads one or two ulps of the terms (7.5e-9 or 1.5e-8) depending
-    # on rounding; from this start it reads two
+    # start is two ulps inside the outer radius x2 = 35.703161293988195 of
+    # the nodoid E = -0.0008021832421422288, explicit so that the ODE runs.
+    # The drift reads one or more ulps of the terms (7.5e-9, 1.5e-8, ...)
+    # depending on rounding, which any change to the solver's arithmetic
+    # reshuffles among nearby starts; from this start it reads two
     code, out, err = run_cli(
         ["trace", "--n", "3", "--h=0.02800872426336685",
-         "--x0=35.70316129398819", "--sigma0", "0", "--max-arclength", "50"],
+         "--x0=35.70316129398818", "--sigma0", "0", "--max-arclength", "50"],
         capsys)
     assert code == 3
     assert out == ""
@@ -985,8 +986,8 @@ def test_verify_detects_broken_dynamics(monkeypatch, capsys):
     # retry ladder cannot save it, and the energy suite must go red
     orig = pode._rhs_scalars
 
-    def broken(x, sigma, n, h):
-        sin, cos, dsigma = orig(x, sigma, n, h)
+    def broken(x, cos, sin, n, h):
+        sin, cos, dsigma = orig(x, cos, sin, n, h)
         return sin, cos, -dsigma
 
     monkeypatch.setattr(pode, "_rhs_scalars", broken)

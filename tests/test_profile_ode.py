@@ -164,6 +164,18 @@ def test_sphere_reaches_axis(n, h):
     assert len(traj.s) < 200
 
 
+@pytest.mark.parametrize("h", [0.5, math.nextafter(math.nextafter(1.0, 2.0),
+                                                  2.0)])
+def test_sphere_ends_at_the_axis_on_its_level_set(h):
+    # the last step once ran past the axis, where the rhs is clamped, and
+    # its dense output put the AxisContact state off the level set: by
+    # 5.8e-7 at H = 0.5, which cost a retry, and 2.6e-9 at H = 1 + 2 ulps
+    traj = integrate(1, h, e=0.0, config=SolveConfig(max_arclength=5.0))
+    assert traj.events[-1].kind is EventKind.AXIS_CONTACT
+    assert abs(energy(traj.states[-1], 1, h)) <= 1e-15
+    assert traj.stats.retries == 0
+
+
 def _sphere_to_axis(n, h):
     cfg = SolveConfig(stop_event=(EventKind.AXIS_CONTACT, 1))
     return integrate(n, h, e=0.0, config=cfg)
@@ -473,8 +485,8 @@ def test_canonical_periodic_without_critical_radius_in_limit():
 
 
 def test_energy_drift_detected(monkeypatch):
-    def broken(x, sigma, n, h):
-        sin, cos, dsig = pode.__dict__["_rhs_orig"](x, sigma, n, h)
+    def broken(x, cos, sin, n, h):
+        sin, cos, dsig = pode.__dict__["_rhs_orig"](x, cos, sin, n, h)
         return sin, cos, dsig * 1.01
 
     pode.__dict__["_rhs_orig"] = pode._rhs_scalars
@@ -490,8 +502,8 @@ def test_energy_drift_message_without_rounding(monkeypatch):
     # the drift and the message adds no rounding clause
     original = pode._rhs_scalars
 
-    def broken(x, sigma, n, h):
-        sin, cos, dsig = original(x, sigma, n, h)
+    def broken(x, cos, sin, n, h):
+        sin, cos, dsig = original(x, cos, sin, n, h)
         return sin, cos, dsig * 1.01
 
     monkeypatch.setattr(pode, "_rhs_scalars", broken)
@@ -721,6 +733,165 @@ def test_tableau_is_scipys_bit_for_bit():
     assert [bits(row) for row in pode._D] == [bits(row) for row in co.D]
 
 
+# ---------------------------------------------------------------------------
+# the generated straight-line steps against the generic loop they replaced
+
+
+def _combine(k, row):
+    """sum_j w_j k_j over the nonzero weights of row, per component."""
+    x = t = c = s = 0.0
+    for j, w in enumerate(row):
+        if w != 0.0:
+            kx, kt, kc, ks = k[j]
+            x += w * kx
+            t += w * kt
+            c += w * kc
+            s += w * ks
+    return x, t, c, s
+
+
+def _oracle_trial(fun, y, f, h, rtol, atol):
+    """The error norm, y_new and stages 0..12 of one trial step, as the
+    generic loop made them."""
+    x, t, c, s = y
+    k = [f]
+    for row in pode._A[:11]:
+        dx, _, dc, ds = _combine(k, row)
+        k.append(fun(x + dx * h, c + dc * h, s + ds * h))
+    bx, bt, bc, bs = _combine(k, pode._A[11])
+    y_new = (x + h * bx, t + h * bt, c + h * bc, s + h * bs)
+    k.append(fun(y_new[0], y_new[2], y_new[3]))
+    norm5 = norm3 = 0.0
+    for v, w, a5, a3 in zip(y, y_new, _combine(k, pode._E5),
+                            _combine(k, pode._E3)):
+        scale = atol + max(abs(v), abs(w)) * rtol
+        norm5 += (a5 / scale) ** 2
+        norm3 += (a3 / scale) ** 2
+    if norm5 == 0.0 and norm3 == 0.0:
+        err = 0.0
+    else:
+        err = h * norm5 / math.sqrt((norm5 + 0.01 * norm3) * 4.0)
+    return err, y_new, k
+
+
+def _oracle_dense(fun, y, f, h, y_new, f_new, k):
+    """The interpolant coefficients of one accepted step, as the generic
+    loop made them."""
+    x, _, c, s = y
+    k = list(k)
+    for row in pode._A[12:]:
+        dx, _, dc, ds = _combine(k, row)
+        k.append(fun(x + dx * h, c + dc * h, s + ds * h))
+    coefficients = []
+    for i, high in enumerate(zip(*(_combine(k, row) for row in pode._D))):
+        delta = y_new[i] - y[i]
+        coefficients.append((y[i], delta, h * f[i] - delta,
+                             2.0 * delta - h * (f_new[i] + f[i]),
+                             *(h * v for v in high)))
+    return coefficients
+
+
+def _bits(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class _Recording:
+    """The solver's rhs, recording the arguments of every call."""
+
+    def __init__(self, n, h):
+        self.fun = pode._solver_rhs(n, h)
+        self.calls = []
+
+    def __call__(self, x, c, s):
+        self.calls.append((x, c, s))
+        return self.fun(x, c, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3),
+       h=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+       x=st.floats(0.3, 20.0),
+       t=st.floats(-5.0, 5.0),
+       sigma=st.floats(-7.0, 7.0),
+       radius=st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+       step=st.floats(1e-6, 0.2),
+       projected=st.booleans())
+@example(n=1, h=0.5, x=1.0, t=0.0, sigma=0.0, radius=1.0, step=0.1,
+         projected=False)
+@example(n=2, h=-1.0, x=2.0, t=1.0, sigma=math.pi / 2, radius=1.0,
+         step=0.01, projected=True)
+def test_generated_steps_repeat_the_generic_loop(n, h, x, t, sigma, radius,
+                                                 step, projected):
+    # stage arguments, y_new, the error norm, both error estimates and the
+    # dense coefficients, bit for bit; 12 + 3 rhs calls per step
+    trial, dense = pode._steps()
+    y = (x, t, radius * math.cos(sigma), radius * math.sin(sigma))
+    ours, theirs = _Recording(n, h), _Recording(n, h)
+    f = ours.fun(y[0], y[2], y[3])
+    rtol, atol = 1e-10, 1e-12
+
+    err, y_new, f_new, kept = trial(ours, y, f, step, rtol, atol)
+    assert len(ours.calls) == 12
+    err_o, y_new_o, k = _oracle_trial(theirs, y, f, step, rtol, atol)
+    assert _bits(ours.calls) == _bits(theirs.calls)
+    assert _bits(y_new) == _bits(y_new_o)
+    assert _bits(f_new) == _bits(k[12])
+    assert float(err).hex() == float(err_o).hex()
+    for row in (pode._E5, pode._E3):
+        for i, part in enumerate("xtcs"):
+            inlined = eval(pode._total(row, part), {}, {
+                f"k{j}{part}": stage[i] for j, stage in enumerate(k)})
+            assert inlined.hex() == _combine(k, row)[i].hex()
+
+    if projected:  # the step's end moved, as the projection moves it
+        y_new = (y_new[0], y_new[1], y_new[2] * (1.0 + 1e-12), y_new[3])
+        f_new = ours.fun(y_new[0], y_new[2], y_new[3])
+    ours.calls.clear()
+    theirs.calls.clear()
+    coefficients = dense(ours, y, f, step, y_new, f_new, kept)
+    assert len(ours.calls) == 3
+    oracle = _oracle_dense(theirs, y, f, step, y_new, f_new, k)
+    assert _bits(ours.calls) == _bits(theirs.calls)
+    assert _bits(coefficients) == _bits(oracle)
+
+
+# ---------------------------------------------------------------------------
+# the solver's rhs on (cos sigma, sin sigma) against rhs(state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3),
+       h=st.floats(-10.0, 10.0),
+       x=st.floats(1e-12, 1e4),
+       sigma=st.floats(-math.pi, math.pi),
+       radius=st.floats(1.0 - 1e-9, 1.0 + 1e-9))
+@example(n=1, h=1.0, x=1e-12, sigma=-math.pi / 2, radius=1.0)
+@example(n=3, h=-2.0, x=1e-12, sigma=3.0, radius=1.0 + 1e-9)
+@example(n=2, h=0.5, x=1e4, sigma=math.pi, radius=1.0 - 1e-9)
+def test_solver_rhs_agrees_with_rhs_of_the_angle(n, h, x, sigma, radius):
+    # the solver normalises (c, s) by hypot where rhs(state) takes cos and
+    # sin of sigma = atan2(s, c); the two pairs differ by a few ulps of 1,
+    # and sigma' by what that and its own rounding move it
+    c, s = radius * math.cos(sigma), radius * math.sin(sigma)
+    dx, dt, dc, ds = pode._solver_rhs(n, h)(x, c, s)
+    sin, cos, dsigma = rhs((x, 0.0, math.atan2(s, c)), n, h)
+    eps = np.finfo(float).eps
+    assert abs(dx - sin) <= 4 * eps and abs(dt - cos) <= 4 * eps
+    q = x * x * sin * sin + cos * cos
+    terms = (abs((2 * n - 1) * cos**3 / x**3)
+             + abs(2 * (n - 1) * sin * sin * cos / x)
+             + abs(2 * n * h * q**1.5 / x**2))
+    # d sigma' / d(cos, sin), times the 4 eps the pair may move
+    slope = (3 * (2 * n - 1) * cos * cos / x**3
+             + 2 * (n - 1) * (sin * sin + 2 * abs(sin * cos)) / x
+             + 6 * n * abs(h) * math.sqrt(q) * (abs(cos) + x * x * abs(sin))
+             / x**2)
+    # sigma' back from (cos sigma sigma', -sin sigma sigma') by the larger of
+    # cos and sin, which adds 2 ulps of sigma'
+    solver = ds / dt if abs(dt) > 0.5 else -dc / dx
+    assert abs(solver - dsigma) <= 8 * eps * terms + 4 * eps * slope
+
+
 def test_start_on_an_event_is_not_reported():
     # the canonical unduloid starts on a critical radius (sin sigma = 0
     # exactly); its first CriticalRadius event is the next one
@@ -903,3 +1074,17 @@ def test_serialization_roundtrip():
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.allclose(back[:, 0], traj.s, rtol=0, atol=0)
     assert np.allclose(back[:, 1:], traj.states, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_csv_blocks_write_the_bytes_of_one_block(monkeypatch, block):
+    traj = integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=5.0))
+    assert len(traj.s) > 2 * 7
+    whole = io.StringIO()
+    monkeypatch.setattr(pode, "_CSV_BLOCK_ROWS", len(traj.s))
+    trajectory_to_csv(traj, whole)
+    blocks = io.StringIO()
+    monkeypatch.setattr(pode, "_CSV_BLOCK_ROWS", block)
+    trajectory_to_csv(traj, blocks)
+    assert blocks.getvalue() == whole.getvalue()
+    assert whole.getvalue().count("\r\n") == len(traj.s) + 1
