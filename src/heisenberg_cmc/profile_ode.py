@@ -31,7 +31,6 @@ stays on the unit circle no matter how far the curve winds.
 from __future__ import annotations
 
 import bisect
-import csv
 import enum
 import functools
 import logging
@@ -140,15 +139,29 @@ def _rhs_scalars(x, cos, sin, n, h):
     return sin, cos, dsigma
 
 
+_HALF_PI = math.pi / 2.0
+_QUARTERS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+def _cos_sin(sigma):
+    """(cos sigma, sin sigma), exact where sigma is a whole number of
+    quarter turns: cos(-pi/2) = 6.1e-17 would put a vertical state off its
+    event and lift its E off 0, and sin(pi) = 1.2e-16 would do the same to a
+    critical radius."""
+    if math.isfinite(sigma):
+        quarter = round(sigma / _HALF_PI)
+        if quarter * _HALF_PI == sigma:
+            return _QUARTERS[quarter % 4]
+    return math.cos(sigma), math.sin(sigma)
+
+
 def rhs(state, n, h):
     """Right-hand side (x', t', sigma') of the profile system."""
     n = dimension_index(n)
     x, _, sigma = state
     if x <= 0.0:
         raise AxisPointError(f"profile equation needs x > 0, got x = {x}")
-    sigma = float(sigma)
-    return _rhs_scalars(float(x), math.cos(sigma), math.sin(sigma), n,
-                        float(h))
+    return _rhs_scalars(float(x), *_cos_sin(float(sigma)), n, float(h))
 
 
 def energy(state, n, h):
@@ -158,8 +171,7 @@ def energy(state, n, h):
     x = float(x)
     if x <= 0.0:
         raise AxisPointError(f"energy needs x > 0, got x = {x}")
-    sin = math.sin(float(sigma))
-    cos = math.cos(float(sigma))
+    cos, sin = _cos_sin(float(sigma))
     return x ** (2 * n - 1) * cos / math.sqrt(
         x * x * sin * sin + cos * cos
     ) - float(h) * x ** (2 * n)
@@ -330,30 +342,6 @@ def _check_invariants(traj, roots=None):
 
 _TWO_PI = 2.0 * math.pi
 _REL_FLOOR = 2.3e-14  # just above 100*eps, where step control meets rounding
-
-
-class _DenseCurve:
-    """Dense evaluator returning (x, t, sigma).
-
-    The solver carries the angle as (cos sigma, sin sigma) and atan2 only
-    recovers the principal branch; the continuous angle is picked by rounding
-    to the branch of the interpolated node values.
-    """
-
-    def __init__(self, raw, s_nodes, sigma_nodes):
-        self._raw = raw
-        self._s = s_nodes
-        self._sigma = sigma_nodes
-
-    def __call__(self, s):
-        x, t, c, si = self._raw(s)
-        return (x, t, self.branch(s, math.atan2(si, c)))
-
-    def branch(self, s, raw):
-        """The angle raw moved by a multiple of 2 pi onto the branch of the
-        interpolated node sigma at s."""
-        guess = float(np.interp(s, self._s, self._sigma))
-        return raw + _TWO_PI * round((guess - raw) / _TWO_PI)
 
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10),
@@ -531,8 +519,9 @@ def _initial_step(fun, y, f, s_end, rtol, atol):
 
 
 def _interpolate(piece, u):
-    """The dense output of one step at arclength u."""
-    s0, h, coefficients = piece
+    """The dense output (x, t, cos sigma, sin sigma) of one step at
+    arclength u."""
+    s0, h, coefficients = piece[:3]
     r = (u - s0) / h
     q = 1.0 - r
     return tuple(
@@ -542,70 +531,94 @@ def _interpolate(piece, u):
     )
 
 
-class _DenseOutput:
-    """Piecewise dense output; at a node the step before it is used."""
+def _unwound(c, s, guess):
+    """The angle of (c, s) on the branch nearest guess."""
+    raw = math.atan2(s, c)
+    return raw + _TWO_PI * round((guess - raw) / _TWO_PI)
 
-    def __init__(self, nodes, pieces):
-        self._nodes = nodes
-        self._pieces = pieces
 
-    def __call__(self, u):
-        i = bisect.bisect_left(self._nodes, u) - 1
-        return _interpolate(
-            self._pieces[min(max(i, 0), len(self._pieces) - 1)], u)
+def _state(piece, u):
+    """(x, t, sigma) of one step at arclength u, sigma on the branch of the
+    line through the step's two node angles."""
+    s0, h, _, sigma0, sigma1 = piece
+    x, t, c, s = _interpolate(piece, u)
+    return x, t, _unwound(c, s, sigma0 + (sigma1 - sigma0) * ((u - s0) / h))
 
 
 @dataclass
 class _OdeResult:
-    """What solve_ivp returns: the nodes t (arclengths) and y (states), the
-    event roots and states per event, the dense output sol, the right-hand
-    side evaluations nfev, the rejected trial steps, and the sum of the
-    corrections the projection reported."""
+    """What solve_ivp returns: the node arclengths t and states y = (x, t,
+    sigma), the events in arclength order, the dense evaluator of (x, t,
+    sigma), the right-hand side evaluations nfev, the rejected trial steps,
+    the sum of the corrections the projection reported, and whether sin
+    sigma was exactly 0 at every node."""
 
     t: list
     y: list
-    t_events: list
-    y_events: list
-    sol: _DenseOutput
+    events: list
+    dense: object
     nfev: int
     rejected: int
     correction: float
+    flat: bool
 
 
-def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
-    """Integrate y = (x, t, cos sigma, sin sigma) from s = 0 to s_end.
+# the events the solver watches, in the order it reports ties, with the only
+# direction that counts (-1 falling, 0 either)
+_WATCHED = (
+    (EventKind.CRITICAL_RADIUS, 0),  # sin sigma = 0
+    (EventKind.VERTICAL_TANGENT, 0),  # cos sigma = 0
+    (EventKind.AXIS_CONTACT, -1),  # x = config.axis_epsilon
+)
 
-    The method is Dormand-Prince 8(5,3) with SciPy's DOP853 step control,
-    initial step, error norm and dense output, run on Python floats by the
-    straight-line steps of _steps.  fun(x, c, s) gives y'; t enters no
-    derivative.  A trial step that ends at x <= 0 is rejected as if its
-    error were infinite: past the axis the system has no value.  project(y,
-    f) sees every accepted step and returns None or the pair (moved y,
-    correction); f is then refreshed at the moved y, the step's dense output
-    is built from both, and the corrections are summed.
 
-    events holds (g, direction, terminal) triples.  As in SciPy, an event
-    occurs in a step whose end nodes give g(y) opposite signs or a 0,
-    falling only for direction < 0, rising only for direction > 0; unlike
-    SciPy, a g that is exactly 0 at s = 0 is no event, so a start state on
-    an event does not report it, and neither is a g exactly 0 at both ends
-    of a step, as sin sigma is all along a cylinder.  The root is found by
-    Brent's method on the step's dense output, and the solve ends at the
-    terminal-th root of an event with terminal > 0.  Raises IntegrationError
-    when the step falls below ten ulps of s.
+def solve_ivp(n, h, e, initial, config, rtol, atol):
+    """Integrate the (n, h) profile system from initial to
+    config.max_arclength, projected onto the level set E = e.
+
+    The state is y = (x, t, cos sigma, sin sigma).  The method is
+    Dormand-Prince 8(5,3) with SciPy's DOP853 step control, initial step,
+    error norm and dense output, run on Python floats by the straight-line
+    steps of _steps.  A trial step that ends at x <= 0 is rejected as if its
+    error were infinite: past the axis the system has no value.  Every
+    accepted step is projected by _project, f is refreshed at the moved
+    state, the step's dense output is built from both, and the corrections
+    are summed.  sigma is unwound as each node is accepted, onto the branch
+    nearest the node before; the first node takes the branch of
+    initial.sigma.
+
+    The _WATCHED events occur, as in SciPy, in a step whose end nodes give
+    their function opposite signs or a 0; unlike SciPy, a function exactly 0
+    at s = 0 is no event, so a start state on an event does not report it,
+    and neither is one exactly 0 at both ends of a step, as sin sigma is all
+    along a cylinder.  The root is found by Brent's method on the step's
+    dense output, and recorded with sigma on the step's branch, snapped to
+    a multiple of pi at a critical radius.  The solve ends at the first
+    AxisContact or the config.stop_event-th event of its kind.  Raises
+    IntegrationError when the step falls below ten ulps of s.
     """
     trial, dense = _steps()
-    y = tuple(map(float, y0))
+    fun = _solver_rhs(n, h)
+    level, s_end, eps = (n, h, e), config.max_arclength, config.axis_epsilon
+    terminal = {EventKind.AXIS_CONTACT: 1}
+    if config.stop_event is not None:
+        terminal[config.stop_event[0]] = config.stop_event[1]
+    limits = [terminal.get(kind, 0) for kind, _ in _WATCHED]
+
+    def watch(y):  # the event functions, in _WATCHED order
+        return y[3], y[2], y[0] - eps
+
+    y = (float(initial.x), float(initial.t), *_cos_sin(float(initial.sigma)))
+    sigma = _unwound(y[2], y[3], float(initial.sigma))
     f = fun(y[0], y[2], y[3])
     h_abs = _initial_step(fun, y, f, s_end, rtol, atol)
     nfev, rejected, correction = 2, 0, 0.0
-    # NaN fails every comparison below: a g that is 0 at the start finds no
-    # event in the first step
-    g_old = [g(y) or math.nan for g, _, _ in events]
-    counts = [0] * len(events)
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
-    nodes, states, pieces = [0.0], [y], []
+    # NaN fails every comparison below: a function that is 0 at the start
+    # finds no event in the first step
+    g_old = [g or math.nan for g in watch(y)]
+    counts = [0] * len(_WATCHED)
+    events, nodes, states, pieces = [], [0.0], [(y[0], y[1], sigma)], []
+    flat = y[3] == 0.0
     s_old = 0.0
     while True:
         min_step = 10.0 * (math.nextafter(s_old, math.inf) - s_old)
@@ -617,8 +630,8 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
                     "integration failed: Required step size is less than "
                     "spacing between numbers.")
             s_new = min(s_old + h_abs, s_end)
-            h = s_new - s_old
-            err, y_new, f_new, kept = trial(fun, y, f, h, rtol, atol)
+            step = s_new - s_old
+            err, y_new, f_new, kept = trial(fun, y, f, step, rtol, atol)
             nfev += 12
             if not y_new[0] > 0.0:
                 # stages past the axis, with x clamped, would spoil the
@@ -627,60 +640,72 @@ def solve_ivp(fun, y0, s_end, rtol, atol, events, project):
             if err < 1.0:
                 factor = (_MAX_FACTOR if err == 0.0 else
                           min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
-                h_abs = h * (min(1.0, factor) if retried else factor)
+                h_abs = step * (min(1.0, factor) if retried else factor)
                 break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            h_abs = step * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             retried = True
             rejected += 1
 
-        moved = project(y_new, f_new)
+        moved = _project(level, y_new, f_new)
         if moved is not None:
             y_new, step_correction = moved
             correction += step_correction
             f_new = fun(y_new[0], y_new[2], y_new[3])
             nfev += 1
-        piece = (s_old, h, dense(fun, y, f, h, y_new, f_new, kept))
+        sigma_new = _unwound(y_new[2], y_new[3], sigma)
+        piece = (s_old, step, dense(fun, y, f, step, y_new, f_new, kept),
+                 sigma, sigma_new)
         nfev += 3
         pieces.append(piece)
 
-        g_new = [g(y_new) for g, _, _ in events]
+        g_new = watch(y_new)
         hits = []
-        for i, (g, direction, _) in enumerate(events):
+        for i, (_, direction) in enumerate(_WATCHED):
             if g_old[i] == 0.0 == g_new[i]:
                 continue  # g vanishes along the step: no isolated root
             rising = g_old[i] <= 0.0 <= g_new[i]
             falling = g_old[i] >= 0.0 >= g_new[i]
             if rising and direction >= 0 or falling and direction <= 0:
-                root = _brentq(lambda u, g=g: g(_interpolate(piece, u)),
+                root = _brentq(lambda u, i=i: watch(_interpolate(piece, u))[i],
                                s_old, s_new, _ROOT_TOL, _ROOT_TOL)
                 counts[i] += 1
                 hits.append((root, i))
         hits.sort()
         # the first terminal root ends the solve; the roots after it are lost
-        end = next((n for n, (_, i) in enumerate(hits)
-                    if 0 < events[i][2] <= counts[i]), None)
+        end = next((k for k, (_, i) in enumerate(hits)
+                    if 0 < limits[i] <= counts[i]), None)
         if end is not None:
-            hits = hits[:end + 1]
+            del hits[end + 1:]
         for root, i in hits:
-            t_events[i].append(root)
-            y_events[i].append(_interpolate(piece, root))
+            kind = _WATCHED[i][0]
+            x, t, sig = _state(piece, root)
+            if kind is EventKind.CRITICAL_RADIUS:
+                # sin sigma = 0 defines the event; at a thin neck sigma
+                # turns so fast that the located root keeps sin ~ 1e-8,
+                # and a mirror about it would not join exactly
+                sig = math.pi * round(sig / math.pi)
+            events.append(Event(kind, root, ProfileState(x, t, sig)))
         if end is not None:
-            root, i = hits[-1]
-            if root == nodes[-1]:  # ended on the last node: no new segment
+            s_new = hits[-1][0]
+            if s_new == nodes[-1]:  # ended on the last node: no new segment
                 pieces.pop()
-            else:
-                nodes.append(root)
-                states.append(y_events[i][-1])
-            break
+                break
+            y_new = _interpolate(piece, s_new)
+            sigma_new = _unwound(y_new[2], y_new[3], sigma)
+        flat = flat and y_new[3] == 0.0
         nodes.append(s_new)
-        states.append(y_new)
-        if s_new >= s_end:
+        states.append((y_new[0], y_new[1], sigma_new))
+        if end is not None or s_new >= s_end:
             break
-        s_old, y, f, g_old = s_new, y_new, f_new, g_new
+        s_old, y, f, g_old, sigma = s_new, y_new, f_new, g_new, sigma_new
 
-    return _OdeResult(t=nodes, y=states, t_events=t_events, y_events=y_events,
-                     sol=_DenseOutput(nodes, pieces), nfev=nfev,
-                     rejected=rejected, correction=correction)
+    def dense_state(u):  # at a node the step before it is used
+        i = bisect.bisect_left(nodes, u) - 1
+        return _state(pieces[min(max(i, 0), len(pieces) - 1)], u)
+
+    return _OdeResult(t=nodes, y=states, events=events, dense=dense_state,
+                      nfev=nfev, rejected=rejected, correction=correction,
+                      flat=flat)
 
 
 def _project(level, y, f):
@@ -727,72 +752,6 @@ def _solver_rhs(n, h):
         return sin, cos, -sin * dsigma, cos * dsigma
 
     return fun
-
-
-def _solve_attempt(n, h, e, initial, config, rel_tol, abs_tol, notes):
-    fun = _solver_rhs(n, h)
-    # (kind, event function, direction); reaching the axis ends every solve
-    watched = (
-        (EventKind.CRITICAL_RADIUS, lambda y: y[3], 0),
-        (EventKind.VERTICAL_TANGENT, lambda y: y[2], 0),
-        (EventKind.AXIS_CONTACT, lambda y: y[0] - config.axis_epsilon, -1),
-    )
-    terminal = {EventKind.AXIS_CONTACT: 1}
-    if config.stop_event is not None:
-        terminal[config.stop_event[0]] = config.stop_event[1]
-    events = [(g, direction, terminal.get(kind, 0))
-              for kind, g, direction in watched]
-    # at a multiple of pi/2 the pair is exact: sin(pi) = 1.2e-16 would put a
-    # start on a critical radius beside its event instead of on it
-    quarter = round(initial.sigma / (math.pi / 2.0))
-    if quarter * (math.pi / 2.0) == initial.sigma:
-        c0, s0 = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[quarter % 4]
-    else:
-        c0, s0 = math.cos(initial.sigma), math.sin(initial.sigma)
-    level = (n, h, e)
-    sol = solve_ivp(fun, (initial.x, initial.t, c0, s0), config.max_arclength,
-                    rel_tol, abs_tol, events,
-                    project=lambda y, f: _project(level, y, f))
-
-    nodes = np.array(sol.y)
-    notes = list(notes)
-    if not nodes[:, 3].any():
-        notes.append(CYLINDER_NOTE)
-    sigma_nodes = np.unwrap(np.arctan2(nodes[:, 3], nodes[:, 2]))
-    # an explicit start may sit outside the principal branch
-    sigma_nodes += _TWO_PI * round((initial.sigma - sigma_nodes[0]) / _TWO_PI)
-    s_nodes = np.array(sol.t)
-    dense = _DenseCurve(sol.sol, s_nodes, sigma_nodes)
-
-    recorded = []
-    for (kind, _, _), roots, states in zip(watched, sol.t_events,
-                                           sol.y_events):
-        for s_ev, y_ev in zip(roots, states):
-            sig = dense.branch(s_ev, math.atan2(y_ev[3], y_ev[2]))
-            if kind is EventKind.CRITICAL_RADIUS:
-                # sin sigma = 0 defines the event; at a thin neck sigma
-                # turns so fast that the located root keeps sin ~ 1e-8,
-                # and a mirror about it would not join exactly
-                sig = math.pi * round(sig / math.pi)
-            recorded.append(
-                Event(kind, s_ev, ProfileState(y_ev[0], y_ev[1], sig)))
-    recorded.sort(key=lambda ev: ev.s)
-
-    return Trajectory(
-        n=n,
-        h=h,
-        e=e,
-        s=s_nodes,
-        states=np.column_stack([nodes[:, 0], nodes[:, 1], sigma_nodes]),
-        events=recorded,
-        config=config,
-        notes=notes,
-        dense=dense,
-        energy_correction=sol.correction,
-        stats=SolveStats(rhs_evals=sol.nfev, steps=len(sol.t) - 1,
-                         rejected=sol.rejected),
-        rel_tol=rel_tol,
-    )
 
 
 def truncated(traj, config):
@@ -914,15 +873,17 @@ def _solve(n, h, e, initial, roots, config):
     retry_notes = []
     rhs_evals = steps = rejected = 0
     while True:
-        traj = truncated(
-            _solve_attempt(n, h, e, initial, config, rel, abs_, retry_notes),
-            config,
-        )
-        rhs_evals += traj.stats.rhs_evals
-        steps += traj.stats.steps
-        rejected += traj.stats.rejected
-        traj = replace(traj, stats=SolveStats(
-            rhs_evals, steps, len(retry_notes), rejected))
+        sol = solve_ivp(n, h, e, initial, config, rel, abs_)
+        rhs_evals += sol.nfev
+        steps += len(sol.t) - 1
+        rejected += sol.rejected
+        notes = list(retry_notes) + ([CYLINDER_NOTE] if sol.flat else [])
+        traj = truncated(Trajectory(
+            n=n, h=h, e=e, s=np.array(sol.t), states=np.array(sol.y),
+            events=sol.events, config=config, dense=sol.dense, notes=notes,
+            energy_correction=sol.correction,
+            stats=SolveStats(rhs_evals, steps, len(retry_notes), rejected),
+            rel_tol=rel), config)
         try:
             _check_invariants(traj, roots)
             return traj
@@ -1074,15 +1035,15 @@ def trajectory_to_json(traj):
 # the sample rows trajectory_to_csv turns into Python floats at a time: ~1 MB
 # of them, where a whole 2^22-sample tiling would take ~0.9 GB
 _CSV_BLOCK_ROWS = 4096
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 def trajectory_to_csv(traj, stream):
-    """Write sample rows (s, x, t, sigma) to a text stream, 17 significant
-    digits so the values survive a round trip, in blocks of _CSV_BLOCK_ROWS
-    rows."""
-    writer = csv.writer(stream)
-    writer.writerow(["s", "x", "t", "sigma"])
+    """Write sample rows (s, x, t, sigma) to a text stream as CSV with
+    \\r\\n line ends, 17 significant digits so the values survive a round
+    trip, in blocks of _CSV_BLOCK_ROWS rows."""
+    stream.write("s,x,t,sigma\r\n")
     table = np.column_stack((traj.s, traj.states))
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
         rows = table[start:start + _CSV_BLOCK_ROWS].tolist()
-        writer.writerows(["%.17g" % v for v in row] for row in rows)
+        stream.write("".join([_CSV_ROW % tuple(row) for row in rows]))

@@ -513,6 +513,24 @@ def test_trace_sphere_reaches_axis(n, h, tmp_path, capsys):
     assert 0.0 < diag["energy_correction"] <= 1e-8
 
 
+# a downward start inside an n >= 2 hyperplane: cos(-pi/2) = 6.1e-17 used to
+# make E ~ 1e-17, a catenoid whose waist ~2e-6 sits just outside the axis
+# margin; n = 2 then exited 3 at that neck and n = 3 turned at x = 3.3e-4
+# and ran back out to x = 49.5
+@pytest.mark.parametrize("n", [2, 3])
+def test_trace_vertical_ray_reaches_axis(n, tmp_path, capsys):
+    doc = _trace_json(["--n", str(n), "--h", "0", "--x0", "0.5",
+                       f"--sigma0={-math.pi / 2!r}"], tmp_path, capsys)
+    assert doc["e"] == 0.0
+    assert [ev["kind"] for ev in doc["events"]] == ["AxisContact"]
+    s_end, x_end, t_end, sigma_end = doc["samples"][-1]
+    assert s_end == doc["events"][0]["s"] == pytest.approx(0.5 - 1e-6,
+                                                            abs=1e-12)
+    assert (x_end, t_end, sigma_end) == pytest.approx(
+        (1e-6, 0.0, -math.pi / 2), abs=1e-12)
+    assert all(x <= 0.5 for _, x, _, _ in doc["samples"])
+
+
 def test_trace_diagnostics_are_optional(tmp_path, capsys):
     doc = _trace_json(["--n", "1", "--h", "0.5", "--e", "0.3",
                        "--stop-event", "CriticalRadius", "--reflect", "1"],

@@ -61,6 +61,27 @@ def test_energy_frozen_examples():
     assert energy((2.0, 0.0, math.pi / 2), 1, 0.5) == pytest.approx(-2.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 37.0])
+@pytest.mark.parametrize("sigma", [math.pi / 2, -math.pi / 2,
+                                   3 * math.pi / 2, -5 * math.pi / 2])
+def test_vertical_state_has_zero_energy_on_a_hyperplane(n, x, sigma):
+    # math.cos(pi / 2) is 6.1e-17, which made E ~ 1e-17 x^(2n-2)
+    assert energy(ProfileState(x, 0.0, sigma), n, 0.0) == 0.0
+
+
+def test_quarter_turns_map_exactly():
+    for quarter in range(-12, 13):
+        sigma = quarter * (math.pi / 2.0)
+        cos, sin = pode._cos_sin(sigma)
+        assert (cos, sin) == (round(math.cos(sigma)), round(math.sin(sigma)))
+    assert pode._cos_sin(1.0) == (math.cos(1.0), math.sin(1.0))
+    assert pode._cos_sin(math.pi / 2 + 1e-15) == (
+        math.cos(math.pi / 2 + 1e-15), math.sin(math.pi / 2 + 1e-15))
+    # rhs reads the same pair: a vertical ray stays vertical
+    assert rhs((0.5, 0.0, -math.pi / 2), 3, 0.0) == (-1.0, 0.0, 0.0)
+
+
 def test_rhs_axis_guard():
     with pytest.raises(AxisPointError):
         rhs((0.0, 0.0, 0.0), 1, 1.0)
@@ -871,8 +892,10 @@ def test_generated_steps_repeat_the_generic_loop(n, h, x, t, sigma, radius,
 def test_solver_rhs_agrees_with_rhs_of_the_angle(n, h, x, sigma, radius):
     # the solver normalises (c, s) by hypot where rhs(state) takes cos and
     # sin of sigma = atan2(s, c); the two pairs differ by a few ulps of 1,
-    # and sigma' by what that and its own rounding move it
-    c, s = radius * math.cos(sigma), radius * math.sin(sigma)
+    # and sigma' by what that and its own rounding move it.  The pair is made
+    # as the solver's start makes it, exact at quarter turns, where rhs(state)
+    # is exact too
+    c, s = (radius * v for v in pode._cos_sin(sigma))
     dx, dt, dc, ds = pode._solver_rhs(n, h)(x, c, s)
     sin, cos, dsigma = rhs((x, 0.0, math.atan2(s, c)), n, h)
     eps = np.finfo(float).eps
@@ -1055,6 +1078,41 @@ def test_explicit_start_keeps_sigma_branch():
     traj = integrate(1, 2.0, initial=st, config=SolveConfig(max_arclength=2.0))
     assert traj.states[0, 2] == pytest.approx(2.0 * math.pi, abs=1e-12)
     assert traj.state_at(0.0).sigma == pytest.approx(2.0 * math.pi, abs=1e-9)
+
+
+def test_far_branch_nodoid_keeps_sigma_and_event_order():
+    # an explicit n = 3 nodoid start three turns below the canonical branch,
+    # solved directly over three periods (six critical radii)
+    start = initial_state(3, 1.0, _NODOID_E)
+    assert start.sigma == 0.0
+    traj = integrate(3, 1.0, initial=ProfileState(start.x, 0.0, -6 * math.pi),
+                     config=SolveConfig(
+                         stop_event=(EventKind.CRITICAL_RADIUS, 6)))
+    assert not traj.notes
+    sig = traj.states[:, 2]
+    assert sig[0] == -6 * math.pi
+    assert np.all(np.abs(np.diff(sig)) < math.pi)
+    assert sig[-1] == pytest.approx(-12 * math.pi) == sig.min()
+    for s, node in zip(traj.s, sig):
+        assert abs(traj.state_at(s).sigma - node) <= 1e-12
+    # events in arclength order, the stop event last and at the end
+    assert [ev.s for ev in traj.events] == sorted(ev.s for ev in traj.events)
+    critical = [ev for ev in traj.events
+                if ev.kind is EventKind.CRITICAL_RADIUS]
+    assert traj.events[-1] is critical[-1] and len(critical) == 6
+    assert traj.s_end == critical[-1].s
+    # the k-th critical radius sits at sigma = -6 pi - k pi exactly, and
+    # every event on the branch of the nodes around it
+    assert [ev.state.sigma for ev in critical] == [
+        math.pi * (-6 - k) for k in range(1, 7)]
+    assert [ev.kind for ev in traj.events] == [
+        EventKind.VERTICAL_TANGENT, EventKind.CRITICAL_RADIUS] * 6
+    for ev in traj.events:
+        i = np.searchsorted(traj.s, ev.s)
+        around = sig[max(i - 1, 0):i + 1]
+        assert np.all(np.abs(ev.state.sigma - around) < math.pi / 2)
+        assert ev.state.sigma == pytest.approx(traj.state_at(ev.s).sigma,
+                                               abs=1e-6)
 
 
 def test_serialization_roundtrip():
