@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebval
 from numpy.polynomial.legendre import leggauss
 
 from .classify import Family, classify
@@ -337,9 +336,14 @@ def _band_cofactor(cls):
     without cancellation."""
     n, h, e, x1, x2 = cls.n, cls.h, cls.e, cls.x1, cls.x2
     if cls.family is Family.UNDULOID:
-        coeffs = np.zeros(2 * n + 1)
-        coeffs[0], coeffs[1], coeffs[-1] = -h, 1.0, -e
-        rest = np.polydiv(np.polydiv(coeffs, [1.0, -x1])[0], [1.0, -x2])[0]
+        # x^{2n-1} - w = -H x^{2n} + x^{2n-1} - E over (x - x1) and (x - x2)
+        # by synthetic division, the quotients np.polydiv would return
+        rest = [-h, 1.0] + [0.0] * (2 * n - 2) + [-e]
+        for root in (x1, x2):
+            quotient = [rest[0]]
+            for c in rest[1:-1]:
+                quotient.append(c + quotient[-1] * root)
+            rest = quotient
         return lambda x: (-np.polyval(rest, x)
                           * (x ** (2 * n - 1) + e + h * x ** (2 * n)))
 
@@ -369,12 +373,13 @@ def _chop(coeffs, tol):
     if env[0] == 0.0:
         return 1
     env = env / env[0]
+    plateau, log_tol = env.tolist(), math.log(tol)
     for j in range(2, n + 1):  # 1-based, as in the paper
         j2 = round(1.25 * j + 5)
         if j2 > n:
             return None
-        e1 = env[j - 1]
-        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+        e1 = plateau[j - 1]
+        if e1 == 0.0 or plateau[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
             break
     if env[j - 2] == 0.0:
         return j - 1
@@ -388,28 +393,50 @@ def _chop(coeffs, tol):
     return max(int(np.argmin(biased)), 1)
 
 
-_MAX_DEGREE = 4096
+_FIRST_DEGREE, _ONE_PASS_DEGREE, _MAX_DEGREE = 16, 64, 4096
 _NEWTON_STEPS = 8
 
 
+@functools.cache
+def _grid(degree):
+    """theta = (pi / 2)(1 + y) at the Chebyshev points y = cos(pi k / degree),
+    k = 0..degree, with sin^2(theta / 2) and cos^2(theta / 2), as read-only
+    arrays built on the first call for each degree."""
+    y = np.cos(np.arange(degree + 1) * math.pi / degree)
+    theta = 0.5 * math.pi * (1.0 + y)
+    grid = (theta, np.sin(0.5 * theta) ** 2, np.cos(0.5 * theta) ** 2)
+    for values in grid:
+        values.flags.writeable = False
+    return grid
+
+
 def _resolved(sample):
-    """Chebyshev series in y on [-1, 1] of the functions that sample(y)
-    yields as (values, noise) pairs at the Chebyshev points y.  The degree is
-    doubled from 16 until _chop finds every series resolved against its
-    values' rounding noise, and a series still unresolved at degree 4096
-    raises QuadratureError.  The functions after an unresolved one are not
-    sampled at that degree.  Returns the (coeffs, keep, noise) triple of
-    each function and the number of points sampled."""
-    degree, evaluations = 8, 0
-    while True:
-        if degree >= _MAX_DEGREE:
-            raise QuadratureError(
-                "Chebyshev series unresolved at degree %d" % degree)
-        degree *= 2
-        y = np.cos(np.arange(degree + 1) * math.pi / degree)
-        evaluations += degree + 1
+    """Chebyshev series in y on [-1, 1] of the functions that sample(degree)
+    returns at the Chebyshev points of that degree, a list of (values,
+    bounds) pairs: a function's noise at a degree is the sum, over its bound
+    arrays, of eps times the array's maximum on that degree's points.
+
+    The points of degree N are every (64/N)-th point of degree 64, so one
+    sample at degree 64 serves degrees 16, 32 and 64; _chop tests every
+    function at each in turn, each against its noise on that degree's own
+    points, and the first degree that resolves them all wins.  Past 64 the
+    degree doubles with a fresh sample, and a series still unresolved at
+    degree 4096 raises QuadratureError.  Returns the (coeffs, keep, noise)
+    triple of each function and the number of points sampled: 65 when
+    degree 64 resolves them, 65 + 129 at degree 128, and so on."""
+    degree, sampled, evaluations = _FIRST_DEGREE, 0, 0
+    while degree <= _MAX_DEGREE:
+        if degree > sampled:
+            sampled = max(degree, _ONE_PASS_DEGREE)
+            pairs = sample(sampled)
+            evaluations += sampled + 1
+        stride = sampled // degree
         fits = []
-        for values, noise in sample(y):
+        for values, bounds in pairs:
+            values = values[::stride]
+            noise = 0.0
+            for bound in bounds:
+                noise += _EPS * float(np.max(bound[::stride]))
             coeffs = _dct1(values) / degree
             coeffs[[0, -1]] *= 0.5
             keep = _chop(coeffs, noise / float(np.max(np.abs(values))))
@@ -418,6 +445,39 @@ def _resolved(sample):
             fits.append((coeffs, keep, noise))
         else:
             return fits, evaluations
+        degree *= 2
+    raise QuadratureError(
+        "Chebyshev series unresolved at degree %d" % _MAX_DEGREE)
+
+
+def _chebint(c, scale):
+    """chebint(c, lbnd=-1) * scale of numpy.polynomial.chebyshev for a list
+    c of floats, by its recurrence, operation for operation.  Like numpy's,
+    it leaves the all-zero series (keep 1 from _chop) one term long."""
+    n = len(c)
+    if n == 1 and c[0] == 0.0:
+        return [(c[0] + 0) * scale]
+    tmp = [c[0] * 0, c[0]] + [0.0] * (n - 1)
+    if n > 1:
+        tmp[2] = c[1] / 4
+    for j in range(2, n):
+        tmp[j + 1] = c[j] / (2 * (j + 1))
+        tmp[j - 1] -= c[j] / (2 * (j - 1))
+    tmp[0] += 0 - _chebval(-1.0, tmp)
+    return [v * scale for v in tmp]
+
+
+def _chebval(x, c):
+    """chebval(x, c) of numpy.polynomial.chebyshev for a list c of floats
+    and a float or an array x, by its Clenshaw recurrence, operation for
+    operation."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _sin(theta):
@@ -431,60 +491,65 @@ class _HalfPeriod:
     x(theta) = m - r cos(theta) runs from x1 at theta = 0 to x2 at pi, and
     the band edges' inverse square roots cancel against dx = r sin(theta)
     dtheta: dt/dtheta = w x / sqrt(q(x)) is analytic on [0, pi].  Its
-    Chebyshev interpolant (degree doubled until _chop finds it resolved)
-    integrates to T(theta), the height gained from x1 (Trefethen,
-    Approximation Theory and Approximation Practice, ch. 3, 7 and 19).
-    With arclength=True the same samples give a second series, of
-    ds/dtheta = sqrt(r^2 sin^2(theta) + (dt/dtheta)^2), which integrates to
-    S(theta), the arclength from x1; the degree then grows until both are
-    resolved.
+    Chebyshev interpolant (resolved by _resolved from one sample at degree
+    64, or fresh samples of higher degree) integrates to T(theta), the
+    height gained from x1 (Trefethen, Approximation Theory and Approximation
+    Practice, ch. 3, 7 and 19).  With arclength=True the same samples give
+    a second series, of ds/dtheta = sqrt(r^2 sin^2(theta) + (dt/dtheta)^2),
+    which integrates to S(theta), the arclength from x1; the degree then
+    grows until both are resolved.
     """
 
     def __init__(self, cls, arclength=False):
         self.cls = cls
         self._cofactor = _band_cofactor(cls)
 
-        def sample(y):
-            theta = 0.5 * math.pi * (1.0 + y)
-            x = self.radius(theta)
+        def sample(degree):
+            theta, sin2, cos2 = _grid(degree)
+            x = self._radius(sin2, cos2)
             scale = x / np.sqrt(self._cofactor(x))
             terms = cls.h * x ** (2 * cls.n)
             rise = (cls.e + terms) * scale
-            noise = _EPS * float(np.max((abs(cls.e) + terms) * scale))
-            yield rise, noise
+            bound = (abs(cls.e) + terms) * scale
+            pairs = [(rise, (bound,))]
             if arclength:
                 speed = np.hypot(self.run(theta), rise)
-                yield speed, noise + _EPS * float(np.max(speed))
+                pairs.append((speed, (bound, speed)))
+            return pairs
 
         fits, self.evaluations = _resolved(sample)
         coeffs, keep, noise = fits[0]
         self.degree = keep - 1
         # in y = 2 theta / pi - 1, dtheta = (pi / 2) dy; the error is the
         # dropped tail plus the rounding of w's terms, which can exceed w
-        self._series = chebint(coeffs[:keep], lbnd=-1.0) * (0.5 * math.pi)
+        self._series = _chebint(coeffs[:keep].tolist(), 0.5 * math.pi)
         self.error = math.pi * (float(np.sum(np.abs(coeffs[keep:]))) + noise)
         if arclength:
             coeffs, keep, _ = fits[1]
-            self._speed = coeffs[:keep]
-            self._arclength = chebint(self._speed, lbnd=-1.0) * (0.5 * math.pi)
+            self._speed = coeffs[:keep].tolist()
+            self._arclength = _chebint(self._speed, 0.5 * math.pi)
 
     def radius(self, theta):
         """x(theta), offset from the nearer band edge so it stays exact."""
+        return self._radius(np.sin(0.5 * theta) ** 2,
+                            np.cos(0.5 * theta) ** 2)
+
+    def _radius(self, sin2, cos2):
+        """x from sin^2(theta / 2) and cos^2(theta / 2)."""
         x1, x2 = self.cls.x1, self.cls.x2
-        d1 = (x2 - x1) * np.sin(0.5 * theta) ** 2
-        d2 = (x2 - x1) * np.cos(0.5 * theta) ** 2
+        d1 = (x2 - x1) * sin2
+        d2 = (x2 - x1) * cos2
         return np.where(d1 <= d2, x1 + d1, x2 - d2)
 
     def height(self, theta):
-        return chebval(2.0 * np.asarray(theta) / math.pi - 1.0, self._series)
+        return _chebval(2.0 * theta / math.pi - 1.0, self._series)
 
     def arclength(self, theta):
-        return chebval(2.0 * np.asarray(theta) / math.pi - 1.0,
-                       self._arclength)
+        return _chebval(2.0 * theta / math.pi - 1.0, self._arclength)
 
     def speed(self, theta):
         """ds/dtheta from its series, the derivative of arclength."""
-        return chebval(2.0 * np.asarray(theta) / math.pi - 1.0, self._speed)
+        return _chebval(2.0 * theta / math.pi - 1.0, self._speed)
 
     def run(self, theta):
         """dx/dtheta = r sin(theta)."""
@@ -514,7 +579,10 @@ def unduloid_halfperiod(n, h, e):
 def halfperiod_heights(n, h, e):
     """Heights (t1, t2) gained from the start of the canonical traversal, x1
     for unduloids and x2 for nodoids, to x0 (the inflection or the vertical
-    tangent) and to the far band edge.  Cylinders degenerate to (0, 0)."""
+    tangent) and to the far band edge.  Cylinders degenerate to (0, 0).
+    Each result's evaluations counts the points of dt/dtheta sampled: 65
+    for a series resolved by degree 64, 65 + 129 for one resolved at 128,
+    and so on."""
     cls = classify(n, h, e)
     if cls.family is Family.CYLINDER:
         return _ZERO, _ZERO
@@ -613,13 +681,14 @@ class _SphereArc:
     def __init__(self, h, axis_epsilon):
         self.h = h
 
-        def sample(y):
-            speed = self.slope(0.25 * math.pi * (1.0 + y))
-            yield speed, _EPS * float(np.max(speed))
+        def sample(degree):
+            # phi = theta / 2 = (pi / 4)(1 + y)
+            speed = self.slope(0.5 * _grid(degree)[0])
+            return [(speed, (speed,))]
 
         fits, _ = _resolved(sample)
         coeffs, keep, _ = fits[0]
-        self._series = chebint(coeffs[:keep], lbnd=-1.0) * (0.25 * math.pi)
+        self._series = _chebint(coeffs[:keep].tolist(), 0.25 * math.pi)
         m = max(keep - 1, 1)
         phi = np.arange(m + 1) * (0.5 * math.pi / m)
         stop = 0.5 * math.pi - math.asin(h * axis_epsilon)  # x = epsilon
@@ -631,8 +700,8 @@ class _SphereArc:
         return np.hypot(np.sin(phi) / h, np.cos(phi) ** 2 / (h * h))
 
     def arclength(self, phi):
-        y = 4.0 * np.asarray(phi) / math.pi - 1.0
-        return chebval(y, self._series) - chebval(-1.0, self._series)
+        y = 4.0 * phi / math.pi - 1.0
+        return _chebval(y, self._series) - _chebval(-1.0, self._series)
 
     def state(self, phi):
         h, sin, cos = self.h, np.sin(phi), np.cos(phi)

@@ -7,16 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebint
 from scipy.fft import dct
 from scipy.optimize import brentq
 from scipy.special import beta, betainc
 
-from heisenberg_cmc.classify import classify, cylinder_energy
+from heisenberg_cmc.classify import Family, classify, cylinder_energy
 from heisenberg_cmc.closed_forms import (
     QuadratureResult,
+    _band_cofactor,
     _betainc,
     _dct1,
+    _grid,
     _HalfPeriod,
+    _resolved,
+    _SphereArc,
     canonical_trajectory,
     catenoid_curve,
     catenoid_generating_curve,
@@ -436,6 +441,224 @@ def test_halfperiod_property(n, u, sign, frac):
     assert math.isfinite(t2.error_estimate)
     if n == 1:
         assert t2.value == pytest.approx(math.pi / (4.0 * h * h), rel=1e-9)
+
+
+def test_halfperiod_evaluations_count_the_points_sampled():
+    # one sample at degree 64 serves degrees 16, 32 and 64; past 64 every
+    # degree takes a fresh sample
+    at_64 = halfperiod_heights(1, 1.0, 0.5 * cylinder_energy(1, 1.0))
+    at_128 = halfperiod_heights(1, 1.0, 0.1 * cylinder_energy(1, 1.0))
+    assert [r.evaluations for r in at_64] == [65, 65]
+    assert [r.evaluations for r in at_128] == [65 + 129, 65 + 129]
+
+
+def test_sample_grid_is_cached_read_only_and_nested():
+    theta, sin2, cos2 = _grid(64)
+    assert _grid(64)[0] is theta
+    for values in (theta, sin2, cos2):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    # the points of degree 16 and 32 are every 4th and 2nd point of 64
+    for degree, stride in ((16, 4), (32, 2)):
+        for coarse, fine in zip(_grid(degree), _grid(64)):
+            assert coarse.tobytes() == fine[::stride].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one sampling pass against the per-degree doubling loop
+#
+# The reference is the plain doubling loop: a fresh sample at each degree
+# 16, 32, 64, ..., its noise yielded with the values, the unduloid cofactor
+# from np.polydiv, standardChop on numpy scalars and numpy's chebint.  One
+# pass must give the same bits.  A numpy build whose SIMD ufuncs round a
+# strided subsample of the degree-64 grid otherwise than a fresh grid of
+# degree 16 or 32 fails here.
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _reference_chop(coeffs, tol):
+    n = len(coeffs)
+    if n < 17:
+        return None
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    for j in range(2, n + 1):
+        j2 = round(1.25 * j + 5)
+        if j2 > n:
+            return None
+        e1 = env[j - 1]
+        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    if env[j - 2] == 0.0:
+        return j - 1
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    biased = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(biased)), 1)
+
+
+def _reference_resolved(sample):
+    """(fits, the degree that resolved them) of the doubling loop, where
+    sample(y) yields (values, noise) at the Chebyshev points y."""
+    degree = 8
+    while True:
+        if degree >= 4096:
+            raise QuadratureError("Chebyshev series unresolved at degree 4096")
+        degree *= 2
+        y = np.cos(np.arange(degree + 1) * math.pi / degree)
+        fits = []
+        for values, noise in sample(y):
+            coeffs = _dct1(values) / degree
+            coeffs[[0, -1]] *= 0.5
+            keep = _reference_chop(coeffs, noise / float(np.max(np.abs(values))))
+            if keep is None:
+                break
+            fits.append((coeffs, keep, noise))
+        else:
+            return fits, degree
+
+
+def _reference_half_period(cls, arclength):
+    n, h, e, x1, x2 = cls.n, cls.h, cls.e, cls.x1, cls.x2
+    cofactor = _band_cofactor(cls)
+    if cls.family is Family.UNDULOID:
+        coeffs = np.zeros(2 * n + 1)
+        coeffs[0], coeffs[1], coeffs[-1] = -h, 1.0, -e
+        rest = np.polydiv(np.polydiv(coeffs, [1.0, -x1])[0], [1.0, -x2])[0]
+
+        def cofactor(x):
+            return (-np.polyval(rest, x)
+                    * (x ** (2 * n - 1) + e + h * x ** (2 * n)))
+
+    def sample(y):
+        theta = 0.5 * math.pi * (1.0 + y)
+        d1 = (x2 - x1) * np.sin(0.5 * theta) ** 2
+        d2 = (x2 - x1) * np.cos(0.5 * theta) ** 2
+        x = np.where(d1 <= d2, x1 + d1, x2 - d2)
+        scale = x / np.sqrt(cofactor(x))
+        terms = h * x ** (2 * n)
+        rise = (e + terms) * scale
+        noise = _EPS * float(np.max((abs(e) + terms) * scale))
+        yield rise, noise
+        if arclength:
+            run = 0.5 * (x2 - x1) * np.sin(np.minimum(theta, math.pi - theta))
+            speed = np.hypot(run, rise)
+            yield speed, noise + _EPS * float(np.max(speed))
+
+    fits, resolved_at = _reference_resolved(sample)
+    coeffs, keep, noise = fits[0]
+    ref = {"degree": keep - 1,
+           "error": math.pi * (float(np.sum(np.abs(coeffs[keep:]))) + noise),
+           "_series": chebint(coeffs[:keep], lbnd=-1.0) * (0.5 * math.pi)}
+    if arclength:
+        coeffs, keep, _ = fits[1]
+        ref["_arclength"] = chebint(coeffs[:keep], lbnd=-1.0) * (0.5 * math.pi)
+    return ref, resolved_at
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _one_pass_cases():
+    """(n, H, E) on n = 1..4 across both bands, seeded, plus near-cylinder
+    unduloids and far nodoids, which resolve at degree 32."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        h = 10.0 ** rng.uniform(-2.0, 2.0)
+        ecyl = cylinder_energy(n, h)
+        neck = 10.0 ** rng.uniform(-10.0, -0.3)
+        near_cylinder = 1.0 - 10.0 ** rng.uniform(-9.0, -0.3)
+        nodoid = -(10.0 ** rng.uniform(-10.0, 3.0))
+        cases.append((n, h, (neck, near_cylinder)[int(rng.integers(2))] * ecyl))
+        cases.append((n, h, nodoid * ecyl))
+    for n in (1, 2, 3, 4):
+        cases.append((n, 1.0, 0.9999 * cylinder_energy(n, 1.0)))
+        cases.append((n, 1.0, -1e6 * cylinder_energy(n, 1.0)))
+    return cases
+
+
+def test_one_pass_half_periods_match_the_doubling_loop():
+    resolved = set()
+    families = set()
+    for n, h, e in _one_pass_cases():
+        cls = classify(n, h, e)
+        families.add((n, cls.family))
+        for arclength in (False, True):
+            try:
+                ref, degree = _reference_half_period(cls, arclength)
+            except QuadratureError:
+                with pytest.raises(QuadratureError, match="degree 4096"):
+                    _HalfPeriod(cls, arclength=arclength)
+                continue
+            resolved.add(degree)
+            half = _HalfPeriod(cls, arclength=arclength)
+            where = (n, h, e, arclength)
+            assert (half.degree, half.error) == (ref["degree"], ref["error"]), where
+            assert _bits(half._series) == _bits(ref["_series"]), where
+            if arclength:
+                assert _bits(half._arclength) == _bits(ref["_arclength"]), where
+            # 65 points, then 129, 257, ... up to the resolving degree
+            assert half.evaluations == 65 + sum(
+                2 ** k + 1 for k in range(7, 13) if 2 ** k <= degree)
+    assert families == {(n, f) for n in (1, 2, 3, 4)
+                        for f in (Family.UNDULOID, Family.NODOID)}
+    assert {32, 64, 128} <= resolved and max(resolved) > 128
+
+
+@pytest.mark.parametrize("h", [0.01, 0.5, 1.0, 3.0, 100.0])
+def test_one_pass_sphere_arcs_match_the_doubling_loop(h):
+    def sample(y):
+        phi = 0.25 * math.pi * (1.0 + y)
+        speed = np.hypot(np.sin(phi) / h, np.cos(phi) ** 2 / (h * h))
+        yield speed, _EPS * float(np.max(speed))
+
+    fits, _ = _reference_resolved(sample)
+    coeffs, keep, _ = fits[0]
+    series = chebint(coeffs[:keep], lbnd=-1.0) * (0.25 * math.pi)
+    assert _bits(_SphereArc(h, 1e-6)._series) == _bits(series)
+
+
+@pytest.mark.parametrize("f, degree", [
+    (lambda y: y ** 3 + 2.0, 16),
+    (np.exp, 32),
+    (lambda y: 1.0 / (1.0 + 4.0 * y * y), 128),
+])
+def test_one_pass_resolves_at_the_degree_of_the_doubling_loop(f, degree):
+    # no half period or sphere tried resolves at degree 16, where
+    # standardChop must find the plateau by index 9 (the n = 2 unduloid at
+    # (1 - 1e-12) E_cyl still has coefficients of 4e-13 there), so these
+    # series cover the degrees one pass serves.  The bound's peak at
+    # y = 0.3 lies between the points of degree 16, so each degree's noise
+    # must come from that degree's own points
+    def bound(y, values):
+        return np.abs(values) + np.exp(-50.0 * (y - 0.3) ** 2)
+
+    def reference(y):
+        values = f(y)
+        yield values, _EPS * float(np.max(bound(y, values)))
+
+    def sample(n):
+        y = np.cos(np.arange(n + 1) * math.pi / n)
+        values = f(y)
+        return [(values, (bound(y, values),))]
+
+    ref, resolved_at = _reference_resolved(reference)
+    fits, evaluations = _resolved(sample)
+    assert resolved_at == degree
+    assert evaluations == (65 if degree <= 64 else 65 + 129)
+    (coeffs, keep, noise), = fits
+    (ref_coeffs, ref_keep, ref_noise), = ref
+    assert (keep, noise) == (ref_keep, ref_noise)
+    assert _bits(coeffs) == _bits(ref_coeffs)
 
 
 # ---------------------------------------------------------------------------
