@@ -15,6 +15,7 @@ retry machinery waking up on a deliberately tight bound for an n = 3
 sphere, which reaches the axis.
 """
 
+from heisenberg_cmc.classify import classify
 from heisenberg_cmc.profile_ode import SolveConfig, initial_state, integrate
 
 
@@ -25,7 +26,8 @@ def main():
     solves = (
         ("mirrored half period", integrate(n, h, e=e, config=cfg)),
         ("direct, every period",
-         integrate(n, h, initial=initial_state(n, h, e), config=cfg)),
+         integrate(n, h, initial=initial_state(classify(n, h, e)),
+                   config=cfg)),
     )
     print(f"nodoid n={n} H={h} E={e} over arclength {cfg.max_arclength:g}:")
     print(f"  {'solve':<22}{'sigma at end':>14}{'drift':>12}{'rhs evals':>11}")

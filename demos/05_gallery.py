@@ -11,6 +11,7 @@ Usage: python demos/05_gallery.py [output-directory]
 import pathlib
 import sys
 
+from heisenberg_cmc.classify import classify
 from heisenberg_cmc.render import family_polyline, render_gallery, render_panel
 
 
@@ -23,7 +24,7 @@ def main():
         path.write_text(render_gallery(n), encoding="utf-8")
         print(f"wrote {path}")
 
-    pts = family_polyline(1, 1.0, -0.15)
+    pts = family_polyline(classify(1, 1.0, -0.15))
     path = out / "nodoid_closeup.svg"
     path.write_text(render_panel([pts], "Nodoid, n = 1, H = 1, E = -0.15"),
                     encoding="utf-8")

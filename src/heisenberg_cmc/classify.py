@@ -12,16 +12,15 @@ are roots of the two polynomials
 
 and sign(cos sigma) = sign(E + H x^{2n}) along the curve.  Everything is
 invariant under (H, E) -> (-H, -E), which is just reversing the traversal
-direction, so inputs are normalized to H >= 0.
+direction, so inputs are normalized to H >= 0 and the classification records
+in flip whether that mirror was taken.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .core import dimension_index
 from .errors import NoAdmissibleRadiusError, RootBracketFailureError
@@ -59,7 +58,9 @@ class Classification:
     inflection radius for unduloids, the vertical tangent radius
     (-e/h)^{1/2n} for nodoids, and the common radius for cylinders; None for
     the families without a bounded band.  Catenoids carry their waist radius
-    in x1.
+    in x1.  flip records that the input had H < 0: the profile is then the
+    normalized one traversed with t reversed.  It takes no part in equality,
+    so classify(n, h, e) == classify(n, -h, -e).
     """
 
     family: Family
@@ -69,6 +70,7 @@ class Classification:
     x1: float | None = None
     x2: float | None = None
     x0: float | None = None
+    flip: bool = field(default=False, compare=False)
 
 
 def cylinder_radius(n, h):
@@ -98,15 +100,6 @@ def descartes_bound(coefficients):
         raise ValueError("leading coefficient must be nonzero")
     signs = [c > 0.0 for c in coeffs if c != 0.0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _band_polynomials(n, h, e):
-    """Coefficient arrays (leading first) of f1 and f2 on degree 2n."""
-    f1 = np.zeros(2 * n + 1)
-    f2 = np.zeros(2 * n + 1)
-    f1[0], f1[1], f1[-1] = h, 1.0, e
-    f2[0], f2[1], f2[-1] = -h, 1.0, -e
-    return f1, f2
 
 
 def _brentq(f, xa, xb, xtol=_XTOL, rtol=_RTOL):
@@ -187,8 +180,10 @@ def admissible_radii(n, h, e):
 
     For e h > 0 both radii come from f2 bracketed on either side of the
     cylinder radius; for e h < 0, x1 is the root of f1 below |e|^{1/(2n-1)}
-    and x2 the root of f2 above 1/h.  Raises NoAdmissibleRadiusError when
-    e exceeds the cylinder energy (f2 has no positive roots).
+    and x2 the root of f2 above 1/h.  The signs of h and e fix the Descartes
+    bounds: 2 for f2 when e h > 0, 1 for each of f1 and f2 when e h < 0.
+    Raises NoAdmissibleRadiusError when e exceeds the cylinder energy (f2
+    has no positive roots).
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -196,8 +191,6 @@ def admissible_radii(n, h, e):
         h, e = -h, -e
     if h == 0.0 or e == 0.0:
         raise ValueError("the bounded band needs h != 0 and e != 0")
-
-    c1, c2 = _band_polynomials(n, h, e)
 
     # factored evaluation keeps the sign honest near x = 1/h
     def f1(x):
@@ -218,7 +211,6 @@ def admissible_radii(n, h, e):
             raise NoAdmissibleRadiusError(
                 f"energy {e} exceeds the cylinder energy {ecyl}: empty band"
             )
-        assert descartes_bound(c2) == 2
         r = cylinder_radius(n, h)
         if e >= ecyl or f2(r) <= 0.0:
             return r, r
@@ -229,7 +221,6 @@ def admissible_radii(n, h, e):
         x2 = _polish(f2, df2, x2, r, hi)
     else:
         # exactly one positive root each: signs (+,+,-) and (-,+,+)
-        assert descartes_bound(c1) == 1 and descartes_bound(c2) == 1
         top = abs(e) ** (1.0 / (2 * n - 1))
         x1 = _brentq(f1, 0.0, top)
         x1 = _polish(f1, df1, x1, 0.0, top)
@@ -287,7 +278,8 @@ def classify(n, h, e):
     for name, value in (("H", h), ("E", e)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    if h < 0.0:
+    flip = h < 0.0
+    if flip:
         h, e = -h, -e
     if h == 0.0:
         if e == 0.0:
@@ -295,15 +287,18 @@ def classify(n, h, e):
         waist = abs(e) ** (1.0 / (2 * n - 1))
         return Classification(Family.CATENOID, n, h, e, x1=waist)
     if e == 0.0:
-        return Classification(Family.SPHERE, n, h, e)
+        return Classification(Family.SPHERE, n, h, e, flip=flip)
     if e > 0.0:
         ecyl = cylinder_energy(n, h)
         if abs(e - ecyl) <= _CYLINDER_TOL * ecyl:
             r = cylinder_radius(n, h)
-            return Classification(Family.CYLINDER, n, h, e, x1=r, x2=r, x0=r)
+            return Classification(Family.CYLINDER, n, h, e, x1=r, x2=r, x0=r,
+                                  flip=flip)
         x1, x2 = admissible_radii(n, h, e)
         x0 = inflection_radius(n, h, e, (x1, x2))
-        return Classification(Family.UNDULOID, n, h, e, x1=x1, x2=x2, x0=x0)
+        return Classification(Family.UNDULOID, n, h, e, x1=x1, x2=x2, x0=x0,
+                              flip=flip)
     x1, x2 = admissible_radii(n, h, e)
     x0 = (-e / h) ** (1.0 / (2 * n))
-    return Classification(Family.NODOID, n, h, e, x1=x1, x2=x2, x0=x0)
+    return Classification(Family.NODOID, n, h, e, x1=x1, x2=x2, x0=x0,
+                          flip=flip)

@@ -11,6 +11,7 @@ failure.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -207,7 +208,7 @@ def canonical_trace(n, h, e, config):
     cls = classify(n, h, e)
     if cls.family in _CLOSED_FORM:
         try:
-            return canonical_trajectory(cls, h, config)
+            return canonical_trajectory(cls, config)
         except QuadratureError:
             pass
     return integrate(n, h, e=e, config=config)
@@ -284,7 +285,7 @@ def cmd_render(args):
         if args.h is None or args.e is None:
             raise ValueError("pass --panel all, --trace FILE, or --h and --e")
         cls = classify(args.n, args.h, args.e)
-        polyline = family_polyline(args.n, args.h, args.e)
+        polyline = family_polyline(cls)
         document = render_panel([polyline], cls.family.value)
     with _out_stream(args.out) as stream:
         stream.write(document)
@@ -413,23 +414,11 @@ def _write_json(doc, stream):
     stream.write("\n")
 
 
-class _out_stream:
+def _out_stream(path):
     """stdout by default, a file when --out is passed."""
-
-    def __init__(self, path):
-        self._path = path
-        self._handle = None
-
-    def __enter__(self):
-        if self._path is None or self._path == "-":
-            return sys.stdout
-        self._handle = open(self._path, "w", encoding="utf-8", newline="")
-        return self._handle
-
-    def __exit__(self, *exc):
-        if self._handle is not None:
-            self._handle.close()
-        return False
+    if path is None or path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 @functools.cache

@@ -18,9 +18,10 @@ singular_quadrature, a u^2 = x - a substitution with exact endpoint offsets
 fed to Gauss-Legendre rules of doubling order, stays as the reference for
 integrals with inverse-square-root endpoints.  Nothing here needs SciPy.
 
-canonical_trajectory traces canonical spheres, cylinders, unduloids and
-nodoids from these curves, with a second Chebyshev series for the arclength,
-and returns the profile_ode.Trajectory that the ODE would: no ODE is solved.
+canonical_trajectory(cls, config) traces the canonical sphere, cylinder,
+unduloid or nodoid of a Classification from these curves, with a second
+Chebyshev series for the arclength, mirrored in t when cls.flip, and returns
+the profile_ode.Trajectory that the ODE would: no ODE is solved.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .profile_ode import (
     EventKind,
     ProfileState,
     Trajectory,
+    initial_state,
     periodic_continuation,
     truncated,
 )
@@ -562,6 +564,12 @@ class _HalfPeriod:
         return w * (x / np.sqrt(self._cofactor(x)))
 
 
+def _theta0(cls):
+    """The theta of x0, where tan(theta/2) = sqrt((x0 - x1) / (x2 - x0))."""
+    return 2.0 * math.atan2(math.sqrt(cls.x0 - cls.x1),
+                            math.sqrt(cls.x2 - cls.x0))
+
+
 def nodoid_halfperiod(n, h, e):
     """Height t2 gained while the profile radius sweeps the band once."""
     if h == 0.0 or not e * math.copysign(1.0, h) < 0.0:
@@ -590,9 +598,7 @@ def halfperiod_heights(n, h, e):
         raise ValueError(
             "half-period heights exist only for the periodic families")
     half = _HalfPeriod(cls)
-    # x0 sits where tan(theta/2) = sqrt((x0 - x1) / (x2 - x0))
-    t0 = float(half.height(2.0 * math.atan2(math.sqrt(cls.x0 - cls.x1),
-                                            math.sqrt(cls.x2 - cls.x0))))
+    t0 = float(half.height(_theta0(cls)))
     t2 = float(half.height(math.pi))
     t1 = t0 if cls.family is Family.UNDULOID else t2 - t0
     return tuple(QuadratureResult(t, half.error, half.evaluations)
@@ -633,9 +639,7 @@ class _PeriodicArc:
         if not self.nodoid:
             self.nodes, self.end = theta, EventKind.CRITICAL_RADIUS
             return
-        # x0 sits where tan(theta/2) = sqrt((x0 - x1) / (x2 - x0))
-        theta0 = 2.0 * math.atan2(math.sqrt(cls.x0 - cls.x1),
-                                  math.sqrt(cls.x2 - cls.x0))
+        theta0 = _theta0(cls)
         stop = 0.0
         self.end = EventKind.CRITICAL_RADIUS
         if cls.x1 < axis_epsilon:
@@ -709,40 +713,36 @@ class _SphereArc:
                 np.arctan2(-h * sin, cos * cos))
 
 
-def canonical_trajectory(cls, h, config):
-    """The trace of integrate(cls.n, h, e=e, config=config), cls =
-    classify(n, h, e), from closed forms instead of the ODE, for the sphere,
-    the cylinder, the unduloid and the nodoid.
+def canonical_trajectory(cls, config):
+    """The trace of integrate(n, h, e=e, config=config), cls = classify(n, h,
+    e), from closed forms instead of the ODE, for the sphere, the cylinder,
+    the unduloid and the nodoid.
 
     Samples, events and the dense evaluator come from the curve's closed
     form or Chebyshev series: the dense map s -> state finds the curve
     parameter by Newton's method on the arclength series.  Events are the
     ODE's: CriticalRadius where a half period ends (not at the start),
     VerticalTangent at a nodoid's x0, and a terminal AxisContact where x
-    falls to config.axis_epsilon; a start inside that margin raises
-    AxisPointError; a cylinder, (x1, s, 0), records none.  Half periods are
-    tiled by periodic_continuation, as in integrate; H < 0 runs the (x, -t,
-    pi - sigma) mirror.  The samples carry no drift gate: their level-set
-    residual is the rounding of E's terms.  Raises QuadratureError where a
-    series needs a degree above 4096.
+    falls to config.axis_epsilon; a start (initial_state(cls)) inside that
+    margin raises AxisPointError; a cylinder, (x1, s, 0), records none.
+    Half periods are tiled by periodic_continuation, as in integrate;
+    cls.flip (H < 0) runs the (x, -t, pi - sigma) mirror.  The samples carry
+    no drift gate: their level-set residual is the rounding of E's terms.
+    Raises QuadratureError where a series needs a degree above 4096.
     """
-    h = float(h)
-    eps = config.axis_epsilon
-    if cls.family is Family.SPHERE:
-        start = 1.0 / cls.h
-    elif cls.family in (Family.CYLINDER, Family.UNDULOID, Family.NODOID):
-        start = cls.x2 if cls.family is Family.NODOID else cls.x1
-    else:
+    if cls.family in (Family.HYPERPLANE, Family.CATENOID):
         raise ValueError(f"no closed-form trace for the {cls.family.value}")
+    start, _, angle = initial_state(cls)
+    eps = config.axis_epsilon
     if start <= eps:
         raise AxisPointError(
             f"initial radius {start} is inside the axis margin {eps}")
-    flip = h < 0.0
+    h, e = (-cls.h, -cls.e) if cls.flip else (cls.h, cls.e)
     if cls.family is Family.CYLINDER:
-        way, angle = (-1.0, math.pi) if flip else (1.0, 0.0)
+        way = -1.0 if cls.flip else 1.0
         end = config.max_arclength
         return truncated(Trajectory(
-            n=cls.n, h=h, e=-cls.e if flip else cls.e, s=np.array([0.0, end]),
+            n=cls.n, h=h, e=e, s=np.array([0.0, end]),
             states=np.array([[start, 0.0, angle], [start, way * end, angle]]),
             events=[], config=config, dense=lambda u: (start, way * u, angle),
             notes=[CYLINDER_NOTE], engine="closed-form"), config)
@@ -752,7 +752,7 @@ def canonical_trajectory(cls, h, config):
     def where(p):
         x, t, sigma = arc.state(p)
         # + 0.0 turns the -0.0 of atan2(-0.0, c) into the start's 0
-        return (x, -t, math.pi - sigma) if flip else (x, t, sigma + 0.0)
+        return (x, -t, math.pi - sigma) if cls.flip else (x, t, sigma + 0.0)
 
     def dense(s):
         p = float(np.interp(s, s_nodes, arc.nodes))
@@ -770,8 +770,8 @@ def canonical_trajectory(cls, h, config):
               for kind, p in arc.interior]
     events.append(Event(arc.end, float(s_nodes[-1]),
                         ProfileState(*map(float, states[-1]))))
-    traj = Trajectory(n=cls.n, h=h, e=-cls.e if flip else cls.e, s=s_nodes,
-                      states=states, events=events, config=config, dense=dense,
+    traj = Trajectory(n=cls.n, h=h, e=e, s=s_nodes, states=states,
+                      events=events, config=config, dense=dense,
                       engine="closed-form")
     if arc.end is EventKind.CRITICAL_RADIUS:
         return periodic_continuation(traj, config)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import Family, _brentq, classify, cylinder_radius
+from .classify import Family, _brentq, classify
 from .core import dimension_index
 from .errors import (
     AxisPointError,
@@ -207,34 +207,24 @@ def _level_pair(k, x):
     return math.copysign(math.sqrt(kx2 / q), k), math.sqrt(rest / q)
 
 
-def initial_state(n, h, e):
-    """Canonical starting state of the (n, H, E) profile.
+def initial_state(cls):
+    """Canonical starting state of the classified profile cls.
 
     Bounded-band families start at a critical radius with t = 0; the sphere
     starts at its equator x = 1/H, the catenoid at its waist, the hyperplane
-    at x = 1.  For H < 0 the state is the mirror (x, 0, pi - sigma) of the
-    (-H, -E) profile, which traverses the same curve with t reversed.
+    at x = 1.  When cls.flip (the input had H < 0) the state is the mirror
+    (x, 0, pi - sigma) of the normalized start, which traverses the same
+    curve with t reversed.
     """
-    n = dimension_index(n)
-    return _start(classify(n, h, e), float(h), float(e))
-
-
-def _start(c, h, e):
-    """initial_state(c.n, h, e), given c = classify(c.n, h, e)."""
-    if h < 0.0:
-        base = _start(c, -h, -e)
-        return ProfileState(base.x, base.t, math.pi - base.sigma)
-    if c.family is Family.HYPERPLANE:
-        return ProfileState(1.0, 0.0, math.pi / 2.0)
-    if c.family is Family.CATENOID:
-        return ProfileState(c.x1, 0.0, 0.0 if e > 0.0 else math.pi)
-    if c.family is Family.SPHERE:
-        return ProfileState(1.0 / h, 0.0, 0.0)
-    if c.family is Family.CYLINDER:
-        return ProfileState(cylinder_radius(c.n, h), 0.0, 0.0)
-    if c.family is Family.UNDULOID:
-        return ProfileState(c.x1, 0.0, 0.0)
-    return ProfileState(c.x2, 0.0, 0.0)  # nodoid, outer radius
+    if cls.family is Family.HYPERPLANE:
+        x, sigma = 1.0, math.pi / 2.0
+    elif cls.family is Family.CATENOID:
+        x, sigma = cls.x1, (0.0 if cls.e > 0.0 else math.pi)
+    elif cls.family is Family.SPHERE:
+        x, sigma = 1.0 / cls.h, 0.0
+    else:  # cylinder and unduloid at x1, nodoid at its outer radius
+        x, sigma = cls.x2 if cls.family is Family.NODOID else cls.x1, 0.0
+    return ProfileState(x, 0.0, math.pi - sigma if cls.flip else sigma)
 
 
 def _band_roots(c):
@@ -792,7 +782,7 @@ def truncated(traj, config):
 def integrate(n, h, e=None, initial=None, config=None):
     """Integrate the profile system from a canonical or explicit start.
 
-    Either pass e (energy) to start from initial_state(n, h, e), or pass an
+    Either pass e (energy) to start from its initial_state, or pass an
     explicit initial ProfileState (e is then derived from it).  Every step is
     projected onto the level set of e; a canonical start projects onto the
     requested e itself, whose start state carries roundoff.  Integration
@@ -818,7 +808,7 @@ def integrate(n, h, e=None, initial=None, config=None):
             raise ValueError("pass either e or an initial state")
         e = float(e)
         c = classify(n, h, e)
-        initial, roots = _start(c, h, e), _band_roots(c)
+        initial, roots = initial_state(c), _band_roots(c)
     else:
         initial = ProfileState(*map(float, initial))
         # a non-finite H or state would leave E non-finite

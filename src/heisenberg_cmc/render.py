@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .classify import Family, classify, cylinder_energy, cylinder_radius
+from .classify import Family, classify, cylinder_energy
 from .closed_forms import (
     catenoid_curve,
     catenoid_generating_curve,
@@ -42,35 +42,33 @@ def _fmt(value):
     return "0.000" if out == "-0.000" else out
 
 
-def family_polyline(n, h, e, samples=400):
-    """Generating curve of the (n, H, E) profile as a list of (x, t) pairs.
+def family_polyline(cls, samples=400):
+    """Generating curve of the classified profile cls as a list of (x, t)
+    pairs.
 
     Closed-form families are sampled uniformly in their natural parameter;
     the n >= 2 catenoid takes 2 floor(samples/2) + 1 points from
     catenoid_curve, out to x = 4 x1 + 3.  Unduloids and nodoids take one half
     period from its Chebyshev series, mirrored at the critical radii into two
-    full periods from the canonical start to t = 4 t2 (-4 t2 for H < 0), so
-    the nodoid's self-intersections are visible.
+    full periods from the canonical start to t = 4 t2 (-4 t2 when cls.flip),
+    so the nodoid's self-intersections are visible.
     """
-    n = dimension_index(n)
-    h, e = float(h), float(e)
-    c = classify(n, h, e)
-    if c.family is Family.HYPERPLANE:
+    sign = -1.0 if cls.flip else 1.0  # H < 0 runs the same curve down in t
+    if cls.family is Family.HYPERPLANE:
         return [(2.0 * k / (samples - 1), 0.0) for k in range(samples)]
-    if c.family is Family.SPHERE:
-        hh = abs(h)
+    if cls.family is Family.SPHERE:
         pts = []
         for k in range(samples):
             psi = math.pi * k / (samples - 1)
-            x, t = sphere_generating_curve(hh, psi)[:2]
-            pts.append((x, math.copysign(1.0, h) * t))
+            x, t = sphere_generating_curve(cls.h, psi)[:2]
+            pts.append((x, sign * t))
         return pts
-    if c.family is Family.CYLINDER:
-        r = cylinder_radius(n, abs(h))
+    if cls.family is Family.CYLINDER:
+        r = cls.x1
         return [(r, 3.0 * r * k / (samples - 1)) for k in range(samples)]
-    if c.family is Family.CATENOID:
-        if n == 1:
-            ee = abs(e)
+    if cls.family is Family.CATENOID:
+        ee = abs(cls.e)
+        if cls.n == 1:
             span = 2.5 * max(ee * ee, ee)
             pts = []
             for k in range(samples):
@@ -78,14 +76,13 @@ def family_polyline(n, h, e, samples=400):
                 x = catenoid_generating_curve(ee, t)[0]
                 pts.append((x, t))
             return pts
-        x, t = catenoid_curve(n, abs(e), max(samples // 2, 1))
+        x, t = catenoid_curve(cls.n, ee, max(samples // 2, 1))
         return [(float(a), float(b)) for a, b in zip(x, t)]
     # mirrored about the critical radius ending it, a half period continues
     # as the next, t -> 2 t2 - t; four of them span two full periods
-    x, t = halfperiod_curve(c, max(samples // 4, 1))
+    x, t = halfperiod_curve(cls, max(samples // 4, 1))
     x, t = np.append(x, x[-2::-1]), np.append(t, 2.0 * t[-1] - t[-2::-1])
     x, t = np.append(x, x[1:]), np.append(t, t[-1] + t[1:])
-    sign = math.copysign(1.0, h)  # H < 0 runs the same curve down in t
     return [(float(a), sign * float(b)) for a, b in zip(x, t)]
 
 
@@ -188,7 +185,7 @@ def render_gallery(n=1):
     ]
     for index, (label, h, e) in enumerate(gallery_parameters(n)):
         col, row = index % cols, index // cols
-        line = family_polyline(n, h, e)
+        line = family_polyline(classify(n, h, e))
         title = f"{label} (H={_fmt(h)}, E={_fmt(e)})"
         parts.append(render_panel([line], title, standalone=False,
                                   origin=(col * PANEL_WIDTH,

@@ -212,7 +212,7 @@ def _suite_closed_forms(checks, rng, solved):
                                        config=_GRID_CONFIG).events
                 reference = _events_up_to(events, *stop)
                 trace = canonical_trajectory(
-                    classify(n, _TRACE_H, e), _TRACE_H,
+                    classify(n, _TRACE_H, e),
                     SolveConfig(max_arclength=50.0, stop_event=stop))
                 if [ev.kind for ev in trace.events] != [
                         ev.kind for ev in reference]:

@@ -100,6 +100,35 @@ def test_descartes_bound():
         descartes_bound([])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("h, e", [(0.5, 0.1), (2.0, 1e-9), (0.5, -0.3),
+                                  (1e-3, -50.0)])
+def test_band_polynomial_sign_patterns(n, h, e):
+    # f1 = h x^{2n} + x^{2n-1} + e and f2 = -h x^{2n} + x^{2n-1} - e, leading
+    # first, for the normalized h > 0: the signs of h and e alone fix how
+    # many positive roots admissible_radii may bracket
+    zeros = [0.0] * (2 * n - 2)
+    f1, f2 = [h, 1.0, *zeros, e], [-h, 1.0, *zeros, -e]
+    if e > 0.0:
+        assert descartes_bound(f2) == 2
+    else:
+        assert descartes_bound(f1) == 1 and descartes_bound(f2) == 1
+
+
+@pytest.mark.parametrize("n, h, e", [
+    (1, 0.0, 0.0), (2, 0.0, 0.3), (2, 0.0, -0.3), (2, 1.0, 0.0),
+    (1, 0.5, 0.5), (2, 0.7, 0.05), (3, 1.0, -0.2),
+])
+def test_flip_records_negative_h(n, h, e):
+    for sign in (1.0, -1.0):
+        cls = classify(n, sign * h, sign * e)
+        assert cls.flip is (sign * h < 0.0)
+        assert cls.h >= 0.0
+    # flip takes no part in equality; a catenoid keeps the sign of its E
+    if h != 0.0:
+        assert classify(n, h, e) == classify(n, -h, -e)
+
+
 def test_inflection_bracket_failure():
     # a bracket strictly inside the band on one side has no sign change
     with pytest.raises(RootBracketFailureError):

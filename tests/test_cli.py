@@ -427,8 +427,8 @@ def test_periodic_trace_matches_direct_solve(n, nodoid, sign, h, spec, limit,
         max_arclength=limit,
         stop_event=None if stop is None else (pode.EventKind(stop[0]), stop[1]))
     # an explicit start takes the direct solve over the whole limit
-    direct = pode.integrate(n, h, initial=pode.initial_state(n, h, e),
-                            config=config)
+    direct = pode.integrate(
+        n, h, initial=pode.initial_state(classify(n, h, e)), config=config)
 
     samples = np.asarray(doc["samples"])
     at_event = stop is not None and not any(
@@ -916,8 +916,42 @@ def test_render_long_half_period(capsys):
         ["render", "--n", "1", "--h", "0.05", "--e", "0.01"], capsys)
     assert code == 0
     assert ">Unduloid</text>" in out
-    line = render.family_polyline(1, 0.05, 0.01)
+    line = render.family_polyline(classify(1, 0.05, 0.01))
     assert line[-1][1] == pytest.approx(math.pi / 0.05**2, rel=1e-8)
+
+
+def _count_classify(monkeypatch):
+    """Route every module's binding of classify through a counter; returns
+    the list of the calls' arguments."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return classify(*args)
+
+    for module in (cli, closed_forms, pode, render, verify):
+        monkeypatch.setattr(module, "classify", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h, e", [(0.7, 0.05), (-0.7, -0.05)])
+def test_render_classifies_once(monkeypatch, capsys, h, e):
+    calls = _count_classify(monkeypatch)
+    code, out, _ = run_cli(
+        ["render", "--n", "2", f"--h={h!r}", f"--e={e!r}"], capsys)
+    assert code == 0
+    assert ">Unduloid</text>" in out
+    assert calls == [(2, h, e)]
+
+
+@pytest.mark.parametrize("h, e", [(1.0, -0.2), (-1.0, 0.2)])
+def test_closed_form_trace_classifies_once(monkeypatch, tmp_path, capsys,
+                                           h, e):
+    calls = _count_classify(monkeypatch)
+    doc = _trace_json(["--n", "3", f"--h={h!r}", f"--e={e!r}"], tmp_path,
+                      capsys)
+    assert doc["diagnostics"]["engine"] == "closed-form"
+    assert calls == [(3, h, e)]
 
 
 def test_render_requires_selector(capsys):

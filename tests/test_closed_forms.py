@@ -695,7 +695,7 @@ def test_arclength_series_cap_leaves_the_height_series():
     (3, 1.0, 0.02, (EventKind.CRITICAL_RADIUS, 5)),
 ])
 def test_canonical_trajectory_dense_states_are_exact(n, h, e, stop):
-    traj = canonical_trajectory(classify(n, h, e), h,
+    traj = canonical_trajectory(classify(n, h, e),
                                 SolveConfig(stop_event=stop))
     assert traj.engine == "closed-form"
     assert traj.stats.rhs_evals == 0 and traj.energy_correction == 0.0
@@ -719,8 +719,8 @@ def test_canonical_trajectory_dense_states_are_exact(n, h, e, stop):
 
 def test_canonical_trajectory_negative_h_is_the_mirror():
     cfg = SolveConfig(max_arclength=20.0)
-    up = canonical_trajectory(classify(2, 1.0, -0.05), 1.0, cfg)
-    down = canonical_trajectory(classify(2, -1.0, 0.05), -1.0, cfg)
+    up = canonical_trajectory(classify(2, 1.0, -0.05), cfg)
+    down = canonical_trajectory(classify(2, -1.0, 0.05), cfg)
     assert (down.h, down.e) == (-1.0, 0.05)
     assert np.array_equal(up.s, down.s)
     assert np.array_equal(up.states[:, 0], down.states[:, 0])
@@ -736,7 +736,7 @@ def test_canonical_trajectory_stops_at_the_axis_margin():
     e = -1e-8 * cylinder_energy(1, 1.0)
     cls = classify(1, 1.0, e)
     assert cls.x1 < 1e-6
-    traj = canonical_trajectory(cls, 1.0, SolveConfig())
+    traj = canonical_trajectory(cls, SolveConfig())
     assert [ev.kind for ev in traj.events] == [EventKind.VERTICAL_TANGENT,
                                               EventKind.AXIS_CONTACT]
     assert traj.states[-1, 0] == pytest.approx(1e-6, rel=1e-9)
@@ -745,4 +745,4 @@ def test_canonical_trajectory_stops_at_the_axis_margin():
 
 def test_canonical_trajectory_rejects_other_families():
     with pytest.raises(ValueError, match="Catenoid"):
-        canonical_trajectory(classify(2, 0.0, 0.5), 0.0, SolveConfig())
+        canonical_trajectory(classify(2, 0.0, 0.5), SolveConfig())

@@ -89,6 +89,17 @@ def test_rhs_axis_guard():
         energy((-1.0, 0.0, 0.0), 1, 1.0)
 
 
+@pytest.mark.parametrize("n, h, e", [
+    (1, 0.0, 0.0), (2, 0.0, 0.3), (2, 1.0, 0.0), (1, 0.5, 0.5),
+    (2, 0.7, 0.05), (3, 1.0, -0.2),
+])
+def test_initial_state_of_negative_h_is_the_mirror(n, h, e):
+    # hyperplane, catenoid, sphere, cylinder, unduloid, nodoid
+    up = initial_state(classify(n, h, e))
+    down = initial_state(classify(n, -h, -e))
+    assert down == ProfileState(up.x, 0.0, math.pi - up.sigma)
+
+
 def test_initial_states_have_requested_energy():
     cases = [
         (1, 0.0, 0.0),
@@ -106,7 +117,7 @@ def test_initial_states_have_requested_energy():
         (2, -0.75, -0.25),
     ]
     for n, h, e in cases:
-        st = initial_state(n, h, e)
+        st = initial_state(classify(n, h, e))
         assert energy(st, n, h) == pytest.approx(e, abs=1e-12)
 
 
@@ -284,7 +295,7 @@ def test_dense_output_consistency():
 
 
 def test_translation_symmetry():
-    base = initial_state(1, 0.5, 0.3)
+    base = initial_state(classify(1, 0.5, 0.3))
     cfg = SolveConfig(max_arclength=5.0)
     a = integrate(1, 0.5, initial=base, config=cfg)
     b = integrate(
@@ -335,7 +346,7 @@ def test_reflection_matches_direct_integration():
     half = integrate(1, 0.5, e=0.3, config=cfg)
     full = reflect_continue(half)
     direct = integrate(
-        1, 0.5, initial=initial_state(1, 0.5, 0.3),
+        1, 0.5, initial=initial_state(classify(1, 0.5, 0.3)),
         config=SolveConfig(max_arclength=full.s_end + 0.5),
     )
     # compare the reflected trajectory's own nodes against the direct run's
@@ -450,14 +461,14 @@ def test_canonical_periodic_is_mirrored_half_period(n, h, e):
     # the turns alternate between the band roots, starting at the one the
     # canonical start is not on
     c = classify(n, h, e)
-    start = initial_state(n, h, e).x
+    start = initial_state(classify(n, h, e)).x
     other = c.x2 if start == c.x1 else c.x1
     crits = [ev.state.x for ev in tiled.events
              if ev.kind is EventKind.CRITICAL_RADIUS]
     assert crits == pytest.approx([other, start] * 4, rel=1e-6)
     assert tiled.s_end == pytest.approx(8.0 * half.s_end, rel=1e-12)
     # every node sits on the direct solve of every period
-    direct = integrate(n, h, initial=initial_state(n, h, e),
+    direct = integrate(n, h, initial=initial_state(classify(n, h, e)),
                        config=SolveConfig(max_arclength=tiled.s_end + 0.5))
     assert direct.stats.rhs_evals > 5 * tiled.stats.rhs_evals
     for s, state in zip(tiled.s, tiled.states):
@@ -473,7 +484,7 @@ def test_direct_solve_conserves_energy_over_eight_half_periods(n):
     e = -0.5 * cylinder_energy(n, h)
     cfg = SolveConfig(max_arclength=50.0, drift_tolerance=1e-9,
                       stop_event=(EventKind.CRITICAL_RADIUS, 8))
-    traj = integrate(n, h, initial=initial_state(n, h, e), config=cfg)
+    traj = integrate(n, h, initial=initial_state(classify(n, h, e)), config=cfg)
     c = classify(n, h, e)
     crits = [ev.state.x for ev in traj.events
              if ev.kind is EventKind.CRITICAL_RADIUS]
@@ -491,7 +502,8 @@ def test_canonical_periodic_without_critical_radius_in_limit():
     assert traj.config == cfg
     assert traj.s_end == 0.5
     assert not traj.events
-    direct = integrate(1, 0.5, initial=initial_state(1, 0.5, 0.3), config=cfg)
+    direct = integrate(1, 0.5, initial=initial_state(classify(1, 0.5, 0.3)),
+                       config=cfg)
     assert traj.stats == direct.stats
     assert np.max(np.abs(traj.states - direct.states)) <= 1e-12
     # only the caller's own unreached stop event is noted
@@ -675,9 +687,10 @@ def test_retries_are_counted_and_logged(caplog):
 # SciPy loop sums stages by BLAS), hence the 1e-12 on the end state
 _NODOID_E = -0.5 * cylinder_energy(3, 1.0)
 PINNED_SOLVES = [
-    (1, 0.5, initial_state(1, 0.5, 0.3), SolveConfig(max_arclength=10.0),
+    (1, 0.5, initial_state(classify(1, 0.5, 0.3)),
+     SolveConfig(max_arclength=10.0),
      95, 1773, (1.60728526041326, 8.840337958138559, 0.0871062829216548)),
-    (3, 1.0, initial_state(3, 1.0, _NODOID_E),
+    (3, 1.0, initial_state(classify(3, 1.0, _NODOID_E)),
      SolveConfig(stop_event=(EventKind.CRITICAL_RADIUS, 4)),
      144, 2813, (1.029025624693551, 2.4100345766669053, -12.566370614359172)),
 ]
@@ -721,7 +734,7 @@ def test_rejected_steps_and_final_tolerance():
     # DOP853's controller rejects a share of trial steps on periodic
     # profiles; the count is summed over attempts, and the trajectory keeps
     # the tolerance of the attempt that passed the gate
-    traj = integrate(1, 0.5, initial=initial_state(1, 0.5, 0.3),
+    traj = integrate(1, 0.5, initial=initial_state(classify(1, 0.5, 0.3)),
                      config=SolveConfig(max_arclength=10.0))
     assert traj.stats.rejected > 0
     assert traj.rel_tol == 1e-10
@@ -735,7 +748,7 @@ def test_rejected_steps_and_final_tolerance():
     first = integrate(3, 0.25, e=0.0, config=SolveConfig(max_arclength=50.0))
     assert retried.stats.rejected > first.stats.rejected > 0
     # a closed-form trace ran no solver
-    closed = canonical_trajectory(classify(1, 0.5, 0.3), 0.5, SolveConfig())
+    closed = canonical_trajectory(classify(1, 0.5, 0.3), SolveConfig())
     diagnostics = trajectory_to_json(closed)["diagnostics"]
     assert (diagnostics["rejected_steps"], diagnostics["rel_tol"]) == (0, None)
 
@@ -918,7 +931,7 @@ def test_solver_rhs_agrees_with_rhs_of_the_angle(n, h, x, sigma, radius):
 def test_start_on_an_event_is_not_reported():
     # the canonical unduloid starts on a critical radius (sin sigma = 0
     # exactly); its first CriticalRadius event is the next one
-    traj = integrate(1, 0.5, initial=initial_state(1, 0.5, 0.3),
+    traj = integrate(1, 0.5, initial=initial_state(classify(1, 0.5, 0.3)),
                      config=SolveConfig(
                          stop_event=(EventKind.CRITICAL_RADIUS, 1)))
     assert traj.events[0].s > 1.0
@@ -949,7 +962,7 @@ def test_reflect_refuses_past_the_sample_cap(monkeypatch):
     def tiled(*args, **kwargs):
         raise AssertionError("the tiling ran")
 
-    half = canonical_trajectory(classify(1, 1.0, -0.1), 1.0, SolveConfig(
+    half = canonical_trajectory(classify(1, 1.0, -0.1), SolveConfig(
         stop_event=(EventKind.CRITICAL_RADIUS, 1)))
     monkeypatch.setattr(pode, "_tiled", tiled)
     with pytest.raises(ValueError, match=r"would take \d+ samples, more than "
@@ -1002,7 +1015,7 @@ _PERIODIC = st.tuples(
 
 def _half_period(n, sign, h, spec):
     e = sign * spec * cylinder_energy(n, h)
-    return canonical_trajectory(classify(n, sign * h, e), sign * h, SolveConfig(
+    return canonical_trajectory(classify(n, sign * h, e), SolveConfig(
         stop_event=(EventKind.CRITICAL_RADIUS, 1)))
 
 
@@ -1061,7 +1074,7 @@ def test_sigma_winding_conserves_energy():
     # sigma falls by 2 pi per nodoid period; the conserved quantity must not
     # degrade with the accumulated winding, nodes and dense output alike
     # the explicit start solves every period; a canonical one would mirror
-    traj = integrate(1, 2.0, initial=initial_state(1, 2.0, -0.125),
+    traj = integrate(1, 2.0, initial=initial_state(classify(1, 2.0, -0.125)),
                      config=SolveConfig(max_arclength=25.0))
     assert not traj.notes
     sig = traj.states[:, 2]
@@ -1083,7 +1096,7 @@ def test_explicit_start_keeps_sigma_branch():
 def test_far_branch_nodoid_keeps_sigma_and_event_order():
     # an explicit n = 3 nodoid start three turns below the canonical branch,
     # solved directly over three periods (six critical radii)
-    start = initial_state(3, 1.0, _NODOID_E)
+    start = initial_state(classify(3, 1.0, _NODOID_E))
     assert start.sigma == 0.0
     traj = integrate(3, 1.0, initial=ProfileState(start.x, 0.0, -6 * math.pi),
                      config=SolveConfig(

@@ -54,7 +54,7 @@ def _self_intersects(polyline):
 
 
 def test_sphere_polyline_matches_closed_form():
-    line = family_polyline(1, 1.0, 0.0, samples=101)
+    line = family_polyline(classify(1, 1.0, 0.0), samples=101)
     assert len(line) == 101
     for k, (x, t) in enumerate(line):
         psi = math.pi * k / 100
@@ -64,24 +64,24 @@ def test_sphere_polyline_matches_closed_form():
 
 
 def test_negative_h_sphere_mirrors_t():
-    up = family_polyline(1, 1.0, 0.0, samples=51)
-    down = family_polyline(1, -1.0, 0.0, samples=51)
+    up = family_polyline(classify(1, 1.0, 0.0), samples=51)
+    down = family_polyline(classify(1, -1.0, 0.0), samples=51)
     for (xa, ta), (xb, tb) in zip(up, down):
         assert xb == pytest.approx(xa, abs=1e-12)
         assert tb == pytest.approx(-ta, abs=1e-12)
 
 
 def test_hyperplane_and_cylinder_polylines():
-    flat = family_polyline(1, 0.0, 0.0, samples=64)
+    flat = family_polyline(classify(1, 0.0, 0.0), samples=64)
     assert all(t == 0.0 for _, t in flat)
     assert flat[0][0] == 0.0 and flat[-1][0] == 2.0
 
-    tube = family_polyline(1, 0.5, 0.5, samples=64)
+    tube = family_polyline(classify(1, 0.5, 0.5), samples=64)
     assert all(x == pytest.approx(1.0, abs=1e-12) for x, _ in tube)
 
 
 def test_catenoid_polyline_symmetric():
-    line = family_polyline(1, 0.0, 1.0, samples=101)
+    line = family_polyline(classify(1, 0.0, 1.0), samples=101)
     for (xa, ta), (xb, tb) in zip(line, reversed(line)):
         assert xa == pytest.approx(xb, abs=1e-12)
         assert ta == pytest.approx(-tb, abs=1e-12)
@@ -93,27 +93,28 @@ def test_catenoid_polyline_symmetric():
 
 
 def test_nodoid_self_intersects():
-    assert _self_intersects(family_polyline(1, 1.0, -0.1))
+    assert _self_intersects(family_polyline(classify(1, 1.0, -0.1)))
 
 
 def test_unduloid_does_not_self_intersect():
-    assert not _self_intersects(family_polyline(1, 0.5, 0.3))
+    assert not _self_intersects(family_polyline(classify(1, 0.5, 0.3)))
 
 
 @pytest.mark.parametrize("n, h, e", [(1, 0.5, 0.3), (1, 1.0, -0.1),
                                      (2, 1.0, 0.05), (2, 0.75, -0.25)])
 def test_periodic_polyline_spans_two_periods(n, h, e):
     t2 = halfperiod_heights(n, h, e)[1].value
-    line = family_polyline(n, h, e)
+    line = family_polyline(classify(n, h, e))
     assert line[0][1] == 0.0
     assert line[-1][1] == pytest.approx(4.0 * t2, abs=1e-8)
 
 
 @pytest.mark.parametrize("n, e", [(2, 1.0), (2, 0.3), (3, 2.0), (4, 1e-6)])
 def test_catenoid_polyline_closed_form(n, e):
-    line = family_polyline(n, 0.0, e, samples=201)
+    line = family_polyline(classify(n, 0.0, e), samples=201)
     assert len(line) == 201
-    assert len(family_polyline(n, 0.0, e)) == 401  # 2 floor(400 / 2) + 1
+    # 2 floor(400 / 2) + 1 points
+    assert len(family_polyline(classify(n, 0.0, e))) == 401
     assert all(xa == xb and ta == -tb
                for (xa, ta), (xb, tb) in zip(line, reversed(line)))
     x1 = e ** (1.0 / (2 * n - 1))
@@ -122,7 +123,7 @@ def test_catenoid_polyline_closed_form(n, e):
     assert line[-1][0] == pytest.approx(4.0 * x1 + 3.0, rel=1e-15)
     t_inf = catenoid_slab_halfwidth(n, e)
     assert all(abs(t) < t_inf for _, t in line)
-    assert family_polyline(n, 0.0, -e, samples=201) == line
+    assert family_polyline(classify(n, 0.0, -e), samples=201) == line
 
 
 def test_render_and_sweep_run_no_ode_and_no_quadpack(monkeypatch, capsys):
@@ -148,7 +149,7 @@ def test_render_and_sweep_run_no_ode_and_no_quadpack(monkeypatch, capsys):
 
 
 def test_panel_fixed_viewbox_and_style():
-    svg = render_panel([family_polyline(1, 1.0, 0.0)], "Sphere")
+    svg = render_panel([family_polyline(classify(1, 1.0, 0.0))], "Sphere")
     assert svg.startswith('<svg xmlns="http://www.w3.org/2000/svg" '
                           'version="1.1"')
     assert f'viewBox="0 0 {PANEL_WIDTH} {PANEL_HEIGHT}"' in svg
