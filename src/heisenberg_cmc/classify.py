@@ -32,6 +32,7 @@ __all__ = [
     "cylinder_radius",
     "cylinder_energy",
     "admissible_radii",
+    "n1_epsilon",
     "inflection_radius",
     "descartes_bound",
 ]
@@ -138,8 +139,11 @@ def _brentq(f, xa, xb, xtol=_XTOL, rtol=_RTOL):
             else:  # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                denom = dblk * dpre * (fblk - fpre)
+                # brentq.c divides an underflowed denominator to inf or NaN,
+                # which fails the step test below: it bisects
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
+                        if denom != 0.0 else math.inf)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # a short interpolation step
             else:
@@ -175,15 +179,54 @@ def _expand_right(f, hi):
     return hi
 
 
+def _split(a):
+    """Veltkamp's split of a into hi + lo, each of at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def n1_epsilon(h, e):
+    """epsilon = sqrt(1 - 4 e h) of the n = 1 band, for h > 0 and e at most
+    the cylinder energy 1/(4h): below 1 on unduloids, above 1 on nodoids.
+
+    Near the cylinder 4 e h tends to 1 and 1 - 4 e h keeps only the
+    product's rounding, so for e > 0 the product is taken error-free, as
+    p + err by Dekker's two-product over Veltkamp's splits (plain floats:
+    math.fma needs Python 3.13), after h is scaled to its mantissa so no
+    split overflows.  1 - p is then exact (Sterbenz) and the discriminant
+    is rounded once.  For e <= 0, 1 - 4 e h does not cancel; OverflowError
+    when it overflows.  A discriminant below 0, e past the cylinder energy,
+    gives 0.
+    """
+    if e <= 0.0:
+        discriminant = 1.0 - 4.0 * e * h
+        if discriminant == math.inf:
+            raise OverflowError(f"1 - 4 E H overflows at H = {h!r}, E = {e!r}")
+        return math.sqrt(discriminant)
+    m, k = math.frexp(h)
+    a = math.ldexp(4.0 * e, k)  # a m = 4 e h exactly
+    p = a * m
+    ah, al = _split(a)
+    mh, ml = _split(m)
+    err = ((ah * mh - p) + ah * ml + al * mh) + al * ml
+    return math.sqrt(max((1.0 - p) - err, 0.0))
+
+
 def admissible_radii(n, h, e):
     """Boundary radii (x1, x2) of the band x^{2n-1} >= |e + h x^{2n}|.
 
-    For e h > 0 both radii come from f2 bracketed on either side of the
-    cylinder radius; for e h < 0, x1 is the root of f1 below |e|^{1/(2n-1)}
-    and x2 the root of f2 above 1/h.  The signs of h and e fix the Descartes
-    bounds: 2 for f2 when e h > 0, 1 for each of f1 and f2 when e h < 0.
-    Raises NoAdmissibleRadiusError when e exceeds the cylinder energy (f2
-    has no positive roots).
+    For n = 1 the band is the quadratic h^2 u^2 - (1 - 2eh) u + e^2 <= 0 in
+    u = x^2, and with epsilon = n1_epsilon(h, e) the radii are
+    x1 = 2|e| / (1 + epsilon) and x2 = (1 + epsilon) / (2h), each free of
+    cancellation, so an unduloid's band width x2 - x1 = epsilon / h keeps
+    its digits up to the cylinder.  For n >= 2 and e h > 0 both radii come
+    from f2 bracketed on either side of the cylinder radius; for e h < 0,
+    x1 is the root of f1 below |e|^{1/(2n-1)} and x2 the root of f2 above
+    1/h.  The signs of h and e fix the Descartes bounds: 2 for f2 when
+    e h > 0, 1 for each of f1 and f2 when e h < 0.  Raises
+    NoAdmissibleRadiusError when e exceeds the cylinder energy (f2 has no
+    positive roots).
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -214,6 +257,10 @@ def admissible_radii(n, h, e):
         r = cylinder_radius(n, h)
         if e >= ecyl or f2(r) <= 0.0:
             return r, r
+    if n == 1:
+        epsilon = n1_epsilon(h, e)
+        return 2.0 * abs(e) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 * h)
+    if e > 0.0:
         hi = _expand_right(f2, 1.0 / h)
         x1 = _brentq(f2, 0.0, r)
         x2 = _brentq(f2, r, hi)

@@ -7,9 +7,14 @@ The sphere and the n = 1 catenoid admit elementary profiles:
 
 Between its critical radii an unduloid or nodoid is the graph of
 dt/dx = w x / sqrt(x^{4n-2} - w^2), w = E + H x^{2n}, over the band [x1, x2].
-One Chebyshev series in the angle theta of x = m - r cos(theta), where the
-band edges' inverse square roots cancel, gives t1, t2 and the whole half
-period (_HalfPeriod).  The minimal (H = 0) profile for n >= 2 is the graph of
+For n = 1 it is elementary: with epsilon = sqrt(1 - 4EH) and
+x^2 = ((1 - 2EH) - epsilon cos(phi)) / (2H^2), the height above x1 is the
+trochoid t(phi) = (phi - epsilon sin(phi)) / (4H^2), so t2 = pi / (4H^2) for
+every E; halfperiod_heights and halfperiod_curve evaluate it (_trochoid).
+For n >= 2, one Chebyshev series in the angle theta of x = m - r cos(theta),
+where the band edges' inverse square roots cancel, gives t1, t2 and the
+whole half period (_HalfPeriod); the closed-form traces use it for n = 1
+too.  The minimal (H = 0) profile for n >= 2 is the graph of
 dt/dx = E x / sqrt(x^{2p} - E^2), p = 2n - 1, and x = x1 sec^{1/p}(phi),
 x1 = E^{1/p}, turns it into dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab
 half-width t_inf is a complete Beta function, from math.gamma, and the
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .classify import Family, classify
+from .classify import Family, classify, n1_epsilon
 from .core import dimension_index
 from .errors import AxisPointError, DivergentIntegralError, QuadratureError
 from .profile_ode import (
@@ -546,6 +551,11 @@ class _HalfPeriod:
     def height(self, theta):
         return _chebval(2.0 * theta / math.pi - 1.0, self._series)
 
+    def heights(self):
+        """Heights (t0, t2) above x1 of x0 and of x2."""
+        return (float(self.height(_theta0(self.cls))),
+                float(self.height(math.pi)))
+
     def arclength(self, theta):
         return _chebval(2.0 * theta / math.pi - 1.0, self._arclength)
 
@@ -584,34 +594,69 @@ def unduloid_halfperiod(n, h, e):
     return halfperiod_heights(n, h, e)[1]
 
 
+def _phi0(cls):
+    """The phi of x0 on an n = 1 half period, where
+    tan(phi/2) = sqrt((x0^2 - x1^2) / (x2^2 - x0^2))."""
+    x0, x1, x2 = cls.x0, cls.x1, cls.x2
+    return 2.0 * math.atan2(math.sqrt((x0 - x1) * (x0 + x1)),
+                            math.sqrt((x2 - x0) * (x2 + x0)))
+
+
+def _trochoid(cls, phi):
+    """(x, t) at phi on an n = 1 half period, where
+    x^2 = ((1 - 2EH) - epsilon cos(phi)) / (2H^2) runs from x1 at phi = 0 to
+    x2 at pi and t(phi) = (phi - epsilon sin(phi)) / (4H^2) is the height
+    gained from x1.  x^2 is offset from the nearer band edge, across which
+    it spans x2^2 - x1^2 = epsilon / H^2, so it stays exact."""
+    h = cls.h
+    epsilon = n1_epsilon(h, cls.e)
+    sin2, cos2 = np.sin(0.5 * phi) ** 2, np.cos(0.5 * phi) ** 2
+    span = epsilon / (h * h)
+    x = np.sqrt(np.where(sin2 <= cos2, cls.x1 ** 2 + span * sin2,
+                         cls.x2 ** 2 - span * cos2))
+    return x, (phi - epsilon * _sin(phi)) / (4.0 * h * h)
+
+
 def halfperiod_heights(n, h, e):
     """Heights (t1, t2) gained from the start of the canonical traversal, x1
     for unduloids and x2 for nodoids, to x0 (the inflection or the vertical
     tangent) and to the far band edge.  Cylinders degenerate to (0, 0).
-    Each result's evaluations counts the points of dt/dtheta sampled: 65
-    for a series resolved by degree 64, 65 + 129 for one resolved at 128,
-    and so on."""
+
+    For n = 1 they are exact (_trochoid): t2 = pi / (4H^2) for every E, and
+    t(phi0) gives t1; error estimate 0 and evaluations 0.  For n >= 2 each
+    result's evaluations counts the points of dt/dtheta sampled: 65 for a
+    series resolved by degree 64, 65 + 129 for one resolved at 128, and so
+    on."""
     cls = classify(n, h, e)
     if cls.family is Family.CYLINDER:
         return _ZERO, _ZERO
     if cls.family not in (Family.UNDULOID, Family.NODOID):
         raise ValueError(
             "half-period heights exist only for the periodic families")
-    half = _HalfPeriod(cls)
-    t0 = float(half.height(_theta0(cls)))
-    t2 = float(half.height(math.pi))
+    if cls.n == 1:
+        t0 = float(_trochoid(cls, _phi0(cls))[1])
+        t2 = math.pi / (4.0 * cls.h * cls.h)
+        error, evaluations = 0.0, 0
+    else:
+        half = _HalfPeriod(cls)
+        t0, t2 = half.heights()
+        error, evaluations = half.error, half.evaluations
     t1 = t0 if cls.family is Family.UNDULOID else t2 - t0
-    return tuple(QuadratureResult(t, half.error, half.evaluations)
-                 for t in (t1, t2))
+    return tuple(QuadratureResult(t, error, evaluations) for t in (t1, t2))
 
 
 def halfperiod_curve(cls, count):
-    """(x, t) arrays of count + 1 points, evenly spaced in theta, on one half
-    period of the periodic cls as its canonical start traverses it: an
-    unduloid from x1 out to x2, a nodoid from x2 in to x1, t from 0 to t2."""
-    half = _HalfPeriod(cls)
-    theta = np.linspace(0.0, math.pi, count + 1)
-    x, t = half.radius(theta), half.height(theta)
+    """(x, t) arrays of count + 1 points on one half period of the periodic
+    cls as its canonical start traverses it: an unduloid from x1 out to x2, a
+    nodoid from x2 in to x1, t from 0 to t2.  The points are evenly spaced in
+    phi of the exact n = 1 curve (_trochoid), in theta of the Chebyshev
+    series for n >= 2."""
+    angle = np.linspace(0.0, math.pi, count + 1)
+    if cls.n == 1:
+        x, t = _trochoid(cls, angle)
+    else:
+        half = _HalfPeriod(cls)
+        x, t = half.radius(angle), half.height(angle)
     if cls.family is Family.NODOID:
         return x[::-1], t[-1] - t[::-1]
     return x, t - t[0]

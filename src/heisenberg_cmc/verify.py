@@ -12,6 +12,7 @@ import numpy as np
 
 from .classify import Family, classify, cylinder_energy
 from .closed_forms import (
+    _HalfPeriod,
     canonical_trajectory,
     catenoid_generating_curve,
     catenoid_slab_halfwidth,
@@ -255,9 +256,26 @@ def _suite_closed_forms(checks, rng, solved):
             traj = integrate(n, h, e=e, config=cfg)
             worst = max(worst, abs(reg - abs(traj.states[-1, 1])))
         _check(checks, "nodoid-halfperiod-vs-ode", worst, 1e-6)
-        _check(checks, "nodoid-n1-parameter-free",
-               abs(nodoid_halfperiod(1, 1.0, -0.1).value - math.pi / 4.0),
-               1e-9, "t2 = pi/(4 H^2) for every E when n = 1")
+
+    @_guard(checks, "n1-halfperiod-formula-vs-series")
+    def body():
+        # the exact n = 1 heights against the theta series they replaced,
+        # each difference over the series' error estimate plus 4 ulps of t2
+        worst = 0.0
+        for h, frac in ((1.0, -0.4), (2.0, -0.2), (0.5, -12.0),
+                        (1.0, 0.4), (0.5, 0.9), (3.0, 0.01)):
+            e = frac * cylinder_energy(1, h)
+            cls = classify(1, h, e)
+            half = _HalfPeriod(cls)
+            t0, t2 = half.heights()
+            t1 = t0 if cls.family is Family.UNDULOID else t2 - t0
+            exact = halfperiod_heights(1, h, e)
+            gate = half.error + 4.0 * math.ulp(t2)
+            worst = max(worst, *(abs(r.value - t) / gate
+                                 for r, t in zip(exact, (t1, t2))))
+        _check(checks, "n1-halfperiod-formula-vs-series", worst, 1.0,
+               "t1, t2 = t(phi0), pi/(4 H^2) against the Chebyshev series, "
+               "in units of its error estimate plus 4 ulps of t2")
 
     @_guard(checks, "unduloid-halfperiod-vs-ode")
     def body():

@@ -1,9 +1,11 @@
 """Family classification and the admissible radial band."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -207,6 +209,42 @@ def test_family_ladder(n, h):
     assert classify(n, h, ecyl).family is Family.CYLINDER
 
 
+def _n1_band_exact(h, e):
+    """(x1, x2, epsilon) of the n = 1 band as Decimals, from the float
+    inputs taken exactly: epsilon = sqrt(1 - 4 e h), x1 = 2|e| / (1 + epsilon),
+    x2 = (1 + epsilon) / (2 h), at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = 1 - 4 * Fraction(e) * Fraction(h)
+        epsilon = (Decimal(d.numerator) / Decimal(d.denominator)).sqrt()
+        return (2 * abs(Decimal(e)) / (1 + epsilon),
+                (1 + epsilon) / (2 * Decimal(h)), epsilon)
+
+
+@given(u=st.floats(-2.0, 2.0), sign=st.sampled_from((1.0, -1.0)),
+       frac=st.one_of(
+           st.floats(-12.0, math.log10(0.5)).map(lambda v: 1.0 - 10.0 ** v),
+           st.floats(-12.0, 3.0).map(lambda v: -(10.0 ** v))))
+@settings(max_examples=200)
+def test_n1_radii_match_the_exact_band(u, sign, frac):
+    # frac = E / E_cyl: an unduloid from half the cylinder energy to 1e-12
+    # below it, a nodoid from -1e-12 to -1e3.  The radii and epsilon, so the
+    # unduloid's band width epsilon / H, must hold to 4 eps up to the
+    # cylinder; at 1 - E/E_cyl = 1e-12 Brent's roots of f2 were off by 4e-11
+    # (4e-5 of the band width) and epsilon from 1 - 4EH in floats by 1.4e-5.
+    # x2 - x1 of the two rounded radii cannot be finer than their ulps
+    h = sign * 10.0 ** u
+    e = frac * cylinder_energy(1, abs(h)) * sign
+    x1, x2 = admissible_radii(1, h, e)
+    ref1, ref2, epsilon = _n1_band_exact(abs(h), e * sign)
+    eps = Decimal(2.0 ** -52)
+    assert abs(Decimal(x1) - ref1) <= 4 * eps * ref1
+    assert abs(Decimal(x2) - ref2) <= 4 * eps * ref2
+    assert abs(Decimal(x2) - Decimal(x1) - (ref2 - ref1)) <= 4 * eps * ref2
+    got = classify_module.n1_epsilon(abs(h), e * sign)
+    assert abs(Decimal(got) - epsilon) <= 4 * eps * epsilon
+
+
 # ---------------------------------------------------------------------------
 # the Brent root search, pinned against scipy.optimize.brentq
 
@@ -230,6 +268,26 @@ def test_brent_port_matches_scipy(monkeypatch):
                          1.0 - 1e-9):
                 classify(n, h, frac * ecyl)
     assert len(pairs) > 300
+    assert [a for a, _ in pairs] == [b for _, b in pairs]
+
+
+@pytest.mark.parametrize("h", [4.0, 10.0, 100.0])
+def test_brent_port_bisects_past_an_underflowed_step(h, monkeypatch):
+    # on the inflection polynomial of an n = 3 neck at E = 1e-50 the inverse
+    # quadratic step's denominator underflows to 0; brentq.c divides to inf
+    # or NaN, rejects the step and bisects, where the port used to raise
+    # ZeroDivisionError
+    pairs = []
+    port = classify_module._brentq
+
+    def both(f, a, b):
+        root = port(f, a, b)
+        pairs.append((root, brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)))
+        return root
+
+    monkeypatch.setattr(classify_module, "_brentq", both)
+    cls = classify(3, h, 1e-50)
+    assert pairs[-1][0] == cls.x0
     assert [a for a, _ in pairs] == [b for _, b in pairs]
 
 

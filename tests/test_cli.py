@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -302,6 +303,20 @@ def test_classify_halfperiod_regressions(n, h, e, capsys):
         traj = pode.integrate(n, float(h), e=float(e), config=cfg)
         assert traj.events[-1].kind is pode.EventKind.CRITICAL_RADIUS
         assert t2 == pytest.approx(traj.states[-1, 1], rel=1e-8)
+
+
+@pytest.mark.parametrize("h", ["4", "10", "100"])
+def test_classify_inflection_underflow_exits_cleanly(h, capsys):
+    # Brent's inverse-quadratic step on the inflection polynomial divided by
+    # a denominator that underflows to 0, and classify died with a
+    # ZeroDivisionError traceback.  Run under the CLI's default warning
+    # filters: H = 10 samples a negative band cofactor, whose NaN leaves its
+    # series unresolved (exit 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        code, _, err = run_cli(
+            ["classify", "--n", "3", "--h", h, "--e", "1e-50"], capsys)
+    assert code in (0, 3), err
 
 
 @given(n=st.sampled_from((1, 2, 3)), u=st.floats(-3.0, 3.0),

@@ -357,9 +357,14 @@ def test_nodoid_halfperiod_matches_ode(n, h, e):
 
 
 def test_nodoid_halfperiod_frozen():
-    # independently verified: t2(1, 1, -0.1) = pi/4
+    # independently verified: t2(1, 1, -0.1) = pi/4, from the n = 1 formula
     r = nodoid_halfperiod(1, 1.0, -0.1)
     assert r.value == pytest.approx(math.pi / 4.0, abs=1e-11)
+    assert r.error_estimate < 1e-8
+    assert r.evaluations == 0
+    # n = 2 from the Chebyshev series, against the ODE at rel_tol 1e-12
+    r = nodoid_halfperiod(2, 0.75, -0.3)
+    assert r.value == pytest.approx(1.06564481712286, abs=1e-11)
     assert r.error_estimate < 1e-8
     assert r.evaluations > 0
 
@@ -446,10 +451,65 @@ def test_halfperiod_property(n, u, sign, frac):
 def test_halfperiod_evaluations_count_the_points_sampled():
     # one sample at degree 64 serves degrees 16, 32 and 64; past 64 every
     # degree takes a fresh sample
-    at_64 = halfperiod_heights(1, 1.0, 0.5 * cylinder_energy(1, 1.0))
-    at_128 = halfperiod_heights(1, 1.0, 0.1 * cylinder_energy(1, 1.0))
+    at_64 = halfperiod_heights(2, 1.0, 0.5 * cylinder_energy(2, 1.0))
+    at_128 = halfperiod_heights(2, 1.0, 0.05 * cylinder_energy(2, 1.0))
     assert [r.evaluations for r in at_64] == [65, 65]
     assert [r.evaluations for r in at_128] == [65 + 129, 65 + 129]
+
+
+def _series_heights(cls):
+    """(t1, t2) of the theta series at x0 and the far band edge, and the
+    series, as halfperiod_heights computes them for n >= 2."""
+    half = _HalfPeriod(cls)
+    t0, t2 = half.heights()
+    return (t0 if cls.family is Family.UNDULOID else t2 - t0), t2, half
+
+
+N1_PERIODIC = dict(u=st.floats(-2.0, 2.0), sign=st.sampled_from((1.0, -1.0)),
+                   frac=BAND_FRACTIONS)
+
+
+@given(**N1_PERIODIC)
+@settings(max_examples=60, deadline=None)
+def test_n1_t2_is_pi_over_4h2(u, sign, frac):
+    # the trochoid t(phi) = (phi - epsilon sin(phi)) / (4H^2) reaches
+    # pi / (4H^2) at phi = pi whatever E is: exact, with nothing sampled
+    h = sign * 10.0 ** u
+    e = frac * cylinder_energy(1, abs(h)) * sign
+    heights = halfperiod_heights(1, h, e)
+    assert [(r.error_estimate, r.evaluations) for r in heights] == [(0.0, 0)] * 2
+    t2 = heights[1].value
+    assert abs(t2 - math.pi / (4.0 * h * h)) <= math.ulp(t2)
+
+
+@given(**N1_PERIODIC)
+@settings(max_examples=40, deadline=None)
+def test_n1_t1_is_within_the_series_error(u, sign, frac):
+    h = sign * 10.0 ** u
+    e = frac * cylinder_energy(1, abs(h)) * sign
+    t1, _, half = _series_heights(classify(1, h, e))
+    assert abs(halfperiod_heights(1, h, e)[0].value - t1) <= half.error
+
+
+@pytest.mark.parametrize("n, h, e, t1, t2", [
+    (2, 1.0, 0.052734375, 0.16471864636785014, 0.939254204926196),
+    (2, 0.75, -0.25, 1.176424853588151, 1.0874522240787614),
+    (3, 1.0, -0.26791838134430734, 0.511474719704422, 0.4481115919226698),
+    (3, 2.0, 0.00010465561771262006, 0.01548670402205838,
+     0.20860938624766628),
+    (2, -1.5, -0.0003125, 0.004040790463458517, 0.3545913862999065),
+])
+def test_series_halfperiod_heights_unchanged(n, h, e, t1, t2):
+    # n >= 2 keeps the theta series, whose bits the one-pass tests pin
+    # against the doubling loop; the values are frozen from before the
+    # n = 1 closed forms
+    heights = halfperiod_heights(n, h, e)
+    *series, half = _series_heights(classify(n, h, e))
+    assert [r.value for r in heights] == series
+    for r in heights:
+        assert (r.error_estimate, r.evaluations) == (half.error,
+                                                     half.evaluations)
+    assert [r.value for r in heights] == pytest.approx([t1, t2], rel=1e-13)
 
 
 def test_sample_grid_is_cached_read_only_and_nested():
