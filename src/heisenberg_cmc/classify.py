@@ -223,10 +223,12 @@ def admissible_radii(n, h, e):
     its digits up to the cylinder.  For n >= 2 and e h > 0 both radii come
     from f2 bracketed on either side of the cylinder radius; for e h < 0,
     x1 is the root of f1 below |e|^{1/(2n-1)} and x2 the root of f2 above
-    1/h.  The signs of h and e fix the Descartes bounds: 2 for f2 when
-    e h > 0, 1 for each of f1 and f2 when e h < 0.  Raises
-    NoAdmissibleRadiusError when e exceeds the cylinder energy (f2 has no
-    positive roots).
+    1/h.  While |e|^{1/(2n-1)} is below a quarter of the cylinder radius, x1
+    is searched within a factor of two of it, to a relative tolerance, so a
+    neck of any width keeps its digits.  The signs of h and e fix the
+    Descartes bounds: 2 for f2 when e h > 0, 1 for each of f1 and f2 when
+    e h < 0.  Raises NoAdmissibleRadiusError when e exceeds the cylinder
+    energy (f2 has no positive roots).
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -260,17 +262,26 @@ def admissible_radii(n, h, e):
     if n == 1:
         epsilon = n1_epsilon(h, e)
         return 2.0 * abs(e) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 * h)
+    # x1 lies within a factor of two of top = |e|^{1/(2n-1)} while that is
+    # far below the cylinder radius, and is searched there as top t, t in
+    # [1/2, 2], so Brent's absolute tolerance is relative: in x it would
+    # swallow a neck below 1e-14, and the bracket [0, top] loses its sign
+    # change once h top < eps
+    top = abs(e) ** (1.0 / (2 * n - 1))
+    f, df = (f2, df2) if e > 0.0 else (f1, df1)
+    if 4.0 * top <= cylinder_radius(n, h):
+        lo, hi = 0.5 * top, 2.0 * top
+        x1 = top * _brentq(lambda t: f(top * t), 0.5, 2.0)
+    else:
+        lo, hi = 0.0, (r if e > 0.0 else top)
+        x1 = _brentq(f, lo, hi)
+    x1 = _polish(f, df, x1, lo, hi)
     if e > 0.0:
         hi = _expand_right(f2, 1.0 / h)
-        x1 = _brentq(f2, 0.0, r)
         x2 = _brentq(f2, r, hi)
-        x1 = _polish(f2, df2, x1, 0.0, r)
         x2 = _polish(f2, df2, x2, r, hi)
     else:
         # exactly one positive root each: signs (+,+,-) and (-,+,+)
-        top = abs(e) ** (1.0 / (2 * n - 1))
-        x1 = _brentq(f1, 0.0, top)
-        x1 = _polish(f1, df1, x1, 0.0, top)
         lo = 1.0 / h
         delta = 4e-16
         while f2(lo) <= 0.0:
@@ -290,7 +301,11 @@ def inflection_radius(n, h, e, bracket):
         p(y) = (e + h y^{2n})^3 - 2 h y^{6n-2} + 2(n-1) e y^{4n-2} = 0.
 
     p must change sign from + to - across the bracket (x1, x2); anything
-    else means the bracket does not isolate the inflection.
+    else means the bracket does not isolate the inflection.  Where p
+    underflows to 0 at an edge (E near the underflow threshold, or a large
+    h), its signs come from p(y) / y^{3(2n-1)} = (u + h y)^3 - 2 h y +
+    2(n-1) u, u = e / y^{2n-1}, which is of order 1 at both edges, and its
+    root, which may lie decades from both, from bisecting log y.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -304,11 +319,28 @@ def inflection_radius(n, h, e, bracket):
         )
 
     p1, p2 = p(x1), p(x2)
+    underflow = p1 == 0.0 or p2 == 0.0
+    if underflow:
+        # p underflows at a thin neck or a large h; p(y) / y^{3(2n-1)}, with
+        # u = e / y^{2n-1} near 1 at x1 and small at x2, keeps its signs
+        def p(y):
+            u = e / y ** (2 * n - 1)
+            return (u + h * y) ** 3 - 2.0 * h * y + 2.0 * (n - 1) * u
+
+        p1, p2 = p(x1), p(x2)
     if not (p1 > 0.0 > p2):
         raise RootBracketFailureError(
             f"p({x1}) = {p1}, p({x2}) = {p2}: no sign change across the band"
         )
-    return _brentq(p, x1, x2)
+    if not underflow:
+        return _brentq(p, x1, x2)
+    # the root may lie decades from both edges: bisect log y to 4 eps
+    while x2 - x1 > _RTOL * x1:
+        mid = math.sqrt(x1) * math.sqrt(x2)
+        if not x1 < mid < x2:
+            break
+        x1, x2 = (mid, x2) if p(mid) > 0.0 else (x1, mid)
+    return x1 + 0.5 * (x2 - x1)
 
 
 def classify(n, h, e):

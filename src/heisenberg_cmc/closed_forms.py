@@ -14,14 +14,17 @@ every E; halfperiod_heights and halfperiod_curve evaluate it (_trochoid).
 For n >= 2, one Chebyshev series in the angle theta of x = m - r cos(theta),
 where the band edges' inverse square roots cancel, gives t1, t2 and the
 whole half period (_HalfPeriod); the closed-form traces use it for n = 1
-too.  The minimal (H = 0) profile for n >= 2 is the graph of
-dt/dx = E x / sqrt(x^{2p} - E^2), p = 2n - 1, and x = x1 sec^{1/p}(phi),
-x1 = E^{1/p}, turns it into dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab
-half-width t_inf is a complete Beta function, from math.gamma, and the
-height above the waist an incomplete one, from its continued fraction.
-singular_quadrature, a u^2 = x - a substitution with exact endpoint offsets
-fed to Gauss-Legendre rules of doubling order, stays as the reference for
-integrals with inverse-square-root endpoints.  Nothing here needs SciPy.
+too.  The edges leave the radicand (x^p - w)(x^p + w), p = 2n - 1, by one
+factorization for both families, each edge divided out of the factor it is a
+root of as a sum of powers (_band_cofactor).  The minimal (H = 0) profile
+for n >= 2 is the graph of dt/dx = E x / sqrt(x^{2p} - E^2), and
+x = x1 sec^{1/p}(phi), x1 = E^{1/p}, turns it into
+dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab half-width t_inf is a complete
+Beta function, from math.gamma, and the height above the waist an
+incomplete one, from its continued fraction.  singular_quadrature, a
+u^2 = x - a substitution with exact endpoint offsets fed to Gauss-Legendre
+rules of doubling order, stays as the reference for integrals with
+inverse-square-root endpoints.  Nothing here needs SciPy.
 
 canonical_trajectory(cls, config) traces the canonical sphere, cylinder,
 unduloid or nodoid of a Classification from these curves, with a second
@@ -338,28 +341,28 @@ _ZERO = QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
 
 
 def _band_cofactor(cls):
-    """q > 0 with x^{4n-2} - w^2 = (x - x1)(x2 - x) q(x), taking arrays:
-    (x^{2n-1} - w)(x^{2n-1} + w) with the band edges divided out, written
-    without cancellation."""
+    """q > 0 with x^{4n-2} - w^2 = (x - x1)(x2 - x) q(x), taking arrays.  Of
+    (x^p - w)(x^p + w), p = 2n - 1, each edge r leaves the factor f it is a
+    root of by f(x) - f(r) = (x - r) P(x, r), and H x2 - 1 = -E / x2^p.  Only
+    an unduloid's H P_p - (E / x2^p) h_{p-2}(x, x1, x2) subtracts: < 1 bit."""
     n, h, e, x1, x2 = cls.n, cls.h, cls.e, cls.x1, cls.x2
-    if cls.family is Family.UNDULOID:
-        # x^{2n-1} - w = -H x^{2n} + x^{2n-1} - E over (x - x1) and (x - x2)
-        # by synthetic division, the quotients np.polydiv would return
-        rest = [-h, 1.0] + [0.0] * (2 * n - 2) + [-e]
-        for root in (x1, x2):
-            quotient = [rest[0]]
-            for c in rest[1:-1]:
-                quotient.append(c + quotient[-1] * root)
-            rest = quotient
-        return lambda x: (-np.polyval(rest, x)
-                          * (x ** (2 * n - 1) + e + h * x ** (2 * n)))
+    p, lift = 2 * n - 1, -e / x2 ** (2 * n - 1)  # lift = H x2 - 1
 
-    def powsum(x, a, k):  # (x^k - a^k) / (x - a)
-        return sum(x ** i * a ** (k - 1 - i) for i in range(k))
+    def powsums(x, a):  # P_j = (x^j - a^j) / (x - a), j = 1..p, by Horner
+        sums = [1.0]
+        for j in range(1, p):
+            sums.append(x * sums[-1] + a ** j)
+        return sums
 
-    lift = -e / x2 ** (2 * n - 1)  # H x2 - 1, which cancels as a difference
-    return lambda x: ((powsum(x, x1, 2 * n - 1) + h * powsum(x, x1, 2 * n))
-                      * (lift * powsum(x, x2, 2 * n - 1) + h * x ** (2 * n - 1)))
+    def cofactor(x):
+        sums = powsums(x, x1)
+        if cls.family is Family.NODOID:
+            return ((sums[-1] + h * (x * sums[-1] + x1 ** p))
+                    * (lift * powsums(x, x2)[-1] + h * x ** p))
+        # h_{p-2}(x, x1, x2) by h_k = x2 h_{k-1} + P_{k+1}(x, x1)
+        complete = functools.reduce(lambda c, s: x2 * c + s, sums[:-1], 0.0)
+        return (x ** p + e + h * x ** (2 * n)) * (h * sums[-1] + lift * complete)
+    return cofactor
 
 
 def _dct1(samples):
@@ -514,7 +517,7 @@ class _HalfPeriod:
         def sample(degree):
             theta, sin2, cos2 = _grid(degree)
             x = self._radius(sin2, cos2)
-            scale = x / np.sqrt(self._cofactor(x))
+            scale = self._scale(x)
             terms = cls.h * x ** (2 * cls.n)
             rise = (cls.e + terms) * scale
             bound = (abs(cls.e) + terms) * scale
@@ -571,7 +574,13 @@ class _HalfPeriod:
         """dt/dtheta = w x / sqrt(q(x)) from the formula."""
         x = self.radius(theta)
         w = self.cls.e + self.cls.h * x ** (2 * self.cls.n)
-        return w * (x / np.sqrt(self._cofactor(x)))
+        return w * self._scale(x)
+
+    def _scale(self, x):
+        """x / sqrt(q(x)).  q is held at the least normal float where it
+        underflows, at x1 of a neck near 1e-100 and below, so dt/dtheta, of
+        order x1^{3/2} there, rounds to about 0 instead of inf."""
+        return x / np.sqrt(np.maximum(self._cofactor(x), _TINY))
 
 
 def _theta0(cls):

@@ -137,6 +137,62 @@ def test_inflection_bracket_failure():
         inflection_radius(1, 0.5, 0.3, (1.0, 1.5))
 
 
+def _band_edge_within(n, h, e, x1, rel):
+    """The root of f2 (e > 0) or f1 (e < 0) of the band lies within rel of
+    x1, decided in exact rationals."""
+    p, h, e = 2 * n - 1, Fraction(h), Fraction(e)
+
+    def f(x):
+        return x ** p * (1 - h * x) - e if e > 0 else x ** p * (1 + h * x) + e
+
+    lo, hi = Fraction(x1) * (1 - rel), Fraction(x1) * (1 + rel)
+    return f(Fraction(x1)) == 0 or (f(lo) < 0) != (f(hi) < 0)
+
+
+@given(n=st.sampled_from((2, 3)), u=st.floats(-2.0, 2.0),
+       sign=st.sampled_from((1.0, -1.0)), where=st.floats(0.0, 1.0))
+@settings(max_examples=200)
+def test_neck_radius_holds_to_4_eps(n, u, sign, where):
+    # |E| log-uniform from 1e-300 to a tenth of the cylinder energy.
+    # Brent's absolute tolerance of 1e-14 swallowed a neck below it (x1 came
+    # out 0.0 at E = 1e-45, n = 2), and the nodoid bracket [0, |E|^{1/p}]
+    # lost its sign change once H |E|^{1/p} < eps
+    h = 10.0 ** u
+    top = math.log10(0.1 * cylinder_energy(n, h))
+    e = sign * 10.0 ** (-300.0 + where * (top + 300.0))
+    x1, _ = admissible_radii(n, h, e)
+    assert _band_edge_within(n, h, e, x1, Fraction(4 * 2.0 ** -52)), (n, h, e)
+
+
+@pytest.mark.parametrize("n, h, e", [
+    (2, 1.0, 1e-45), (2, 3.0, 1e-50), (3, 1.0, 1e-75), (3, 1.0, -1e-75),
+    (3, 1.0, -1e-300),
+])
+def test_neck_radius_frozen_cases(n, h, e):
+    x1, _ = admissible_radii(n, h, e)
+    assert _band_edge_within(n, h, e, x1, Fraction(4 * 2.0 ** -52))
+
+
+def _inflection_p(n, h, e, y):
+    h, e, y = Fraction(h), Fraction(e), Fraction(y)
+    return ((e + h * y ** (2 * n)) ** 3 - 2 * h * y ** (6 * n - 2)
+            + 2 * (n - 1) * e * y ** (4 * n - 2))
+
+
+@pytest.mark.parametrize("n, h, e", [
+    (1, 3.0, 1e-320), (1, 1e300, 1e-310), (2, 3.0, 1e-320),
+])
+def test_inflection_where_p_underflows(n, h, e):
+    # p underflowed to 0.0 at x1 (and, at H = 1e300, at x2) and the search
+    # raised "no sign change across the band"; its sign now comes from
+    # p / y^{3(2n-1)}, and log y is bisected to the root
+    cls = classify(n, h, e)
+    assert cls.x1 < cls.x0 < cls.x2
+    rel = Fraction(1, 10 ** 12)
+    assert _inflection_p(n, h, e, Fraction(cls.x0) * (1 - rel)) > 0
+    assert _inflection_p(n, h, e, Fraction(cls.x0) * (1 + rel)) < 0
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError):
         classify(1.5, 0.5, 0.1)

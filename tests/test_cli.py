@@ -319,6 +319,28 @@ def test_classify_inflection_underflow_exits_cleanly(h, capsys):
     assert code in (0, 3), err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--h", "10", "--e", "1e-50"],
+    ["--n", "4", "--h", "1", "--e", "1e-15"],
+    ["--n", "2", "--h", "1", "--e", "1e-45"],
+    ["--n", "3", "--h", "1", "--e=-1e-75"],
+    ["--n", "1", "--h", "3", "--e", "1e-320"],
+    ["--n", "1", "--h", "1e300", "--e", "1e-310"],
+    ["--n", "2", "--h", "3", "--e", "1e-320"],
+])
+def test_classify_thin_necks_exit_0_without_warnings(argv, capsys):
+    # the first sampled a negative band cofactor near x1 and exited 3 after
+    # a NaN RuntimeWarning; at E = 1e-45 the neck radius came out 0.0 (exit
+    # 3); at E = -1e-75 the f1 bracket lost its sign change (exit 2); the
+    # last three raised from an inflection polynomial underflowed to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["classify", *argv, "--json"], capsys)
+    assert code == 0, err
+    radii = json.loads(out)["radii"]
+    assert radii["x1"] < radii["x0"] < radii["x2"]
+
+
 @given(n=st.sampled_from((1, 2, 3)), u=st.floats(-3.0, 3.0),
        sign=st.sampled_from((1.0, -1.0)))
 @settings(max_examples=60, deadline=None)
