@@ -40,6 +40,9 @@ __all__ = [
 _CYLINDER_TOL = 1e-12
 # tolerances and iteration cap of the bracketed root search, _brentq
 _XTOL, _RTOL, _MAXITER = 1e-14, 8.9e-16, 100
+# below it _XTOL exceeds 1e-12 of a root, which inflection_radius then
+# bisects in log y instead
+_SMALL_ROOT = 1e-2
 
 
 class Family(str, enum.Enum):
@@ -107,14 +110,16 @@ def _brentq(f, xa, xb, xtol=_XTOL, rtol=_RTOL):
     """Root of f bracketed by [xa, xb], by Brent's zeroin as SciPy's
     brentq.c writes it, step for step, so the roots agree to the bit."""
 
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"f({x}) is NaN; the root search cannot go on")
-        return fx
+    def nan(x):
+        return ValueError(f"f({x}) is NaN; the root search cannot go on")
 
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise nan(xpre)
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise nan(xcur)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -152,7 +157,9 @@ def _brentq(f, xa, xb, xtol=_XTOL, rtol=_RTOL):
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise nan(xcur)
     raise RootBracketFailureError(
         f"Brent's method did not converge in {_MAXITER} iterations "
         f"(last x = {xcur})")
@@ -237,19 +244,25 @@ def admissible_radii(n, h, e):
     if h == 0.0 or e == 0.0:
         raise ValueError("the bounded band needs h != 0 and e != 0")
 
-    # factored evaluation keeps the sign honest near x = 1/h
-    def f1(x):
-        return x ** (2 * n - 1) * (1.0 + h * x) + e
+    p = 2 * n - 1
 
-    def df1(x):
-        return (2 * n - 1) * x ** (2 * n - 2) + 2 * n * h * x ** (2 * n - 1)
+    def edge(s, m=0):
+        """x^p (1 - s h x) - s e, which is f2 for s = 1 and f1 for s = -1,
+        and its derivative, both scaled by 2^{m p}; the factored evaluation
+        keeps the sign honest near x = 1/h.  The scaling is exact while no
+        term is subnormal, and at a neck where |e| is, 2^m x near 1 keeps
+        both terms normal."""
+        sh, se, scale = s * h, math.ldexp(s * e, m * p), math.ldexp(1.0, m)
 
-    def f2(x):
-        return x ** (2 * n - 1) * (1.0 - h * x) - e
+        def f(x):
+            return (scale * x) ** p * (1.0 - sh * x) - se
 
-    def df2(x):
-        return (2 * n - 1) * x ** (2 * n - 2) - 2 * n * h * x ** (2 * n - 1)
+        def df(x):
+            y = scale * x
+            return p * (scale * y ** (p - 1)) - 2 * n * sh * y ** p
+        return f, df
 
+    f2, df2 = edge(1.0)
     if e > 0.0:
         ecyl = cylinder_energy(n, h)
         if e > ecyl * (1.0 + _CYLINDER_TOL):
@@ -267,12 +280,14 @@ def admissible_radii(n, h, e):
     # [1/2, 2], so Brent's absolute tolerance is relative: in x it would
     # swallow a neck below 1e-14, and the bracket [0, top] loses its sign
     # change once h top < eps
-    top = abs(e) ** (1.0 / (2 * n - 1))
-    f, df = (f2, df2) if e > 0.0 else (f1, df1)
+    top = abs(e) ** (1.0 / p)
+    sign = 1.0 if e > 0.0 else -1.0
     if 4.0 * top <= cylinder_radius(n, h):
+        f, df = edge(sign, -math.frexp(top)[1])
         lo, hi = 0.5 * top, 2.0 * top
         x1 = top * _brentq(lambda t: f(top * t), 0.5, 2.0)
     else:
+        f, df = edge(sign)
         lo, hi = 0.0, (r if e > 0.0 else top)
         x1 = _brentq(f, lo, hi)
     x1 = _polish(f, df, x1, lo, hi)
@@ -305,7 +320,9 @@ def inflection_radius(n, h, e, bracket):
     underflows to 0 at an edge (E near the underflow threshold, or a large
     h), its signs come from p(y) / y^{3(2n-1)} = (u + h y)^3 - 2 h y +
     2(n-1) u, u = e / y^{2n-1}, which is of order 1 at both edges, and its
-    root, which may lie decades from both, from bisecting log y.
+    root, which may lie decades from both, from bisecting log y.  So does a
+    root below _SMALL_ROOT at a thin neck, where Brent's absolute tolerance
+    would hold fewer than 12 of its digits; p's sign there tells.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -333,7 +350,9 @@ def inflection_radius(n, h, e, bracket):
             f"p({x1}) = {p1}, p({x2}) = {p2}: no sign change across the band"
         )
     if not underflow:
-        return _brentq(p, x1, x2)
+        if x1 >= _SMALL_ROOT or (x2 > _SMALL_ROOT and p(_SMALL_ROOT) >= 0.0):
+            return _brentq(p, x1, x2)
+        x2 = min(x2, _SMALL_ROOT)
     # the root may lie decades from both edges: bisect log y to 4 eps
     while x2 - x1 > _RTOL * x1:
         mid = math.sqrt(x1) * math.sqrt(x2)

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from .classify import Family, classify, cylinder_energy
+from .classify import Classification, Family, classify, cylinder_energy
 from .closed_forms import (
     canonical_trajectory,
     catenoid_slab_halfwidth,
@@ -97,6 +97,9 @@ def _axis(text):
 # report assembly
 
 
+_PERIODIC = (Family.UNDULOID, Family.NODOID)
+
+
 def run_report(command, n, h, e):
     """Structural report of the (n, H, E) profile, with error estimates.
 
@@ -105,6 +108,13 @@ def run_report(command, n, h, e):
     reported magnitude unchanged.
     """
     cls = classify(n, h, e)
+    heights = halfperiod_heights([cls])[0] if cls.family in _PERIODIC else None
+    return _report(command, n, h, e, cls, heights)
+
+
+def _report(command, n, h, e, cls, heights):
+    """run_report's body, given cls = classify(n, h, e) and, for the periodic
+    families, its halfperiod_heights pair."""
     summary = dict.fromkeys(("t1", "t2", "period", "perimeter", "volume"))
     estimates = {}
     notes = []
@@ -131,8 +141,8 @@ def run_report(command, n, h, e):
             f"cylinder radius {cls.x0:.17g} at the "
             f"cylinder energy {cylinder_energy(n, cls.h):.17g}"
         )
-    elif cls.family in (Family.UNDULOID, Family.NODOID):
-        t1, t2 = halfperiod_heights(n, h, e)
+    elif cls.family in _PERIODIC:
+        t1, t2 = heights
         summary["t1"] = t1.value
         estimates["t1"] = t1.error_estimate
         summary["t2"] = t2.value
@@ -335,15 +345,31 @@ class _SweepOverflowError(OverflowError):
         self.rows = rows
 
 
-def _sweep_row(n, h, e, overflows):
-    """The sweep columns of run_report; inadmissible rows keep only n, h, e,
-    and so do rows that overflow a float, which are named in overflows."""
+def _classified(n, h, e):
+    """classify(n, h, e) for a sweep row: None where no radius is admissible,
+    the OverflowError where the parameters overflow a float."""
+    try:
+        return classify(n, h, e)
+    except NoAdmissibleRadiusError:
+        return None
+    except OverflowError as exc:
+        return exc
+
+
+def _sweep_row(n, h, e, cls, heights, overflows):
+    """The sweep columns of run_report, from the row's _classified result and
+    an iterator over the heights of the grid's periodic rows; inadmissible
+    rows keep only n, h, e, and so do rows that overflow a float, which are
+    named in overflows."""
     row = dict.fromkeys(SWEEP_COLUMNS)
     row.update({"n": n, "h": h, "e": e})
-    try:
-        report = run_report(("sweep",), n, h, e)
-    except NoAdmissibleRadiusError:
+    if cls is None:
         return row
+    try:
+        if isinstance(cls, OverflowError):
+            raise cls
+        report = _report(("sweep",), n, h, e, cls,
+                         next(heights) if cls.family in _PERIODIC else None)
     except OverflowError as exc:
         overflows.append(f"n = {n}, H = {h!r}, E = {e!r}: {exc}")
         return row
@@ -359,12 +385,20 @@ def _sweep_row(n, h, e, overflows):
 def sweep_rows(ns, hs, es):
     """Sweep the grid; rows come back in grid order (n outer, e inner).
 
-    A row that overflows a float keeps only n, h and e.  The grid is still
-    finished; then an OverflowError naming the first such row is raised,
-    with the rows in its rows attribute.
+    Every grid point is classified once, and the half-period heights of all
+    periodic rows come from one halfperiod_heights call, which fits their
+    series in stacks.  A row that overflows a float keeps only n, h and e.
+    The grid is still finished; then an OverflowError naming the first such
+    row is raised, with the rows in its rows attribute.
     """
+    grid = [(n, h, e) for n in ns for h in hs for e in es]
+    found = [_classified(*point) for point in grid]
+    heights = iter(halfperiod_heights(
+        [cls for cls in found
+         if isinstance(cls, Classification) and cls.family in _PERIODIC]))
     overflows = []
-    rows = [_sweep_row(n, h, e, overflows) for n in ns for h in hs for e in es]
+    rows = [_sweep_row(*point, cls, heights, overflows)
+            for point, cls in zip(grid, found)]
     if overflows:
         more = len(overflows) - 1
         raise _SweepOverflowError(

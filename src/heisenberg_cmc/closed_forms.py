@@ -16,7 +16,11 @@ where the band edges' inverse square roots cancel, gives t1, t2 and the
 whole half period (_HalfPeriod); the closed-form traces use it for n = 1
 too.  The edges leave the radicand (x^p - w)(x^p + w), p = 2n - 1, by one
 factorization for both families, each edge divided out of the factor it is a
-root of as a sum of powers (_band_cofactor).  The minimal (H = 0) profile
+root of as a sum of powers (_band_cofactor).  halfperiod_heights also takes
+a sequence of Classifications, as sweep does, and fits their series in
+stacks of rows that share n and the family, one NumPy array per step
+(_half_periods, _resolved), bit for bit the series each row gets alone as a
+stack of one.  The minimal (H = 0) profile
 for n >= 2 is the graph of dt/dx = E x / sqrt(x^{2p} - E^2), and
 x = x1 sec^{1/p}(phi), x1 = E^{1/p}, turns it into
 dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab half-width t_inf is a complete
@@ -34,8 +38,10 @@ the profile_ode.Trajectory that the ODE would: no ODE is solved.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,69 +344,149 @@ def catenoid_curve(n, e, count):
 # half periods of the periodic families
 
 _ZERO = QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
+# rows per stack of half-period series: a stack sampled at degree 4096 holds
+# arrays of about 2 MB
+_STACK_ROWS = 64
 
 
-def _band_cofactor(cls):
-    """q > 0 with x^{4n-2} - w^2 = (x - x1)(x2 - x) q(x), taking arrays.  Of
-    (x^p - w)(x^p + w), p = 2n - 1, each edge r leaves the factor f it is a
-    root of by f(x) - f(r) = (x - r) P(x, r), and H x2 - 1 = -E / x2^p.  Only
-    an unduloid's H P_p - (E / x2^p) h_{p-2}(x, x1, x2) subtracts: < 1 bit."""
-    n, h, e, x1, x2 = cls.n, cls.h, cls.e, cls.x1, cls.x2
-    p, lift = 2 * n - 1, -e / x2 ** (2 * n - 1)  # lift = H x2 - 1
+class _Band:
+    """The scalars of unduloids or nodoids that share n and the family, as the
+    band's formulas read them: floats for one classification (stacked=False),
+    or (rows, 1) columns, one row per classification, that broadcast against
+    a row of sample points.  Columns are stacked from floats, powers
+    included: NumPy's array ** rounds otherwise than Python's float **."""
 
-    def powsums(x, a):  # P_j = (x^j - a^j) / (x - a), j = 1..p, by Horner
+    def __init__(self, clss, stacked=True):
+        n = clss[0].n
+        p = 2 * n - 1
+        self.n, self.nodoid = n, clss[0].family is Family.NODOID
+
+        def scalars(values):
+            return np.array(values)[:, np.newaxis] if stacked else values[0]
+
+        self.h = scalars([cls.h for cls in clss])
+        self.e = scalars([cls.e for cls in clss])
+        self.abs_e = scalars([abs(cls.e) for cls in clss])
+        self.x1 = scalars([cls.x1 for cls in clss])
+        self.x2 = scalars([cls.x2 for cls in clss])
+        self.width = scalars([cls.x2 - cls.x1 for cls in clss])
+        self.half_width = scalars([0.5 * (cls.x2 - cls.x1) for cls in clss])
+        self.lift = scalars([-cls.e / cls.x2 ** p for cls in clss])  # H x2 - 1
+        self.x1_powers = [scalars([cls.x1 ** j for cls in clss])
+                          for j in range(p + 1)]
+        self.x2_powers = [scalars([cls.x2 ** j for cls in clss])
+                          for j in range(p)] if self.nodoid else None
+
+
+def _band_cofactor(band, x):
+    """q(x) > 0 with x^{4n-2} - w^2 = (x - x1)(x2 - x) q(x), at an array x.
+    Of (x^p - w)(x^p + w), p = 2n - 1, each edge r leaves the factor f it is
+    a root of by f(x) - f(r) = (x - r) P(x, r), and H x2 - 1 = -E / x2^p.
+    Only an unduloid's H P_p - (E / x2^p) h_{p-2}(x, x1, x2) subtracts:
+    < 1 bit."""
+    n, h, x2 = band.n, band.h, band.x2
+    p = 2 * n - 1
+
+    def powsums(powers):  # P_j = (x^j - a^j) / (x - a), j = 1..p, by Horner
         sums = [1.0]
         for j in range(1, p):
-            sums.append(x * sums[-1] + a ** j)
+            sums.append(x * sums[-1] + powers[j])
         return sums
 
-    def cofactor(x):
-        sums = powsums(x, x1)
-        if cls.family is Family.NODOID:
-            return ((sums[-1] + h * (x * sums[-1] + x1 ** p))
-                    * (lift * powsums(x, x2)[-1] + h * x ** p))
-        # h_{p-2}(x, x1, x2) by h_k = x2 h_{k-1} + P_{k+1}(x, x1)
-        complete = functools.reduce(lambda c, s: x2 * c + s, sums[:-1], 0.0)
-        return (x ** p + e + h * x ** (2 * n)) * (h * sums[-1] + lift * complete)
-    return cofactor
+    sums = powsums(band.x1_powers)
+    if band.nodoid:
+        return ((sums[-1] + h * (x * sums[-1] + band.x1_powers[p]))
+                * (band.lift * powsums(band.x2_powers)[-1] + h * x ** p))
+    # h_{p-2}(x, x1, x2) by h_k = x2 h_{k-1} + P_{k+1}(x, x1)
+    complete = functools.reduce(lambda c, s: x2 * c + s, sums[:-1], 0.0)
+    return ((x ** p + band.e + h * x ** (2 * n))
+            * (h * sums[-1] + band.lift * complete))
+
+
+def _radius(band, sin2, cos2):
+    """x from sin^2(theta / 2) and cos^2(theta / 2), offset from the nearer
+    band edge so it stays exact."""
+    d1 = band.width * sin2
+    d2 = band.width * cos2
+    return np.where(d1 <= d2, band.x1 + d1, band.x2 - d2)
+
+
+def _scale(band, x):
+    """x / sqrt(q(x)).  q is held at the least normal float where it
+    underflows, at x1 of a neck near 1e-100 and below, so dt/dtheta, of
+    order x1^{3/2} there, rounds to about 0 instead of inf."""
+    return x / np.sqrt(np.maximum(_band_cofactor(band, x), _TINY))
 
 
 def _dct1(samples):
-    """Unnormalized DCT-I, y_k = s_0 + (-1)^k s_N + 2 sum s_j cos(pi j k / N),
-    as the real FFT of the even extension [s_0..s_N, s_{N-1}..s_1]."""
-    return np.fft.rfft(np.concatenate([samples, samples[-2:0:-1]])).real
+    """Unnormalized DCT-I along the last axis, y_k = s_0 + (-1)^k s_N +
+    2 sum s_j cos(pi j k / N), as the real FFT of the even extension
+    [s_0..s_N, s_{N-1}..s_1]; a 2-D rfft gives each row the bits of its own
+    1-D one."""
+    return np.fft.rfft(
+        np.concatenate([samples, samples[..., -2:0:-1]], axis=-1)).real
 
 
-def _chop(coeffs, tol):
+@functools.cache
+def _plateau_tests(n):
+    """The (j, j2) index pairs, 1-based, of standardChop's plateau test on n
+    coefficients: j = 2, 3, ... and j2 = round(1.25 j + 5), while j2 <= n."""
+    tests = []
+    for j in range(2, n + 1):
+        j2 = round(1.25 * j + 5)
+        if j2 > n:
+            return tuple(tests)
+        tests.append((j, j2))
+
+
+def _envelopes(coeffs):
+    """standardChop's envelope of each row of a stack of Chebyshev
+    coefficients, max_{k >= j} |c_k| over its first entry, as a list of
+    floats; None for a row of zeros."""
+    env = np.maximum.accumulate(np.abs(coeffs)[:, ::-1], axis=1)[:, ::-1]
+    first = env[:, :1]
+    env = np.divide(env, first, out=np.zeros_like(env), where=first != 0.0)
+    return [None if zero else row
+            for zero, row in zip((first[:, 0] == 0.0).tolist(), env.tolist())]
+
+
+def _chop(plateau, tol):
     """How many Chebyshev coefficients to keep, None while unresolved:
     Aurentz & Trefethen's standardChop ("Chopping a Chebyshev series", 2017),
     which finds where |coeffs| levels off into a plateau, even one that
-    roundoff holds well above tol."""
-    n = len(coeffs)
+    roundoff holds well above tol.  plateau is the series' envelope from
+    _envelopes."""
+    if plateau is None:
+        return 1
+    n = len(plateau)
     if n < 17:
         return None
-    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
-    if env[0] == 0.0:
-        return 1
-    env = env / env[0]
-    plateau, log_tol = env.tolist(), math.log(tol)
-    for j in range(2, n + 1):  # 1-based, as in the paper
-        j2 = round(1.25 * j + 5)
-        if j2 > n:
-            return None
+    log_tol = math.log(tol)
+    tests = _plateau_tests(n)
+    if tol < 1.0:
+        # the ratio below is at most 1, and while e1 >= sqrt(tol) the bound
+        # it must pass is at least 1.5: start at the first e1 < sqrt(tol)
+        tests = tests[bisect.bisect_right(
+            plateau, -math.sqrt(tol), 1, len(tests) + 1, key=operator.neg) - 1:]
+    for j, j2 in tests:  # 1-based, as in the paper
         e1 = plateau[j - 1]
         if e1 == 0.0 or plateau[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
             break
-    if env[j - 2] == 0.0:
+    else:
+        return None
+    if plateau[j - 2] == 0.0:
         return j - 1
     floor = tol ** (7.0 / 6.0)
-    j3 = int(np.sum(env >= floor))
+    # the envelope does not increase, so the entries at or above floor lead
+    # it, and only the first j2 of them are looked at
+    env = np.array(plateau[:j2])
+    j3 = int(np.count_nonzero(env >= floor))
     if j3 < j2:
         j2 = j3 + 1
         env[j2 - 1] = floor
     # least envelope plus a line that favours short series
     biased = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
-    return max(int(np.argmin(biased)), 1)
+    return max(int(biased.argmin()), 1)
 
 
 _FIRST_DEGREE, _ONE_PASS_DEGREE, _MAX_DEGREE = 16, 64, 4096
@@ -420,44 +506,64 @@ def _grid(degree):
     return grid
 
 
-def _resolved(sample):
-    """Chebyshev series in y on [-1, 1] of the functions that sample(degree)
-    returns at the Chebyshev points of that degree, a list of (values,
-    bounds) pairs: a function's noise at a degree is the sum, over its bound
-    arrays, of eps times the array's maximum on that degree's points.
+def _resolved(sample, items):
+    """Chebyshev series in y on [-1, 1] of the functions of each of items.
+    sample(degree, some) returns them for a list some of items at the
+    Chebyshev points of that degree, as a list of (values, bounds) pairs of
+    arrays with one row per item: a function's noise at a degree is the sum,
+    over its bound arrays, of eps times the row's maximum on that degree's
+    points.
 
     The points of degree N are every (64/N)-th point of degree 64, so one
-    sample at degree 64 serves degrees 16, 32 and 64; _chop tests every
-    function at each in turn, each against its noise on that degree's own
-    points, and the first degree that resolves them all wins.  Past 64 the
-    degree doubles with a fresh sample, and a series still unresolved at
-    degree 4096 raises QuadratureError.  Returns the (coeffs, keep, noise)
-    triple of each function and the number of points sampled: 65 when
-    degree 64 resolves them, 65 + 129 at degree 128, and so on."""
+    sample at degree 64 serves degrees 16, 32 and 64; _chop tests each
+    item's functions at each in turn, each against its noise on that
+    degree's own points, and the first degree that resolves them all is the
+    item's.  Past 64 the degree doubles with a fresh sample of the items
+    still unresolved, and one unresolved at degree 4096 raises
+    QuadratureError.  Only _chop runs row by row; every other step rounds
+    elementwise, so an item gets the bits it would get alone.  Returns, for
+    each item, the (coeffs, keep, noise) triple of each function and the
+    number of points sampled: 65 when degree 64 resolves it, 65 + 129 at
+    degree 128, and so on."""
+    fitted = [None] * len(items)
+    pending = list(range(len(items)))
     degree, sampled, evaluations = _FIRST_DEGREE, 0, 0
-    while degree <= _MAX_DEGREE:
+    while pending:
+        if degree > _MAX_DEGREE:
+            raise QuadratureError(
+                "Chebyshev series unresolved at degree %d" % _MAX_DEGREE)
         if degree > sampled:
             sampled = max(degree, _ONE_PASS_DEGREE)
-            pairs = sample(sampled)
+            pairs = sample(sampled, [items[i] for i in pending])
             evaluations += sampled + 1
+            rows = list(range(len(pending)))  # pending items' rows in pairs
         stride = sampled // degree
-        fits = []
+        stacks = []
         for values, bounds in pairs:
-            values = values[::stride]
+            values = values[rows, ::stride]
             noise = 0.0
             for bound in bounds:
-                noise += _EPS * float(np.max(bound[::stride]))
+                noise = noise + _EPS * np.max(bound[rows, ::stride], axis=1)
             coeffs = _dct1(values) / degree
-            coeffs[[0, -1]] *= 0.5
-            keep = _chop(coeffs, noise / float(np.max(np.abs(values))))
-            if keep is None:
-                break
-            fits.append((coeffs, keep, noise))
-        else:
-            return fits, evaluations
+            coeffs[:, [0, -1]] *= 0.5
+            tols = noise / np.max(np.abs(values), axis=1)
+            stacks.append((coeffs, _envelopes(coeffs), tols.tolist(),
+                           noise.tolist()))
+        still = []
+        for k, item in enumerate(pending):
+            fits = []
+            for coeffs, plateaus, tols, noise in stacks:
+                keep = _chop(plateaus[k], tols[k])
+                if keep is None:
+                    still.append(k)
+                    break
+                fits.append((coeffs[k], keep, noise[k]))
+            else:
+                fitted[item] = fits, evaluations
+        pending = [pending[k] for k in still]
+        rows = [rows[k] for k in still]
         degree *= 2
-    raise QuadratureError(
-        "Chebyshev series unresolved at degree %d" % _MAX_DEGREE)
+    return fitted
 
 
 def _chebint(c, scale):
@@ -495,6 +601,25 @@ def _sin(theta):
     return np.sin(np.minimum(theta, math.pi - theta))
 
 
+def _sample(degree, clss, arclength=False):
+    """The functions _resolved fits for the half periods of clss, which share
+    n and the family, at the points of degree: dt/dtheta, and with
+    arclength ds/dtheta, each with its noise bounds, one row per
+    classification."""
+    band = _Band(clss)
+    theta, sin2, cos2 = _grid(degree)
+    x = _radius(band, sin2, cos2)
+    scale = _scale(band, x)
+    terms = band.h * x ** (2 * band.n)
+    rise = (band.e + terms) * scale
+    bound = (band.abs_e + terms) * scale
+    pairs = [(rise, (bound,))]
+    if arclength:
+        speed = np.hypot(band.half_width * _sin(theta), rise)
+        pairs.append((speed, (bound, speed)))
+    return pairs
+
+
 class _HalfPeriod:
     """One half period of an unduloid or nodoid as a Chebyshev series.
 
@@ -507,49 +632,36 @@ class _HalfPeriod:
     Practice, ch. 3, 7 and 19).  With arclength=True the same samples give
     a second series, of ds/dtheta = sqrt(r^2 sin^2(theta) + (dt/dtheta)^2),
     which integrates to S(theta), the arclength from x1; the degree then
-    grows until both are resolved.
+    grows until both are resolved.  fit, one item of _resolved's result,
+    comes from a stack of half periods (_half_periods); without it cls is
+    fitted as a stack of one.
     """
 
-    def __init__(self, cls, arclength=False):
+    def __init__(self, cls, arclength=False, fit=None):
         self.cls = cls
-        self._cofactor = _band_cofactor(cls)
-
-        def sample(degree):
-            theta, sin2, cos2 = _grid(degree)
-            x = self._radius(sin2, cos2)
-            scale = self._scale(x)
-            terms = cls.h * x ** (2 * cls.n)
-            rise = (cls.e + terms) * scale
-            bound = (abs(cls.e) + terms) * scale
-            pairs = [(rise, (bound,))]
-            if arclength:
-                speed = np.hypot(self.run(theta), rise)
-                pairs.append((speed, (bound, speed)))
-            return pairs
-
-        fits, self.evaluations = _resolved(sample)
+        if fit is None:
+            (fit,) = _resolved(
+                functools.partial(_sample, arclength=arclength), [cls])
+        fits, self.evaluations = fit
         coeffs, keep, noise = fits[0]
         self.degree = keep - 1
         # in y = 2 theta / pi - 1, dtheta = (pi / 2) dy; the error is the
         # dropped tail plus the rounding of w's terms, which can exceed w
         self._series = _chebint(coeffs[:keep].tolist(), 0.5 * math.pi)
         self.error = math.pi * (float(np.sum(np.abs(coeffs[keep:]))) + noise)
-        if arclength:
+        if len(fits) > 1:
             coeffs, keep, _ = fits[1]
             self._speed = coeffs[:keep].tolist()
             self._arclength = _chebint(self._speed, 0.5 * math.pi)
 
+    @functools.cached_property
+    def _band(self):
+        return _Band([self.cls], stacked=False)
+
     def radius(self, theta):
         """x(theta), offset from the nearer band edge so it stays exact."""
-        return self._radius(np.sin(0.5 * theta) ** 2,
-                            np.cos(0.5 * theta) ** 2)
-
-    def _radius(self, sin2, cos2):
-        """x from sin^2(theta / 2) and cos^2(theta / 2)."""
-        x1, x2 = self.cls.x1, self.cls.x2
-        d1 = (x2 - x1) * sin2
-        d2 = (x2 - x1) * cos2
-        return np.where(d1 <= d2, x1 + d1, x2 - d2)
+        return _radius(self._band, np.sin(0.5 * theta) ** 2,
+                       np.cos(0.5 * theta) ** 2)
 
     def height(self, theta):
         return _chebval(2.0 * theta / math.pi - 1.0, self._series)
@@ -568,19 +680,31 @@ class _HalfPeriod:
 
     def run(self, theta):
         """dx/dtheta = r sin(theta)."""
-        return 0.5 * (self.cls.x2 - self.cls.x1) * _sin(theta)
+        return self._band.half_width * _sin(theta)
 
     def rise(self, theta):
         """dt/dtheta = w x / sqrt(q(x)) from the formula."""
+        band = self._band
         x = self.radius(theta)
-        w = self.cls.e + self.cls.h * x ** (2 * self.cls.n)
-        return w * self._scale(x)
+        w = band.e + band.h * x ** (2 * band.n)
+        return w * _scale(band, x)
 
-    def _scale(self, x):
-        """x / sqrt(q(x)).  q is held at the least normal float where it
-        underflows, at x1 of a neck near 1e-100 and below, so dt/dtheta, of
-        order x1^{3/2} there, rounds to about 0 instead of inf."""
-        return x / np.sqrt(np.maximum(self._cofactor(x), _TINY))
+
+def _half_periods(clss):
+    """The _HalfPeriod of each of clss, n >= 2 unduloids and nodoids, fitted
+    in stacks of up to _STACK_ROWS classifications that share n and the
+    family."""
+    groups = {}
+    for k, cls in enumerate(clss):
+        groups.setdefault((cls.n, cls.family), []).append(k)
+    halves = [None] * len(clss)
+    for group in groups.values():
+        for start in range(0, len(group), _STACK_ROWS):
+            rows = group[start:start + _STACK_ROWS]
+            stack = [clss[k] for k in rows]
+            for k, cls, fit in zip(rows, stack, _resolved(_sample, stack)):
+                halves[k] = _HalfPeriod(cls, fit=fit)
+    return halves
 
 
 def _theta0(cls):
@@ -626,30 +750,46 @@ def _trochoid(cls, phi):
     return x, (phi - epsilon * _sin(phi)) / (4.0 * h * h)
 
 
-def halfperiod_heights(n, h, e):
-    """Heights (t1, t2) gained from the start of the canonical traversal, x1
-    for unduloids and x2 for nodoids, to x0 (the inflection or the vertical
-    tangent) and to the far band edge.  Cylinders degenerate to (0, 0).
+def halfperiod_heights(*args):
+    """halfperiod_heights(n, h, e) -> (t1, t2), the heights gained from the
+    start of the canonical traversal, x1 for unduloids and x2 for nodoids,
+    to x0 (the inflection or the vertical tangent) and to the far band
+    edge.  Cylinders degenerate to (0, 0).  halfperiod_heights(clss) takes
+    a sequence of Classifications instead, classifies nothing, and returns
+    a list with the (t1, t2) pair of each.
 
     For n = 1 they are exact (_trochoid): t2 = pi / (4H^2) for every E, and
-    t(phi0) gives t1; error estimate 0 and evaluations 0.  For n >= 2 each
-    result's evaluations counts the points of dt/dtheta sampled: 65 for a
-    series resolved by degree 64, 65 + 129 for one resolved at 128, and so
-    on."""
-    cls = classify(n, h, e)
-    if cls.family is Family.CYLINDER:
-        return _ZERO, _ZERO
-    if cls.family not in (Family.UNDULOID, Family.NODOID):
-        raise ValueError(
-            "half-period heights exist only for the periodic families")
-    if cls.n == 1:
-        t0 = float(_trochoid(cls, _phi0(cls))[1])
-        t2 = math.pi / (4.0 * cls.h * cls.h)
-        error, evaluations = 0.0, 0
-    else:
-        half = _HalfPeriod(cls)
-        t0, t2 = half.heights()
-        error, evaluations = half.error, half.evaluations
+    t(phi0) gives t1; error estimate 0 and evaluations 0.  The n >= 2 series
+    are fitted in stacks that share n and the family (_half_periods), bit
+    for bit the series each would get alone, and each result's evaluations
+    counts the points of dt/dtheta sampled: 65 for a series resolved by
+    degree 64, 65 + 129 for one resolved at 128, and so on."""
+    if len(args) != 1:
+        return halfperiod_heights([classify(*args)])[0]
+    clss = args[0]
+    heights, series = [], []
+    for k, cls in enumerate(clss):
+        if cls.family is Family.CYLINDER:
+            heights.append((_ZERO, _ZERO))
+            continue
+        if cls.family not in (Family.UNDULOID, Family.NODOID):
+            raise ValueError(
+                "half-period heights exist only for the periodic families")
+        if cls.n == 1:
+            t0 = float(_trochoid(cls, _phi0(cls))[1])
+            heights.append(_heights(cls, t0, math.pi / (4.0 * cls.h * cls.h),
+                                    0.0, 0))
+        else:
+            heights.append(None)
+            series.append(k)
+    for k, half in zip(series, _half_periods([clss[k] for k in series])):
+        heights[k] = _heights(half.cls, *half.heights(), half.error,
+                              half.evaluations)
+    return heights
+
+
+def _heights(cls, t0, t2, error, evaluations):
+    """(t1, t2) from the heights t0 of x0 and t2 of the far edge above x1."""
     t1 = t0 if cls.family is Family.UNDULOID else t2 - t0
     return tuple(QuadratureResult(t, error, evaluations) for t in (t1, t2))
 
@@ -739,12 +879,12 @@ class _SphereArc:
     def __init__(self, h, axis_epsilon):
         self.h = h
 
-        def sample(degree):
-            # phi = theta / 2 = (pi / 4)(1 + y)
-            speed = self.slope(0.5 * _grid(degree)[0])
+        def sample(degree, _):
+            # phi = theta / 2 = (pi / 4)(1 + y), a stack of one row
+            speed = self.slope(0.5 * _grid(degree)[0])[np.newaxis]
             return [(speed, (speed,))]
 
-        fits, _ = _resolved(sample)
+        ((fits, _),) = _resolved(sample, [h])
         coeffs, keep, _ = fits[0]
         self._series = _chebint(coeffs[:keep].tolist(), 0.25 * math.pi)
         m = max(keep - 1, 1)

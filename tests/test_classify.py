@@ -173,10 +173,49 @@ def test_neck_radius_frozen_cases(n, h, e):
     assert _band_edge_within(n, h, e, x1, Fraction(4 * 2.0 ** -52))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("e", [1e-320, -1e-320, 5e-324, -5e-324])
+def test_neck_radius_at_subnormal_e(n, e):
+    # f near x1 took subnormal values, and x1 held to ~2e-5 at E = 1e-320;
+    # both terms are now scaled by a power of two into the normal range
+    x1, _ = admissible_radii(n, 3.0, e)
+    assert _band_edge_within(n, 3.0, e, x1, Fraction(4 * 2.0 ** -52))
+
+
 def _inflection_p(n, h, e, y):
     h, e, y = Fraction(h), Fraction(e), Fraction(y)
     return ((e + h * y ** (2 * n)) ** 3 - 2 * h * y ** (6 * n - 2)
             + 2 * (n - 1) * e * y ** (4 * n - 2))
+
+
+def _inflection_within(cls, rel):
+    """p changes sign from + to - across x0 (1 -+ rel), in exact rationals."""
+    x0 = Fraction(cls.x0)
+    return (_inflection_p(cls.n, cls.h, cls.e, x0 * (1 - rel)) > 0
+            > _inflection_p(cls.n, cls.h, cls.e, x0 * (1 + rel)))
+
+
+@pytest.mark.parametrize("n, h, e", [
+    (2, 3.0, 1e-50), (3, 1.0, 1e-75), (2, 1.0, 1.0546875e-09),
+    (2, 0.01, 1.0546875e-50), (3, 100.0, 6.697959533607681e-22),
+])
+def test_inflection_at_thin_necks(n, h, e):
+    # Brent's absolute tolerance of 1e-14 left x0 = 2.38e-13 at (2, 3, 1e-50)
+    # with p of one sign across x0 (1 -+ 1e-3), and at H = 0.01 the search
+    # ran out of iterations; a root below 1e-2 is now bisected in log y
+    cls = classify(n, h, e)
+    assert _inflection_within(cls, Fraction(1, 10 ** 12)), cls
+
+
+@given(n=st.integers(2, 4), u=st.floats(-2.0, 2.0), k=st.floats(-300.0, 0.0))
+@settings(max_examples=60, deadline=None)
+def test_inflection_holds_12_digits(n, u, k):
+    # E from 1e-300 of the cylinder energy up to it: thin necks, whose x0
+    # lies below 1e-2, and the rest, which keep Brent's method
+    h = 10.0 ** u
+    cls = classify(n, h, 10.0 ** k * cylinder_energy(n, h))
+    if cls.family is Family.UNDULOID:
+        assert _inflection_within(cls, Fraction(1, 10 ** 12)), cls
 
 
 @pytest.mark.parametrize("n, h, e", [
@@ -328,23 +367,22 @@ def test_brent_port_matches_scipy(monkeypatch):
 
 
 @pytest.mark.parametrize("h", [4.0, 10.0, 100.0])
-def test_brent_port_bisects_past_an_underflowed_step(h, monkeypatch):
+def test_brent_port_bisects_past_an_underflowed_step(h):
     # on the inflection polynomial of an n = 3 neck at E = 1e-50 the inverse
     # quadratic step's denominator underflows to 0; brentq.c divides to inf
     # or NaN, rejects the step and bisects, where the port used to raise
-    # ZeroDivisionError
-    pairs = []
-    port = classify_module._brentq
+    # ZeroDivisionError.  classify now bisects log y for a root that small,
+    # so the port runs on that polynomial and band here directly
+    n, e = 3, 1e-50
+    x1, x2 = admissible_radii(n, h, e)
 
-    def both(f, a, b):
-        root = port(f, a, b)
-        pairs.append((root, brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)))
-        return root
+    def p(y):
+        return ((e + h * y ** (2 * n)) ** 3 - 2.0 * h * y ** (6 * n - 2)
+                + 2.0 * (n - 1) * e * y ** (4 * n - 2))
 
-    monkeypatch.setattr(classify_module, "_brentq", both)
-    cls = classify(3, h, 1e-50)
-    assert pairs[-1][0] == cls.x0
-    assert [a for a, _ in pairs] == [b for _, b in pairs]
+    root = classify_module._brentq(p, x1, x2)
+    assert root == brentq(p, x1, x2, xtol=1e-14, rtol=8.9e-16)
+    assert x1 < root < x2
 
 
 def test_brent_port_out_of_iterations():

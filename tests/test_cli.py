@@ -31,7 +31,7 @@ from heisenberg_cmc.closed_forms import (
     halfperiod_heights,
     sphere_profile,
 )
-from heisenberg_cmc.errors import QuadratureError
+from heisenberg_cmc.errors import NoAdmissibleRadiusError, QuadratureError
 
 
 def _schema(name):
@@ -310,13 +310,13 @@ def test_classify_inflection_underflow_exits_cleanly(h, capsys):
     # Brent's inverse-quadratic step on the inflection polynomial divided by
     # a denominator that underflows to 0, and classify died with a
     # ZeroDivisionError traceback.  Run under the CLI's default warning
-    # filters: H = 10 samples a negative band cofactor, whose NaN leaves its
-    # series unresolved (exit 3)
+    # filters: the band cofactor stays positive, so every H resolves its
+    # series (exit 0)
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         code, _, err = run_cli(
             ["classify", "--n", "3", "--h", h, "--e", "1e-50"], capsys)
-    assert code in (0, 3), err
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1284,3 +1284,91 @@ def test_sweep_row_content_against_modules():
     assert nodoid["family"] == "Nodoid"
     assert nodoid["t2"] == pytest.approx(math.pi / 4, abs=1e-9)
     assert nodoid["perimeter"] is None
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against one report per row
+
+
+def _report_row(n, h, e):
+    """The sweep row of (n, H, E) projected from its own run_report."""
+    row = dict.fromkeys(SWEEP_COLUMNS)
+    row.update({"n": n, "h": h, "e": e})
+    try:
+        report = run_report(("sweep",), n, h, e)
+    except (NoAdmissibleRadiusError, OverflowError):
+        return row
+    row["family"] = report["family"]
+    row.update(report["radii"])
+    estimates = report["diagnostics"]["error_estimates"]
+    for key in ("t2", "perimeter", "volume"):
+        row[key] = report["summary"][key]
+        row[f"{key}_error"] = estimates.get(key)
+    return row
+
+
+def _seeded_axes(seed):
+    """H and E axes: H = 0 and both signs of H and E, |E| log-uniform from
+    1e-7 to 10, so the grid holds thin necks, near-cylinder unduloids, far
+    nodoids, inadmissible rows and all six families."""
+    rng = np.random.default_rng(seed)
+    signs = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+    hs = [0.0] + (signs * 10.0 ** rng.uniform(-0.7, 0.7, 6)).tolist()
+    es = [0.0] + (np.tile([1.0, -1.0], 11)
+                  * 10.0 ** rng.uniform(-7.0, 1.0, 22)).tolist()
+    return hs, es
+
+
+def _chop_degrees(monkeypatch):
+    """Record the degree at which each half-period series resolves."""
+    degrees = []
+    chop = closed_forms._chop
+
+    def spy(plateau, tol):
+        keep = chop(plateau, tol)
+        if keep is not None and plateau is not None:
+            degrees.append(len(plateau) - 1)
+        return keep
+
+    monkeypatch.setattr(closed_forms, "_chop", spy)
+    return degrees
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_sweep_rows_equal_one_report_per_row(seed, monkeypatch):
+    # the batch fits n >= 2 series in stacks per (n, family); every row must
+    # carry the bits its own report gives, whatever degree its series needs
+    # and however large its stack
+    hs, es = _seeded_axes(seed)
+    ns = [1, 2, 3, 4]
+    degrees = _chop_degrees(monkeypatch)
+    rows = sweep_rows(ns, hs, es)
+    assert {32, 64} <= set(degrees) and max(degrees) >= 128
+    expected = [_report_row(n, h, e) for n in ns for h in hs for e in es]
+    assert [repr(row) for row in rows] == [repr(row) for row in expected]
+    families = [(row["n"], row["family"]) for row in rows]
+    assert families.count((2, "Nodoid")) > closed_forms._STACK_ROWS
+    assert {f for _, f in families} == {
+        None, "Hyperplane", "Catenoid", "Sphere", "Unduloid", "Nodoid"}
+
+
+def test_sweep_rows_equal_one_report_per_row_past_an_overflow():
+    ns, hs, es = [2, 3], [1e-300, 0.7, -2.0], [-0.3, 1e-3, 0.02]
+    with pytest.raises(OverflowError) as info:
+        sweep_rows(ns, hs, es)
+    expected = [_report_row(n, h, e) for n in ns for h in hs for e in es]
+    assert [repr(row) for row in info.value.rows] == [
+        repr(row) for row in expected]
+    assert str(info.value).startswith("n = 2, H = 1e-300, E = -0.3: ")
+    assert str(info.value).endswith("; 5 more rows overflow")
+
+
+def test_sweep_classifies_each_grid_point_once(monkeypatch, capsys):
+    calls = _count_classify(monkeypatch)
+    code, out, _ = run_cli(
+        ["sweep", "--n", "1,2,3", "--h=-1:2:4", "--e=-0.5:0.25:7"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 84
+    grid = [(n, h, e) for n in (1, 2, 3) for h in cli._axis("-1:2:4")
+            for e in cli._axis("-0.5:0.25:7")]
+    assert calls == grid

@@ -1,5 +1,6 @@
 """Closed-form profiles and singular quadrature against independent oracles."""
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -16,12 +17,16 @@ from scipy.special import beta, betainc
 from heisenberg_cmc.classify import Family, classify, cylinder_energy
 from heisenberg_cmc.closed_forms import (
     QuadratureResult,
+    _Band,
     _band_cofactor,
     _betainc,
     _dct1,
     _grid,
+    _STACK_ROWS,
     _HalfPeriod,
+    _half_periods,
     _resolved,
+    _sample,
     _SphereArc,
     canonical_trajectory,
     catenoid_curve,
@@ -542,7 +547,8 @@ def test_band_cofactor_matches_the_exact_quotient(n, u, nodoid, k, where):
     assume(cls.x2 - cls.x1 >= 0.1 * cls.x2)
     x = cls.x1 + where * (cls.x2 - cls.x1)
     exact = _exact_cofactor(cls, x)
-    assert abs(Fraction(float(_band_cofactor(cls)(x))) - exact) <= (
+    band = _Band([cls], stacked=False)
+    assert abs(Fraction(float(_band_cofactor(band, x))) - exact) <= (
         Fraction(1e-11) * exact), (n, h, cls.e, x)
 
 
@@ -636,14 +642,14 @@ def _reference_resolved(sample):
 
 def _reference_half_period(cls, arclength):
     n, h, e, x1, x2 = cls.n, cls.h, cls.e, cls.x1, cls.x2
-    cofactor = _band_cofactor(cls)
+    band = _Band([cls], stacked=False)
 
     def sample(y):
         theta = 0.5 * math.pi * (1.0 + y)
         d1 = (x2 - x1) * np.sin(0.5 * theta) ** 2
         d2 = (x2 - x1) * np.cos(0.5 * theta) ** 2
         x = np.where(d1 <= d2, x1 + d1, x2 - d2)
-        scale = x / np.sqrt(cofactor(x))
+        scale = x / np.sqrt(_band_cofactor(band, x))
         terms = h * x ** (2 * n)
         rise = (e + terms) * scale
         noise = _EPS * float(np.max((abs(e) + terms) * scale))
@@ -716,6 +722,61 @@ def test_one_pass_half_periods_match_the_doubling_loop():
     assert {32, 64, 128} <= resolved and max(resolved) > 128
 
 
+def test_stacked_dct1_rows_match_their_own():
+    # the half-period series of a stack share one 2-D rfft; each row must
+    # get the bits of its own 1-D one at every length from 17 to 4097 points
+    rng = np.random.default_rng(24)
+    degrees = sorted({2 ** k for k in range(4, 13)} | set(range(16, 4097, 37)))
+    for degree in degrees:
+        stack = rng.standard_normal((3, degree + 1))
+        rows = _dct1(stack)
+        for samples, row in zip(stack, rows):
+            assert _bits(row) == _bits(_dct1(samples)), degree
+
+
+def test_stacked_half_periods_match_each_alone():
+    # stacks of up to _STACK_ROWS classifications of one (n, family),
+    # resolved at 32, 64 and past 128, give each the series, degree, error
+    # and evaluations it gets alone; the cases are shuffled so the stacks
+    # interleave, and repeated so some stacks run past the row limit
+    clss = [classify(*case) for case in _one_pass_cases()] * 5
+    np.random.default_rng(24).shuffle(clss)
+    counts = {}
+    for cls in clss:
+        counts[cls.n, cls.family] = counts.get((cls.n, cls.family), 0) + 1
+    assert max(counts.values()) > _STACK_ROWS
+    evaluations = set()
+    for cls, half in zip(clss, _half_periods(clss)):
+        alone = _HalfPeriod(cls)
+        assert half.cls is cls
+        assert (half.degree, half.error, half.evaluations) == (
+            alone.degree, alone.error, alone.evaluations), cls
+        assert _bits(half._series) == _bits(alone._series), cls
+        evaluations.add(half.evaluations)
+    assert 65 in evaluations and max(evaluations) > 65 + 129
+
+
+def test_a_stack_with_an_unresolved_row_raises():
+    # the arclength series of an n = 2 neck at 1e-8 E_cyl needs a degree
+    # above the cap; its stack raises as it would alone
+    clss = [classify(2, 1.0, 0.05), classify(2, 1.0, 1.0546875e-09)]
+    with pytest.raises(QuadratureError, match="unresolved at degree 4096"):
+        _resolved(functools.partial(_sample, arclength=True), clss)
+
+
+def test_halfperiod_heights_of_classifications():
+    # the sequence form classifies nothing and returns, in order, the pair
+    # the (n, h, e) form returns for each
+    cases = _one_pass_cases()[:40] + [(1, 0.5, cylinder_energy(1, 0.5)),
+                                      (3, -1.0, 0.2), (2, -1.5, -0.0003125)]
+    clss = [classify(*case) for case in cases]
+    assert halfperiod_heights(clss) == [halfperiod_heights(*case)
+                                        for case in cases]
+    assert halfperiod_heights([]) == []
+    with pytest.raises(ValueError, match="periodic families"):
+        halfperiod_heights([clss[0], classify(2, 1.0, 0.0)])
+
+
 @pytest.mark.parametrize("h", [0.01, 0.5, 1.0, 3.0, 100.0])
 def test_one_pass_sphere_arcs_match_the_doubling_loop(h):
     def sample(y):
@@ -748,13 +809,13 @@ def test_one_pass_resolves_at_the_degree_of_the_doubling_loop(f, degree):
         values = f(y)
         yield values, _EPS * float(np.max(bound(y, values)))
 
-    def sample(n):
+    def sample(n, _):  # a stack of one row
         y = np.cos(np.arange(n + 1) * math.pi / n)
         values = f(y)
-        return [(values, (bound(y, values),))]
+        return [(values[np.newaxis], (bound(y, values)[np.newaxis],))]
 
     ref, resolved_at = _reference_resolved(reference)
-    fits, evaluations = _resolved(sample)
+    ((fits, evaluations),) = _resolved(sample, [f])
     assert resolved_at == degree
     assert evaluations == (65 if degree <= 64 else 65 + 129)
     (coeffs, keep, noise), = fits
