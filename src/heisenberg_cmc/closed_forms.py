@@ -20,12 +20,11 @@ root of as a sum of powers (_band_cofactor).  halfperiod_heights also takes
 a sequence of Classifications, as sweep does, and fits their series in
 stacks of rows that share n and the family, one NumPy array per step
 (_half_periods, _resolved), bit for bit the series each row gets alone as a
-stack of one.  The minimal (H = 0) profile
-for n >= 2 is the graph of dt/dx = E x / sqrt(x^{2p} - E^2), and
-x = x1 sec^{1/p}(phi), x1 = E^{1/p}, turns it into
-dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab half-width t_inf is a complete
-Beta function, from math.gamma, and the height above the waist an
-incomplete one, from its continued fraction.  singular_quadrature, a
+stack of one.  The minimal (H = 0) profile for n >= 2 is the graph of
+dt/dx = E x / sqrt(x^{2p} - E^2), and x = x1 sec^{1/p}(phi), x1 = E^{1/p},
+turns it into dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab half-width t_inf
+is a complete Beta function, from math.gamma, and the height above the
+waist an incomplete one, from its continued fraction.  singular_quadrature, a
 u^2 = x - a substitution with exact endpoint offsets fed to Gauss-Legendre
 rules of doubling order, stays as the reference for integrals with
 inverse-square-root endpoints.  Nothing here needs SciPy.
@@ -38,10 +37,8 @@ the profile_ode.Trajectory that the ODE would: no ODE is solved.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -462,13 +459,7 @@ def _chop(plateau, tol):
     if n < 17:
         return None
     log_tol = math.log(tol)
-    tests = _plateau_tests(n)
-    if tol < 1.0:
-        # the ratio below is at most 1, and while e1 >= sqrt(tol) the bound
-        # it must pass is at least 1.5: start at the first e1 < sqrt(tol)
-        tests = tests[bisect.bisect_right(
-            plateau, -math.sqrt(tol), 1, len(tests) + 1, key=operator.neg) - 1:]
-    for j, j2 in tests:  # 1-based, as in the paper
+    for j, j2 in _plateau_tests(n):  # 1-based, as in the paper
         e1 = plateau[j - 1]
         if e1 == 0.0 or plateau[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
             break
