@@ -356,11 +356,11 @@ def _classified(n, h, e):
         return exc
 
 
-def _sweep_row(n, h, e, cls, heights, overflows):
+def _sweep_row(n, h, e, cls, pairs, overflows):
     """The sweep columns of run_report, from the row's _classified result and
-    an iterator over the heights of the grid's periodic rows; inadmissible
-    rows keep only n, h, e, and so do rows that overflow a float, which are
-    named in overflows."""
+    an iterator over the heights of the grid's periodic rows, or None to
+    compute this row's own; inadmissible rows keep only n, h, e, and so do
+    rows that overflow a float, which are named in overflows."""
     row = dict.fromkeys(SWEEP_COLUMNS)
     row.update({"n": n, "h": h, "e": e})
     if cls is None:
@@ -368,8 +368,11 @@ def _sweep_row(n, h, e, cls, heights, overflows):
     try:
         if isinstance(cls, OverflowError):
             raise cls
-        report = _report(("sweep",), n, h, e, cls,
-                         next(heights) if cls.family in _PERIODIC else None)
+        heights = None
+        if cls.family in _PERIODIC:
+            heights = (next(pairs) if pairs is not None
+                       else halfperiod_heights([cls])[0])
+        report = _report(("sweep",), n, h, e, cls, heights)
     except OverflowError as exc:
         overflows.append(f"n = {n}, H = {h!r}, E = {e!r}: {exc}")
         return row
@@ -387,17 +390,21 @@ def sweep_rows(ns, hs, es):
 
     Every grid point is classified once, and the half-period heights of all
     periodic rows come from one halfperiod_heights call, which fits their
-    series in stacks.  A row that overflows a float keeps only n, h and e.
+    series in stacks, unless a row overflows a float there; then each row
+    makes its own call.  A row that overflows a float keeps only n, h and e.
     The grid is still finished; then an OverflowError naming the first such
     row is raised, with the rows in its rows attribute.
     """
     grid = [(n, h, e) for n in ns for h in hs for e in es]
     found = [_classified(*point) for point in grid]
-    heights = iter(halfperiod_heights(
-        [cls for cls in found
-         if isinstance(cls, Classification) and cls.family in _PERIODIC]))
+    try:
+        pairs = iter(halfperiod_heights(
+            [cls for cls in found
+             if isinstance(cls, Classification) and cls.family in _PERIODIC]))
+    except OverflowError:
+        pairs = None  # a row overflows: each row computes its own, alone
     overflows = []
-    rows = [_sweep_row(*point, cls, heights, overflows)
+    rows = [_sweep_row(*point, cls, pairs, overflows)
             for point, cls in zip(grid, found)]
     if overflows:
         more = len(overflows) - 1

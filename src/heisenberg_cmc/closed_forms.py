@@ -16,18 +16,17 @@ where the band edges' inverse square roots cancel, gives t1, t2 and the
 whole half period (_HalfPeriod); the closed-form traces use it for n = 1
 too.  The edges leave the radicand (x^p - w)(x^p + w), p = 2n - 1, by one
 factorization for both families, each edge divided out of the factor it is a
-root of as a sum of powers (_band_cofactor).  halfperiod_heights also takes
-a sequence of Classifications, as sweep does, and fits their series in
-stacks of rows that share n and the family, one NumPy array per step
-(_half_periods, _resolved), bit for bit the series each row gets alone as a
-stack of one.  The minimal (H = 0) profile for n >= 2 is the graph of
-dt/dx = E x / sqrt(x^{2p} - E^2), and x = x1 sec^{1/p}(phi), x1 = E^{1/p},
-turns it into dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab half-width t_inf
-is a complete Beta function, from math.gamma, and the height above the
-waist an incomplete one, from its continued fraction.  singular_quadrature, a
-u^2 = x - a substitution with exact endpoint offsets fed to Gauss-Legendre
-rules of doubling order, stays as the reference for integrals with
-inverse-square-root endpoints.  Nothing here needs SciPy.
+root of as a sum of powers (_band_cofactor).  Given many Classifications,
+as from sweep, halfperiod_heights fits their series in NumPy stacks that
+share n and the family (_half_periods), each bit for bit the series it gets
+alone, as a stack of one.  The minimal (H = 0) profile for n >= 2 is the
+graph of dt/dx = E x / sqrt(x^{2p} - E^2), and x = x1 sec^{1/p}(phi),
+x1 = E^{1/p}, turns it into dt = (x1^2/p) sec^{2/p}(phi) dphi: the slab
+half-width t_inf is a complete Beta function, from math.gamma, and the
+height above the waist an incomplete one, from its continued fraction.
+singular_quadrature, a u^2 = x - a substitution with exact endpoint offsets
+fed to Gauss-Legendre rules of doubling order, stays as the reference for
+integrals with inverse-square-root endpoints.  Nothing here needs SciPy.
 
 canonical_trajectory(cls, config) traces the canonical sphere, cylinder,
 unduloid or nodoid of a Classification from these curves, with a second
@@ -38,6 +37,7 @@ the profile_ode.Trajectory that the ODE would: no ODE is solved.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -341,38 +341,25 @@ def catenoid_curve(n, e, count):
 # half periods of the periodic families
 
 _ZERO = QuadratureResult(value=0.0, error_estimate=0.0, evaluations=0)
-# rows per stack of half-period series: a stack sampled at degree 4096 holds
-# arrays of about 2 MB
-_STACK_ROWS = 64
+_STACK_ROWS = 64  # at degree 4096 a stack's arrays take about 2 MB each
 
 
 class _Band:
-    """The scalars of unduloids or nodoids that share n and the family, as the
-    band's formulas read them: floats for one classification (stacked=False),
-    or (rows, 1) columns, one row per classification, that broadcast against
-    a row of sample points.  Columns are stacked from floats, powers
-    included: NumPy's array ** rounds otherwise than Python's float **."""
+    """The scalars of unduloids or nodoids of one n and family: floats for
+    one (stacked=False), or (rows, 1) columns stacked from floats, powers
+    included, since NumPy's array ** rounds otherwise than Python's **."""
 
     def __init__(self, clss, stacked=True):
         n = clss[0].n
         p = 2 * n - 1
         self.n, self.nodoid = n, clss[0].family is Family.NODOID
-
-        def scalars(values):
-            return np.array(values)[:, np.newaxis] if stacked else values[0]
-
-        self.h = scalars([cls.h for cls in clss])
-        self.e = scalars([cls.e for cls in clss])
-        self.abs_e = scalars([abs(cls.e) for cls in clss])
-        self.x1 = scalars([cls.x1 for cls in clss])
-        self.x2 = scalars([cls.x2 for cls in clss])
-        self.width = scalars([cls.x2 - cls.x1 for cls in clss])
-        self.half_width = scalars([0.5 * (cls.x2 - cls.x1) for cls in clss])
-        self.lift = scalars([-cls.e / cls.x2 ** p for cls in clss])  # H x2 - 1
-        self.x1_powers = [scalars([cls.x1 ** j for cls in clss])
-                          for j in range(p + 1)]
-        self.x2_powers = [scalars([cls.x2 ** j for cls in clss])
-                          for j in range(p)] if self.nodoid else None
+        rows = [[cls.h, cls.e, cls.x1, cls.x2, cls.x2 - cls.x1,
+                 -cls.e / cls.x2 ** p,  # H x2 - 1
+                 *(cls.x1 ** j for j in range(p + 1)),
+                 *(cls.x2 ** j for j in range(p))] for cls in clss]
+        scalars = np.array(rows).T[:, :, np.newaxis] if stacked else rows[0]
+        self.h, self.e, self.x1, self.x2, self.width, self.lift = scalars[:6]
+        self.x1_powers, self.x2_powers = scalars[6:p + 7], scalars[p + 7:]
 
 
 def _band_cofactor(band, x):
@@ -416,35 +403,28 @@ def _scale(band, x):
 
 
 def _dct1(samples):
-    """Unnormalized DCT-I along the last axis, y_k = s_0 + (-1)^k s_N +
-    2 sum s_j cos(pi j k / N), as the real FFT of the even extension
-    [s_0..s_N, s_{N-1}..s_1]; a 2-D rfft gives each row the bits of its own
-    1-D one."""
+    """Unnormalized DCT-I, y_k = s_0 + (-1)^k s_N + 2 sum s_j cos(pi j k / N),
+    as the real FFT of the even extension [s_0..s_N, s_{N-1}..s_1], row by
+    row along the last axis, each with the bits of its own 1-D FFT."""
     return np.fft.rfft(
         np.concatenate([samples, samples[..., -2:0:-1]], axis=-1)).real
 
 
 @functools.cache
 def _plateau_tests(n):
-    """The (j, j2) index pairs, 1-based, of standardChop's plateau test on n
-    coefficients: j = 2, 3, ... and j2 = round(1.25 j + 5), while j2 <= n."""
-    tests = []
-    for j in range(2, n + 1):
-        j2 = round(1.25 * j + 5)
-        if j2 > n:
-            return tuple(tests)
-        tests.append((j, j2))
+    """The 1-based index pairs (j, j2 = round(1.25 j + 5)), j = 2, 3, ...
+    while j2 <= n, of standardChop's plateau test on n coefficients."""
+    pairs = ((j, round(1.25 * j + 5)) for j in range(2, n + 1))
+    return tuple(itertools.takewhile(lambda pair: pair[1] <= n, pairs))
 
 
 def _envelopes(coeffs):
-    """standardChop's envelope of each row of a stack of Chebyshev
-    coefficients, max_{k >= j} |c_k| over its first entry, as a list of
-    floats; None for a row of zeros."""
+    """standardChop's envelope max_{k >= j} |c_k| / max |c| of each row of
+    coeffs, as a list of floats; None for a row of zeros."""
     env = np.maximum.accumulate(np.abs(coeffs)[:, ::-1], axis=1)[:, ::-1]
-    first = env[:, :1]
-    env = np.divide(env, first, out=np.zeros_like(env), where=first != 0.0)
-    return [None if zero else row
-            for zero, row in zip((first[:, 0] == 0.0).tolist(), env.tolist())]
+    zero = env[:, :1] == 0.0
+    env = (env / np.where(zero, 1.0, env[:, :1])).tolist()
+    return [None if z else row for z, row in zip(zero[:, 0].tolist(), env)]
 
 
 def _chop(plateau, tol):
@@ -455,11 +435,8 @@ def _chop(plateau, tol):
     _envelopes."""
     if plateau is None:
         return 1
-    n = len(plateau)
-    if n < 17:
-        return None
     log_tol = math.log(tol)
-    for j, j2 in _plateau_tests(n):  # 1-based, as in the paper
+    for j, j2 in _plateau_tests(len(plateau)):  # 1-based, as in the paper
         e1 = plateau[j - 1]
         if e1 == 0.0 or plateau[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
             break
@@ -498,24 +475,22 @@ def _grid(degree):
 
 
 def _resolved(sample, items):
-    """Chebyshev series in y on [-1, 1] of the functions of each of items.
-    sample(degree, some) returns them for a list some of items at the
-    Chebyshev points of that degree, as a list of (values, bounds) pairs of
-    arrays with one row per item: a function's noise at a degree is the sum,
-    over its bound arrays, of eps times the row's maximum on that degree's
-    points.
+    """Chebyshev series in y on [-1, 1] of the functions of each of items,
+    which sample(degree, some) returns for a list some of items at the
+    Chebyshev points of that degree: (values, bounds) pairs of arrays with
+    one row per item.  A function's noise at a degree is the sum, over its
+    bound arrays, of eps times the row's maximum on that degree's points.
 
     The points of degree N are every (64/N)-th point of degree 64, so one
-    sample at degree 64 serves degrees 16, 32 and 64; _chop tests each
-    item's functions at each in turn, each against its noise on that
-    degree's own points, and the first degree that resolves them all is the
-    item's.  Past 64 the degree doubles with a fresh sample of the items
-    still unresolved, and one unresolved at degree 4096 raises
-    QuadratureError.  Only _chop runs row by row; every other step rounds
-    elementwise, so an item gets the bits it would get alone.  Returns, for
-    each item, the (coeffs, keep, noise) triple of each function and the
-    number of points sampled: 65 when degree 64 resolves it, 65 + 129 at
-    degree 128, and so on."""
+    sample at degree 64 serves degrees 16, 32 and 64; _chop tests each item
+    at each in turn, against the noise on that degree's own points, and the
+    first degree that resolves all its functions is the item's.  Past 64 the
+    items still unresolved are sampled afresh at double the degree, and one
+    unresolved at 4096 raises QuadratureError.  Only _chop runs row by row;
+    every other step rounds elementwise, so an item gets the bits it gets
+    alone.  Returns, for each item, the (coeffs, keep, noise) triple of each
+    function and the number of points sampled: 65 when degree 64 resolves
+    it, 65 + 129 at degree 128, and so on."""
     fitted = [None] * len(items)
     pending = list(range(len(items)))
     degree, sampled, evaluations = _FIRST_DEGREE, 0, 0
@@ -528,29 +503,34 @@ def _resolved(sample, items):
             pairs = sample(sampled, [items[i] for i in pending])
             evaluations += sampled + 1
             rows = list(range(len(pending)))  # pending items' rows in pairs
-        stride = sampled // degree
-        stacks = []
-        for values, bounds in pairs:
-            values = values[rows, ::stride]
+        fits = [[] for _ in pending]
+        live = list(range(len(pending)))  # pending items resolved so far
+        for values, bounds in pairs:  # on the rows its forerunners resolved
+            sub = [rows[k] for k in live]
+            # a view while every row sampled is live
+            pick = (slice(None) if len(sub) == len(values) else sub,
+                    slice(None, None, sampled // degree))
+            values = values[pick]
             noise = 0.0
             for bound in bounds:
-                noise = noise + _EPS * np.max(bound[rows, ::stride], axis=1)
+                noise = noise + _EPS * bound[pick].max(axis=1)
             coeffs = _dct1(values) / degree
-            coeffs[:, [0, -1]] *= 0.5
-            tols = noise / np.max(np.abs(values), axis=1)
-            stacks.append((coeffs, _envelopes(coeffs), tols.tolist(),
-                           noise.tolist()))
-        still = []
-        for k, item in enumerate(pending):
-            fits = []
-            for coeffs, plateaus, tols, noise in stacks:
-                keep = _chop(plateaus[k], tols[k])
-                if keep is None:
-                    still.append(k)
-                    break
-                fits.append((coeffs[k], keep, noise[k]))
-            else:
-                fitted[item] = fits, evaluations
+            coeffs[:, 0] *= 0.5
+            coeffs[:, -1] *= 0.5
+            tols = (noise / np.abs(values).max(axis=1)).tolist()
+            noise = noise.tolist()
+            passed = []
+            for j, (k, plateau) in enumerate(zip(live, _envelopes(coeffs))):
+                keep = _chop(plateau, tols[j])
+                if keep is not None:
+                    fits[k].append((coeffs[j], keep, noise[j]))
+                    passed.append(k)
+            live = passed
+            if not live:
+                break
+        for k in live:
+            fitted[pending[k]] = fits[k], evaluations
+        still = sorted(set(range(len(pending))) - set(live))
         pending = [pending[k] for k in still]
         rows = [rows[k] for k in still]
         degree *= 2
@@ -593,20 +573,18 @@ def _sin(theta):
 
 
 def _sample(degree, clss, arclength=False):
-    """The functions _resolved fits for the half periods of clss, which share
-    n and the family, at the points of degree: dt/dtheta, and with
-    arclength ds/dtheta, each with its noise bounds, one row per
-    classification."""
+    """_resolved's functions of the half periods of clss, of one n and
+    family: dt/dtheta and, with arclength, ds/dtheta, with their bounds."""
     band = _Band(clss)
     theta, sin2, cos2 = _grid(degree)
     x = _radius(band, sin2, cos2)
     scale = _scale(band, x)
     terms = band.h * x ** (2 * band.n)
     rise = (band.e + terms) * scale
-    bound = (band.abs_e + terms) * scale
+    bound = (abs(band.e) + terms) * scale
     pairs = [(rise, (bound,))]
     if arclength:
-        speed = np.hypot(band.half_width * _sin(theta), rise)
+        speed = np.hypot(0.5 * band.width * _sin(theta), rise)
         pairs.append((speed, (bound, speed)))
     return pairs
 
@@ -623,9 +601,8 @@ class _HalfPeriod:
     Practice, ch. 3, 7 and 19).  With arclength=True the same samples give
     a second series, of ds/dtheta = sqrt(r^2 sin^2(theta) + (dt/dtheta)^2),
     which integrates to S(theta), the arclength from x1; the degree then
-    grows until both are resolved.  fit, one item of _resolved's result,
-    comes from a stack of half periods (_half_periods); without it cls is
-    fitted as a stack of one.
+    grows until both are resolved.  fit is cls's item of _resolved on a
+    stack (_half_periods); without it cls is fitted as a stack of one.
     """
 
     def __init__(self, cls, arclength=False, fit=None):
@@ -671,7 +648,7 @@ class _HalfPeriod:
 
     def run(self, theta):
         """dx/dtheta = r sin(theta)."""
-        return self._band.half_width * _sin(theta)
+        return 0.5 * self._band.width * _sin(theta)
 
     def rise(self, theta):
         """dt/dtheta = w x / sqrt(q(x)) from the formula."""
@@ -682,9 +659,8 @@ class _HalfPeriod:
 
 
 def _half_periods(clss):
-    """The _HalfPeriod of each of clss, n >= 2 unduloids and nodoids, fitted
-    in stacks of up to _STACK_ROWS classifications that share n and the
-    family."""
+    """The _HalfPeriod of each of clss, unduloids and nodoids fitted in
+    stacks of up to _STACK_ROWS that share n and the family."""
     groups = {}
     for k, cls in enumerate(clss):
         groups.setdefault((cls.n, cls.family), []).append(k)
@@ -745,44 +721,39 @@ def halfperiod_heights(*args):
     """halfperiod_heights(n, h, e) -> (t1, t2), the heights gained from the
     start of the canonical traversal, x1 for unduloids and x2 for nodoids,
     to x0 (the inflection or the vertical tangent) and to the far band
-    edge.  Cylinders degenerate to (0, 0).  halfperiod_heights(clss) takes
-    a sequence of Classifications instead, classifies nothing, and returns
-    a list with the (t1, t2) pair of each.
+    edge; cylinders degenerate to (0, 0).  halfperiod_heights(clss) returns
+    the pair of each of a sequence of Classifications, classifying nothing.
 
     For n = 1 they are exact (_trochoid): t2 = pi / (4H^2) for every E, and
     t(phi0) gives t1; error estimate 0 and evaluations 0.  The n >= 2 series
-    are fitted in stacks that share n and the family (_half_periods), bit
-    for bit the series each would get alone, and each result's evaluations
+    are fitted in stacks (_half_periods), and each result's evaluations
     counts the points of dt/dtheta sampled: 65 for a series resolved by
     degree 64, 65 + 129 for one resolved at 128, and so on."""
     if len(args) != 1:
         return halfperiod_heights([classify(*args)])[0]
     clss = args[0]
-    heights, series = [], []
-    for k, cls in enumerate(clss):
+    if any(cls.family not in (Family.CYLINDER, Family.UNDULOID, Family.NODOID)
+           for cls in clss):
+        raise ValueError(
+            "half-period heights exist only for the periodic families")
+    halves = iter(_half_periods([cls for cls in clss if cls.n > 1 and
+                                 cls.family is not Family.CYLINDER]))
+    heights = []
+    for cls in clss:
         if cls.family is Family.CYLINDER:
             heights.append((_ZERO, _ZERO))
             continue
-        if cls.family not in (Family.UNDULOID, Family.NODOID):
-            raise ValueError(
-                "half-period heights exist only for the periodic families")
         if cls.n == 1:
             t0 = float(_trochoid(cls, _phi0(cls))[1])
-            heights.append(_heights(cls, t0, math.pi / (4.0 * cls.h * cls.h),
-                                    0.0, 0))
+            t2, error, evaluations = math.pi / (4.0 * cls.h * cls.h), 0.0, 0
         else:
-            heights.append(None)
-            series.append(k)
-    for k, half in zip(series, _half_periods([clss[k] for k in series])):
-        heights[k] = _heights(half.cls, *half.heights(), half.error,
-                              half.evaluations)
+            half = next(halves)
+            (t0, t2), error, evaluations = (half.heights(), half.error,
+                                            half.evaluations)
+        t1 = t0 if cls.family is Family.UNDULOID else t2 - t0
+        heights.append(tuple(QuadratureResult(t, error, evaluations)
+                             for t in (t1, t2)))
     return heights
-
-
-def _heights(cls, t0, t2, error, evaluations):
-    """(t1, t2) from the heights t0 of x0 and t2 of the far edge above x1."""
-    t1 = t0 if cls.family is Family.UNDULOID else t2 - t0
-    return tuple(QuadratureResult(t, error, evaluations) for t in (t1, t2))
 
 
 def halfperiod_curve(cls, count):

@@ -1352,15 +1352,25 @@ def test_sweep_rows_equal_one_report_per_row(seed, monkeypatch):
         None, "Hyperplane", "Catenoid", "Sphere", "Unduloid", "Nodoid"}
 
 
-def test_sweep_rows_equal_one_report_per_row_past_an_overflow():
-    ns, hs, es = [2, 3], [1e-300, 0.7, -2.0], [-0.3, 1e-3, 0.02]
-    with pytest.raises(OverflowError) as info:
-        sweep_rows(ns, hs, es)
-    expected = [_report_row(n, h, e) for n in ns for h in hs for e in es]
+@pytest.mark.parametrize("ns, hs, first, more", [
+    # H = 1e-300 overflows while classifying; the n = 1 nodoid at
+    # H = 1e-155 classifies and then overflows in its closed-form height,
+    # inside the one halfperiod_heights call of the whole grid
+    ([2, 3], [1e-300, 0.7, -2.0], "n = 2, H = 1e-300, E = -0.3: ", 5),
+    ([1, 2], [0.7, 1e-155, -2.0], "n = 1, H = 1e-155, E = -0.3: ", 5),
+])
+def test_sweep_rows_equal_one_report_per_row_past_an_overflow(ns, hs, first,
+                                                               more):
+    es = [-0.3, 1e-3, 0.02]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(OverflowError) as info:
+            sweep_rows(ns, hs, es)
+        expected = [_report_row(n, h, e) for n in ns for h in hs for e in es]
     assert [repr(row) for row in info.value.rows] == [
         repr(row) for row in expected]
-    assert str(info.value).startswith("n = 2, H = 1e-300, E = -0.3: ")
-    assert str(info.value).endswith("; 5 more rows overflow")
+    assert str(info.value).startswith(first)
+    assert str(info.value).endswith(f"; {more} more rows overflow")
 
 
 def test_sweep_classifies_each_grid_point_once(monkeypatch, capsys):
