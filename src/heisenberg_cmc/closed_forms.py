@@ -707,8 +707,11 @@ def _trochoid(cls, phi):
     x^2 = ((1 - 2EH) - epsilon cos(phi)) / (2H^2) runs from x1 at phi = 0 to
     x2 at pi and t(phi) = (phi - epsilon sin(phi)) / (4H^2) is the height
     gained from x1.  x^2 is offset from the nearer band edge, across which
-    it spans x2^2 - x1^2 = epsilon / H^2, so it stays exact."""
+    it spans x2^2 - x1^2 = epsilon / H^2, so it stays exact.  Raises
+    OverflowError where H^2, and so 4H^2, underflows to 0."""
     h = cls.h
+    if h * h == 0.0:
+        raise OverflowError(f"H^2 underflows to 0 at H = {h!r}")
     epsilon = n1_epsilon(h, cls.e)
     sin2, cos2 = np.sin(0.5 * phi) ** 2, np.cos(0.5 * phi) ** 2
     span = epsilon / (h * h)

@@ -126,17 +126,42 @@ class SolveStats:
     rejected: int = 0  # rejected trial steps
 
 
-def _rhs_scalars(x, cos, sin, n, h):
-    # kept module-level so a deliberately broken copy can be swapped in to
-    # prove the drift detector notices
-    cx, sin2, x2 = cos / x, sin * sin, x * x
-    q = x2 * sin2 + cos * cos
-    dsigma = (
-        (2 * n - 1) * cx * cx * cx
-        + 2 * (n - 1) * sin2 * cx
-        - 2 * n * h * q * math.sqrt(q) / x2
-    )
-    return sin, cos, dsigma
+# sigma' of the profile system, the one source of the rhs arithmetic: rhs
+# and every evaluation the solver makes run code compiled from it, so a
+# deliberately broken copy swapped in here reaches them all, which is how the
+# tests prove the drift gate notices.  It reads x, cos = cos sigma, sin = sin
+# sigma, sqrt and the floats a = 2n - 1, b = 2(n - 1) and g = 2nH of
+# _constants, and sets dsigma.
+_SIGMA_PRIME = """\
+cx, sin2, x2 = cos / x, sin * sin, x * x
+q = x2 * sin2 + cos * cos
+dsigma = a * cx * cx * cx + b * sin2 * cx - g * q * sqrt(q) / x2"""
+
+
+def _constants(n, h):
+    """The floats a = 2n - 1, b = 2(n - 1) and g = 2nH of _SIGMA_PRIME.  An
+    integer factor converts to the same float inside a product, so sigma'
+    rounds as the formula written with integers does."""
+    return float(2 * n - 1), float(2 * (n - 1)), 2 * n * h
+
+
+def _indented(lines):
+    return [f"    {line}" for line in lines]
+
+
+def _compiled(lines, name):
+    """The function name defined by the source lines."""
+    namespace = {"sqrt": math.sqrt, "hypot": math.hypot}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _scalars(sigma_prime):
+    """scalars(x, cos, sin, a, b, g) = (sin, cos, sigma') by sigma_prime."""
+    return _compiled(["def scalars(x, cos, sin, a, b, g):",
+                      *_indented(sigma_prime.splitlines()),
+                      "    return sin, cos, dsigma"], "scalars")
 
 
 _HALF_PI = math.pi / 2.0
@@ -161,7 +186,8 @@ def rhs(state, n, h):
     x, _, sigma = state
     if x <= 0.0:
         raise AxisPointError(f"profile equation needs x > 0, got x = {x}")
-    return _rhs_scalars(float(x), *_cos_sin(float(sigma)), n, float(h))
+    return _scalars(_SIGMA_PRIME)(float(x), *_cos_sin(float(sigma)),
+                                  *_constants(n, float(h)))
 
 
 def energy(state, n, h):
@@ -423,68 +449,92 @@ def _total(row, part):
                            for j, w in enumerate(row) if w != 0.0)
 
 
-def _stage(j, row):
-    """Source of stage j: fun at the step's start moved by h times the sums
-    of row.  t enters no derivative, so it is not moved."""
-    args = ", ".join(f"{v} + ({_total(row, v)}) * h" for v in "xcs")
-    return f"    k{j}x, k{j}t, k{j}c, k{j}s = fun({args})"
+def _rhs(sigma_prime, out):
+    """Source lines that set out to the solver's y' = (sin, cos, -sin sigma',
+    cos sigma') at the raw state x, c, s.  Between projections the pair
+    leaves the unit circle by the step's error, so it is normalised first;
+    trial stages may undershoot the axis, so x is clamped."""
+    return ["r = hypot(c, s)",
+            "cos, sin = c / r, s / r",
+            "x = x if x > 1e-12 else 1e-12",
+            *sigma_prime.splitlines(),
+            *(f"{name} = {value}" for name, value in zip(
+                out, ("sin", "cos", "-sin * dsigma", "cos * dsigma")))]
+
+
+def _stage(j, row, sigma_prime):
+    """Source lines of stage j: y' at the step's start moved by h times the
+    sums of row.  t enters no derivative, so it is not moved."""
+    return [*(f"{v} = {v}0 + ({_total(row, v)}) * h" for v in "xcs"),
+            *_rhs(sigma_prime, [f"k{j}{v}" for v in "xtcs"])]
 
 
 @functools.cache
-def _steps():
-    """The trial and dense DOP853 steps, straight-line code generated from
-    _A, _E5, _E3 and _D and compiled on the first solve, so a process that
-    solves nothing never pays the compile.
+def _steps(sigma_prime):
+    """make(a, b, g) -> (trial, dense, fun): the DOP853 steps and the rhs of
+    the (n, H) system, a, b and g its _constants, as straight-line code
+    generated from _A, _E5, _E3, _D and sigma_prime, inlined into every stage
+    by _rhs, and compiled on the first solve, so a process that solves
+    nothing never pays the compile.
 
-    trial(fun, y, f, h, rtol, atol) makes stages 1..12 from y and f = fun(y)
-    and returns the error norm, the 8th-order y_new, fun(y_new) and the
-    stages the dense step reads.  dense(fun, y, f, h, y_new, f_new, kept)
-    makes stages 13..15 and returns, per component of y, the eight
-    coefficients of the step's interpolant at the accepted (possibly
-    projected) y_new with f_new = fun(y_new).
+    fun(x, c, s) is y' at y = (x, t, c, s).  trial(y, f, h, rtol, atol)
+    makes stages 1..12 from y and f = fun(y) and returns the error norm, the
+    8th-order y_new, fun(y_new) and the stages the dense step reads.
+    dense(y, f, h, y_new, f_new, kept) makes stages 13..15 and returns, per
+    component of y, the eight coefficients of the step's interpolant at the
+    accepted (possibly projected) y_new with f_new = fun(y_new).
     """
     parts = "xtcs"
     read = sorted({j for row in (*_A[12:], *_D)
                    for j, w in enumerate(row) if w != 0.0 and 0 < j <= 12})
     kept = ", ".join(f"k{j}{v}" for j in read for v in parts)
+    start = ["x0, t0, c0, s0 = y", "k0x, k0t, k0c, k0s = f"]
     trial = [
-        "def trial(fun, y, f, h, rtol, atol):",
-        "    x, t, c, s = y",
-        "    k0x, k0t, k0c, k0s = f",
-        *(_stage(j, row) for j, row in enumerate(_A[:11], 1)),
-        *(f"    {v}n = {v} + h * ({_total(_A[11], v)})" for v in parts),
-        "    f_new = fun(xn, cn, sn)",
-        "    k12x, k12t, k12c, k12s = f_new",
-        *(f"    w{v} = atol + max(abs({v}), abs({v}n)) * rtol" for v in parts),
-        *(f"    norm{order} = 0.0" + "".join(
-            f" + (({_total(row, v)}) / w{v}) ** 2" for v in parts)
-          for order, row in ((5, _E5), (3, _E3))),
-        "    if norm5 == 0.0 and norm3 == 0.0:",
-        "        err = 0.0",
-        "    else:",
-        "        err = h * norm5 / sqrt((norm5 + 0.01 * norm3) * 4.0)",
-        f"    return err, (xn, tn, cn, sn), f_new, ({kept})",
+        "def trial(y, f, h, rtol, atol):",
+        *_indented([
+            *start,
+            *(line for j, row in enumerate(_A[:11], 1)
+              for line in _stage(j, row, sigma_prime)),
+            *(f"{v}n = {v}0 + h * ({_total(_A[11], v)})" for v in parts),
+            "x, c, s = xn, cn, sn",
+            *_rhs(sigma_prime, [f"k12{v}" for v in parts]),
+            *(f"w{v} = atol + max(abs({v}0), abs({v}n)) * rtol"
+              for v in parts),
+            *(f"norm{order} = 0.0" + "".join(
+                f" + (({_total(row, v)}) / w{v}) ** 2" for v in parts)
+              for order, row in ((5, _E5), (3, _E3))),
+            "if norm5 == 0.0 and norm3 == 0.0:",
+            "    err = 0.0",
+            "else:",
+            "    err = h * norm5 / sqrt((norm5 + 0.01 * norm3) * 4.0)",
+            "return (err, (xn, tn, cn, sn), (k12x, k12t, k12c, k12s),",
+            f"        ({kept}))",
+        ]),
     ]
     dense = [
-        "def dense(fun, y, f, h, y_new, f_new, kept):",
-        "    x, t, c, s = y",
-        "    k0x, k0t, k0c, k0s = f",
-        "    xn, tn, cn, sn = y_new",
-        "    fx, ft, fc, fs = f_new",
-        f"    {kept} = kept",
-        *(_stage(j, row) for j, row in enumerate(_A[12:], 13)),
-        *(f"    d{v} = {v}n - {v}" for v in parts),
-        "    return (",
-        *(f"        ({v}, d{v}, h * k0{v} - d{v}, "
-          f"2.0 * d{v} - h * (f{v} + k0{v}), "
-          + ", ".join(f"h * ({_total(row, v)})" for row in _D) + "),"
-          for v in parts),
-        "    )",
+        "def dense(y, f, h, y_new, f_new, kept):",
+        *_indented([
+            *start,
+            "xn, tn, cn, sn = y_new",
+            "fx, ft, fc, fs = f_new",
+            f"{kept} = kept",
+            *(line for j, row in enumerate(_A[12:], 13)
+              for line in _stage(j, row, sigma_prime)),
+            *(f"d{v} = {v}n - {v}0" for v in parts),
+            "return (",
+            *(f"    ({v}0, d{v}, h * k0{v} - d{v}, "
+              f"2.0 * d{v} - h * (f{v} + k0{v}), "
+              + ", ".join(f"h * ({_total(row, v)})" for row in _D) + "),"
+              for v in parts),
+            ")",
+        ]),
     ]
-    namespace = {"sqrt": math.sqrt}
-    exec(compile("\n".join(trial + dense), "<DOP853 steps>", "exec"),
-         namespace)
-    return namespace["trial"], namespace["dense"]
+    fun = ["def fun(x, c, s):",
+           *_indented([*_rhs(sigma_prime, ["kx", "kt", "kc", "ks"]),
+                       "return kx, kt, kc, ks"])]
+    return _compiled(["def make(a, b, g):",
+                      *_indented([*trial, *dense, *fun,
+                                  "return trial, dense, fun"])], "make")
 
 
 def _rms(values):
@@ -508,16 +558,38 @@ def _initial_step(fun, y, f, s_end, rtol, atol):
     return min(100.0 * h0, h1, s_end)
 
 
+class _Piece:
+    """One accepted step: it starts at arclength s0, spans h, and its nodes
+    have the unwound angles sigma0 and sigma1.  Its interpolant's
+    coefficients are dense(*args), built on the first read, so a step never
+    read never pays its 3 extra stages."""
+
+    __slots__ = ("s0", "h", "sigma0", "sigma1", "_dense", "_args",
+                 "_coefficients")
+
+    def __init__(self, s0, h, sigma0, sigma1, dense, args):
+        self.s0, self.h, self.sigma0, self.sigma1 = s0, h, sigma0, sigma1
+        self._dense, self._args, self._coefficients = dense, args, None
+
+    @property
+    def built(self):
+        return self._coefficients is not None
+
+    def coefficients(self):
+        if self._coefficients is None:
+            self._coefficients = self._dense(*self._args)
+        return self._coefficients
+
+
 def _interpolate(piece, u):
     """The dense output (x, t, cos sigma, sin sigma) of one step at
     arclength u."""
-    s0, h, coefficients = piece[:3]
-    r = (u - s0) / h
+    r = (u - piece.s0) / piece.h
     q = 1.0 - r
     return tuple(
         ((((((f6 * r + f5) * q + f4) * r + f3) * q + f2) * r + f1) * q + f0) * r
         + y0
-        for y0, f0, f1, f2, f3, f4, f5, f6 in coefficients
+        for y0, f0, f1, f2, f3, f4, f5, f6 in piece.coefficients()
     )
 
 
@@ -530,16 +602,18 @@ def _unwound(c, s, guess):
 def _state(piece, u):
     """(x, t, sigma) of one step at arclength u, sigma on the branch of the
     line through the step's two node angles."""
-    s0, h, _, sigma0, sigma1 = piece
     x, t, c, s = _interpolate(piece, u)
-    return x, t, _unwound(c, s, sigma0 + (sigma1 - sigma0) * ((u - s0) / h))
+    sigma0 = piece.sigma0
+    return x, t, _unwound(c, s, sigma0 + (piece.sigma1 - sigma0)
+                          * ((u - piece.s0) / piece.h))
 
 
 @dataclass
 class _OdeResult:
     """What solve_ivp returns: the node arclengths t and states y = (x, t,
     sigma), the events in arclength order, the dense evaluator of (x, t,
-    sigma), the right-hand side evaluations nfev, the rejected trial steps,
+    sigma), the right-hand side evaluations nfev made before the return (a
+    dense output built later is not counted), the rejected trial steps,
     the sum of the corrections the projection reported, and whether sin
     sigma was exactly 0 at every node."""
 
@@ -569,13 +643,14 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
     The state is y = (x, t, cos sigma, sin sigma).  The method is
     Dormand-Prince 8(5,3) with SciPy's DOP853 step control, initial step,
     error norm and dense output, run on Python floats by the straight-line
-    steps of _steps.  A trial step that ends at x <= 0 is rejected as if its
+    steps of _steps, which inline the rhs _SIGMA_PRIME as it stands when
+    this is called.  A trial step that ends at x <= 0 is rejected as if its
     error were infinite: past the axis the system has no value.  Every
     accepted step is projected by _project, f is refreshed at the moved
-    state, the step's dense output is built from both, and the corrections
-    are summed.  sigma is unwound as each node is accepted, onto the branch
-    nearest the node before; the first node takes the branch of
-    initial.sigma.
+    state, the step's dense output is kept to be built from both on its
+    first read (_Piece), and the corrections are summed.  sigma is unwound
+    as each node is accepted, onto the branch nearest the node before; the
+    first node takes the branch of initial.sigma.
 
     The _WATCHED events occur, as in SciPy, in a step whose end nodes give
     their function opposite signs or a 0; unlike SciPy, a function exactly 0
@@ -587,8 +662,7 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
     AxisContact or the config.stop_event-th event of its kind.  Raises
     IntegrationError when the step falls below ten ulps of s.
     """
-    trial, dense = _steps()
-    fun = _solver_rhs(n, h)
+    trial, dense, fun = _steps(_SIGMA_PRIME)(*_constants(n, h))
     level, s_end, eps = (n, h, e), config.max_arclength, config.axis_epsilon
     terminal = {EventKind.AXIS_CONTACT: 1}
     if config.stop_event is not None:
@@ -621,7 +695,7 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
                     "spacing between numbers.")
             s_new = min(s_old + h_abs, s_end)
             step = s_new - s_old
-            err, y_new, f_new, kept = trial(fun, y, f, step, rtol, atol)
+            err, y_new, f_new, kept = trial(y, f, step, rtol, atol)
             nfev += 12
             if not y_new[0] > 0.0:
                 # stages past the axis, with x clamped, would spoil the
@@ -643,9 +717,8 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
             f_new = fun(y_new[0], y_new[2], y_new[3])
             nfev += 1
         sigma_new = _unwound(y_new[2], y_new[3], sigma)
-        piece = (s_old, step, dense(fun, y, f, step, y_new, f_new, kept),
-                 sigma, sigma_new)
-        nfev += 3
+        piece = _Piece(s_old, step, sigma, sigma_new, dense,
+                       (y, f, step, y_new, f_new, kept))
         pieces.append(piece)
 
         g_new = watch(y_new)
@@ -675,6 +748,9 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
                 # and a mirror about it would not join exactly
                 sig = math.pi * round(sig / math.pi)
             events.append(Event(kind, root, ProfileState(x, t, sig)))
+        # only the roots read a dense output during the solve, and the cut
+        # at the terminal one reads a step they have read
+        nfev += 3 * piece.built
         if end is not None:
             s_new = hits[-1][0]
             if s_new == nodes[-1]:  # ended on the last node: no new segment
@@ -726,22 +802,6 @@ def _project(level, y, f):
     correction = abs(p * c / math.sqrt(x * x * s * s + c * c) - h * x * p - e)
     c, sin = _level_pair(u, x)
     return (x, t, c, math.copysign(sin, s)), correction
-
-
-def _solver_rhs(n, h):
-    """fun(x, c, s) = y' of the solver's state y = (x, t, cos sigma, sin
-    sigma), through _rhs_scalars as it stands when this is called.  Between
-    projections the pair leaves the unit circle by the step's error, so it
-    is normalised first; trial stages may undershoot the axis."""
-    rhs_scalars, hypot = _rhs_scalars, math.hypot
-
-    def fun(x, c, s):
-        r = hypot(c, s)
-        sin, cos, dsigma = rhs_scalars(x if x > 1e-12 else 1e-12, c / r, s / r,
-                                       n, h)
-        return sin, cos, -sin * dsigma, cos * dsigma
-
-    return fun
 
 
 def truncated(traj, config):

@@ -150,6 +150,35 @@ def test_float_overflow_exits_2(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "1", "--h", "1e-300", "--e=-1"],
+    ["classify", "--n", "1", "--h", "1e-170", "--e=-1"],
+    ["render", "--n", "1", "--h", "1e-300", "--e=-1"],
+], ids=["classify-1e-300", "classify-1e-170", "render"])
+def test_n1_half_period_past_underflowing_h2_exits_2(argv, capsys):
+    # 4H^2 underflows to 0, and t2 = pi / (4H^2) used to end in a
+    # ZeroDivisionError traceback, exit 1
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == (f"error: the parameters overflow a float (H^2 underflows "
+                   f"to 0 at H = {float(argv[4])!r})\n")
+    assert out == ""
+
+
+def test_sweep_finishes_past_underflowing_n1_h2(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--n", "1", "--h=1e-300:1:2", "--e=-1:0.1:2"], capsys)
+    assert code == 2
+    assert err.startswith("error: the parameters overflow a float (n = 1, "
+                          "H = 1e-300, E = -1.0: H^2 underflows to 0")
+    rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
+            for line in out.splitlines()[1:]]
+    assert [(r["h"], r["family"]) for r in rows] == [
+        ("1e-300", ""), ("1e-300", ""), ("1", "Nodoid"), ("1", "Unduloid")]
+    # the rows that do not underflow keep t2 = pi / (4H^2) to the bit
+    assert {r["t2"] for r in rows[2:]} == {"%.17g" % (math.pi / 4.0)}
+
+
 def test_catenoid_closed_form_note(capsys):
     # the n >= 2 report used to name the n = 1 formula
     for n, curve in ((1, "catenoid_generating_curve"), (2, "catenoid_curve"),
@@ -1073,13 +1102,8 @@ def test_verify_human_output(capsys):
 def test_verify_detects_broken_dynamics(monkeypatch, capsys):
     # flip the sign of the turning-rate term: every integration drifts, the
     # retry ladder cannot save it, and the energy suite must go red
-    orig = pode._rhs_scalars
-
-    def broken(x, cos, sin, n, h):
-        sin, cos, dsigma = orig(x, cos, sin, n, h)
-        return sin, cos, -dsigma
-
-    monkeypatch.setattr(pode, "_rhs_scalars", broken)
+    monkeypatch.setattr(pode, "_SIGMA_PRIME",
+                        pode._SIGMA_PRIME + "\ndsigma = -dsigma")
     code, out, _ = run_cli(["verify", "energy"], capsys)
     assert code == 3
     assert "FAIL" in out

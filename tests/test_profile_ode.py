@@ -517,13 +517,13 @@ def test_canonical_periodic_without_critical_radius_in_limit():
 # drift detection and serialization
 
 
-def test_energy_drift_detected(monkeypatch):
-    def broken(x, cos, sin, n, h):
-        sin, cos, dsig = pode.__dict__["_rhs_orig"](x, cos, sin, n, h)
-        return sin, cos, dsig * 1.01
+def _break_rhs(monkeypatch, line):
+    """Swap in a broken copy of the rhs: line runs after sigma' is made."""
+    monkeypatch.setattr(pode, "_SIGMA_PRIME", f"{pode._SIGMA_PRIME}\n{line}")
 
-    pode.__dict__["_rhs_orig"] = pode._rhs_scalars
-    monkeypatch.setattr(pode, "_rhs_scalars", broken)
+
+def test_energy_drift_detected(monkeypatch):
+    _break_rhs(monkeypatch, "dsigma *= 1.01")
     with pytest.raises(EnergyDriftError) as err:
         integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=10.0))
     assert err.value.trajectory is not None
@@ -533,17 +533,31 @@ def test_energy_drift_detected(monkeypatch):
 def test_energy_drift_message_without_rounding(monkeypatch):
     # |H| x^{2n} stays below 10 on this unduloid, so rounding cannot explain
     # the drift and the message adds no rounding clause
-    original = pode._rhs_scalars
-
-    def broken(x, cos, sin, n, h):
-        sin, cos, dsig = original(x, cos, sin, n, h)
-        return sin, cos, dsig * 1.01
-
-    monkeypatch.setattr(pode, "_rhs_scalars", broken)
+    _break_rhs(monkeypatch, "dsigma *= 1.01")
     with pytest.raises(EnergyDriftError) as err:
         integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=10.0))
     assert str(err.value).startswith("energy drifted by")
     assert "rounding" not in str(err.value)
+
+
+def test_broken_rhs_reaches_every_evaluation(monkeypatch):
+    # the swapped source reaches the generated stages, the solver's own rhs
+    # and rhs(state) alike, and leaves them as they were once swapped back
+    state, y = (0.8, 0.0, 0.3), (0.8, 0.0, math.cos(0.3), math.sin(0.3))
+    sound = rhs(state, 2, 0.5)
+    trial, _, fun = _solver_steps(2, 0.5)
+    step = trial(y, fun(0.8, y[2], y[3]), 0.01, 1e-10, 1e-12)
+    _break_rhs(monkeypatch, "dsigma *= 1.01")
+    assert rhs(state, 2, 0.5)[2] == sound[2] * 1.01
+    broken_trial, _, broken_fun = _solver_steps(2, 0.5)
+    assert broken_fun(0.8, y[2], y[3])[3] == pytest.approx(
+        fun(0.8, y[2], y[3])[3] * 1.01, rel=1e-15)
+    assert broken_trial(y, broken_fun(0.8, y[2], y[3]), 0.01, 1e-10,
+                        1e-12)[1] != step[1]
+    monkeypatch.undo()
+    assert rhs(state, 2, 0.5) == sound
+    assert _solver_steps(2, 0.5)[0](y, fun(0.8, y[2], y[3]), 0.01, 1e-10,
+                                    1e-12) == step
 
 
 def test_axis_start_rejected():
@@ -696,25 +710,60 @@ PINNED_SOLVES = [
 ]
 
 
-def _rhs_count_fits(stats):
-    # 2 evaluations pick the first step, 12 make each trial step, 3 the
-    # dense output of each accepted one, and 1 refreshes f after each
-    # projection, which most steps take
-    low = 2 + 12 * (stats.steps + stats.rejected) + 3 * stats.steps
+def _solver_steps(n, h):
+    """(trial, dense, fun) as the solver makes them for (n, h)."""
+    return pode._steps(pode._SIGMA_PRIME)(*pode._constants(n, h))
+
+
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """The argument tuples of every dense step the solves make from here on:
+    a spy on the dense step of _steps."""
+    builds, steps = [], pode._steps
+
+    def spied(sigma_prime):
+        make = steps(sigma_prime)
+
+        def spied_make(a, b, g):
+            trial, dense, fun = make(a, b, g)
+
+            def counted(*args):
+                builds.append(args)
+                return dense(*args)
+
+            return trial, counted, fun
+
+        return spied_make
+
+    monkeypatch.setattr(pode, "_steps", spied)
+    return builds
+
+
+def _rhs_count_fits(stats, built):
+    # 2 evaluations pick the first step, 12 make each trial step, 3 each
+    # dense output the solve built, and 1 refreshes f after each projection,
+    # which most steps take
+    low = 2 + 12 * (stats.steps + stats.rejected) + 3 * built
     return low <= stats.rhs_evals <= low + stats.steps
 
 
 @pytest.mark.parametrize("n, h, start, cfg, steps, rhs_evals, end",
                          PINNED_SOLVES)
-def test_solve_repeats_the_scipy_loop(n, h, start, cfg, steps, rhs_evals, end):
+def test_solve_repeats_the_scipy_loop(n, h, start, cfg, steps, rhs_evals, end,
+                                      dense_builds):
+    # the SciPy loop built the dense output of every step; this one builds
+    # those the events read, and saves 3 evaluations on each of the others
     traj = integrate(n, h, initial=start, config=cfg)
-    assert (traj.stats.steps, traj.stats.rhs_evals) == (steps, rhs_evals)
+    built = len(dense_builds)
+    assert 0 < built < steps
+    assert traj.stats.steps == steps
+    assert traj.stats.rhs_evals == rhs_evals - 3 * (steps - built)
     assert traj.stats.retries == 0
-    assert _rhs_count_fits(traj.stats)
+    assert _rhs_count_fits(traj.stats, built)
     assert tuple(traj.states[-1]) == pytest.approx(end, abs=1e-12)
 
 
-def test_sphere_to_axis_agrees_with_the_scipy_loop():
+def test_sphere_to_axis_agrees_with_the_scipy_loop(dense_builds):
     # the SciPy loop took the n = 2 sphere to AxisContact in 53 steps and
     # 1281 evaluations, ending at s = 1.4674612093530306 on (1e-6,
     # 0.7853981634119803, -1.5707963267950076).  Near the axis the error
@@ -727,7 +776,7 @@ def test_sphere_to_axis_agrees_with_the_scipy_loop():
     assert tuple(traj.states[-1]) == pytest.approx(
         (1e-6, 0.7853981634119803, -1.5707963267950076), abs=1e-11)
     assert abs(traj.stats.steps - 53) <= 8
-    assert _rhs_count_fits(traj.stats)
+    assert _rhs_count_fits(traj.stats, len(dense_builds))
 
 
 def test_rejected_steps_and_final_tolerance():
@@ -765,6 +814,56 @@ def test_tableau_is_scipys_bit_for_bit():
     assert bits(pode._E5) == bits(co.E5)
     assert bits(pode._E3) == bits(co.E3)
     assert [bits(row) for row in pode._D] == [bits(row) for row in co.D]
+
+
+class _EagerPiece(pode._Piece):
+    """A step whose dense output is built as the step is accepted."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.coefficients()
+
+
+def _sphere_cap():
+    # the equator-to-axis quarter of the n = 2 sphere, mirrored before its
+    # start into the whole meridian: tiled backwards
+    return reflect_continue(integrate(2, 1.0, e=0.0, config=SolveConfig(
+        stop_event=(EventKind.AXIS_CONTACT, 1))))
+
+
+@pytest.mark.parametrize("solve", [
+    # a canonical half period tiled forwards
+    lambda: integrate(1, 0.5, e=0.3, config=SolveConfig(max_arclength=10.0)),
+    # the pinned solves: events all along, one ending on a terminal root
+    *(lambda start=start, cfg=cfg, n=n, h=h: integrate(n, h, initial=start,
+                                                       config=cfg)
+      for n, h, start, cfg, *_ in PINNED_SOLVES),
+    _sphere_cap,
+], ids=["tiled", "unduloid", "nodoid", "sphere-cap"])
+def test_lazy_dense_output_reads_as_the_eager_one(monkeypatch, solve):
+    # the dense states at nodes, midpoints, event roots and either side of
+    # each tiling joint (each an event) are those of coefficients built as
+    # each step is accepted, bit for bit; read latest first, so the steps
+    # are built in another order than they were solved in
+    lazy = solve()
+    monkeypatch.setattr(pode, "_Piece", _EagerPiece)
+    eager = solve()
+    assert _bits(lazy.s) == _bits(eager.s)
+    assert _bits(lazy.states) == _bits(eager.states)
+    assert lazy.events == eager.events and lazy.events
+    # the eager steps cost 3 evaluations more for each step the solve left
+    # unread
+    extra = eager.stats.rhs_evals - lazy.stats.rhs_evals
+    assert extra > 0 and extra % 3 == 0
+    lo, hi = lazy.s[0], lazy.s_end
+    roots = [ev.s for ev in lazy.events]
+    points = sorted({*lazy.s, *(0.5 * (lazy.s[1:] + lazy.s[:-1])), *roots,
+                     *(min(max(s + d, lo), hi) for s in roots
+                       for d in (-1e-9, 1e-9))}, reverse=True)
+    assert _bits([tuple(lazy.state_at(u)) for u in points]) == _bits(
+        [tuple(eager.state_at(u)) for u in points])
 
 
 # ---------------------------------------------------------------------------
@@ -829,18 +928,6 @@ def _bits(values):
     return [float(v).hex() for v in np.ravel(values)]
 
 
-class _Recording:
-    """The solver's rhs, recording the arguments of every call."""
-
-    def __init__(self, n, h):
-        self.fun = pode._solver_rhs(n, h)
-        self.calls = []
-
-    def __call__(self, x, c, s):
-        self.calls.append((x, c, s))
-        return self.fun(x, c, s)
-
-
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 3),
        h=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
@@ -856,18 +943,15 @@ class _Recording:
          step=0.01, projected=True)
 def test_generated_steps_repeat_the_generic_loop(n, h, x, t, sigma, radius,
                                                  step, projected):
-    # stage arguments, y_new, the error norm, both error estimates and the
-    # dense coefficients, bit for bit; 12 + 3 rhs calls per step
-    trial, dense = pode._steps()
+    # y_new, f_new, the error norm, both error estimates and the dense
+    # coefficients, bit for bit, against the loop calling the solver's rhs
+    trial, dense, fun = _solver_steps(n, h)
     y = (x, t, radius * math.cos(sigma), radius * math.sin(sigma))
-    ours, theirs = _Recording(n, h), _Recording(n, h)
-    f = ours.fun(y[0], y[2], y[3])
+    f = fun(y[0], y[2], y[3])
     rtol, atol = 1e-10, 1e-12
 
-    err, y_new, f_new, kept = trial(ours, y, f, step, rtol, atol)
-    assert len(ours.calls) == 12
-    err_o, y_new_o, k = _oracle_trial(theirs, y, f, step, rtol, atol)
-    assert _bits(ours.calls) == _bits(theirs.calls)
+    err, y_new, f_new, kept = trial(y, f, step, rtol, atol)
+    err_o, y_new_o, k = _oracle_trial(fun, y, f, step, rtol, atol)
     assert _bits(y_new) == _bits(y_new_o)
     assert _bits(f_new) == _bits(k[12])
     assert float(err).hex() == float(err_o).hex()
@@ -879,13 +963,9 @@ def test_generated_steps_repeat_the_generic_loop(n, h, x, t, sigma, radius,
 
     if projected:  # the step's end moved, as the projection moves it
         y_new = (y_new[0], y_new[1], y_new[2] * (1.0 + 1e-12), y_new[3])
-        f_new = ours.fun(y_new[0], y_new[2], y_new[3])
-    ours.calls.clear()
-    theirs.calls.clear()
-    coefficients = dense(ours, y, f, step, y_new, f_new, kept)
-    assert len(ours.calls) == 3
-    oracle = _oracle_dense(theirs, y, f, step, y_new, f_new, k)
-    assert _bits(ours.calls) == _bits(theirs.calls)
+        f_new = fun(y_new[0], y_new[2], y_new[3])
+    coefficients = dense(y, f, step, y_new, f_new, kept)
+    oracle = _oracle_dense(fun, y, f, step, y_new, f_new, k)
     assert _bits(coefficients) == _bits(oracle)
 
 
@@ -909,7 +989,7 @@ def test_solver_rhs_agrees_with_rhs_of_the_angle(n, h, x, sigma, radius):
     # as the solver's start makes it, exact at quarter turns, where rhs(state)
     # is exact too
     c, s = (radius * v for v in pode._cos_sin(sigma))
-    dx, dt, dc, ds = pode._solver_rhs(n, h)(x, c, s)
+    dx, dt, dc, ds = _solver_steps(n, h)[2](x, c, s)
     sin, cos, dsigma = rhs((x, 0.0, math.atan2(s, c)), n, h)
     eps = np.finfo(float).eps
     assert abs(dx - sin) <= 4 * eps and abs(dt - cos) <= 4 * eps
