@@ -660,7 +660,8 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
     dense output, and recorded with sigma on the step's branch, snapped to
     a multiple of pi at a critical radius.  The solve ends at the first
     AxisContact or the config.stop_event-th event of its kind.  Raises
-    IntegrationError when the step falls below ten ulps of s.
+    IntegrationError when the step falls below ten ulps of s, and
+    OverflowError when y' overflows a float at the start.
     """
     trial, dense, fun = _steps(_SIGMA_PRIME)(*_constants(n, h))
     level, s_end, eps = (n, h, e), config.max_arclength, config.axis_epsilon
@@ -675,6 +676,10 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
     y = (float(initial.x), float(initial.t), *_cos_sin(float(initial.sigma)))
     sigma = _unwound(y[2], y[3], float(initial.sigma))
     f = fun(y[0], y[2], y[3])
+    if not all(map(math.isfinite, f)):
+        # the first step would be NaN, and no step would ever end the solve
+        raise OverflowError(f"the profile equation overflows a float at "
+                            f"x = {y[0]!r}, sigma = {float(initial.sigma)!r}")
     h_abs = _initial_step(fun, y, f, s_end, rtol, atol)
     nfev, rejected, correction = 2, 0, 0.0
     # NaN fails every comparison below: a function that is 0 at the start

@@ -165,6 +165,22 @@ def test_n1_half_period_past_underflowing_h2_exits_2(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("h", ["1e-300", "1e-170"])
+def test_trace_past_underflowing_n1_h2_exits_2(h, capsys):
+    # the half-period series does not resolve, and the ODE fallback starts
+    # at x2 = 1/H, where x^2 overflows: its first step was NaN, and the solve
+    # never ended
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run_cli(
+            ["trace", "--n", "1", "--h", h, "--e=-1", "--max-arclength", "5"],
+            capsys)
+    assert code == 2
+    assert err.startswith("error: the parameters overflow a float (the "
+                          "profile equation overflows a float at x = ")
+    assert out == ""
+
+
 def test_sweep_finishes_past_underflowing_n1_h2(capsys):
     code, out, err = run_cli(
         ["sweep", "--n", "1", "--h=1e-300:1:2", "--e=-1:0.1:2"], capsys)

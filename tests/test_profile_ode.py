@@ -545,19 +545,27 @@ def test_broken_rhs_reaches_every_evaluation(monkeypatch):
     # and rhs(state) alike, and leaves them as they were once swapped back
     state, y = (0.8, 0.0, 0.3), (0.8, 0.0, math.cos(0.3), math.sin(0.3))
     sound = rhs(state, 2, 0.5)
-    trial, _, fun = _solver_steps(2, 0.5)
-    step = trial(y, fun(0.8, y[2], y[3]), 0.01, 1e-10, 1e-12)
+    trial, dense, fun = _solver_steps(2, 0.5)
+    f = fun(0.8, y[2], y[3])
+    step = trial(y, f, 0.01, 1e-10, 1e-12)
+    _, y_new, f_new, kept = step
+    coefficients = dense(y, f, 0.01, y_new, f_new, kept)
     _break_rhs(monkeypatch, "dsigma *= 1.01")
     assert rhs(state, 2, 0.5)[2] == sound[2] * 1.01
-    broken_trial, _, broken_fun = _solver_steps(2, 0.5)
+    broken_trial, broken_dense, broken_fun = _solver_steps(2, 0.5)
     assert broken_fun(0.8, y[2], y[3])[3] == pytest.approx(
-        fun(0.8, y[2], y[3])[3] * 1.01, rel=1e-15)
-    assert broken_trial(y, broken_fun(0.8, y[2], y[3]), 0.01, 1e-10,
-                        1e-12)[1] != step[1]
+        f[3] * 1.01, rel=1e-15)
+    assert broken_trial(y, f, 0.01, 1e-10, 1e-12)[1] != y_new
+    assert broken_dense(y, f, 0.01, y_new, f_new, kept) != coefficients
     monkeypatch.undo()
     assert rhs(state, 2, 0.5) == sound
-    assert _solver_steps(2, 0.5)[0](y, fun(0.8, y[2], y[3]), 0.01, 1e-10,
-                                    1e-12) == step
+    assert _solver_steps(2, 0.5)[0](y, f, 0.01, 1e-10, 1e-12) == step
+
+
+def test_start_where_the_rhs_overflows_is_refused():
+    # the nodoid starts at x2 = 1e300, where x^2 overflows: y' is NaN there
+    with pytest.raises(OverflowError, match="overflows a float at x = 9.99"):
+        integrate(1, 1e-300, e=-1.0)
 
 
 def test_axis_start_rejected():
