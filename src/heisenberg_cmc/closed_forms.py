@@ -879,11 +879,12 @@ def canonical_trajectory(cls, config):
 
     Samples, events and the dense evaluator come from the curve's closed
     form or Chebyshev series: the dense map s -> state finds the curve
-    parameter by Newton's method on the arclength series.  Events are the
-    ODE's: CriticalRadius where a half period ends (not at the start),
-    VerticalTangent at a nodoid's x0, and a terminal AxisContact where x
-    falls to config.axis_epsilon; a start (initial_state(cls)) inside that
-    margin raises AxisPointError; a cylinder, (x1, s, 0), records none.
+    parameter by Newton's method on the arclength series, kept within the
+    traversal's nodes.  Events are the ODE's: CriticalRadius where a half
+    period ends (not at the start), VerticalTangent at a nodoid's x0, and a
+    terminal AxisContact where x falls to config.axis_epsilon; a start
+    (initial_state(cls)) inside that margin raises AxisPointError; a
+    cylinder, (x1, s, 0), records none.
     Half periods are tiled by periodic_continuation, as in integrate;
     cls.flip (H < 0) runs the (x, -t, pi - sigma) mirror.  The samples carry
     no drift gate: their level-set residual is the rounding of E's terms.
@@ -920,9 +921,12 @@ def canonical_trajectory(cls, config):
             p -= step
             if abs(step) <= 4.0 * _EPS:
                 break
-        return tuple(float(v) for v in where(p))
+        # a root rounded an ulp past an end would leave the half period: past
+        # a nodoid's x1, atan2 jumps from sigma = -pi to +pi
+        return tuple(float(v) for v in where(min(max(p, lo), hi)))
 
     s_nodes = arc.arclength(arc.nodes)
+    lo, hi = float(np.min(arc.nodes)), float(np.max(arc.nodes))
     states = np.column_stack(where(arc.nodes))
     events = [Event(kind, float(arc.arclength(p)),
                     ProfileState(*map(float, where(p))))

@@ -1110,6 +1110,8 @@ def _half_period(n, sign, h, spec):
 @settings(max_examples=30, deadline=None)
 @given(curve=_PERIODIC, halves=st.integers(1, 12))
 @example(curve=(1, 1.0, 1.0, 0.25), halves=6)  # a neck of radius 0.067
+# the last tile's end, less the period, rounds an ulp short of the nodoid's x1
+@example(curve=(2, 1.0, 1.8196455919635035, -1.0914122950827938), halves=3)
 def test_tiling_matches_repeated_mirrors(curve, halves):
     half = _half_period(*curve)
     tiled = pode._tiled(half, halves)
