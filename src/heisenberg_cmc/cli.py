@@ -214,12 +214,13 @@ _CLOSED_FORM = (Family.SPHERE, Family.CYLINDER, Family.UNDULOID,
 def canonical_trace(n, h, e, config):
     """The trace of the canonical (n, H, E) start: spheres, cylinders,
     unduloids and nodoids from closed forms, the other families, and any
-    series that needs a degree above closed_forms' cap, from integrate."""
+    series that needs a degree above closed_forms' cap or overflows a float,
+    from integrate."""
     cls = classify(n, h, e)
     if cls.family in _CLOSED_FORM:
         try:
             return canonical_trajectory(cls, config)
-        except QuadratureError:
+        except (QuadratureError, OverflowError):
             pass
     return integrate(n, h, e=e, config=config)
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,7 @@ __all__ = [
 _SINGULAR_SPECS = ("lower", "upper", "both", "none")
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_LEAST = 5e-324  # the least subnormal float
 _QUAD_REL_TOL = 1e-12
 
 
@@ -410,55 +412,72 @@ def _dct1(samples):
         np.concatenate([samples, samples[..., -2:0:-1]], axis=-1)).real
 
 
+_FIRST_DEGREES, _MAX_DEGREE = (16, 32, 64), 4096  # one sample serves 16-64
+_NEWTON_STEPS = 8
+_RAMP = np.arange(_MAX_DEGREE + 2.0)  # 0, 1, ..., N + 1
+_EVENS = 2.0 * _RAMP[1:]  # 2, 4, ..., 2 (N + 1)
+_DIVISORS = np.append(1.0, _EVENS[1:])  # 1, 4, 6, ..., 2 (N + 1)
+
+
 @functools.cache
 def _plateau_tests(n):
-    """The 1-based index pairs (j, j2 = round(1.25 j + 5)), j = 2, 3, ...
-    while j2 <= n, of standardChop's plateau test on n coefficients."""
-    pairs = ((j, round(1.25 * j + 5)) for j in range(2, n + 1))
-    return tuple(itertools.takewhile(lambda pair: pair[1] <= n, pairs))
+    """The 0-based indices j2 - 1 of standardChop's plateau test pairs
+    (j, j2 = round(1.25 j + 5)), j = 2, 3, ... while j2 <= n, on n
+    coefficients, as a read-only array; the j - 1 run 1, 2, ..."""
+    pairs = (round(1.25 * j + 5) - 1 for j in range(2, n + 1))
+    ahead = np.array(list(itertools.takewhile(lambda i: i < n, pairs)))
+    ahead.flags.writeable = False
+    return ahead
 
 
-def _envelopes(coeffs):
-    """standardChop's envelope max_{k >= j} |c_k| / max |c| of each row of
-    coeffs, as a list of floats; None for a row of zeros."""
+def _standard_chop(coeffs, tols, lengths):
+    """How many Chebyshev coefficients of each row of coeffs to keep, None
+    while a row is unresolved, where row r holds a series of lengths[r]
+    coefficients, zero-padded, and tols[r] in (1e-300, 1) is its noise
+    relative to its largest value:
+    Aurentz & Trefethen's standardChop ("Chopping a Chebyshev series",
+    2017), which finds where |coeffs| levels off into a plateau, even one
+    that roundoff holds well above tol.  It runs on the whole stack at once;
+    the padding changes no envelope entry, every step rounds elementwise,
+    and the per-row scalars log(tol), log10(tol) and tol^{7/6} are
+    Python's, so each row keeps the result it gets alone.  (The logs of the
+    envelope are NumPy's, which differ from math.log's by an ulp now and
+    then; that decides the test only where its two sides tie to rounding.)
+    A row of zeros keeps 1."""
+    # the envelope max_{k >= j} |c_k| / max |c|, which does not increase;
+    # the least subnormal divides a row of zeros and changes no other
     env = np.maximum.accumulate(np.abs(coeffs)[:, ::-1], axis=1)[:, ::-1]
-    zero = env[:, :1] == 0.0
-    env = (env / np.where(zero, 1.0, env[:, :1])).tolist()
-    return [None if z else row for z, row in zip(zero[:, 0].tolist(), env)]
-
-
-def _chop(plateau, tol):
-    """How many Chebyshev coefficients to keep, None while unresolved:
-    Aurentz & Trefethen's standardChop ("Chopping a Chebyshev series", 2017),
-    which finds where |coeffs| levels off into a plateau, even one that
-    roundoff holds well above tol.  plateau is the series' envelope from
-    _envelopes."""
-    if plateau is None:
-        return 1
-    log_tol = math.log(tol)
-    for j, j2 in _plateau_tests(len(plateau)):  # 1-based, as in the paper
-        e1 = plateau[j - 1]
-        if e1 == 0.0 or plateau[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / log_tol):
-            break
-    else:
-        return None
-    if plateau[j - 2] == 0.0:
-        return j - 1
-    floor = tol ** (7.0 / 6.0)
-    # the envelope does not increase, so the entries at or above floor lead
-    # it, and only the first j2 of them are looked at
-    env = np.array(plateau[:j2])
-    j3 = int(np.count_nonzero(env >= floor))
-    if j3 < j2:
-        j2 = j3 + 1
-        env[j2 - 1] = floor
-    # least envelope plus a line that favours short series
-    biased = np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
-    return max(int(biased.argmin()), 1)
-
-
-_FIRST_DEGREE, _ONE_PASS_DEGREE, _MAX_DEGREE = 16, 64, 4096
-_NEWTON_STEPS = 8
+    env = env / np.maximum(env[:, :1], _LEAST)
+    # the plateau test at j = 2, 3, ... (1-based, as in the paper) passes
+    # where e1 = env_j is 0 or e2 / e1 > 3 (1 - log(e1) / log(tol)), e2 =
+    # env_{j2}, over the pairs whose j2 lies within the row.  A zero e1,
+    # taken as the least subnormal, passes by the second test: for tol in
+    # (1e-300, 1) its right side is below 0 = e2 / e1
+    ahead = _plateau_tests(coeffs.shape[1])
+    log_tol, floor, stop = np.array([
+        [math.log(tol), tol ** (7.0 / 6.0), -math.log10(tol) / 3.0]
+        for tol in tols]).T[:, :, np.newaxis]
+    e1 = np.maximum(env[:, 1:len(ahead) + 1], _LEAST)
+    plateau = env[:, ahead] / e1 > 3.0 * (1.0 - np.log(e1) / log_tol)
+    if min(lengths) < coeffs.shape[1]:
+        plateau &= ahead < np.array(lengths)[:, np.newaxis]
+    hits = plateau.any(axis=1).tolist()
+    if not any(hits):
+        return [None] * len(hits)
+    # at the first j that passes: the entries at or above the floor
+    # tol^{7/6} lead the envelope, and where fewer than j2 do, the search
+    # ends at the first below, raised to the floor.  The least envelope
+    # plus np.linspace(0, -log10(tol) / 3, j2), a line that favours short
+    # series (k times its step, ending at its stop), gives the length
+    last = np.minimum(ahead[plateau.argmax(axis=1)],
+                      (env >= floor).sum(axis=1))  # j2 - 1
+    ramp = _RAMP[:int(last.max()) + 1]
+    line = ramp * (stop[:, 0] / np.maximum(last, 1))[:, np.newaxis]
+    line[np.arange(len(tols)), last] = stop[:, 0]
+    biased = np.log10(np.maximum(env[:, :len(ramp)], floor)) + line
+    biased[ramp > last[:, np.newaxis]] = np.inf
+    keeps = np.maximum(biased.argmin(axis=1), 1).tolist()
+    return [keep if hit else None for hit, keep in zip(hits, keeps)]
 
 
 @functools.cache
@@ -482,82 +501,115 @@ def _resolved(sample, items):
     bound arrays, of eps times the row's maximum on that degree's points.
 
     The points of degree N are every (64/N)-th point of degree 64, so one
-    sample at degree 64 serves degrees 16, 32 and 64; _chop tests each item
-    at each in turn, against the noise on that degree's own points, and the
-    first degree that resolves all its functions is the item's.  Past 64 the
-    items still unresolved are sampled afresh at double the degree, and one
-    unresolved at 4096 raises QuadratureError.  Only _chop runs row by row;
-    every other step rounds elementwise, so an item gets the bits it gets
-    alone.  Returns, for each item, the (coeffs, keep, noise) triple of each
+    sample at degree 64 serves degrees 16, 32 and 64.  One _standard_chop
+    (_chopped) tests the first function at each of them and the others at
+    64, and a later function is tested at 16 or 32 only where the ones
+    before it resolved there; an item's degree is the first that resolves
+    all its functions.  Past 64 the items still unresolved are sampled
+    afresh at double the degree, and one unresolved at 4096 raises
+    QuadratureError; samples that are not all finite raise OverflowError.
+    Every step rounds elementwise, so an item gets the bits it gets alone.
+    Returns, for each item, the (coeffs, keep, noise) triple of each
     function and the number of points sampled: 65 when degree 64 resolves
     it, 65 + 129 at degree 128, and so on."""
     fitted = [None] * len(items)
     pending = list(range(len(items)))
-    degree, sampled, evaluations = _FIRST_DEGREE, 0, 0
+    degrees, evaluations = _FIRST_DEGREES, 0
     while pending:
-        if degree > _MAX_DEGREE:
+        sampled = degrees[-1]
+        if sampled > _MAX_DEGREE:
             raise QuadratureError(
                 "Chebyshev series unresolved at degree %d" % _MAX_DEGREE)
-        if degree > sampled:
-            sampled = max(degree, _ONE_PASS_DEGREE)
+        with np.errstate(all="ignore"):  # refused just below
             pairs = sample(sampled, [items[i] for i in pending])
-            evaluations += sampled + 1
-            rows = list(range(len(pending)))  # pending items' rows in pairs
-        fits = [[] for _ in pending]
-        live = list(range(len(pending)))  # pending items resolved so far
-        for values, bounds in pairs:  # on the rows its forerunners resolved
-            sub = [rows[k] for k in live]
-            # a view while every row sampled is live
-            pick = (slice(None) if len(sub) == len(values) else sub,
-                    slice(None, None, sampled // degree))
-            values = values[pick]
-            noise = 0.0
-            for bound in bounds:
-                noise = noise + _EPS * bound[pick].max(axis=1)
-            coeffs = _dct1(values) / degree
-            coeffs[:, 0] *= 0.5
-            coeffs[:, -1] *= 0.5
-            tols = (noise / np.abs(values).max(axis=1)).tolist()
-            noise = noise.tolist()
-            passed = []
-            for j, (k, plateau) in enumerate(zip(live, _envelopes(coeffs))):
-                keep = _chop(plateau, tols[j])
-                if keep is not None:
-                    fits[k].append((coeffs[j], keep, noise[j]))
-                    passed.append(k)
-            live = passed
-            if not live:
-                break
-        for k in live:
-            fitted[pending[k]] = fits[k], evaluations
-        still = sorted(set(range(len(pending))) - set(live))
-        pending = [pending[k] for k in still]
-        rows = [rows[k] for k in still]
-        degree *= 2
+        if not all(np.isfinite(values).all() for values, _ in pairs):
+            raise OverflowError(
+                "Chebyshev samples of degree %d overflow a float" % sampled)
+        evaluations += sampled + 1
+        rows, functions = range(len(pending)), range(len(pairs))
+        fits = _chopped(pairs, sampled, [
+            (0, d, k) for d in degrees for k in rows] + [
+            (f, sampled, k) for f in functions[1:] for k in rows])
+        for f in functions[1:]:
+            fits.update(_chopped(pairs, sampled, [
+                (f, d, k) for d in degrees[:-1] for k in rows
+                if (f - 1, d, k) in fits]))
+        for d in degrees:
+            for k in rows:
+                if fitted[pending[k]] is None and all(
+                        (f, d, k) in fits for f in functions):
+                    fitted[pending[k]] = (
+                        [fits[f, d, k] for f in functions], evaluations)
+        pending = [i for i in pending if fitted[i] is None]
+        degrees = (2 * sampled,)
     return fitted
 
 
-def _chebint(c, scale):
-    """chebint(c, lbnd=-1) * scale of numpy.polynomial.chebyshev for a list
-    c of floats, by its recurrence, operation for operation.  Like numpy's,
-    it leaves the all-zero series (keep 1 from _chop) one term long."""
-    n = len(c)
-    if n == 1 and c[0] == 0.0:
-        return [(c[0] + 0) * scale]
-    tmp = [c[0] * 0, c[0]] + [0.0] * (n - 1)
-    if n > 1:
-        tmp[2] = c[1] / 4
-    for j in range(2, n):
-        tmp[j + 1] = c[j] / (2 * (j + 1))
-        tmp[j - 1] -= c[j] / (2 * (j - 1))
-    tmp[0] += 0 - _chebval(-1.0, tmp)
-    return [v * scale for v in tmp]
+def _chopped(pairs, sampled, series):
+    """The series named by (f, degree, k) triples, function f of row k of
+    pairs (sampled at degree sampled) on the points of degree, that
+    resolve, as {(f, degree, k): (coeffs, keep, noise)}.  Each (f, degree)
+    group is transformed on its own rows and points, and one _standard_chop
+    tests them all, zero-padded to one width."""
+    if not series:
+        return {}
+    coeffs = np.zeros((len(series), sampled + 1))
+    tols, noise, lengths = [], [], []
+    for (f, degree), group in itertools.groupby(series, lambda s: s[:2]):
+        values, bounds = pairs[f]
+        rows = [k for _, _, k in group]
+        # a view while the group takes every row
+        pick = (slice(None) if len(rows) == len(values) else rows,
+                slice(None, None, sampled // degree))
+        part = values[pick]
+        level = functools.reduce(
+            operator.add, [_EPS * bound[pick].max(axis=1) for bound in bounds])
+        block = coeffs[len(tols):len(tols) + len(rows), :degree + 1]
+        np.divide(_dct1(part), degree, out=block)
+        block[:, 0] *= 0.5
+        block[:, -1] *= 0.5
+        tols += (level / np.abs(part).max(axis=1)).tolist()
+        noise += level.tolist()
+        lengths += [degree + 1] * len(rows)
+    keeps = _standard_chop(coeffs, tols, lengths)
+    return {key: (row[:key[1] + 1], keep, level) for key, row, keep, level
+            in zip(series, coeffs, keeps, noise) if keep is not None}
+
+
+def _padded(fits):
+    """The kept coefficients of each (coeffs, keep, noise) of fits as the
+    rows of one matrix, zero-padded to the longest."""
+    if len(fits) == 1:
+        coeffs, keep, _ = fits[0]
+        return coeffs[np.newaxis, :keep]
+    matrix = np.zeros((len(fits), max(keep for _, keep, _ in fits)))
+    for row, (coeffs, keep, _) in zip(matrix, fits):
+        row[:keep] = coeffs[:keep]
+    return matrix
+
+
+def _chebint(coeffs, scale):
+    """chebint(c, lbnd=-1) * scale of numpy.polynomial.chebyshev for each
+    row c of coeffs, series zero-padded to one length, by its recurrence,
+    operation for operation.  Entry m >= 1 is c_{m-1} / 2m - c_{m+1} / 2m
+    (c_0 / 1 at m = 1, and no difference past the series), so the padding
+    adds only v - 0 and 0 / 2m, and each row gets its own bits followed by
+    zeros.  numpy leaves the all-zero series one term long; here it is a
+    row of zeros."""
+    rows, k = coeffs.shape
+    tmp = np.empty((rows, k + 1))
+    np.multiply(coeffs[:, :1], 0.0, out=tmp[:, :1])
+    np.divide(coeffs, _DIVISORS[:k], out=tmp[:, 1:])
+    tmp[:, 1:k - 1] -= coeffs[:, 2:] / _EVENS[:k - 2]
+    tmp[:, 0] += [0 - v for v in _chebvals([[-1.0] * rows], tmp)[0]]
+    return tmp * scale
 
 
 def _chebval(x, c):
-    """chebval(x, c) of numpy.polynomial.chebyshev for a list c of floats
-    and a float or an array x, by its Clenshaw recurrence, operation for
-    operation."""
+    """chebval(x, c) of numpy.polynomial.chebyshev, by its Clenshaw
+    recurrence, operation for operation, for a list c of floats and a float
+    or an array x, or for the columns c of a matrix of series and an array
+    x with an entry per series."""
     if len(c) == 1:
         return c[0] + 0 * x
     x2 = 2 * x
@@ -567,6 +619,18 @@ def _chebval(x, c):
     return c0 + c1 * x
 
 
+def _chebvals(xs, series):
+    """[[_chebval(x[r], series[r]) for each row r] for x in xs] of series,
+    a matrix of series zero-padded to one length: across its rows a column
+    at a time, bit for bit, since the padding only runs 0 - 0 and 0 + 0 x
+    before each row's own terms, or on the Python floats of a single row,
+    where NumPy's per-call cost would outweigh the arithmetic."""
+    if len(series) == 1:
+        c = series[0].tolist()
+        return [[_chebval(x[0], c)] for x in xs]
+    return _chebval(np.array(xs), series.T).tolist()
+
+
 def _sin(theta):
     """sin(theta) on [0, pi], exactly 0 at both ends and accurate near pi."""
     return np.sin(np.minimum(theta, math.pi - theta))
@@ -574,19 +638,56 @@ def _sin(theta):
 
 def _sample(degree, clss, arclength=False):
     """_resolved's functions of the half periods of clss, of one n and
-    family: dt/dtheta and, with arclength, ds/dtheta, with their bounds."""
-    band = _Band(clss)
+    family: dt/dtheta and, with arclength, ds/dtheta, with their bounds.  A
+    stack of one is sampled on its floats, which round as its columns
+    would, and cost NumPy less."""
+    band = _Band(clss, stacked=len(clss) > 1)
     theta, sin2, cos2 = _grid(degree)
     x = _radius(band, sin2, cos2)
     scale = _scale(band, x)
     terms = band.h * x ** (2 * band.n)
     rise = (band.e + terms) * scale
     bound = (abs(band.e) + terms) * scale
-    pairs = [(rise, (bound,))]
+    shape = (len(clss), degree + 1)
+    pairs = [(rise.reshape(shape), (bound.reshape(shape),))]
     if arclength:
-        speed = np.hypot(0.5 * band.width * _sin(theta), rise)
-        pairs.append((speed, (bound, speed)))
+        speed = np.hypot(0.5 * band.width * _sin(theta), rise).reshape(shape)
+        pairs.append((speed, (pairs[0][1][0], speed)))
     return pairs
+
+
+class _Stack:
+    """The half-period series of a stack of unduloids or nodoids of one n
+    and family, fitted together by _resolved: the kept coefficients of each
+    function in one zero-padded matrix, a row per classification, which
+    _chebint integrates and _chebvals evaluates across its rows."""
+
+    def __init__(self, clss, arclength=False):
+        self.clss = clss
+        fitted = _resolved(
+            functools.partial(_sample, arclength=arclength), clss)
+        self.evaluations = [evaluations for _, evaluations in fitted]
+        rises = [fits[0] for fits, _ in fitted]
+        self.keeps = [keep for _, keep, _ in rises]
+        # the dropped tail plus the rounding of w's terms, which can exceed w
+        self.errors = [math.pi * (float(np.abs(coeffs[keep:]).sum()) + noise)
+                       for coeffs, keep, noise in rises]
+        # in y = 2 theta / pi - 1, dtheta = (pi / 2) dy
+        self.heights = _chebint(_padded(rises), 0.5 * math.pi)
+        if arclength:
+            speeds = [fits[1] for fits, _ in fitted]
+            self.speed_keeps = [keep for _, keep, _ in speeds]
+            self.speeds = _padded(speeds)
+            self.arclengths = _chebint(self.speeds, 0.5 * math.pi)
+
+    @functools.cached_property
+    def ends(self):
+        """The heights (t0, t2) above x1 of x0 and of x2 of each row."""
+        thetas = ([_theta0(cls) for cls in self.clss],
+                  [math.pi] * len(self.clss))
+        return list(zip(*_chebvals(
+            [[2.0 * theta / math.pi - 1.0 for theta in row] for row in thetas],
+            self.heights)))
 
 
 class _HalfPeriod:
@@ -601,26 +702,31 @@ class _HalfPeriod:
     Practice, ch. 3, 7 and 19).  With arclength=True the same samples give
     a second series, of ds/dtheta = sqrt(r^2 sin^2(theta) + (dt/dtheta)^2),
     which integrates to S(theta), the arclength from x1; the degree then
-    grows until both are resolved.  fit is cls's item of _resolved on a
-    stack (_half_periods); without it cls is fitted as a stack of one.
+    grows until both are resolved.  The series are row `row` of a _Stack
+    (_half_periods); without one, cls is fitted as a stack of one.
     """
 
-    def __init__(self, cls, arclength=False, fit=None):
-        self.cls = cls
-        if fit is None:
-            (fit,) = _resolved(
-                functools.partial(_sample, arclength=arclength), [cls])
-        fits, self.evaluations = fit
-        coeffs, keep, noise = fits[0]
-        self.degree = keep - 1
-        # in y = 2 theta / pi - 1, dtheta = (pi / 2) dy; the error is the
-        # dropped tail plus the rounding of w's terms, which can exceed w
-        self._series = _chebint(coeffs[:keep].tolist(), 0.5 * math.pi)
-        self.error = math.pi * (float(np.sum(np.abs(coeffs[keep:]))) + noise)
-        if len(fits) > 1:
-            coeffs, keep, _ = fits[1]
-            self._speed = coeffs[:keep].tolist()
-            self._arclength = _chebint(self._speed, 0.5 * math.pi)
+    def __init__(self, cls, arclength=False, stack=None, row=0):
+        if stack is None:
+            stack = _Stack([cls], arclength)
+        self.cls, self._stack, self._row = cls, stack, row
+        self.degree = stack.keeps[row] - 1
+        self.error = stack.errors[row]
+        self.evaluations = stack.evaluations[row]
+
+    @functools.cached_property
+    def _series(self):
+        return self._stack.heights[self._row, :self.degree + 2].tolist()
+
+    @functools.cached_property
+    def _speed(self):
+        keep = self._stack.speed_keeps[self._row]
+        return self._stack.speeds[self._row, :keep].tolist()
+
+    @functools.cached_property
+    def _arclength(self):
+        keep = self._stack.speed_keeps[self._row]
+        return self._stack.arclengths[self._row, :keep + 1].tolist()
 
     @functools.cached_property
     def _band(self):
@@ -636,8 +742,7 @@ class _HalfPeriod:
 
     def heights(self):
         """Heights (t0, t2) above x1 of x0 and of x2."""
-        return (float(self.height(_theta0(self.cls))),
-                float(self.height(math.pi)))
+        return self._stack.ends[self._row]
 
     def arclength(self, theta):
         return _chebval(2.0 * theta / math.pi - 1.0, self._arclength)
@@ -668,9 +773,9 @@ def _half_periods(clss):
     for group in groups.values():
         for start in range(0, len(group), _STACK_ROWS):
             rows = group[start:start + _STACK_ROWS]
-            stack = [clss[k] for k in rows]
-            for k, cls, fit in zip(rows, stack, _resolved(_sample, stack)):
-                halves[k] = _HalfPeriod(cls, fit=fit)
+            stack = _Stack([clss[k] for k in rows])
+            for row, k in enumerate(rows):
+                halves[k] = _HalfPeriod(clss[k], stack=stack, row=row)
     return halves
 
 
@@ -708,13 +813,16 @@ def _trochoid(cls, phi):
     x2 at pi and t(phi) = (phi - epsilon sin(phi)) / (4H^2) is the height
     gained from x1.  x^2 is offset from the nearer band edge, across which
     it spans x2^2 - x1^2 = epsilon / H^2, so it stays exact.  Raises
-    OverflowError where H^2, and so 4H^2, underflows to 0."""
+    OverflowError where H^2, and so 4H^2, underflows to 0, or where the
+    span overflows."""
     h = cls.h
     if h * h == 0.0:
         raise OverflowError(f"H^2 underflows to 0 at H = {h!r}")
     epsilon = n1_epsilon(h, cls.e)
-    sin2, cos2 = np.sin(0.5 * phi) ** 2, np.cos(0.5 * phi) ** 2
     span = epsilon / (h * h)
+    if span == math.inf:
+        raise OverflowError(f"epsilon / H^2 overflows at H = {h!r}")
+    sin2, cos2 = np.sin(0.5 * phi) ** 2, np.cos(0.5 * phi) ** 2
     x = np.sqrt(np.where(sin2 <= cos2, cls.x1 ** 2 + span * sin2,
                          cls.x2 ** 2 - span * cos2))
     return x, (phi - epsilon * _sin(phi)) / (4.0 * h * h)
@@ -851,7 +959,8 @@ class _SphereArc:
 
         ((fits, _),) = _resolved(sample, [h])
         coeffs, keep, _ = fits[0]
-        self._series = _chebint(coeffs[:keep].tolist(), 0.25 * math.pi)
+        self._series = _chebint(coeffs[np.newaxis, :keep],
+                                0.25 * math.pi)[0].tolist()
         m = max(keep - 1, 1)
         phi = np.arange(m + 1) * (0.5 * math.pi / m)
         stop = 0.5 * math.pi - math.asin(h * axis_epsilon)  # x = epsilon

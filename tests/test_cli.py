@@ -181,6 +181,30 @@ def test_trace_past_underflowing_n1_h2_exits_2(h, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["trace", "--n", "1", "--h", "1e-300", "--e=-1", "--max-arclength", "5"],
+     "the profile equation overflows a float at x = "),
+    (["classify", "--n", "1", "--h", "1e-155", "--e=-1"],
+     "epsilon / H^2 overflows at H = 1e-155"),
+    (["render", "--n", "1", "--h", "1e-155", "--e=-1"],
+     "epsilon / H^2 overflows at H = 1e-155"),
+], ids=["trace-1e-300", "classify-1e-155", "render-1e-155"])
+def test_overflow_exits_2_with_the_error_line_alone(argv, cause, capsys):
+    # under the CLI's default warning filters.  The trace used to fit its
+    # arclength series on non-finite samples up to degree 4096 and print
+    # three NumPy RuntimeWarnings (square, rfft, divide) before the ODE
+    # fallback refused it; at H = 1e-155, where H^2 is subnormal, the
+    # trochoid's span epsilon / H^2 was inf and inf * 0 warned
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("error: the parameters overflow a float (")
+    assert cause in err and err.count("\n") == 1
+    assert out == ""
+
+
 def test_sweep_finishes_past_underflowing_n1_h2(capsys):
     code, out, err = run_cli(
         ["sweep", "--n", "1", "--h=1e-300:1:2", "--e=-1:0.1:2"], capsys)
@@ -1362,15 +1386,16 @@ def _seeded_axes(seed):
 def _chop_degrees(monkeypatch):
     """Record the degree at which each half-period series resolves."""
     degrees = []
-    chop = closed_forms._chop
+    chop = closed_forms._standard_chop
 
-    def spy(plateau, tol):
-        keep = chop(plateau, tol)
-        if keep is not None and plateau is not None:
-            degrees.append(len(plateau) - 1)
-        return keep
+    def spy(coeffs, tols, lengths):
+        keeps = chop(coeffs, tols, lengths)
+        degrees.extend(length - 1 for row, length, keep
+                       in zip(coeffs, lengths, keeps)
+                       if keep is not None and row.any())
+        return keeps
 
-    monkeypatch.setattr(closed_forms, "_chop", spy)
+    monkeypatch.setattr(closed_forms, "_standard_chop", spy)
     return degrees
 
 

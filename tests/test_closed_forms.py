@@ -28,6 +28,7 @@ from heisenberg_cmc.closed_forms import (
     _resolved,
     _sample,
     _SphereArc,
+    _standard_chop,
     canonical_trajectory,
     catenoid_curve,
     catenoid_generating_curve,
@@ -619,6 +620,76 @@ def _reference_chop(coeffs, tol):
     return max(int(np.argmin(biased)), 1)
 
 
+def _reference_path(coeffs, tol):
+    """How _reference_chop decides coeffs: "zero" (a row of zeros),
+    "unresolved", or, at the first j that passes, "zero-e1" (a zero
+    envelope passed it), "cut" (the floor ended the search before j2) or
+    "plateau"."""
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:
+        return "zero"
+    env = env / env[0]
+    for j in range(2, len(coeffs) + 1):
+        j2 = round(1.25 * j + 5)
+        if j2 > len(coeffs):
+            return "unresolved"
+        e1 = env[j - 1]
+        if e1 == 0.0:
+            return "zero-e1"
+        if env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            floor = tol ** (7.0 / 6.0)
+            return "cut" if np.sum(env >= floor) < j2 else "plateau"
+    return "unresolved"
+
+
+def _chop_rows(rng, n):
+    """A random series of n coefficients of one of six kinds, with its
+    tolerance: decay onto a noise plateau, pure geometric decay (its floor
+    ends the search), slow algebraic decay (never a plateau), noise, zeros
+    and a finite series followed by exact zeros."""
+    k = np.arange(n)
+    kind = int(rng.integers(6))
+    tol = 10.0 ** rng.uniform(-15.0, -4.0)
+    if kind == 0:
+        noise = 10.0 ** rng.uniform(-17.0, -6.0)
+        row = (10.0 ** (-rng.uniform(0.1, 1.5) * k)
+               + noise * rng.standard_normal(n)) * rng.choice([-1.0, 1.0], n)
+    elif kind == 1:
+        row = 10.0 ** (-rng.uniform(0.3, 2.0) * k)
+    elif kind == 2:
+        row = 1.0 / (k + 1.0) ** rng.uniform(0.5, 2.0)
+    elif kind == 3:
+        row = rng.standard_normal(n)
+    elif kind == 4:
+        row = np.zeros(n)
+    else:
+        row = rng.standard_normal(n) * 10.0 ** (-0.5 * k)
+        row[int(rng.integers(2, n - 1)):] = 0.0
+    return row, tol
+
+
+def test_standard_chop_matches_the_reference_row_by_row():
+    # stacks of series of 17 to 129 coefficients, zero-padded to one width
+    # as _resolved pads its degrees, each row against the one-row
+    # reference.  The j - 1 return after a zero envelope at j - 2 is
+    # reached only by a row of zeros: normalized, env_0 = 1, and a zero
+    # env_{j-2} past j = 2 would have passed the test at j - 1
+    rng = np.random.default_rng(26)
+    paths = set()
+    for _ in range(40):
+        lengths = rng.choice([17, 33, 65, 129], int(rng.integers(1, 40)))
+        stack = np.zeros((len(lengths), max(lengths)))
+        tols = []
+        for row, n in zip(stack, lengths):
+            row[:n], tol = _chop_rows(rng, n)
+            tols.append(tol)
+        keeps = _standard_chop(stack, tols, lengths.tolist())
+        for row, n, tol, keep in zip(stack, lengths, tols, keeps):
+            assert keep == _reference_chop(row[:n], tol), (row[:n], tol)
+            paths.add(_reference_path(row[:n], tol))
+    assert paths == {"zero", "unresolved", "zero-e1", "cut", "plateau"}
+
+
 def _reference_resolved(sample):
     """(fits, the degree that resolved them) of the doubling loop, where
     sample(y) yields (values, noise) at the Chebyshev points y."""
@@ -775,6 +846,52 @@ def test_halfperiod_heights_of_classifications():
     assert halfperiod_heights([]) == []
     with pytest.raises(ValueError, match="periodic families"):
         halfperiod_heights([clss[0], classify(2, 1.0, 0.0)])
+
+
+# (n, H, E) across both bands, H of either sign, for the stacked heights:
+# unduloids from 1e-12 E_cyl up to 1 - 1e-10 of it, nodoids from -1e-6 to
+# -1e3 E_cyl, where t1 / t2 lies in (1, 32.4] (nearer the sphere t1 - t2
+# falls below the series' rounding)
+PERIODIC_CASES = st.tuples(
+    st.integers(1, 4), st.floats(-2.0, 2.0), st.sampled_from((1.0, -1.0)),
+    st.one_of(
+        st.floats(-12.0, -0.3).map(lambda v: 10.0 ** v),
+        st.floats(-10.0, -0.3).map(lambda v: 1.0 - 10.0 ** v),
+        st.floats(-6.0, 3.0).map(lambda v: -(10.0 ** v)),
+    ),
+).map(lambda c: (c[0], c[2] * 10.0 ** c[1],
+                 c[2] * c[3] * cylinder_energy(c[0], 10.0 ** c[1])))
+
+
+@given(cases=st.lists(PERIODIC_CASES, min_size=1, max_size=12),
+       order=st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_stacked_heights_keep_the_half_period_facts(cases, order):
+    # one halfperiod_heights call over a shuffled mix of dimensions,
+    # families and signs: t2 > 0, an unduloid's inflection lies inside its
+    # half period (0 < t1 < t2), and a nodoid overshoots t2 at its vertical
+    # tangent (t1 > t2), where its curve turns back
+    clss = [classify(*case) for case in cases]
+    order.shuffle(clss)
+    for cls, (t1, t2) in zip(clss, halfperiod_heights(clss)):
+        assert t2.value > 0.0, cls
+        if cls.family is Family.UNDULOID:
+            assert 0.0 < t1.value < t2.value, cls
+        else:
+            assert cls.family is Family.NODOID
+            assert t1.value > t2.value, cls
+
+
+def test_non_finite_samples_raise_at_once():
+    # the arclength series of an n = 1 nodoid at H = 1e-300 samples x^2 =
+    # inf; it used to be fitted up to degree 4096 with three NumPy
+    # warnings on the way
+    cls = classify(1, 1e-300, -1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError, match="degree 64 overflow"):
+            _HalfPeriod(cls, arclength=True)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("h", [0.01, 0.5, 1.0, 3.0, 100.0])
