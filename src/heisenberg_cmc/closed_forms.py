@@ -502,10 +502,12 @@ def _resolved(sample, items):
 
     The points of degree N are every (64/N)-th point of degree 64, so one
     sample at degree 64 serves degrees 16, 32 and 64.  One _standard_chop
-    (_chopped) tests the first function at each of them and the others at
-    64, and a later function is tested at 16 or 32 only where the ones
-    before it resolved there; an item's degree is the first that resolves
-    all its functions.  Past 64 the items still unresolved are sampled
+    (_chopped) tests the first function at each degree a sample serves and
+    the others at the degree sampled, and a later function is tested at a
+    coarser degree only where the ones before it resolved there; an item's
+    degree is the first that resolves all its functions.  (Per call, the
+    chop costs a stack of one more than the series' own arithmetic, so the
+    functions share a call.)  Past 64 the items still unresolved are sampled
     afresh at double the degree, and one unresolved at 4096 raises
     QuadratureError; samples that are not all finite raise OverflowError.
     Every step rounds elementwise, so an item gets the bits it gets alone.
@@ -628,7 +630,7 @@ def _chebvals(xs, series):
     if len(series) == 1:
         c = series[0].tolist()
         return [[_chebval(x[0], c)] for x in xs]
-    return _chebval(np.array(xs), series.T).tolist()
+    return _chebval(np.array(xs), np.ascontiguousarray(series.T)).tolist()
 
 
 def _sin(theta):
@@ -862,8 +864,8 @@ def halfperiod_heights(*args):
             (t0, t2), error, evaluations = (half.heights(), half.error,
                                             half.evaluations)
         t1 = t0 if cls.family is Family.UNDULOID else t2 - t0
-        heights.append(tuple(QuadratureResult(t, error, evaluations)
-                             for t in (t1, t2)))
+        heights.append((QuadratureResult(t1, error, evaluations),
+                        QuadratureResult(t2, error, evaluations)))
     return heights
 
 
