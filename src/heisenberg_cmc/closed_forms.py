@@ -596,14 +596,14 @@ def _chebint(coeffs, scale):
     operation for operation.  Entry m >= 1 is c_{m-1} / 2m - c_{m+1} / 2m
     (c_0 / 1 at m = 1, and no difference past the series), so the padding
     adds only v - 0 and 0 / 2m, and each row gets its own bits followed by
-    zeros.  numpy leaves the all-zero series one term long; here it is a
-    row of zeros."""
+    zeros.  Entry 0 is c_0 * 0 + (0 - v), v the sum at -1, to which that
+    first term, +-0, adds nothing; numpy leaves the all-zero series one term
+    long, here a row of zeros."""
     rows, k = coeffs.shape
-    tmp = np.empty((rows, k + 1))
-    np.multiply(coeffs[:, :1], 0.0, out=tmp[:, :1])
+    tmp = np.zeros((rows, k + 1))
     np.divide(coeffs, _DIVISORS[:k], out=tmp[:, 1:])
     tmp[:, 1:k - 1] -= coeffs[:, 2:] / _EVENS[:k - 2]
-    tmp[:, 0] += [0 - v for v in _chebvals([[-1.0] * rows], tmp)[0]]
+    tmp[:, 0] = [0 - v for v in _chebvals([[-1.0] * rows], tmp)[0]]
     return tmp * scale
 
 
