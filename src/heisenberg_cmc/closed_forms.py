@@ -651,10 +651,11 @@ def _sample(degree, clss, arclength=False):
     rise = (band.e + terms) * scale
     bound = (abs(band.e) + terms) * scale
     shape = (len(clss), degree + 1)
-    pairs = [(rise.reshape(shape), (bound.reshape(shape),))]
+    rise, bound = rise.reshape(shape), bound.reshape(shape)
+    pairs = [(rise, (bound,))]
     if arclength:
-        speed = np.hypot(0.5 * band.width * _sin(theta), rise).reshape(shape)
-        pairs.append((speed, (pairs[0][1][0], speed)))
+        speed = np.hypot(0.5 * band.width * _sin(theta), rise)
+        pairs.append((speed, (bound, speed)))
     return pairs
 
 
