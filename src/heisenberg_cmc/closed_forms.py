@@ -502,14 +502,13 @@ def _resolved(sample, items):
 
     The points of degree N are every (64/N)-th point of degree 64, so one
     sample at degree 64 serves degrees 16, 32 and 64.  One _standard_chop
-    (_chopped) tests the first function at each degree a sample serves and
-    the others at the degree sampled, and a later function is tested at a
-    coarser degree only where the ones before it resolved there; an item's
-    degree is the first that resolves all its functions.  (Per call, the
-    chop costs a stack of one more than the series' own arithmetic, so the
-    functions share a call.)  Past 64 the items still unresolved are sampled
-    afresh at double the degree, and one unresolved at 4096 raises
-    QuadratureError; samples that are not all finite raise OverflowError.
+    (_chopped) tests every function of every item at each degree a sample
+    serves, and an item's degree is the first that resolves all its
+    functions.  (Per call, the chop costs a stack of one more than the
+    series' own arithmetic, so they share a call.)  Past 64 the items still
+    unresolved are sampled afresh at double the degree, and one unresolved
+    at 4096 raises QuadratureError; samples that are not all finite raise
+    OverflowError.
     Every step rounds elementwise, so an item gets the bits it gets alone.
     Returns, for each item, the (coeffs, keep, noise) triple of each
     function and the number of points sampled: 65 when degree 64 resolves
@@ -530,12 +529,7 @@ def _resolved(sample, items):
         evaluations += sampled + 1
         rows, functions = range(len(pending)), range(len(pairs))
         fits = _chopped(pairs, sampled, [
-            (0, d, k) for d in degrees for k in rows] + [
-            (f, sampled, k) for f in functions[1:] for k in rows])
-        for f in functions[1:]:
-            fits.update(_chopped(pairs, sampled, [
-                (f, d, k) for d in degrees[:-1] for k in rows
-                if (f - 1, d, k) in fits]))
+            (f, d, k) for f in functions for d in degrees for k in rows])
         for d in degrees:
             for k in rows:
                 if fitted[pending[k]] is None and all(
@@ -581,9 +575,6 @@ def _chopped(pairs, sampled, series):
 def _padded(fits):
     """The kept coefficients of each (coeffs, keep, noise) of fits as the
     rows of one matrix, zero-padded to the longest."""
-    if len(fits) == 1:
-        coeffs, keep, _ = fits[0]
-        return coeffs[np.newaxis, :keep]
     matrix = np.zeros((len(fits), max(keep for _, keep, _ in fits)))
     for row, (coeffs, keep, _) in zip(matrix, fits):
         row[:keep] = coeffs[:keep]
@@ -961,9 +952,8 @@ class _SphereArc:
             return [(speed, (speed,))]
 
         ((fits, _),) = _resolved(sample, [h])
-        coeffs, keep, _ = fits[0]
-        self._series = _chebint(coeffs[np.newaxis, :keep],
-                                0.25 * math.pi)[0].tolist()
+        keep = fits[0][1]
+        self._series = _chebint(_padded(fits), 0.25 * math.pi)[0].tolist()
         m = max(keep - 1, 1)
         phi = np.arange(m + 1) * (0.5 * math.pi / m)
         stop = 0.5 * math.pi - math.asin(h * axis_epsilon)  # x = epsilon

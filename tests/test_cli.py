@@ -1384,18 +1384,17 @@ def _seeded_axes(seed):
 
 
 def _chop_degrees(monkeypatch):
-    """Record the degree at which each half-period series resolves."""
+    """Record the degree at which each half-period series resolves: its
+    first function's coefficients are degree + 1 long."""
     degrees = []
-    chop = closed_forms._standard_chop
+    resolved = closed_forms._resolved
 
-    def spy(coeffs, tols, lengths):
-        keeps = chop(coeffs, tols, lengths)
-        degrees.extend(length - 1 for row, length, keep
-                       in zip(coeffs, lengths, keeps)
-                       if keep is not None and row.any())
-        return keeps
+    def spy(sample, items):
+        fitted = resolved(sample, items)
+        degrees.extend(len(fits[0][0]) - 1 for fits, _ in fitted)
+        return fitted
 
-    monkeypatch.setattr(closed_forms, "_standard_chop", spy)
+    monkeypatch.setattr(closed_forms, "_resolved", spy)
     return degrees
 
 
