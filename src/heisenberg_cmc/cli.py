@@ -15,6 +15,7 @@ import contextlib
 import csv
 import functools
 import json
+import logging
 import math
 import os
 import sys
@@ -50,6 +51,8 @@ from .verify import SUITES, run_suite
 
 __all__ = ["main", "canonical_trace", "run_report", "sweep_rows",
            "SWEEP_COLUMNS"]
+
+_LOG = logging.getLogger("heisenberg_cmc")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,18 +218,26 @@ def canonical_trace(n, h, e, config):
     """The trace of the canonical (n, H, E) start: spheres, cylinders,
     unduloids and nodoids from closed forms, the other families, and any
     series that needs a degree above closed_forms' cap or overflows a float,
-    from integrate."""
+    from integrate; that fallback is logged at INFO."""
     cls = classify(n, h, e)
     if cls.family in _CLOSED_FORM:
         try:
             return canonical_trajectory(cls, config)
-        except (QuadratureError, OverflowError):
-            pass
+        except (QuadratureError, OverflowError) as exc:
+            _LOG.info("n = %d, H = %r, E = %r: tracing by the ODE, the "
+                      "closed forms failed (%s: %s)", n, h, e,
+                      type(exc).__name__, exc)
     return integrate(n, h, e=e, config=config)
 
 
 def cmd_trace(args):
-    stop = (args.stop_event, args.stop_count) if args.stop_event else None
+    if args.stop_event is None:
+        if args.stop_count is not None:
+            args.usage_error("--stop-count needs --stop-event")
+        stop = None
+    else:
+        stop = (args.stop_event, 1 if args.stop_count is None
+                else args.stop_count)
     config = SolveConfig(max_arclength=args.max_arclength, stop_event=stop)
     explicit = [v is not None for v in (args.x0, args.t0, args.sigma0)]
     if any(explicit):
@@ -495,14 +506,16 @@ def build_parser():
         choices=[kind.value for kind in EventKind],
         help="stop at the k-th occurrence of this event",
     )
-    p.add_argument("--stop-count", type=int, default=1)
+    p.add_argument("--stop-count", type=int,
+                   help="which occurrence of --stop-event ends the trace "
+                        "(default 1)")
     p.add_argument(
         "--reflect", type=int, default=0, metavar="K",
         help="extend by K mirror reflections at a critical radius",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func=cmd_trace, usage_error=p.error)
 
     p = sub.add_parser("render", help="draw generating curves as SVG")
     p.add_argument(

@@ -4,9 +4,17 @@ Each suite runs a battery of numeric checks against independent references
 (closed forms, conserved quantities, cross-validated pipelines) and reports
 them in a machine-readable structure.  Checks trap exceptions, so a broken
 build fails its checks instead of crashing the runner.
+
+On a host with two or more usable CPUs, "all" forks one worker for the
+curvature, classification and measures suites while the caller runs energy
+and closed-forms; every suite draws from its own generator, so the report is
+the serial one, byte for byte.
 """
 
+import logging
 import math
+import os
+import pickle
 
 import numpy as np
 
@@ -478,16 +486,83 @@ _SUITE_BODIES = {
 }
 
 
+# the suites a forked worker runs for "all"; closed-forms reads the solves
+# that energy leaves, so those two stay in the caller's process
+_FORKED = ("curvature", "classification", "measures")
+
+_LOG = logging.getLogger("heisenberg_cmc")
+
+
+def _usable_cpus():
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _run_suites(names, seed):
+    """{suite: its checks} for names, run one after another."""
+    found = {}
+    solved = {}  # (n, e) -> events of the energy grid's solve at H = _TRACE_H
+    for suite_name in names:
+        found[suite_name] = []
+        _SUITE_BODIES[suite_name](found[suite_name],
+                                  np.random.default_rng(seed), solved)
+    return found
+
+
+def _fell_back(exc):
+    _LOG.info("verify worker delivered nothing (%s: %s); running %s in this "
+              "process", type(exc).__name__, exc, ", ".join(_FORKED))
+
+
+def _run_forked(names, seed):
+    """_run_suites(names, seed), with the _FORKED suites in a forked worker
+    that pickles its checks down a pipe; if the worker delivers nothing,
+    they run here after the others."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read)
+        os.close(write)
+        _fell_back(exc)
+        return _run_suites(names, seed)
+    if pid == 0:  # the worker never returns into the caller
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(_run_suites(_FORKED, seed), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            found = _run_suites([s for s in names if s not in _FORKED], seed)
+            payload = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        if code != 0:
+            raise ChildProcessError(f"exit code {code}")
+        found.update(pickle.loads(payload))
+    except Exception as exc:  # noqa: BLE001 - any failure means run them here
+        _fell_back(exc)
+        found.update(_run_suites(_FORKED, seed))
+    return found
+
+
 def run_suite(name, seed=0):
     """Run one verification suite (or "all"); returns the report dict."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     names = [s for s in SUITES if s != "all"] if name == "all" else [name]
-    checks = []
-    solved = {}  # (n, e) -> events of the energy grid's solve at H = _TRACE_H
-    for suite_name in names:
-        rng = np.random.default_rng(seed)
-        _SUITE_BODIES[suite_name](checks, rng, solved)
+    run = _run_forked if name == "all" and _usable_cpus() >= 2 else _run_suites
+    found = run(names, seed)
+    checks = [c for suite_name in names for c in found[suite_name]]
     return {
         "suite": name,
         "seed": int(seed),

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import logging
 import math
 import re
 import warnings
@@ -567,6 +568,48 @@ def test_trace_critical_radius_gaps_are_halfperiod(tmp_path, capsys):
     t2 = halfperiod_heights(2, 0.75, -0.25)[1].value
     assert len(heights) > 10
     assert np.max(np.abs(np.abs(np.diff(heights)) - t2)) <= 1e-8
+
+
+def test_trace_stop_count_needs_stop_event(capsys):
+    # a count alone used to be dropped, and the trace ran to --max-arclength
+    argv = ["trace", "--n", "1", "--h", "1", "--e", "-0.1"]
+    code, out, err = run_cli([*argv, "--stop-count", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--stop-count needs --stop-event" in err
+    # an event alone stops at its first occurrence
+    code, alone, _ = run_cli([*argv, "--stop-event", "CriticalRadius"], capsys)
+    assert code == 0
+    code, first, _ = run_cli([*argv, "--stop-event", "CriticalRadius",
+                              "--stop-count", "1"], capsys)
+    assert code == 0
+    assert alone == first
+    _, rows = _csv_rows(alone)
+    traj = pode.integrate(1, 1.0, e=-0.1, config=pode.SolveConfig(
+        stop_event=(pode.EventKind.CRITICAL_RADIUS, 1)))
+    assert rows[-1][0] == pytest.approx(traj.s_end, abs=1e-6)
+    assert traj.s_end < 50.0
+
+
+def test_trace_fallback_to_the_ode_is_logged(monkeypatch, caplog, capsys):
+    def fail(cls, config):
+        raise QuadratureError("series unresolved at degree 4096")
+
+    monkeypatch.setattr(cli, "canonical_trajectory", fail)
+    config = pode.SolveConfig(max_arclength=2.0)
+    with caplog.at_level(logging.INFO, logger="heisenberg_cmc"):
+        traj = cli.canonical_trace(1, 1.0, 0.1, config)
+    assert traj.s_end == 2.0
+    assert [rec.levelno for rec in caplog.records] == [logging.INFO]
+    message = caplog.records[0].getMessage()
+    assert message.startswith("n = 1, H = 1.0, E = 0.1: tracing by the ODE")
+    assert "QuadratureError: series unresolved at degree 4096" in message
+    # stderr stays clean unless INFO is enabled
+    caplog.clear()
+    code, _, err = run_cli(["trace", "--n", "1", "--h", "1", "--e", "0.1",
+                            "--max-arclength", "2"], capsys)
+    assert code == 0
+    assert err == ""
 
 
 def test_trace_reflect_after_stop_count(tmp_path, capsys):
@@ -1165,9 +1208,12 @@ def test_verify_closed_form_trace_check(monkeypatch):
     assert failed["error"] > 1e-6
 
 
-def test_verify_all_reuses_the_grid_solves(monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
+def test_verify_all_reuses_the_grid_solves(cpus, monkeypatch):
     # closed-form-trace-vs-ode takes its nine ODE references from the energy
-    # grid when the energy suite ran first, and solves them when it did not
+    # grid when the energy suite ran first, and solves them when it did not;
+    # with two CPUs the measures suite's solve runs in the forked worker,
+    # where this process does not count it
     calls = []
     orig = verify.integrate
 
@@ -1176,13 +1222,15 @@ def test_verify_all_reuses_the_grid_solves(monkeypatch):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(verify, "integrate", counted)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
     counts = {}
     for suite in ("energy", "closed-forms", "measures", "all"):
         calls.clear()
         assert verify.run_suite(suite)["passed"]
         counts[suite] = len(calls)
+    here = counts["measures"] if cpus == 1 else 0
     assert counts["all"] == (counts["energy"] + counts["closed-forms"]
-                             + counts["measures"] - 9)
+                             + here - 9)
 
 
 def _sphere_grid(n, limit):
