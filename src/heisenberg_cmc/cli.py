@@ -231,13 +231,10 @@ def canonical_trace(n, h, e, config):
 
 
 def cmd_trace(args):
-    if args.stop_event is None:
-        if args.stop_count is not None:
-            args.usage_error("--stop-count needs --stop-event")
-        stop = None
-    else:
-        stop = (args.stop_event, 1 if args.stop_count is None
-                else args.stop_count)
+    if args.stop_count is not None and args.stop_event is None:
+        args.usage_error("--stop-count needs --stop-event")
+    count = 1 if args.stop_count is None else args.stop_count
+    stop = (args.stop_event, count) if args.stop_event else None
     config = SolveConfig(max_arclength=args.max_arclength, stop_event=stop)
     explicit = [v is not None for v in (args.x0, args.t0, args.sigma0)]
     if any(explicit):

@@ -11,14 +11,10 @@ import pytest
 import heisenberg_cmc.verify as verify
 
 
-def _text(report):
-    return json.dumps(report)
-
-
 def _serial(seed, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_usable_cpus", lambda: 1)
-        return _text(verify.run_suite("all", seed))
+        return json.dumps(verify.run_suite("all", seed))
 
 
 def _counted_forks(monkeypatch):
@@ -40,9 +36,8 @@ def test_forked_all_is_the_serial_report(seed, monkeypatch):
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     forked = verify.run_suite("all", seed)
     assert forks == [os.getpid()]
-    assert _text(forked) == serial
+    assert json.dumps(forked) == serial
     assert forked["passed"]
-    assert [c["name"] for c in forked["checks"]][-1] == "first-variation-sphere"
 
 
 def test_single_suites_and_one_cpu_never_fork(monkeypatch):
@@ -50,7 +45,7 @@ def test_single_suites_and_one_cpu_never_fork(monkeypatch):
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", refuse)
-    for suite in ("closed-forms", "curvature", "classification", "measures"):
+    for suite in verify.SUITES[:-1]:
         assert verify.run_suite(suite, 1)["passed"], suite
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     assert verify.run_suite("curvature", 1)["passed"]
@@ -103,7 +98,7 @@ def test_a_dead_worker_leaves_the_serial_report(die, cause, monkeypatch,
     with caplog.at_level(logging.INFO, logger="heisenberg_cmc"):
         report = verify.run_suite("all", 2)
     assert forks == [parent]
-    assert _text(report) == serial
+    assert json.dumps(report) == serial
     fallbacks = [rec.getMessage() for rec in caplog.records
                  if rec.module == "verify"]
     assert len(fallbacks) == 1
@@ -123,9 +118,9 @@ def test_a_failed_fork_leaves_the_serial_report(monkeypatch, caplog):
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     with caplog.at_level(logging.INFO, logger="heisenberg_cmc"):
-        assert _text(verify.run_suite("all", 4)) == serial
+        assert json.dumps(verify.run_suite("all", 4)) == serial
     assert [rec.getMessage() for rec in caplog.records
             if rec.module == "verify"] == [
-        "verify worker delivered nothing (BlockingIOError: [Errno 11] "
-        "Resource temporarily unavailable); running curvature, "
-        "classification, measures in this process"]
+        f"verify worker delivered nothing (BlockingIOError: [Errno "
+        f"{errno.EAGAIN}] Resource temporarily unavailable); running "
+        "curvature, classification, measures in this process"]
