@@ -1,6 +1,6 @@
 """Run classify, trace, sweep and verify through the installed package and
-fail if any SciPy module was imported in this process.  Run it from outside the checkout so
-that the installed package, not ./src, is imported."""
+fail if any SciPy module was imported in this process.  Run it from outside
+the checkout so that the installed package, not ./src, is imported."""
 
 import sys
 
