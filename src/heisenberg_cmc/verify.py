@@ -5,16 +5,17 @@ Each suite runs a battery of numeric checks against independent references
 them in a machine-readable structure.  Checks trap exceptions, so a broken
 build fails its checks instead of crashing the runner.
 
-On a host with two or more usable CPUs, "all" forks one worker for the
-curvature, classification and measures suites while the caller runs energy
-and closed-forms; every suite draws from its own generator, so the report is
-the serial one, byte for byte.
+On a host with two or more usable CPUs, and while the caller runs no other
+Python thread, "all" forks one worker for the curvature, classification and
+measures suites while the caller runs energy and closed-forms; every suite
+draws from its own generator, so the report is the serial one, byte for byte.
 """
 
 import logging
 import math
 import os
 import pickle
+import threading
 
 import numpy as np
 
@@ -517,10 +518,22 @@ def _fell_back(exc):
               "process", type(exc).__name__, exc, ", ".join(_FORKED))
 
 
+def _reap(pid):
+    """The worker's exit code; None if it was reaped elsewhere (a caller
+    that ignores SIGCHLD)."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:
+        return None
+
+
 def _run_forked(names, seed):
     """_run_suites(names, seed), with the _FORKED suites in a forked worker
     that pickles its checks down a pipe; if the worker delivers nothing,
-    they run here after the others."""
+    they run here after the others.  The read has no timeout: a worker that
+    hangs blocks the caller, which is why run_suite forks only while this
+    is the process's one Python thread (no lock held by another thread can
+    be copied into the worker)."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -544,10 +557,11 @@ def _run_forked(names, seed):
             found = _run_suites([s for s in names if s not in _FORKED], seed)
             payload = pipe.read()
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        code = _reap(pid)
     try:
         if code != 0:
-            raise ChildProcessError(f"exit code {code}")
+            raise ChildProcessError(
+                "reaped elsewhere" if code is None else f"exit code {code}")
         found.update(pickle.loads(payload))
     except Exception as exc:  # noqa: BLE001 - any failure means run them here
         _fell_back(exc)
@@ -560,7 +574,9 @@ def run_suite(name, seed=0):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     names = [s for s in SUITES if s != "all"] if name == "all" else [name]
-    run = _run_forked if name == "all" and _usable_cpus() >= 2 else _run_suites
+    forks = (name == "all" and _usable_cpus() >= 2
+             and threading.active_count() == 1)
+    run = _run_forked if forks else _run_suites
     found = run(names, seed)
     checks = [c for suite_name in names for c in found[suite_name]]
     return {

@@ -66,5 +66,10 @@ def test_solving_commands_load_no_scipy(tmp_path):
          "--max-arclength", "2", "--out", "explicit.csv"],
         ["render", "--n", "2", "--h", "0", "--e", "0.5", "--out", "cat.svg"],
         ["verify", "all", "--out", "verify.txt"],
+        # on two CPUs, all runs these three in a forked worker, whose
+        # imports never reach this process's sys.modules
+        ["verify", "curvature", "--out", "curvature.txt"],
+        ["verify", "classification", "--out", "classification.txt"],
+        ["verify", "measures", "--out", "measures.txt"],
     ]
     assert _scipy_modules_after(argvs, tmp_path) == []

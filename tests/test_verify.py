@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import signal
+import threading
 
 import pytest
 
@@ -51,6 +52,22 @@ def test_single_suites_and_one_cpu_never_fork(monkeypatch):
     assert verify.run_suite("curvature", 1)["passed"]
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
     assert verify.run_suite("all", 1)["passed"]
+
+
+def test_a_second_thread_keeps_all_serial(monkeypatch):
+    def refuse():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert verify.run_suite("all", 1)["passed"]
+    finally:
+        release.set()
+        waiter.join()
 
 
 def test_the_gate_counts_usable_cpus(monkeypatch):
@@ -124,3 +141,21 @@ def test_a_failed_fork_leaves_the_serial_report(monkeypatch, caplog):
         f"verify worker delivered nothing (BlockingIOError: [Errno "
         f"{errno.EAGAIN}] Resource temporarily unavailable); running "
         "curvature, classification, measures in this process"]
+
+
+def test_an_ignored_sigchld_leaves_the_serial_report(monkeypatch, caplog):
+    # the kernel reaps the worker itself, so waitpid finds no child
+    serial = _serial(1, monkeypatch)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with caplog.at_level(logging.INFO, logger="heisenberg_cmc"):
+            report = verify.run_suite("all", 1)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert json.dumps(report) == serial
+    assert [rec.getMessage() for rec in caplog.records
+            if rec.module == "verify"] == [
+        "verify worker delivered nothing (ChildProcessError: reaped "
+        "elsewhere); running curvature, classification, measures in this "
+        "process"]
