@@ -16,9 +16,11 @@ import csv
 import functools
 import json
 import logging
-import math
 import os
 import sys
+
+import numpy as np
+import orjson
 
 from .classify import Classification, Family, classify, cylinder_energy
 from .closed_forms import (
@@ -195,8 +197,17 @@ def _print_report(report, stream):
         print(f"note: {note}", file=stream)
 
 
+def _text(arg):
+    """A command-line argument as valid Unicode, which JSON text must be: a
+    byte that is not UTF-8 reaches argv as a lone surrogate and is spelled
+    \\xNN here."""
+    return arg.encode("utf-8", "surrogateescape").decode("utf-8",
+                                                         "backslashreplace")
+
+
 def cmd_classify(args):
-    report = run_report(args.raw_argv, args.n, args.h, args.e)
+    command = [_text(arg) for arg in args.raw_argv]
+    report = run_report(command, args.n, args.h, args.e)
     with _out_stream(args.out) as stream:
         if args.json:
             _write_json(report, stream)
@@ -261,7 +272,8 @@ def cmd_trace(args):
 
 
 def _load_trace(path):
-    """Polyline and default title from a saved trace, JSON or CSV."""
+    """Polyline, as a (k, 2) array, and default title from a saved trace,
+    JSON or CSV."""
     with open(path, "r", encoding="utf-8") as handle:
         head = handle.read(1)
         handle.seek(0)
@@ -273,7 +285,7 @@ def _load_trace(path):
             if not all(isinstance(row, list) and len(row) >= 3
                        for row in samples):
                 raise ValueError(f"{path}: trace samples need s, x, t")
-            polyline = [(row[1], row[2]) for row in samples]
+            polyline = [row[1:3] for row in samples]
             try:
                 title = f"trace (n = {doc['n']}, H = {doc['h']:.6g})"
             except (KeyError, TypeError, ValueError):
@@ -287,19 +299,25 @@ def _load_trace(path):
             if not polyline:
                 raise ValueError(f"{path}: no samples in trace")
             title = f"trace ({os.path.basename(path)})"
-    # one NaN or infinity would turn every vertex of the drawing into NaN
-    if not all(isinstance(v, (int, float)) and math.isfinite(v)
-               for point in polyline for v in point):
+    # without a dtype NumPy keeps a string or null sample as a string or
+    # object array, where dtype=float would parse "1.5"; one NaN or infinity
+    # would turn every vertex of the drawing into NaN
+    try:
+        xy = np.array(polyline)
+    except ValueError:  # nested lists of unequal length
+        xy = None
+    if (xy is None or xy.ndim != 2 or xy.dtype.kind not in "biuf"
+            or not np.isfinite(xy).all()):
         raise ValueError(f"{path}: trace samples must be finite numbers")
-    return polyline, title
+    return xy, title
 
 
 def cmd_render(args):
     if args.panel:
         document = render_gallery(args.n)
     elif args.trace:
-        polyline, title = _load_trace(args.trace)
-        document = render_panel([polyline], title)
+        xy, title = _load_trace(args.trace)
+        document = render_panel([xy], title)
     else:
         if args.h is None or args.e is None:
             raise ValueError("pass --panel all, --trace FILE, or --h and --e")
@@ -458,10 +476,11 @@ def cmd_sweep(args):
 
 
 def _write_json(doc, stream):
-    """doc as one compact JSON line; without indent, json.dumps runs
-    CPython's C encoder."""
-    stream.write(json.dumps(doc))
-    stream.write("\n")
+    """doc as one compact JSON line, written by orjson: no spaces after ':'
+    and ',', the shortest digits that read back to the same float, exponents
+    spelled 1e16 and 0.00001 where json.dumps wrote 1e+16 and 1e-05, and
+    null for a NaN or an infinity, which are not JSON."""
+    stream.write(orjson.dumps(doc, option=orjson.OPT_APPEND_NEWLINE).decode())
 
 
 def _out_stream(path):

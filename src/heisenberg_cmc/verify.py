@@ -570,9 +570,13 @@ def _run_forked(names, seed):
 
 
 def run_suite(name, seed=0):
-    """Run one verification suite (or "all"); returns the report dict."""
+    """Run one verification suite (or "all"); returns the report dict.  The
+    seed is an integer in [0, 2^64), the range NumPy's generators take and a
+    JSON writer can hold."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"the seed must be in [0, 2^64), got {seed}")
     names = [s for s in SUITES if s != "all"] if name == "all" else [name]
     forks = (name == "all" and _usable_cpus() >= 2
              and threading.active_count() == 1)

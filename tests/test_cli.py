@@ -6,6 +6,8 @@ import json
 import logging
 import math
 import re
+import struct
+import sys
 import warnings
 from importlib import resources
 
@@ -47,6 +49,14 @@ def run_cli(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_loads(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +314,17 @@ def test_classify_report_schema(capsys):
         code, out, _ = run_cli(argv + ["--json"], capsys)
         assert code == 0
         jsonschema.validate(json.loads(out), schema)
+
+
+def test_classify_report_spells_non_utf8_argv(tmp_path, capsys):
+    # a path byte that is not UTF-8 reaches argv as a lone surrogate
+    out = str(tmp_path / "\udcff.json")
+    code, _, err = run_cli(["classify", "--n", "1", "--h", "1", "--e", "0",
+                            "--json", "--out", out], capsys)
+    assert code == 0, err
+    with open(out, encoding="utf-8") as handle:
+        doc = _strict_loads(handle.read())
+    assert doc["command"][-1] == out.replace("\udcff", "\\xff")
 
 
 def test_classify_report_content():
@@ -983,6 +1004,14 @@ def test_trace_json_is_one_line_of_exact_samples(case, capsys):
     assert samples.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("case", sorted(EXPORT_CASES))
+def test_trace_json_is_the_in_process_document(case, capsys):
+    argv, solve = EXPORT_CASES[case]
+    code, out, err = run_cli(["trace", *argv, "--format", "json"], capsys)
+    assert code == 0, err
+    assert _strict_loads(out) == pode.trajectory_to_json(solve())
+
+
 def _per_sample_csv(traj):
     """trajectory_to_csv as it formatted one zipped sample at a time."""
     buffer = io.StringIO(newline="")
@@ -1151,6 +1180,8 @@ def test_render_trace_rejects_malformed_file(tmp_path, capsys):
         ("null.json", '{"n": 1, "h": 1, "samples": [[0, null, 1], [1, 2, 3]]}'),
         ("nan.json", '{"n": 1, "h": 1, "samples": [[0, NaN, 1], [1, 2, 3]]}'),
         ("nan.csv", "s,x,t\n0,nan,1\n1,2,3\n"),
+        # NumPy's dtype=float would parse "1.5"; a sample must be a number
+        ("str.json", '{"n": 1, "h": 1, "samples": [[0, "1.5", 1], [1, 2, 3]]}'),
     ]:
         bad = tmp_path / name
         bad.write_text(text, encoding="utf-8")
@@ -1158,6 +1189,17 @@ def test_render_trace_rejects_malformed_file(tmp_path, capsys):
         assert code == 2, name
         assert "samples must be finite numbers" in err
         assert out == ""
+
+
+def test_render_trace_reads_x_and_t_of_rows_of_any_length(tmp_path, capsys):
+    trace_file = tmp_path / "rows.json"
+    trace_file.write_text(
+        '{"n": 1, "h": 1, "samples": [[0, 1, 2], [1, 2, 3, 4, 5], '
+        '[2, 3.5, 1, 0]]}', encoding="utf-8")
+    code, out, err = run_cli(["render", "--trace", str(trace_file)], capsys)
+    assert code == 0, err
+    assert out == render.render_panel([[(1, 2), (2, 3), (3.5, 1)]],
+                                      "trace (n = 1, H = 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -1172,6 +1214,36 @@ def test_verify_json_schema(capsys):
     jsonschema.validate(doc, _schema("verify"))
     assert doc["passed"] is True
     assert doc["seed"] == 7
+
+
+def test_verify_seed_is_bounded_to_64_bits(capsys):
+    # NumPy takes any seed >= 0, the JSON writer integers below 2^64
+    last = 2 ** 64 - 1
+    code, out, err = run_cli(
+        ["verify", "classification", "--json", f"--seed={last}"], capsys)
+    assert code == 0, err
+    assert _strict_loads(out)["seed"] == last
+    for seed in (2 ** 64, -1):
+        code, out, err = run_cli(
+            ["verify", "classification", "--json", f"--seed={seed}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the seed must be in [0, 2^64), got {seed}\n"
+
+
+def test_verify_writes_a_nan_error_as_null(monkeypatch, capsys):
+    def nan_check(checks, rng, solved):
+        verify._check(checks, "nan-check", math.nan, 1e-9)
+
+    monkeypatch.setitem(verify._SUITE_BODIES, "classification", nan_check)
+    code, out, err = run_cli(["verify", "classification", "--json"], capsys)
+    assert code == 3, err
+    doc = _strict_loads(out)
+    jsonschema.validate(doc, _schema("verify"))
+    assert doc["checks"] == [{"name": "nan-check", "passed": False,
+                              "error": None, "tolerance": 1e-9,
+                              "detail": ""}]
+    assert doc["passed"] is False
 
 
 def test_verify_human_output(capsys):
@@ -1494,3 +1566,36 @@ def test_sweep_classifies_each_grid_point_once(monkeypatch, capsys):
     grid = [(n, h, e) for n in (1, 2, 3) for h in cli._axis("-1:2:4")
             for e in cli._axis("-0.5:0.25:7")]
     assert calls == grid
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1e-5, 1e16, 1e22, sys.float_info.max,
+                -sys.float_info.max)
+
+
+def test_write_json_spelling():
+    stream = io.StringIO()
+    cli._write_json({"a": [1e16, 1e-5, -0.0, 2], "b": None}, stream)
+    assert stream.getvalue() == '{"a":[1e16,0.00001,-0.0,2],"b":null}\n'
+
+
+@given(floats=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                                 st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+                       max_size=16),
+       ints=st.lists(st.integers(-2 ** 63, 2 ** 64 - 1), max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_write_json_round_trips_floats_and_ints(floats, ints):
+    stream = io.StringIO()
+    cli._write_json({"floats": floats, "ints": ints}, stream)
+    text = stream.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1
+    doc = _strict_loads(text)
+    assert all(type(v) is float for v in doc["floats"])
+    packed = f"<{len(floats)}d"
+    assert struct.pack(packed, *doc["floats"]) == struct.pack(packed, *floats)
+    assert all(type(v) is int for v in doc["ints"])
+    assert doc["ints"] == ints

@@ -41,8 +41,11 @@ def test_reports_load_no_scipy(tmp_path):
         ["classify", "--n", "1", "--h", "1", "--e", "0.25"],    # cylinder
         ["classify", "--n", "2", "--h", "1", "--e", "0.05"],    # unduloid
         ["classify", "--n", "3", "--h", "0.5", "--e=-0.1"],     # nodoid
+        ["classify", "--n", "3", "--h", "0.5", "--e=-0.1", "--json"],
         ["sweep", "--n", "1,2", "--h=-0.5:0.5:3", "--e=-0.25:0.25:3",
          "--out", "sweep.csv"],
+        ["sweep", "--n", "1,2", "--h=-0.5:0.5:3", "--e=-0.25:0.25:3",
+         "--format", "json", "--out", "sweep.json"],
         ["render", "--panel", "all", "--n", "1", "--out", "panel.svg"],
     ]
     assert _scipy_modules_after(argvs, tmp_path) == []
@@ -54,6 +57,9 @@ def test_closed_form_traces_load_no_scipy(tmp_path):
          "--stop-event", "AxisContact", "--out", "sphere.csv"],
         ["trace", "--n", "2", "--h", "1", "--e", "0.05",
          "--max-arclength", "5", "--out", "unduloid.csv"],
+        ["trace", "--n", "2", "--h", "1", "--e", "0.05",
+         "--max-arclength", "5", "--format", "json", "--out", "trace.json"],
+        ["render", "--trace", "trace.json", "--out", "trace.svg"],
     ]
     assert _scipy_modules_after(argvs, tmp_path) == []
 
