@@ -478,8 +478,8 @@ def cmd_sweep(args):
 def _write_json(doc, stream):
     """doc as one compact JSON line, written by orjson: no spaces after ':'
     and ',', the shortest digits that read back to the same float, exponents
-    spelled 1e16 and 0.00001 where json.dumps wrote 1e+16 and 1e-05, and
-    null for a NaN or an infinity, which are not JSON."""
+    spelled 1e16 and 0.00001, and null for a NaN or an infinity, which are
+    not JSON."""
     stream.write(orjson.dumps(doc, option=orjson.OPT_APPEND_NEWLINE).decode())
 
 

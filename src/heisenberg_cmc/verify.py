@@ -571,8 +571,8 @@ def _run_forked(names, seed):
 
 def run_suite(name, seed=0):
     """Run one verification suite (or "all"); returns the report dict.  The
-    seed is an integer in [0, 2^64), the range NumPy's generators take and a
-    JSON writer can hold."""
+    seed is an integer in [0, 2^64): NumPy's generators refuse a negative
+    seed, and the JSON writer holds no larger integer."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if not 0 <= seed < 2 ** 64:
