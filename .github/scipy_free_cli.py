@@ -31,8 +31,15 @@ assert main(["classify", "--n", "2", "--h", "1", "--e", "0.1", "--json",
 for neck in (["--n", "3", "--h", "10", "--e", "1e-50"],
              ["--n", "4", "--h", "1", "--e", "1e-15"],
              ["--n", "2", "--h", "1", "--e", "1e-45"],
-             ["--n", "3", "--h", "1", "--e=-1e-75"]):
+             ["--n", "3", "--h", "1", "--e=-1e-75"],
+             ["--n", "1", "--h", "1e-20", "--e", "1"],
+             ["--n", "1", "--h=-2.15e-57", "--e=-677.6"]):
     assert main(["classify", *neck]) == 0, neck
+# -E / H overflows a float, and so does the report's H^2: exit 2; x1 is 0.0
+# at this H, which leaves the inflection search no sign change: exit 3
+assert main(["classify", "--n", "1", "--h", "5.68e-296", "--e=-4.68e275"]) == 2
+assert main(["classify", "--n", "3", "--h", "1.7707690497454343e26", "--e",
+             "2.0416154308151617e-134"]) == 3
 assert main(["trace", "--n", "2", "--h", "1", "--e", "0.05",
              "--max-arclength", "5", "--out", "trace.csv"]) == 0
 assert main(["trace", "--n", "2", "--h", "1", "--e", "0.05",

@@ -40,9 +40,6 @@ __all__ = [
 _CYLINDER_TOL = 1e-12
 # tolerances and iteration cap of the bracketed root search, _brentq
 _XTOL, _RTOL, _MAXITER = 1e-14, 8.9e-16, 100
-# below it _XTOL exceeds 1e-12 of a root, which inflection_radius then
-# bisects in log y instead
-_SMALL_ROOT = 1e-2
 
 
 class Family(str, enum.Enum):
@@ -311,55 +308,43 @@ def admissible_radii(n, h, e):
 
 
 def inflection_radius(n, h, e, bracket):
-    """Radius where sigma' vanishes on an unduloid, from
+    """Radius where sigma' vanishes on an unduloid, the root of
 
-        p(y) = (e + h y^{2n})^3 - 2 h y^{6n-2} + 2(n-1) e y^{4n-2} = 0.
+        p(y) = (e + h y^{2n})^3 - 2 h y^{6n-2} + 2(n-1) e y^{4n-2},
 
-    p must change sign from + to - across the bracket (x1, x2); anything
-    else means the bracket does not isolate the inflection.  Where p
-    underflows to 0 at an edge (E near the underflow threshold, or a large
-    h), its signs come from p(y) / y^{3(2n-1)} = (u + h y)^3 - 2 h y +
-    2(n-1) u, u = e / y^{2n-1}, which is of order 1 at both edges, and its
-    root, which may lie decades from both, from bisecting log y.  So does a
-    root below _SMALL_ROOT at a thin neck, where Brent's absolute tolerance
-    would hold fewer than 12 of its digits; p's sign there tells.
+    which must change sign from + to - across the bracket (x1, x2); anything
+    else means the bracket does not isolate the inflection.  p is evaluated
+    as p(y) / y^{3p} = (u + h y)^3 - 2 h y + 2(n-1) u, u = e / y^p and
+    p = 2n - 1, which is of order 1 across the band and unchanged by the
+    dilation (h, e, y) -> (h / 2^k, 2^{kp} e, 2^k y).  Its root is searched
+    in v = log(y / c), c the power of two midway between the exponents of x1
+    and x2, and clamped into [x1, x2].  So Brent's tolerances are relative in
+    y, a root decades from 1 keeps its digits, and x0 scales by exactly 2^k
+    with the band.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
     x1, x2 = float(bracket[0]), float(bracket[1])
+    p = 2 * n - 1
+    c = math.ldexp(1.0, (math.frexp(x1)[1] + math.frexp(x2)[1] - 1) // 2)
 
-    def p(y):
-        return (
-            (e + h * y ** (2 * n)) ** 3
-            - 2.0 * h * y ** (6 * n - 2)
-            + 2.0 * (n - 1) * e * y ** (4 * n - 2)
-        )
+    def q(y):
+        u = e / y ** p
+        return (u + h * y) ** 3 - 2.0 * h * y + 2.0 * (n - 1) * u
 
-    p1, p2 = p(x1), p(x2)
-    underflow = p1 == 0.0 or p2 == 0.0
-    if underflow:
-        # p underflows at a thin neck or a large h; p(y) / y^{3(2n-1)}, with
-        # u = e / y^{2n-1} near 1 at x1 and small at x2, keeps its signs
-        def p(y):
-            u = e / y ** (2 * n - 1)
-            return (u + h * y) ** 3 - 2.0 * h * y + 2.0 * (n - 1) * u
+    def radius(v):
+        return min(max(c * math.exp(v), x1), x2)
 
-        p1, p2 = p(x1), p(x2)
-    if not (p1 > 0.0 > p2):
+    if x1 ** p == 0.0:  # u has no value at the neck
         raise RootBracketFailureError(
-            f"p({x1}) = {p1}, p({x2}) = {p2}: no sign change across the band"
-        )
-    if not underflow:
-        if x1 >= _SMALL_ROOT or (x2 > _SMALL_ROOT and p(_SMALL_ROOT) >= 0.0):
-            return _brentq(p, x1, x2)
-        x2 = min(x2, _SMALL_ROOT)
-    # the root may lie decades from both edges: bisect log y to 4 eps
-    while x2 - x1 > _RTOL * x1:
-        mid = math.sqrt(x1) * math.sqrt(x2)
-        if not x1 < mid < x2:
-            break
-        x1, x2 = (mid, x2) if p(mid) > 0.0 else (x1, mid)
-    return x1 + 0.5 * (x2 - x1)
+            f"x1^{p} underflows to 0 at x1 = {x1}: no sign change across the band")
+    q1, q2 = q(x1), q(x2)
+    if not (q1 > 0.0 > q2):
+        raise RootBracketFailureError(
+            f"p / y^{3 * p} is {q1} at x1 = {x1} and {q2} at x2 = {x2}: no sign "
+            f"change across the band")
+    return radius(_brentq(lambda v: q(radius(v)), math.log(x1 / c),
+                          math.log(x2 / c)))
 
 
 def classify(n, h, e):
@@ -397,6 +382,10 @@ def classify(n, h, e):
         return Classification(Family.UNDULOID, n, h, e, x1=x1, x2=x2, x0=x0,
                               flip=flip)
     x1, x2 = admissible_radii(n, h, e)
-    x0 = (-e / h) ** (1.0 / (2 * n))
+    # (-e / h)^{1/2n} = (-me / mh 2^r)^{1/2n} 2^m for e = me 2^ke, h = mh 2^kh
+    # and ke - kh = 2n m + r: finite wherever the band is, exact under 2^k
+    (me, ke), (mh, kh) = math.frexp(-e), math.frexp(h)
+    m, r = divmod(ke - kh, 2 * n)
+    x0 = math.ldexp(math.ldexp(me / mh, r) ** (1.0 / (2 * n)), m)
     return Classification(Family.NODOID, n, h, e, x1=x1, x2=x2, x0=x0,
                           flip=flip)

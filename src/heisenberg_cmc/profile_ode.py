@@ -304,9 +304,14 @@ class Trajectory:
     def energy_drift(self):
         """The larger of the samples' drift from E and the projection's
         correction sum: the samples sit on the level set by construction, so
-        the corrections are what measure the integrator."""
+        the corrections are what measure the integrator.  OverflowError
+        where the terms of E overflow a float."""
         x, sig = self.states[:, 0], self.states[:, 2]
-        sampled = np.max(np.abs(_energy_arr(x, sig, self.n, self.h) - self.e))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sampled = np.max(np.abs(_energy_arr(x, sig, self.n, self.h) - self.e))
+        if not np.isfinite(sampled):
+            raise OverflowError(
+                f"the terms of E overflow at x = {float(np.max(x))!r}")
         return float(max(sampled, self.energy_correction))
 
 

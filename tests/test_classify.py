@@ -1,6 +1,7 @@
 """Family classification and the admissible radial band."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,7 +21,9 @@ from heisenberg_cmc.classify import (
     descartes_bound,
     inflection_radius,
 )
+from heisenberg_cmc.closed_forms import halfperiod_heights
 from heisenberg_cmc.errors import NoAdmissibleRadiusError, RootBracketFailureError
+from heisenberg_cmc.measures import sphere_measures
 
 
 def band_margin(n, h, e, x):
@@ -198,11 +201,13 @@ def _inflection_within(cls, rel):
 @pytest.mark.parametrize("n, h, e", [
     (2, 3.0, 1e-50), (3, 1.0, 1e-75), (2, 1.0, 1.0546875e-09),
     (2, 0.01, 1.0546875e-50), (3, 100.0, 6.697959533607681e-22),
+    (1, 1e-20, 1.0), (1, -2.15e-57, -677.6),
 ])
 def test_inflection_at_thin_necks(n, h, e):
     # Brent's absolute tolerance of 1e-14 left x0 = 2.38e-13 at (2, 3, 1e-50)
     # with p of one sign across x0 (1 -+ 1e-3), and at H = 0.01 the search
-    # ran out of iterations; a root below 1e-2 is now bisected in log y
+    # ran out of iterations, as it did at the two n = 1 draws, whose roots
+    # lie near 1e5 and 1e16; the root is now searched in log y
     cls = classify(n, h, e)
     assert _inflection_within(cls, Fraction(1, 10 ** 12)), cls
 
@@ -224,12 +229,65 @@ def test_inflection_holds_12_digits(n, u, k):
 def test_inflection_where_p_underflows(n, h, e):
     # p underflowed to 0.0 at x1 (and, at H = 1e300, at x2) and the search
     # raised "no sign change across the band"; its sign now comes from
-    # p / y^{3(2n-1)}, and log y is bisected to the root
+    # p / y^{3(2n-1)}, whose root is searched in log y
     cls = classify(n, h, e)
     assert cls.x1 < cls.x0 < cls.x2
     rel = Fraction(1, 10 ** 12)
     assert _inflection_p(n, h, e, Fraction(cls.x0) * (1 - rel)) > 0
     assert _inflection_p(n, h, e, Fraction(cls.x0) * (1 + rel)) < 0
+
+
+@given(n=st.integers(1, 4), u=st.floats(-2.0, 2.0),
+       sign=st.sampled_from((1.0, -1.0)),
+       frac=st.one_of(
+           st.floats(-12.0, math.log10(1.0 - 1e-6)).map(lambda v: 10.0 ** v),
+           st.floats(-12.0, 4.0).map(lambda v: -(10.0 ** v))),
+       k=st.sampled_from((-20, -7, -1, 1, 5, 30)))
+@settings(max_examples=300, deadline=None)
+def test_dilation_by_2_to_the_k(n, u, sign, frac, k):
+    # delta(z, t) = (2^k z, 4^k t) carries the (n, H, E) profile onto the
+    # (n, H / 2^k, 2^{k(2n-1)} E) one: radii scale by 2^k, heights by 4^k,
+    # P and V by 2^{k(2n+1)} and 2^{k(2n+2)}.  frac = E / E_cyl, an unduloid
+    # from 1e-12 to 1 - 1e-6, a nodoid from -1e-12 to -1e4.  Tolerances, with
+    # the worst seen in seeded scans of this region:
+    # - n >= 2 band edges: 2 ulps times x2 / (x2 - x1), the condition of a
+    #   root near the cylinder's double root (worst 0.5 of that over 20,000
+    #   draws; 636 ulps at 1 - E/E_cyl = 1e-6);
+    # - heights, taken on a's band dilated so that they test
+    #   halfperiod_heights alone: t2 0.019 and t1 0.050 of their allowances
+    #   over 9,000 draws;
+    # - P and V divide by h^m, which pow rounds apart from (h / 2^k)^m in
+    #   ~5e-4 of draws: 4 ulps (1 or 2 ulps off in 30 of 30,000).
+    h = sign * 10.0 ** u
+    e = sign * frac * cylinder_energy(n, 10.0 ** u)
+    a = classify(n, h, e)
+    b = classify(n, math.ldexp(h, -k), math.ldexp(e, k * (2 * n - 1)))
+    band = [(math.ldexp(x, k), y) for x, y in ((a.x1, b.x1), (a.x2, b.x2))]
+    if n == 1:
+        assert all(x == y for x, y in band), (a, b)
+    else:
+        condition = b.x2 / (b.x2 - b.x1)
+        assert all(abs(x - y) <= 2 * condition * math.ulp(y)
+                   for x, y in band), (a, b)
+    if n == 1 or all(x == y for x, y in band):
+        assert math.ldexp(a.x0, k) == b.x0, (a, b)
+    (t1a, t2a), (t1b, t2b) = halfperiod_heights([a, replace(
+        b, x1=math.ldexp(a.x1, k), x2=math.ldexp(a.x2, k),
+        x0=math.ldexp(a.x0, k))])
+    error = max(math.ldexp(t2a.error_estimate, 2 * k), t2b.error_estimate)
+    ulp = math.ulp(t2b.value)
+    assert abs(math.ldexp(t2a.value, 2 * k) - t2b.value) <= error + 4 * ulp
+    assert abs(math.ldexp(t1a.value, 2 * k) - t1b.value) <= 2 * error + 4 * ulp
+    (pa, va), (pb, vb) = sphere_measures(n, abs(h)), sphere_measures(
+        n, math.ldexp(abs(h), -k))
+    assert abs(math.ldexp(pa, k * (2 * n + 1)) - pb) <= 4 * math.ulp(pb)
+    assert abs(math.ldexp(va, k * (2 * n + 2)) - vb) <= 4 * math.ulp(vb)
+
+
+def test_nodoid_x0_past_an_overflowing_quotient():
+    # -E / H = 8.2e570 overflowed, and x0 came out inf
+    cls = classify(1, 5.68e-296, -4.68e275)
+    assert math.isfinite(cls.x0) and cls.x1 <= cls.x0 <= cls.x2, cls
 
 
 def test_dimension_validation():
@@ -371,7 +429,7 @@ def test_brent_port_bisects_past_an_underflowed_step(h):
     # on the inflection polynomial of an n = 3 neck at E = 1e-50 the inverse
     # quadratic step's denominator underflows to 0; brentq.c divides to inf
     # or NaN, rejects the step and bisects, where the port used to raise
-    # ZeroDivisionError.  classify now bisects log y for a root that small,
+    # ZeroDivisionError.  classify now searches p / y^{3p} in log y instead,
     # so the port runs on that polynomial and band here directly
     n, e = 3, 1e-50
     x1, x2 = admissible_radii(n, h, e)

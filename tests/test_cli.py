@@ -165,7 +165,8 @@ def test_float_overflow_exits_2(argv, capsys):
     ["classify", "--n", "1", "--h", "1e-300", "--e=-1"],
     ["classify", "--n", "1", "--h", "1e-170", "--e=-1"],
     ["render", "--n", "1", "--h", "1e-300", "--e=-1"],
-], ids=["classify-1e-300", "classify-1e-170", "render"])
+    ["classify", "--n", "1", "--h", "5.68e-296", "--e=-4.68e275"],
+], ids=["classify-1e-300", "classify-1e-170", "render", "classify-deep-nodoid"])
 def test_n1_half_period_past_underflowing_h2_exits_2(argv, capsys):
     # 4H^2 underflows to 0, and t2 = pi / (4H^2) used to end in a
     # ZeroDivisionError traceback, exit 1
@@ -199,7 +200,9 @@ def test_trace_past_underflowing_n1_h2_exits_2(h, capsys):
      "epsilon / H^2 overflows at H = 1e-155"),
     (["render", "--n", "1", "--h", "1e-155", "--e=-1"],
      "epsilon / H^2 overflows at H = 1e-155"),
-], ids=["trace-1e-300", "classify-1e-155", "render-1e-155"])
+    (["trace", "--n", "3", "--h", "1e-60", "--e", "0", "--format", "json"],
+     "the terms of E overflow at x = 1e+60"),
+], ids=["trace-1e-300", "classify-1e-155", "render-1e-155", "trace-drift"])
 def test_overflow_exits_2_with_the_error_line_alone(argv, cause, capsys):
     # under the CLI's default warning filters.  The trace used to fit its
     # arclength series on non-finite samples up to degree 4096 and print
@@ -410,11 +413,25 @@ def test_classify_inflection_underflow_exits_cleanly(h, capsys):
     assert code == 0, err
 
 
+def test_classify_neck_radius_of_0_exits_3(capsys):
+    # admissible_radii returns x1 = 0.0 at this H, and the inflection search
+    # divided by x1^5: a ZeroDivisionError traceback, exit 1
+    code, out, err = run_cli(["classify", "--n", "3", "--h",
+                              "1.7707690497454343e26", "--e",
+                              "2.0416154308151617e-134"], capsys)
+    assert code == 3
+    assert "no sign change across the band" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "3", "--h", "10", "--e", "1e-50"],
     ["--n", "4", "--h", "1", "--e", "1e-15"],
     ["--n", "2", "--h", "1", "--e", "1e-45"],
     ["--n", "3", "--h", "1", "--e=-1e-75"],
+    ["--n", "1", "--h", "1e-20", "--e", "1"],
+    ["--n", "1", "--h=-2.15e-57", "--e=-677.6"],
     ["--n", "1", "--h", "3", "--e", "1e-320"],
     ["--n", "1", "--h", "1e300", "--e", "1e-310"],
     ["--n", "2", "--h", "3", "--e", "1e-320"],
