@@ -35,11 +35,15 @@ for neck in (["--n", "3", "--h", "10", "--e", "1e-50"],
              ["--n", "1", "--h", "1e-20", "--e", "1"],
              ["--n", "1", "--h=-2.15e-57", "--e=-677.6"]):
     assert main(["classify", *neck]) == 0, neck
-# -E / H overflows a float, and so does the report's H^2: exit 2; x1 is 0.0
-# at this H, which leaves the inflection search no sign change: exit 3
+# -E / H overflows a float, and so does the report's H^2: exit 2; the band
+# edges are searched in log x, so a neck at H = 1.77e26 and deep nodoids
+# whose x2 Brent's method in x could not find report: exit 0
 assert main(["classify", "--n", "1", "--h", "5.68e-296", "--e=-4.68e275"]) == 2
 assert main(["classify", "--n", "3", "--h", "1.7707690497454343e26", "--e",
-             "2.0416154308151617e-134"]) == 3
+             "2.0416154308151617e-134"]) == 0
+assert main(["classify", "--n", "4", "--h", "100", "--e=-50"]) == 0
+assert main(["sweep", "--n", "4", "--h", "100", "--e=-50:-1:3",
+             "--out", "nodoids.csv"]) == 0
 assert main(["trace", "--n", "2", "--h", "1", "--e", "0.05",
              "--max-arclength", "5", "--out", "trace.csv"]) == 0
 assert main(["trace", "--n", "2", "--h", "1", "--e", "0.05",

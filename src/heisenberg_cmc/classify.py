@@ -85,8 +85,18 @@ def cylinder_radius(n, h):
 
 def cylinder_energy(n, h):
     """Energy of the cylinder solution, r^{2n-1}/(2n) at r = (2n-1)/(2nH)."""
-    n = dimension_index(n)
-    return cylinder_radius(n, h) ** (2 * n - 1) / (2 * n)
+    cylinder_radius(n, h)  # checks n and H
+    return _cylinder(int(n), float(h))[1]
+
+
+def _cylinder(n, h):
+    """(r, E_cyl) for an int n and h > 0; OverflowError names E_cyl."""
+    r = (2 * n - 1) / (2 * n * h)
+    try:
+        return r, r ** (2 * n - 1) / (2 * n)
+    except OverflowError:
+        raise OverflowError(
+            f"the cylinder energy overflows at H = {h!r}") from None
 
 
 def descartes_bound(coefficients):
@@ -162,27 +172,6 @@ def _brentq(f, xa, xb, xtol=_XTOL, rtol=_RTOL):
         f"(last x = {xcur})")
 
 
-def _polish(f, df, x, lo, hi):
-    # a few Newton steps after _brentq, clipped to the bracket
-    for _ in range(3):
-        d = df(x)
-        if d == 0.0:
-            break
-        x = min(max(x - f(x) / d, lo), hi)
-    return x
-
-
-def _expand_right(f, hi):
-    """Nudge hi rightward until f(hi) < 0 (guards endpoint cancellation)."""
-    start, delta = hi, 4e-16
-    while f(hi) >= 0.0:
-        hi = start * (1.0 + delta)
-        delta *= 2.0
-        if delta > 1e6:
-            raise RootBracketFailureError("could not bracket the outer radius")
-    return hi
-
-
 def _split(a):
     """Veltkamp's split of a into hi + lo, each of at most 26 bits."""
     c = 134217729.0 * a  # 2^27 + 1
@@ -217,6 +206,61 @@ def n1_epsilon(h, e):
     return math.sqrt(max((1.0 - p) - err, 0.0))
 
 
+def _root(a, b, m):
+    """(a / b)^{1/m} for a, b > 0 from their mantissas and exponents: finite
+    wherever the root is, and exact under a -> 2^{km} a."""
+    (ma, ka), (mb, kb) = math.frexp(a), math.frexp(b)
+    j, r = divmod(ka - kb, m)
+    return math.ldexp(math.ldexp(ma / mb, r) ** (1.0 / m), j)
+
+
+def _edge(p, P, Q):
+    """1 - a x - b / x^p at P = a x, Q = b / x^p, and its log x derivative."""
+    return 1.0 - P - Q, p * Q - P
+
+
+def _inflection(p, P, Q):
+    """The inflection polynomial over y^{3p}, (u + h y)^3 - 2 h y +
+    2(n - 1) u, at P = h y and Q = u = e / y^p, and its derivative in log y."""
+    s = Q + P
+    return (s ** 3 - 2.0 * P + (p - 1) * Q,
+            3.0 * s * s * (P - p * Q) - 2.0 * P - (p - 1) * p * Q)
+
+
+def _terms(p, a, b, x):
+    """(a x, b / x^p) from x = 2^k y, y in [1, 2): no power of x or 2^k."""
+    k = math.frexp(x)[1] - 1
+    y = math.ldexp(x, -k)
+    return math.ldexp(a, k) * y, math.ldexp(b, -p * k) / y ** p
+
+
+def _scaled(f, p, a, b, k):
+    """v -> f's value at x = 2^k e^v, b / x^p formed as +-(|b|^{1/p} / x)^p,
+    which over- or underflows only where it does."""
+    a, root = math.ldexp(a, k), math.ldexp(_root(abs(b), 1.0, p), -k)
+    sign = math.copysign(1.0, b)
+
+    def g(v):
+        y = math.exp(v)
+        return f(p, a * y, sign * (root / y) ** p)[0]
+    return g
+
+
+def _log_root(f, p, a, b, lo, hi, k=None):
+    """Root in [lo, hi] of the value of f(p, a x, b / x^p), its derivative
+    in log x second: Brent in v = log(x / 2^k), then one Newton step from
+    the terms at x's own power of two, as v's rounding moves e^v by ~1e-14
+    at |v| ~ 100.  Exact under (a, b, x) -> (a / 2^j, 2^{jp} b, 2^j x)."""
+    if k is None:
+        k = (math.frexp(lo)[1] + math.frexp(hi)[1] - 1) // 2
+    v = _brentq(_scaled(f, p, a, b, k), math.log(math.ldexp(lo, -k)),
+                math.log(math.ldexp(hi, -k)))
+    x = min(max(math.ldexp(math.exp(v), k), lo), hi)
+    value, slope = f(p, *_terms(p, a, b, x))
+    x -= x * value / slope if slope else 0.0
+    return min(max(x, lo), hi)
+
+
 def admissible_radii(n, h, e):
     """Boundary radii (x1, x2) of the band x^{2n-1} >= |e + h x^{2n}|.
 
@@ -224,15 +268,14 @@ def admissible_radii(n, h, e):
     u = x^2, and with epsilon = n1_epsilon(h, e) the radii are
     x1 = 2|e| / (1 + epsilon) and x2 = (1 + epsilon) / (2h), each free of
     cancellation, so an unduloid's band width x2 - x1 = epsilon / h keeps
-    its digits up to the cylinder.  For n >= 2 and e h > 0 both radii come
-    from f2 bracketed on either side of the cylinder radius; for e h < 0,
-    x1 is the root of f1 below |e|^{1/(2n-1)} and x2 the root of f2 above
-    1/h.  While |e|^{1/(2n-1)} is below a quarter of the cylinder radius, x1
-    is searched within a factor of two of it, to a relative tolerance, so a
-    neck of any width keeps its digits.  The signs of h and e fix the
-    Descartes bounds: 2 for f2 when e h > 0, 1 for each of f1 and f2 when
-    e h < 0.  Raises NoAdmissibleRadiusError when e exceeds the cylinder
-    energy (f2 has no positive roots).
+    its digits up to the cylinder.  For n >= 2 each is the root (_log_root)
+    of 1 - a x - b / x^p, p = 2n - 1, (a, b) = (-h, -e) for a nodoid's x1
+    and (h, e) otherwise, in a closed-form bracket at whose ends it is of
+    order 1.  The signs of h and e fix the Descartes bounds: 2 for f2 when
+    e h > 0, 1 for each of f1 and f2 when e h < 0.  Raises
+    NoAdmissibleRadiusError when e exceeds the cylinder energy, and
+    OverflowError, naming the quantity, where a radius overflows or no
+    float lies between x1 and x2.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -240,70 +283,41 @@ def admissible_radii(n, h, e):
         h, e = -h, -e
     if h == 0.0 or e == 0.0:
         raise ValueError("the bounded band needs h != 0 and e != 0")
+    return _band(n, h, e)
 
+
+def _band(n, h, e):
     p = 2 * n - 1
-
-    def edge(s, m=0):
-        """x^p (1 - s h x) - s e, which is f2 for s = 1 and f1 for s = -1,
-        and its derivative, both scaled by 2^{m p}; the factored evaluation
-        keeps the sign honest near x = 1/h.  The scaling is exact while no
-        term is subnormal, and at a neck where |e| is, 2^m x near 1 keeps
-        both terms normal."""
-        sh, se, scale = s * h, math.ldexp(s * e, m * p), math.ldexp(1.0, m)
-
-        def f(x):
-            return (scale * x) ** p * (1.0 - sh * x) - se
-
-        def df(x):
-            y = scale * x
-            return p * (scale * y ** (p - 1)) - 2 * n * sh * y ** p
-        return f, df
-
-    f2, df2 = edge(1.0)
     if e > 0.0:
-        ecyl = cylinder_energy(n, h)
+        r, ecyl = _cylinder(n, h)
         if e > ecyl * (1.0 + _CYLINDER_TOL):
             raise NoAdmissibleRadiusError(
                 f"energy {e} exceeds the cylinder energy {ecyl}: empty band"
             )
-        r = cylinder_radius(n, h)
-        if e >= ecyl or f2(r) <= 0.0:
+        if e >= ecyl:
             return r, r
     if n == 1:
         epsilon = n1_epsilon(h, e)
-        return 2.0 * abs(e) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 * h)
-    # x1 lies within a factor of two of top = |e|^{1/(2n-1)} while that is
-    # far below the cylinder radius, and is searched there as top t, t in
-    # [1/2, 2], so Brent's absolute tolerance is relative: in x it would
-    # swallow a neck below 1e-14, and the bracket [0, top] loses its sign
-    # change once h top < eps
-    top = abs(e) ** (1.0 / p)
-    sign = 1.0 if e > 0.0 else -1.0
-    if 4.0 * top <= cylinder_radius(n, h):
-        f, df = edge(sign, -math.frexp(top)[1])
-        lo, hi = 0.5 * top, 2.0 * top
-        x1 = top * _brentq(lambda t: f(top * t), 0.5, 2.0)
+        x1, x2 = 2.0 * abs(e) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 * h)
+    elif e > 0.0:
+        # both edges at c = 2^k <= r, where both searches see g(r) as this does
+        k = math.frexp(r)[1] - 1
+        if _scaled(_edge, p, h, e, k)(math.log(math.ldexp(r, -k))) <= 0.0:
+            return r, r
+        x1 = _log_root(_edge, p, h, e, 0.5 * _root(e, 1.0, p), r, k)
+        x2 = _log_root(_edge, p, h, e, r, 2.0 / h, k)
     else:
-        f, df = edge(sign)
-        lo, hi = 0.0, (r if e > 0.0 else top)
-        x1 = _brentq(f, lo, hi)
-    x1 = _polish(f, df, x1, lo, hi)
-    if e > 0.0:
-        hi = _expand_right(f2, 1.0 / h)
-        x2 = _brentq(f2, r, hi)
-        x2 = _polish(f2, df2, x2, r, hi)
-    else:
-        # exactly one positive root each: signs (+,+,-) and (-,+,+)
-        lo = 1.0 / h
-        delta = 4e-16
-        while f2(lo) <= 0.0:
-            lo = (1.0 - delta) / h
-            delta *= 2.0
-            if delta > 1e-6:
-                raise RootBracketFailureError("could not bracket the outer radius")
-        hi = _expand_right(f2, (1.0 + abs(e) * h ** (2 * n - 1)) / h)
-        x2 = _brentq(f2, lo, hi)
-        x2 = _polish(f2, df2, x2, lo, hi)
+        top = _root(-e, 1.0, p)
+        grow, hi = 2.0 * (1.0 + h * top), 2.0 * max(1.0 / h, top)
+        if grow == math.inf or hi == math.inf:
+            raise OverflowError(
+                f"H |E|^(1/{p}) or 2 / H overflows at H = {h!r}, E = {e!r}")
+        x1 = _log_root(_edge, p, -h, -e, top / grow ** (1.0 / p), 2.0 * top)
+        x2 = _log_root(_edge, p, h, e, 0.5 * _root(-e, h, 2 * n), hi)
+    if not math.nextafter(x1, math.inf) < x2:
+        raise OverflowError(
+            f"the band is narrower than a float resolves: no float lies "
+            f"between x1 = {x1!r} and x2 = {x2!r}")
     return x1, x2
 
 
@@ -313,38 +327,24 @@ def inflection_radius(n, h, e, bracket):
         p(y) = (e + h y^{2n})^3 - 2 h y^{6n-2} + 2(n-1) e y^{4n-2},
 
     which must change sign from + to - across the bracket (x1, x2); anything
-    else means the bracket does not isolate the inflection.  p is evaluated
-    as p(y) / y^{3p} = (u + h y)^3 - 2 h y + 2(n-1) u, u = e / y^p and
-    p = 2n - 1, which is of order 1 across the band and unchanged by the
-    dilation (h, e, y) -> (h / 2^k, 2^{kp} e, 2^k y).  Its root is searched
-    in v = log(y / c), c the power of two midway between the exponents of x1
-    and x2, and clamped into [x1, x2].  So Brent's tolerances are relative in
-    y, a root decades from 1 keeps its digits, and x0 scales by exactly 2^k
-    with the band.
+    else means the bracket does not isolate the inflection.  It is found
+    as the band edges are (_log_root), as the root of p(y) / y^{3p} =
+    (u + h y)^3 - 2 h y + 2(n-1) u, u = e / y^p and p = 2n - 1.
     """
-    n = dimension_index(n)
-    h, e = float(h), float(e)
     x1, x2 = float(bracket[0]), float(bracket[1])
+    if not 0.0 < x1 < x2:
+        raise ValueError(f"the bracket needs 0 < x1 < x2, got {bracket!r}")
+    return _inflection_radius(dimension_index(n), float(h), float(e), x1, x2)
+
+
+def _inflection_radius(n, h, e, x1, x2):
     p = 2 * n - 1
-    c = math.ldexp(1.0, (math.frexp(x1)[1] + math.frexp(x2)[1] - 1) // 2)
-
-    def q(y):
-        u = e / y ** p
-        return (u + h * y) ** 3 - 2.0 * h * y + 2.0 * (n - 1) * u
-
-    def radius(v):
-        return min(max(c * math.exp(v), x1), x2)
-
-    if x1 ** p == 0.0:  # u has no value at the neck
-        raise RootBracketFailureError(
-            f"x1^{p} underflows to 0 at x1 = {x1}: no sign change across the band")
-    q1, q2 = q(x1), q(x2)
+    q1, q2 = (_inflection(p, *_terms(p, h, e, x))[0] for x in (x1, x2))
     if not (q1 > 0.0 > q2):
         raise RootBracketFailureError(
             f"p / y^{3 * p} is {q1} at x1 = {x1} and {q2} at x2 = {x2}: no sign "
             f"change across the band")
-    return radius(_brentq(lambda v: q(radius(v)), math.log(x1 / c),
-                          math.log(x2 / c)))
+    return _log_root(_inflection, p, h, e, x1, x2)
 
 
 def classify(n, h, e):
@@ -354,7 +354,7 @@ def classify(n, h, e):
     H != 0 gives the sphere (E = 0), and otherwise cylinder, unduloid
     (0 < E < E_cyl after normalization) or nodoid (E < 0).  E beyond the
     cylinder energy leaves no admissible radius and raises, and so does a
-    non-finite H or E.
+    non-finite H or E; so does a float overflow, as admissible_radii says.
     """
     n = dimension_index(n)
     h, e = float(h), float(e)
@@ -372,20 +372,13 @@ def classify(n, h, e):
     if e == 0.0:
         return Classification(Family.SPHERE, n, h, e, flip=flip)
     if e > 0.0:
-        ecyl = cylinder_energy(n, h)
+        r, ecyl = _cylinder(n, h)
         if abs(e - ecyl) <= _CYLINDER_TOL * ecyl:
-            r = cylinder_radius(n, h)
             return Classification(Family.CYLINDER, n, h, e, x1=r, x2=r, x0=r,
                                   flip=flip)
-        x1, x2 = admissible_radii(n, h, e)
-        x0 = inflection_radius(n, h, e, (x1, x2))
-        return Classification(Family.UNDULOID, n, h, e, x1=x1, x2=x2, x0=x0,
-                              flip=flip)
-    x1, x2 = admissible_radii(n, h, e)
-    # (-e / h)^{1/2n} = (-me / mh 2^r)^{1/2n} 2^m for e = me 2^ke, h = mh 2^kh
-    # and ke - kh = 2n m + r: finite wherever the band is, exact under 2^k
-    (me, ke), (mh, kh) = math.frexp(-e), math.frexp(h)
-    m, r = divmod(ke - kh, 2 * n)
-    x0 = math.ldexp(math.ldexp(me / mh, r) ** (1.0 / (2 * n)), m)
-    return Classification(Family.NODOID, n, h, e, x1=x1, x2=x2, x0=x0,
-                          flip=flip)
+    x1, x2 = _band(n, h, e)
+    if e > 0.0:
+        family, x0 = Family.UNDULOID, _inflection_radius(n, h, e, x1, x2)
+    else:  # (-e / h)^{1/2n}, clamped: it rounds apart from a band ulps wide
+        family, x0 = Family.NODOID, min(max(_root(-e, h, 2 * n), x1), x2)
+    return Classification(family, n, h, e, x1=x1, x2=x2, x0=x0, flip=flip)

@@ -355,10 +355,16 @@ class _Band:
         n = clss[0].n
         p = 2 * n - 1
         self.n, self.nodoid = n, clss[0].family is Family.NODOID
-        rows = [[cls.h, cls.e, cls.x1, cls.x2, cls.x2 - cls.x1,
-                 -cls.e / cls.x2 ** p,  # H x2 - 1
-                 *(cls.x1 ** j for j in range(p + 1)),
-                 *(cls.x2 ** j for j in range(p))] for cls in clss]
+        try:  # x2^p is the largest power and, alone, a divisor
+            rows = [[cls.h, cls.e, cls.x1, cls.x2, cls.x2 - cls.x1,
+                     -cls.e / cls.x2 ** p,  # H x2 - 1
+                     *(cls.x1 ** j for j in range(p + 1)),
+                     *(cls.x2 ** j for j in range(p))] for cls in clss]
+        except (OverflowError, ZeroDivisionError) as exc:
+            how = ("overflows" if isinstance(exc, OverflowError) else
+                   "underflows to 0")
+            raise OverflowError(f"x2^{p} {how} at x2 = " + ", ".join(
+                repr(cls.x2) for cls in clss)) from None
         scalars = np.array(rows).T[:, :, np.newaxis] if stacked else rows[0]
         self.h, self.e, self.x1, self.x2, self.width, self.lift = scalars[:6]
         self.x1_powers, self.x2_powers = scalars[6:p + 7], scalars[p + 7:]
@@ -602,7 +608,7 @@ def _chebint(coeffs, scale):
     rows, k = coeffs.shape
     tmp = np.zeros((rows, k + 1))
     np.divide(coeffs, _DIVISORS[:k], out=tmp[:, 1:])
-    tmp[:, 1:k - 1] -= coeffs[:, 2:] / _EVENS[:k - 2]
+    tmp[:, 1:k - 1] -= coeffs[:, 2:] / _EVENS[:max(k - 2, 0)]
     tmp[:, 0] = [0 - v for v in _chebvals([[-1.0] * rows], tmp)[0]]
     return tmp * scale
 

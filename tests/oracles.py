@@ -11,7 +11,25 @@ the package's frame-based connection, so agreement is a real check rather
 than a tautology.
 """
 
+from fractions import Fraction
+
 import numpy as np
+
+
+def band_edge_within(n, h, e, x, rel, outer=False):
+    """A root of the band polynomial whose root x approximates lies within
+    rel of x, decided in exact rationals: f2 = x^{2n-1} (1 - h x) - e for
+    the outer edge and for both edges when e > 0, f1 = x^{2n-1} (1 + h x) + e
+    for the inner edge when e < 0 (h > 0)."""
+    p, h, e = 2 * n - 1, Fraction(h), Fraction(e)
+
+    def f(x):
+        if outer or e > 0:
+            return x ** p * (1 - h * x) - e
+        return x ** p * (1 + h * x) + e
+
+    lo, hi = Fraction(x) * (1 - rel), Fraction(x) * (1 + rel)
+    return f(Fraction(x)) == 0 or (f(lo) < 0) != (f(hi) < 0)
 
 
 def metric_matrix(coords, n):

@@ -1,7 +1,6 @@
 """Family classification and the admissible radial band."""
 
 import math
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -24,6 +23,8 @@ from heisenberg_cmc.classify import (
 from heisenberg_cmc.closed_forms import halfperiod_heights
 from heisenberg_cmc.errors import NoAdmissibleRadiusError, RootBracketFailureError
 from heisenberg_cmc.measures import sphere_measures
+
+from oracles import band_edge_within
 
 
 def band_margin(n, h, e, x):
@@ -140,40 +141,40 @@ def test_inflection_bracket_failure():
         inflection_radius(1, 0.5, 0.3, (1.0, 1.5))
 
 
-def _band_edge_within(n, h, e, x1, rel):
-    """The root of f2 (e > 0) or f1 (e < 0) of the band lies within rel of
-    x1, decided in exact rationals."""
-    p, h, e = 2 * n - 1, Fraction(h), Fraction(e)
-
-    def f(x):
-        return x ** p * (1 - h * x) - e if e > 0 else x ** p * (1 + h * x) + e
-
-    lo, hi = Fraction(x1) * (1 - rel), Fraction(x1) * (1 + rel)
-    return f(Fraction(x1)) == 0 or (f(lo) < 0) != (f(hi) < 0)
-
-
-@given(n=st.sampled_from((2, 3)), u=st.floats(-2.0, 2.0),
+@given(n=st.sampled_from((2, 3)), u=st.floats(-1.0, 1.0),
        sign=st.sampled_from((1.0, -1.0)), where=st.floats(0.0, 1.0))
 @settings(max_examples=200)
 def test_neck_radius_holds_to_4_eps(n, u, sign, where):
-    # |E| log-uniform from 1e-300 to a tenth of the cylinder energy.
-    # Brent's absolute tolerance of 1e-14 swallowed a neck below it (x1 came
-    # out 0.0 at E = 1e-45, n = 2), and the nodoid bracket [0, |E|^{1/p}]
-    # lost its sign change once H |E|^{1/p} < eps
-    h = 10.0 ** u
+    # |H| log-uniform up to 1e±100 for n = 2 and 1e±60 for n = 3, where the
+    # cylinder energy stays a normal float, and |E| log-uniform over the 300
+    # decades below a tenth of it (from 1e-320 at most).  Brent's absolute
+    # tolerance of 1e-14 in x swallowed a neck below it (x1 came out 0.0 at
+    # E = 1e-45, n = 2, and at H = 1e20 for n = 3), and the nodoid bracket
+    # [0, |E|^{1/p}] lost its sign change once H |E|^{1/p} < eps
+    h = 10.0 ** (u * 300.0 / (2 * n - 1))
     top = math.log10(0.1 * cylinder_energy(n, h))
-    e = sign * 10.0 ** (-300.0 + where * (top + 300.0))
-    x1, _ = admissible_radii(n, h, e)
-    assert _band_edge_within(n, h, e, x1, Fraction(4 * 2.0 ** -52)), (n, h, e)
+    e = sign * 10.0 ** max(top - where * 300.0, -320.0)
+    x1, x2 = admissible_radii(n, h, e)
+    rel = Fraction(4 * 2.0 ** -52)
+    assert band_edge_within(n, h, e, x1, rel), (n, h, e)
+    assert band_edge_within(n, h, e, x2, rel, outer=True), (n, h, e)
 
 
 @pytest.mark.parametrize("n, h, e", [
     (2, 1.0, 1e-45), (2, 3.0, 1e-50), (3, 1.0, 1e-75), (3, 1.0, -1e-75),
     (3, 1.0, -1e-300),
+    # E = E_cyl / 2: in x, to an absolute 1e-14, x1 came out 0.0 (exact
+    # 6.13e-21) at H = 1e20 and 2.9e15 ulps off at H = 1e15
+    (3, 1e20, 0.5 * cylinder_energy(3, 1e20)),
+    (2, 1e15, 0.5 * cylinder_energy(2, 1e15)),
+    # Brent's method in x ran out of iterations on the nodoid's x2
+    (4, 100.0, -50.0), (4, 88.17440334258984, -146.34261514947937),
 ])
 def test_neck_radius_frozen_cases(n, h, e):
-    x1, _ = admissible_radii(n, h, e)
-    assert _band_edge_within(n, h, e, x1, Fraction(4 * 2.0 ** -52))
+    x1, x2 = admissible_radii(n, h, e)
+    rel = Fraction(4 * 2.0 ** -52)
+    assert band_edge_within(n, h, e, x1, rel)
+    assert band_edge_within(n, h, e, x2, rel, outer=True)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -182,7 +183,7 @@ def test_neck_radius_at_subnormal_e(n, e):
     # f near x1 took subnormal values, and x1 held to ~2e-5 at E = 1e-320;
     # both terms are now scaled by a power of two into the normal range
     x1, _ = admissible_radii(n, 3.0, e)
-    assert _band_edge_within(n, 3.0, e, x1, Fraction(4 * 2.0 ** -52))
+    assert band_edge_within(n, 3.0, e, x1, Fraction(4 * 2.0 ** -52))
 
 
 def _inflection_p(n, h, e, y):
@@ -248,12 +249,11 @@ def test_dilation_by_2_to_the_k(n, u, sign, frac, k):
     # delta(z, t) = (2^k z, 4^k t) carries the (n, H, E) profile onto the
     # (n, H / 2^k, 2^{k(2n-1)} E) one: radii scale by 2^k, heights by 4^k,
     # P and V by 2^{k(2n+1)} and 2^{k(2n+2)}.  frac = E / E_cyl, an unduloid
-    # from 1e-12 to 1 - 1e-6, a nodoid from -1e-12 to -1e4.  Tolerances, with
-    # the worst seen in seeded scans of this region:
-    # - n >= 2 band edges: 2 ulps times x2 / (x2 - x1), the condition of a
-    #   root near the cylinder's double root (worst 0.5 of that over 20,000
-    #   draws; 636 ulps at 1 - E/E_cyl = 1e-6);
-    # - heights, taken on a's band dilated so that they test
+    # from 1e-12 to 1 - 1e-6, a nodoid from -1e-12 to -1e4.  The radii scale
+    # exactly: every root is searched in log x of a function unchanged by the
+    # dilation.  Tolerances, with the worst seen in seeded scans of this
+    # region:
+    # - heights, on bands that are dilations of each other, so they test
     #   halfperiod_heights alone: t2 0.019 and t1 0.050 of their allowances
     #   over 9,000 draws;
     # - P and V divide by h^m, which pow rounds apart from (h / 2^k)^m in
@@ -262,18 +262,9 @@ def test_dilation_by_2_to_the_k(n, u, sign, frac, k):
     e = sign * frac * cylinder_energy(n, 10.0 ** u)
     a = classify(n, h, e)
     b = classify(n, math.ldexp(h, -k), math.ldexp(e, k * (2 * n - 1)))
-    band = [(math.ldexp(x, k), y) for x, y in ((a.x1, b.x1), (a.x2, b.x2))]
-    if n == 1:
-        assert all(x == y for x, y in band), (a, b)
-    else:
-        condition = b.x2 / (b.x2 - b.x1)
-        assert all(abs(x - y) <= 2 * condition * math.ulp(y)
-                   for x, y in band), (a, b)
-    if n == 1 or all(x == y for x, y in band):
-        assert math.ldexp(a.x0, k) == b.x0, (a, b)
-    (t1a, t2a), (t1b, t2b) = halfperiod_heights([a, replace(
-        b, x1=math.ldexp(a.x1, k), x2=math.ldexp(a.x2, k),
-        x0=math.ldexp(a.x0, k))])
+    assert [math.ldexp(x, k) for x in (a.x1, a.x0, a.x2)] == [
+        b.x1, b.x0, b.x2], (a, b)
+    (t1a, t2a), (t1b, t2b) = halfperiod_heights([a, b])
     error = max(math.ldexp(t2a.error_estimate, 2 * k), t2b.error_estimate)
     ulp = math.ulp(t2b.value)
     assert abs(math.ldexp(t2a.value, 2 * k) - t2b.value) <= error + 4 * ulp

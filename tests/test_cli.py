@@ -9,6 +9,7 @@ import re
 import struct
 import sys
 import warnings
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -35,6 +36,8 @@ from heisenberg_cmc.closed_forms import (
     sphere_profile,
 )
 from heisenberg_cmc.errors import NoAdmissibleRadiusError, QuadratureError
+
+from oracles import band_edge_within
 
 
 def _schema(name):
@@ -202,13 +205,31 @@ def test_trace_past_underflowing_n1_h2_exits_2(h, capsys):
      "epsilon / H^2 overflows at H = 1e-155"),
     (["trace", "--n", "3", "--h", "1e-60", "--e", "0", "--format", "json"],
      "the terms of E overflow at x = 1e+60"),
-], ids=["trace-1e-300", "classify-1e-155", "render-1e-155", "trace-drift"])
+    (["classify", "--n", "2", "--h", "1e-300", "--e", "1"],
+     "the cylinder energy overflows at H = 1e-300"),
+    (["classify", "--n", "2", "--h", "1e-200", "--e=-1e200"],
+     "x2^3 overflows at x2 = 1.0000000000000001e+200"),
+    (["classify", "--n", "2", "--h", "1e100", "--e=-1e200"],
+     "the band is narrower than a float resolves: no float lies between "
+     "x1 = 1e+25 and x2 = 1e+25"),
+    (["classify", "--n", "1", "--h", "9.697742017407323",
+      "--e=-6.851539861587087e113"],
+     "the band is narrower than a float resolves: no float lies between "
+     "x1 = 2.658023284227227e+56 and x2 = 2.6580232842272265e+56"),
+    (["classify", "--n", "3", "--h", "1", "--e=-1e300"],
+     "the band is narrower than a float resolves"),
+], ids=["trace-1e-300", "classify-1e-155", "render-1e-155", "trace-drift",
+        "cylinder-energy", "x2-power", "ulp-narrow-band", "ulp-narrow-n1",
+        "ulp-narrow-deep"])
 def test_overflow_exits_2_with_the_error_line_alone(argv, cause, capsys):
     # under the CLI's default warning filters.  The trace used to fit its
     # arclength series on non-finite samples up to degree 4096 and print
     # three NumPy RuntimeWarnings (square, rfft, divide) before the ODE
     # fallback refused it; at H = 1e-155, where H^2 is subnormal, the
-    # trochoid's span epsilon / H^2 was inf and inf * 0 warned
+    # trochoid's span epsilon / H^2 was inf and inf * 0 warned.  The
+    # cylinder energy and x2^3 printed Python's errno tuple, which names no
+    # quantity.  Where no float lies between x1 and x2, Brent's method in x
+    # ran out of iterations (n = 2), and n = 1 ended in "math domain error"
     with warnings.catch_warnings(record=True) as caught:
         warnings.resetwarnings()
         code, out, err = run_cli(argv, capsys)
@@ -413,16 +434,20 @@ def test_classify_inflection_underflow_exits_cleanly(h, capsys):
     assert code == 0, err
 
 
-def test_classify_neck_radius_of_0_exits_3(capsys):
-    # admissible_radii returns x1 = 0.0 at this H, and the inflection search
-    # divided by x1^5: a ZeroDivisionError traceback, exit 1
+def test_classify_large_h_neck_holds_to_4_eps(capsys):
+    # admissible_radii returned x1 = 0.0 at this H, since Brent's method in
+    # x stopped at an absolute 1e-14, and the report exited 3 with "no sign
+    # change across the band"; both edges are now searched in log x
     code, out, err = run_cli(["classify", "--n", "3", "--h",
                               "1.7707690497454343e26", "--e",
-                              "2.0416154308151617e-134"], capsys)
-    assert code == 3
-    assert "no sign change across the band" in err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert out == ""
+                              "2.0416154308151617e-134", "--json"], capsys)
+    assert code == 0, err
+    assert err == ""
+    radii = json.loads(out)["radii"]
+    rel = Fraction(4 * 2.0 ** -52)
+    h, e = 1.7707690497454343e26, 2.0416154308151617e-134
+    assert band_edge_within(3, h, e, radii["x1"], rel)
+    assert band_edge_within(3, h, e, radii["x2"], rel, outer=True)
 
 
 @pytest.mark.parametrize("argv", [
@@ -435,12 +460,17 @@ def test_classify_neck_radius_of_0_exits_3(capsys):
     ["--n", "1", "--h", "3", "--e", "1e-320"],
     ["--n", "1", "--h", "1e300", "--e", "1e-310"],
     ["--n", "2", "--h", "3", "--e", "1e-320"],
+    ["--n", "3", "--h", "1e20", "--e", "3.3489797668038396e-102"],
+    ["--n", "4", "--h", "100", "--e=-50"],
+    ["--n", "4", "--h", "88.17440334258984", "--e=-146.34261514947937"],
 ])
 def test_classify_thin_necks_exit_0_without_warnings(argv, capsys):
     # the first sampled a negative band cofactor near x1 and exited 3 after
     # a NaN RuntimeWarning; at E = 1e-45 the neck radius came out 0.0 (exit
     # 3); at E = -1e-75 the f1 bracket lost its sign change (exit 2); the
-    # last three raised from an inflection polynomial underflowed to 0
+    # next three raised from an inflection polynomial underflowed to 0.  At
+    # H = 1e20, E = E_cyl / 2, x1 came out 0.0 (exit 3, "x1^5 underflows"),
+    # and Brent's method in x ran out of iterations on the two nodoids' x2
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(["classify", *argv, "--json"], capsys)
@@ -1373,6 +1403,19 @@ def test_sweep_nodoids_positive_halfperiod(capsys):
         cells = line.split(",")
         assert cells[3] == "Nodoid"
         assert float(cells[7]) > 0.0  # t2 column
+
+
+def test_sweep_deep_nodoids_fill_every_row(capsys):
+    # Brent's method in x ran out of iterations on the E = -50 row's x2, and
+    # the sweep exited 3 without writing a row
+    code, out, err = run_cli(
+        ["sweep", "--n", "4", "--h", "100", "--e=-50:-1:3"], capsys)
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["e"] for row in rows] == ["-50", "-25.5", "-1"]
+    for row in rows:
+        assert row["family"] == "Nodoid"
+        assert all(row[key] for key in ("x1", "x2", "x0", "t2", "t2_error"))
 
 
 def test_sweep_roadmap_grid_completes(capsys):

@@ -20,6 +20,7 @@ from heisenberg_cmc.closed_forms import (
     _Band,
     _band_cofactor,
     _betainc,
+    _chebint,
     _dct1,
     _grid,
     _STACK_ROWS,
@@ -892,6 +893,14 @@ def test_non_finite_samples_raise_at_once():
         with pytest.raises(OverflowError, match="degree 64 overflow"):
             _HalfPeriod(cls, arclength=True)
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("coeffs", [[2.5], [2.5, -1.0], [2.5, -1.0, 0.25]])
+def test_chebint_of_short_series_matches_numpy(coeffs):
+    # a series kept at one coefficient, as a constant dt/dtheta is, sliced
+    # _EVENS[:-1] against no coefficients and raised a broadcast ValueError
+    got = _chebint(np.array([coeffs]), 0.5 * math.pi)[0]
+    assert _bits(got) == _bits(chebint(coeffs, lbnd=-1.0) * (0.5 * math.pi))
 
 
 @pytest.mark.parametrize("h", [0.01, 0.5, 1.0, 3.0, 100.0])
