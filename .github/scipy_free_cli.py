@@ -2,10 +2,13 @@
 fail if any SciPy module was imported in this process.  Also check that the
 package declares and imports orjson, its JSON writer, and that the JSON
 documents of trace and verify all parse as strict JSON (no NaN or
-Infinity).  Run it from outside the checkout so that the installed package,
-not ./src, is imported."""
+Infinity), that render --trace draws the same points from a trace's JSON
+and CSV, and that it refuses a NaN literal, which only json's fallback
+reads.  Run it from outside the checkout so that the installed package, not
+./src, is imported."""
 
 import json
+import re
 import sys
 from importlib.metadata import requires
 
@@ -50,6 +53,14 @@ assert main(["trace", "--n", "2", "--h", "1", "--e", "0.05",
              "--max-arclength", "5", "--format", "json",
              "--out", "trace.json"]) == 0
 assert main(["render", "--trace", "trace.json", "--out", "trace.svg"]) == 0
+assert main(["render", "--trace", "trace.csv", "--out", "trace-csv.svg"]) == 0
+with open("trace.svg", encoding="utf-8") as svg, \
+        open("trace-csv.svg", encoding="utf-8") as svg_csv:
+    points = re.compile(r'points="([^"]*)"')
+    assert points.findall(svg.read()) == points.findall(svg_csv.read())
+with open("nan.json", "w", encoding="utf-8") as handle:
+    handle.write('{"n": 1, "h": 1, "samples": [[0, NaN, 1], [1, 2, 3]]}')
+assert main(["render", "--trace", "nan.json", "--out", "nan.svg"]) == 2
 assert main(["trace", "--n", "2", "--h", "0", "--e", "0.5",
              "--max-arclength", "5", "--out", "catenoid.csv"]) == 0
 assert main(["trace", "--n", "1", "--h", "1", "--x0", "0.7",

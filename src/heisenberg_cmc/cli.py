@@ -274,23 +274,12 @@ def cmd_trace(args):
 def _load_trace(path):
     """Polyline, as a (k, 2) array, and default title from a saved trace,
     JSON or CSV."""
-    with open(path, "r", encoding="utf-8") as handle:
-        head = handle.read(1)
-        handle.seek(0)
-        if head == "{":
-            doc = json.load(handle)
-            samples = doc.get("samples")
-            if not samples:
-                raise ValueError(f"{path}: no samples in trace")
-            if not all(isinstance(row, list) and len(row) >= 3
-                       for row in samples):
-                raise ValueError(f"{path}: trace samples need s, x, t")
-            polyline = [row[1:3] for row in samples]
-            try:
-                title = f"trace (n = {doc['n']}, H = {doc['h']:.6g})"
-            except (KeyError, TypeError, ValueError):
-                title = f"trace ({os.path.basename(path)})"
-        else:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if data[:1] == b"{":
+        xy, title = _json_trace(path, data)
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
             reader = csv.DictReader(handle)
             if (reader.fieldnames is None
                     or not {"x", "t"} <= set(reader.fieldnames)):
@@ -299,16 +288,53 @@ def _load_trace(path):
             if not polyline:
                 raise ValueError(f"{path}: no samples in trace")
             title = f"trace ({os.path.basename(path)})"
-    # without a dtype NumPy keeps a string or null sample as a string or
-    # object array, where dtype=float would parse "1.5"; one NaN or infinity
-    # would turn every vertex of the drawing into NaN
-    try:
         xy = np.array(polyline)
-    except ValueError:  # nested lists of unequal length
-        xy = None
+    # one NaN or infinity would turn every vertex of the drawing into NaN
     if (xy is None or xy.ndim != 2 or xy.dtype.kind not in "biuf"
             or not np.isfinite(xy).all()):
         raise ValueError(f"{path}: trace samples must be finite numbers")
+    return xy, title
+
+
+def _json_trace(path, data):
+    """_load_trace of the JSON trace at path, whose bytes are data: the
+    array of its samples' x and t, None where they are nested lists of
+    unequal length, and its default title.
+
+    orjson parses every file trace writes, and one array holds its uniform
+    rows.  A file orjson refuses, such as one with the NaN or Infinity
+    literals, is read again by json, and ragged rows are checked one by one,
+    so either gets the error it names."""
+    try:
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    samples = doc.get("samples")
+    if not samples:
+        raise ValueError(f"{path}: no samples in trace")
+    if not isinstance(samples, list):
+        raise ValueError(f"{path}: trace samples need s, x, t")
+    # without a dtype NumPy keeps a string or null sample as a string or
+    # object array, where dtype=float would parse "1.5"
+    try:
+        table = np.array(samples)
+    except ValueError:  # nested lists of unequal length
+        table = None
+    if (table is not None and table.ndim == 2 and table.shape[1] >= 3
+            and table.dtype.kind in "biuf"):
+        xy = table[:, 1:3]
+    elif not all(isinstance(row, list) and len(row) >= 3 for row in samples):
+        raise ValueError(f"{path}: trace samples need s, x, t")
+    else:
+        try:
+            xy = np.array([row[1:3] for row in samples])
+        except ValueError:
+            xy = None
+    try:
+        title = f"trace (n = {doc['n']}, H = {doc['h']:.6g})"
+    except (KeyError, TypeError, ValueError):
+        title = f"trace ({os.path.basename(path)})"
     return xy, title
 
 

@@ -518,7 +518,8 @@ def _resolved(sample, items):
     at every degree in one call made an arclength fit of one ~11% slower.)
     Past 64 the items still unresolved are sampled afresh at double the
     degree, and one unresolved at 4096 raises QuadratureError; samples that
-    are not all finite raise OverflowError.
+    are not all finite, or a function's row of samples that are all 0,
+    raise OverflowError.
     Every step rounds elementwise, so an item gets the bits it gets alone.
     Returns, for each item, the (coeffs, keep, noise) triple of each
     function and the number of points sampled: 65 when degree 64 resolves
@@ -536,6 +537,9 @@ def _resolved(sample, items):
         if not all(np.isfinite(values).all() for values, _ in pairs):
             raise OverflowError(
                 "Chebyshev samples of degree %d overflow a float" % sampled)
+        if not all(values.any(axis=1).all() for values, _ in pairs):
+            raise OverflowError(
+                "Chebyshev samples of degree %d underflow to 0" % sampled)
         evaluations += sampled + 1
         rows, functions = range(len(pending)), range(len(pairs))
         fits = _chopped(pairs, sampled, [

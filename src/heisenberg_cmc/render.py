@@ -152,8 +152,8 @@ def render_panel(polylines, title, width=PANEL_WIDTH, height=PANEL_HEIGHT,
                  'fill="#444444">t</text>')
     # the margins keep every curve point positive, so no -0.000 to mend
     for xy in lines:
-        points = zip(sx(xy[:, 0]).tolist(), sy(xy[:, 1]).tolist())
-        coords = " ".join(["%.3f,%.3f" % p for p in points])
+        flat = np.column_stack((sx(xy[:, 0]), sy(xy[:, 1]))).ravel().tolist()
+        coords = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(flat)
         parts.append(f'<polyline {_CURVE_STYLE} points="{coords}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + ("\n" if standalone else "")

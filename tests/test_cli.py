@@ -218,9 +218,12 @@ def test_trace_past_underflowing_n1_h2_exits_2(h, capsys):
      "x1 = 2.658023284227227e+56 and x2 = 2.6580232842272265e+56"),
     (["classify", "--n", "3", "--h", "1", "--e=-1e300"],
      "the band is narrower than a float resolves"),
+    (["classify", "--n", "3", "--h=-2.0696921704666884e-46",
+      "--e=-1.6739607329403806e196"],
+     "Chebyshev samples of degree 64 underflow to 0"),
 ], ids=["trace-1e-300", "classify-1e-155", "render-1e-155", "trace-drift",
         "cylinder-energy", "x2-power", "ulp-narrow-band", "ulp-narrow-n1",
-        "ulp-narrow-deep"])
+        "ulp-narrow-deep", "zero-samples"])
 def test_overflow_exits_2_with_the_error_line_alone(argv, cause, capsys):
     # under the CLI's default warning filters.  The trace used to fit its
     # arclength series on non-finite samples up to degree 4096 and print
@@ -237,6 +240,20 @@ def test_overflow_exits_2_with_the_error_line_alone(argv, cause, capsys):
     assert [str(w.message) for w in caught] == []
     assert err.startswith("error: the parameters overflow a float (")
     assert cause in err and err.count("\n") == 1
+    assert out == ""
+
+
+def test_unresolved_series_exits_3_with_the_error_line_alone(capsys):
+    # a thin neck whose dt/dtheta spikes past every degree up to 4096; some
+    # of its samples are 0, and none may print NumPy's divide warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.resetwarnings()
+        code, out, err = run_cli(
+            ["classify", "--n", "3", "--h", "3.398348647757604e-47", "--e",
+             "6.036020735851016e+39"], capsys)
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert err == "error: Chebyshev series unresolved at degree 4096\n"
     assert out == ""
 
 
@@ -1231,6 +1248,75 @@ def test_render_trace_rejects_malformed_file(tmp_path, capsys):
         assert code == 2, name
         assert "samples must be finite numbers" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("samples", ["5", "true"])
+def test_render_trace_samples_must_be_a_list(samples, tmp_path, capsys):
+    # a number or a boolean used to end in a TypeError traceback, exit 1
+    bad = tmp_path / "scalar.json"
+    bad.write_text('{"n": 1, "h": 1, "samples": %s}' % samples,
+                   encoding="utf-8")
+    code, out, err = run_cli(["render", "--trace", str(bad)], capsys)
+    assert code == 2
+    assert err == f"error: {bad}: trace samples need s, x, t\n"
+    assert out == ""
+
+
+# (n, H, E, stop event) of the traces render --trace reads back
+LOADER_CASES = {
+    "sphere-n1": (1, 1.0, 0.0, pode.EventKind.AXIS_CONTACT),
+    "sphere-n2": (2, 1.0, 0.0, pode.EventKind.AXIS_CONTACT),
+    "sphere-n3": (3, 1.0, 0.0, pode.EventKind.AXIS_CONTACT),
+    "unduloid": (2, 1.0, 0.05, None),
+    "nodoid": (2, 1.0, -0.1, None),
+    "catenoid-n2": (2, 0.0, 0.5, None),
+}
+
+
+def _saved_trace(case, tmp_path, capsys, fmt):
+    n, h, e, stop = LOADER_CASES[case]
+    argv = ["trace", "--n", str(n), "--h", repr(h), "--e", repr(e)]
+    if stop is not None:
+        argv += ["--stop-event", stop.value]
+    path = tmp_path / f"{case}.{fmt}"
+    code, _, err = run_cli([*argv, "--format", fmt, "--out", str(path)],
+                           capsys)
+    assert code == 0, err
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_CASES))
+def test_render_trace_draws_the_saved_samples(case, tmp_path, capsys):
+    n, h, e, stop = LOADER_CASES[case]
+    config = pode.SolveConfig(stop_event=None if stop is None else (stop, 1))
+    traj = cli.canonical_trace(n, h, e, config)
+    json_file = _saved_trace(case, tmp_path, capsys, "json")
+    code, out, err = run_cli(["render", "--trace", str(json_file)], capsys)
+    assert code == 0, err
+    assert out == render.render_panel([traj.states[:, :2]],
+                                      f"trace (n = {n}, H = {h:.6g})")
+    # %.17g round-trips every float, so the CSV draws the same points
+    csv_file = _saved_trace(case, tmp_path, capsys, "csv")
+    code, out_csv, err = run_cli(["render", "--trace", str(csv_file)], capsys)
+    assert code == 0, err
+    points = re.compile(r'points="([^"]*)"')
+    assert points.findall(out_csv) == points.findall(out)
+
+
+def test_render_trace_parses_written_files_with_orjson(tmp_path, capsys,
+                                                       monkeypatch):
+    # json is the fallback for files orjson refuses; a file trace writes
+    # must not reach it
+    json_file = _saved_trace("unduloid", tmp_path, capsys, "json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("render --trace fell back to json")
+
+    monkeypatch.setattr(cli.json, "load", refuse)
+    monkeypatch.setattr(cli.json, "loads", refuse)
+    code, out, err = run_cli(["render", "--trace", str(json_file)], capsys)
+    assert code == 0, err
+    assert "<polyline" in out
 
 
 def test_render_trace_reads_x_and_t_of_rows_of_any_length(tmp_path, capsys):

@@ -903,6 +903,21 @@ def test_chebint_of_short_series_matches_numpy(coeffs):
     assert _bits(got) == _bits(chebint(coeffs, lbnd=-1.0) * (0.5 * math.pi))
 
 
+def test_resolved_refuses_a_row_of_zeros():
+    # dt/dtheta of a shallow nodoid whose x^(4n-2) overflows is 0 at every
+    # point; its noise over its largest value was 0 / 0, which printed
+    # NumPy's "invalid value encountered in divide", and it ran to degree
+    # 4096.  The row beside it is 1 + y, which resolves alone
+    def sample(degree, some):
+        values = np.zeros((len(some), degree + 1))
+        values[0] = 1.0 + np.cos(np.arange(degree + 1) * math.pi / degree)
+        return [(values, (np.abs(values),))]
+
+    with pytest.raises(OverflowError,
+                       match="Chebyshev samples of degree 64 underflow to 0"):
+        _resolved(sample, [0, 1])
+
+
 @pytest.mark.parametrize("h", [0.01, 0.5, 1.0, 3.0, 100.0])
 def test_one_pass_sphere_arcs_match_the_doubling_loop(h):
     def sample(y):
