@@ -4,9 +4,11 @@ package declares and imports orjson, its JSON writer, and that the JSON
 documents of trace and verify all parse as strict JSON (no NaN or
 Infinity), that render --trace draws the same points from a trace's JSON
 and CSV, and that it refuses a NaN literal, which only json's fallback
-reads.  Run it from outside the checkout so that the installed package, not
-./src, is imported."""
+reads, and that a sweep axis ends at its HI and holds finite values where
+HI - LO overflows.  Run it from outside the checkout so that the installed
+package, not ./src, is imported."""
 
+import csv
 import json
 import re
 import sys
@@ -47,6 +49,17 @@ assert main(["classify", "--n", "3", "--h", "1.7707690497454343e26", "--e",
 assert main(["classify", "--n", "4", "--h", "100", "--e=-50"]) == 0
 assert main(["sweep", "--n", "4", "--h", "100", "--e=-50:-1:3",
              "--out", "nodoids.csv"]) == 0
+# a sphere whose H^{2n+1} underflows exits 2 with one error line; a sweep
+# axis ends at HI exactly, and HI - LO past the largest float leaves every
+# E finite: the rows that overflow are blanked, the sweep exits 2
+assert main(["classify", "--n", "1", "--h", "1e-120", "--e", "0"]) == 2
+for axis, es in (("--e=-1.6739607329403806e196:-1:2",
+                  [-1.6739607329403806e196, -1.0]),
+                 ("--e=-1e308:1e308:3", [-1e308, 0.0, 1e308])):
+    assert main(["sweep", "--n", "1", "--h", "1", axis,
+                 "--out", "axis.csv"]) == 2, axis
+    with open("axis.csv", newline="", encoding="utf-8") as handle:
+        assert [float(row["e"]) for row in csv.DictReader(handle)] == es, axis
 assert main(["trace", "--n", "2", "--h", "1", "--e", "0.05",
              "--max-arclength", "5", "--out", "trace.csv"]) == 0
 assert main(["trace", "--n", "2", "--h", "1", "--e", "0.05",

@@ -38,8 +38,10 @@ __all__ = [
 ]
 
 _CYLINDER_TOL = 1e-12
-# tolerances and iteration cap of the bracketed root search, _brentq
-_XTOL, _RTOL, _MAXITER = 1e-14, 8.9e-16, 100
+# the bracketed search of _log_root stops at a step below _VTOL in
+# v = log(x / 2^k), and raises after _MAXITER evaluations; its last steps,
+# from x itself, stop at one below _LAST
+_VTOL, _LAST, _MAXITER = 1e-8, 2.0 ** -40, 100
 
 
 class Family(str, enum.Enum):
@@ -113,65 +115,6 @@ def descartes_bound(coefficients):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _brentq(f, xa, xb, xtol=_XTOL, rtol=_RTOL):
-    """Root of f bracketed by [xa, xb], by Brent's zeroin as SciPy's
-    brentq.c writes it, step for step, so the roots agree to the bit."""
-
-    def nan(x):
-        return ValueError(f"f({x}) is NaN; the root search cannot go on")
-
-    xpre, xcur = float(xa), float(xb)
-    fpre = f(xpre)
-    if fpre != fpre:
-        raise nan(xpre)
-    fcur = f(xcur)
-    if fcur != fcur:
-        raise nan(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # brentq.c divides an underflowed denominator to inf or NaN,
-                # which fails the step test below: it bisects
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
-                        if denom != 0.0 else math.inf)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a short interpolation step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise nan(xcur)
-    raise RootBracketFailureError(
-        f"Brent's method did not converge in {_MAXITER} iterations "
-        f"(last x = {xcur})")
-
-
 def _split(a):
     """Veltkamp's split of a into hi + lo, each of at most 26 bits."""
     c = 134217729.0 * a  # 2^27 + 1
@@ -234,31 +177,110 @@ def _terms(p, a, b, x):
     return math.ldexp(a, k) * y, math.ldexp(b, -p * k) / y ** p
 
 
+def _exact_edge(p, a, b, x):
+    """_edge at x, its value 1 - a x - b / x^p rounded once from the exact
+    rational (y^p - a' y^{p+1} - b') / y^p, where x = 2^k y, a' = 2^k a and
+    b' = b / 2^{kp}: every float is an integer over a power of two."""
+    k = math.frexp(x)[1] - 1
+    y = math.ldexp(x, -k)
+    a, b = math.ldexp(a, k), math.ldexp(b, -p * k)
+    (ny, dy), (na, da), (nb, db) = (
+        y.as_integer_ratio(), a.as_integer_ratio(), b.as_integer_ratio())
+    yp = ny ** p
+    d = da * db * dy * yp
+    return (d - na * db * ny * yp - nb * da * dy ** (p + 1)) / d, (
+        p * b / y ** p - a * y)
+
+
 def _scaled(f, p, a, b, k):
-    """v -> f's value at x = 2^k e^v, b / x^p formed as +-(|b|^{1/p} / x)^p,
-    which over- or underflows only where it does."""
+    """v -> f's value and log x slope at x = 2^k e^v, b / x^p formed as
+    +-(|b|^{1/p} / x)^p, which over- or underflows only where it does."""
     a, root = math.ldexp(a, k), math.ldexp(_root(abs(b), 1.0, p), -k)
     sign = math.copysign(1.0, b)
 
     def g(v):
         y = math.exp(v)
-        return f(p, a * y, sign * (root / y) ** p)[0]
+        return f(p, a * y, sign * (root / y) ** p)
     return g
 
 
-def _log_root(f, p, a, b, lo, hi, k=None):
+def _log_root(f, p, a, b, lo, hi, k=None, at_lo=None, at_hi=None):
     """Root in [lo, hi] of the value of f(p, a x, b / x^p), its derivative
-    in log x second: Brent in v = log(x / 2^k), then one Newton step from
-    the terms at x's own power of two, as v's rounding moves e^v by ~1e-14
-    at |v| ~ 100.  Exact under (a, b, x) -> (a / 2^j, 2^{jp} b, 2^j x)."""
+    in log x second, by Newton's method in v = log(x / 2^k) (_newton).
+    at_lo and at_hi are f at the ends where the caller has it.  Newton
+    steps in log x from x itself follow, as v's rounding moves e^v by
+    ~1e-14 at |v| ~ 100, until one is below 2^-40: a band edge's from its
+    exact value (_exact_edge), so it is the float nearest the root unless
+    the root lies within a sliver of an ulp of the midpoint between two
+    floats, and x0's from the terms at x's own power of two.  Exact under
+    (a, b, x) -> (a / 2^j, 2^{jp} b, 2^j x)."""
     if k is None:
         k = (math.frexp(lo)[1] + math.frexp(hi)[1] - 1) // 2
-    v = _brentq(_scaled(f, p, a, b, k), math.log(math.ldexp(lo, -k)),
-                math.log(math.ldexp(hi, -k)))
-    x = min(max(math.ldexp(math.exp(v), k), lo), hi)
-    value, slope = f(p, *_terms(p, a, b, x))
-    x -= x * value / slope if slope else 0.0
+    g = _scaled(f, p, a, b, k)
+    va, vb = math.log(math.ldexp(lo, -k)), math.log(math.ldexp(hi, -k))
+    fa = (g(va) if at_lo is None else at_lo)[0]
+    fb = (g(vb) if at_hi is None else at_hi)[0]
+    x = math.ldexp(math.exp(_newton(g, k, va, fa, vb, fb)), k)
+    for _ in range(_MAXITER):
+        x = min(max(x, lo), hi)
+        value, slope = (_exact_edge(p, a, b, x) if f is _edge
+                        else f(p, *_terms(p, a, b, x)))
+        step = value / slope if slope else 0.0
+        x -= x * step
+        if not abs(step) > _LAST:
+            break
     return min(max(x, lo), hi)
+
+
+def _newton(g, k, va, fa, vb, fb):
+    """Root v of g's value bracketed by [va, vb], fa and fb its values
+    there, x = 2^k e^v naming the points in its errors.
+
+    Newton's method on g's (value, slope) pair from the secant point of the
+    ends.  A step that would leave the bracket, or that is more than half
+    the step before it, bisects instead, so the bracket at least halves
+    every second evaluation.  Returns after a step below _VTOL, the error
+    left of the order of its square, or once a bisection does."""
+
+    def nan(v):
+        return ValueError(f"f({math.ldexp(math.exp(v), k)}) is NaN; the "
+                          f"root search cannot go on")
+
+    if fa != fa:
+        raise nan(va)
+    if fb != fb:
+        raise nan(vb)
+    if fa == 0.0:
+        return va
+    if fb == 0.0:
+        return vb
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    rising = (fa < 0.0) == (va < vb)  # g < 0 at the lower end
+    lo, hi = min(va, vb), max(va, vb)
+    v = va - fa * (vb - va) / (fb - fa)
+    step = hi - lo
+    for _ in range(_MAXITER):
+        value, slope = g(v)
+        if value != value:
+            raise nan(v)
+        if value == 0.0:
+            return v
+        if (value < 0.0) == rising:
+            lo = v
+        else:
+            hi = v
+        last, step = step, value / slope if slope else math.inf
+        if -_VTOL < step < _VTOL:
+            return v - step
+        if not (lo < v - step < hi and 2.0 * abs(step) <= abs(last)):
+            step = v - 0.5 * (lo + hi)
+        v -= step
+        if -_VTOL < step < _VTOL:
+            return v
+    raise RootBracketFailureError(
+        f"Newton's method did not converge in {_MAXITER} iterations "
+        f"(last x = {math.ldexp(math.exp(v), k)})")
 
 
 def admissible_radii(n, h, e):
@@ -300,12 +322,16 @@ def _band(n, h, e):
         epsilon = n1_epsilon(h, e)
         x1, x2 = 2.0 * abs(e) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 * h)
     elif e > 0.0:
-        # both edges at c = 2^k <= r, where both searches see g(r) as this does
+        # both edges at c = 2^k <= r, where both searches share g(r)
         k = math.frexp(r)[1] - 1
-        if _scaled(_edge, p, h, e, k)(math.log(math.ldexp(r, -k))) <= 0.0:
+        at_r = _scaled(_edge, p, h, e, k)(math.log(math.ldexp(r, -k)))
+        if at_r[0] < _LAST:  # of the order of its rounding, near E_cyl
+            at_r = _exact_edge(p, h, e, r)
+        if at_r[0] <= 0.0:
             return r, r
-        x1 = _log_root(_edge, p, h, e, 0.5 * _root(e, 1.0, p), r, k)
-        x2 = _log_root(_edge, p, h, e, r, 2.0 / h, k)
+        x1 = _log_root(_edge, p, h, e, 0.5 * _root(e, 1.0, p), r, k,
+                       at_hi=at_r)
+        x2 = _log_root(_edge, p, h, e, r, 2.0 / h, k, at_lo=at_r)
     else:
         top = _root(-e, 1.0, p)
         grow, hi = 2.0 * (1.0 + h * top), 2.0 * max(1.0 / h, top)
@@ -339,12 +365,13 @@ def inflection_radius(n, h, e, bracket):
 
 def _inflection_radius(n, h, e, x1, x2):
     p = 2 * n - 1
-    q1, q2 = (_inflection(p, *_terms(p, h, e, x))[0] for x in (x1, x2))
+    at_x1, at_x2 = (_inflection(p, *_terms(p, h, e, x)) for x in (x1, x2))
+    q1, q2 = at_x1[0], at_x2[0]
     if not (q1 > 0.0 > q2):
         raise RootBracketFailureError(
             f"p / y^{3 * p} is {q1} at x1 = {x1} and {q2} at x2 = {x2}: no sign "
             f"change across the band")
-    return _log_root(_inflection, p, h, e, x1, x2)
+    return _log_root(_inflection, p, h, e, x1, x2, at_lo=at_x1, at_hi=at_x2)
 
 
 def classify(n, h, e):

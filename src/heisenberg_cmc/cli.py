@@ -81,7 +81,9 @@ def _int_list(text):
 
 
 def _axis(text):
-    """Either a single value or lo:hi:count, inclusive linear spacing."""
+    """Either a single value or lo:hi:count, inclusive linear spacing: lo +
+    step k, whose last point is hi itself.  Where hi - lo overflows, the
+    step is hi / (count - 1) - lo / (count - 1)."""
     parts = text.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
@@ -95,7 +97,9 @@ def _axis(text):
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
-    return [lo + step * k for k in range(count)]
+    if abs(step) == float("inf"):  # hi - lo overflows
+        step = hi / (count - 1) - lo / (count - 1)
+    return [lo + step * k for k in range(count - 1)] + [hi]
 
 
 # ---------------------------------------------------------------------------

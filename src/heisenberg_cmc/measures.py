@@ -367,11 +367,27 @@ def sphere_measures(n, h):
     Along sphere_generating_curve the perimeter and volume densities are
     sin^{2n}(psi) / H^{2n+1} and sin^{2n+2}(psi) / H^{2n+2}, so
     P = sigma_{2n-1} W(n) / H^{2n+1} and V = omega_{2n} W(n+1) / H^{2n+2}.
+    OverflowError, naming the quantity, where a power of H over- or
+    underflows or P or V overflows.
     """
     n = dimension_index(n)
     h = float(h)
     if h <= 0.0:
         raise ValueError("sphere measures need H > 0")
-    return (unit_sphere_area(n) * _sine_power_integral(n) / h ** (2 * n + 1),
-            unit_ball_volume(n) * _sine_power_integral(n + 1)
-            / h ** (2 * n + 2))
+    measures = []
+    for name, m, scale in (
+            ("perimeter", 2 * n + 1,
+             unit_sphere_area(n) * _sine_power_integral(n)),
+            ("volume", 2 * n + 2,
+             unit_ball_volume(n) * _sine_power_integral(n + 1))):
+        try:
+            value = scale / h ** m
+        except OverflowError:
+            raise OverflowError(f"H^{m} overflows at H = {h!r}") from None
+        except ZeroDivisionError:
+            raise OverflowError(
+                f"H^{m} underflows to 0 at H = {h!r}") from None
+        if value == math.inf:
+            raise OverflowError(f"the sphere's {name} overflows at H = {h!r}")
+        measures.append(value)
+    return tuple(measures)

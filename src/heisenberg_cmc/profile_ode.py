@@ -39,13 +39,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import Family, _brentq, classify
+from .classify import Family, classify
 from .core import dimension_index
 from .errors import (
     AxisPointError,
     EnergyDriftError,
     IntegrationError,
     NoCriticalPointError,
+    RootBracketFailureError,
 )
 
 __all__ = [
@@ -443,6 +444,66 @@ _D = (
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0  # -1 / (order of the error estimator + 1)
 _ROOT_TOL = 4.0 * math.ulp(1.0)  # event roots, xtol = rtol
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb, xtol=1e-14, rtol=8.9e-16):
+    """Root of f bracketed by [xa, xb], by Brent's zeroin as SciPy's
+    brentq.c writes it, step for step, so the roots agree to the bit."""
+
+    def nan(x):
+        return ValueError(f"f({x}) is NaN; the root search cannot go on")
+
+    xpre, xcur = float(xa), float(xb)
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise nan(xpre)
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise nan(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # brentq.c divides an underflowed denominator to inf or NaN,
+                # which fails the step test below: it bisects
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
+                        if denom != 0.0 else math.inf)
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a short interpolation step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise nan(xcur)
+    raise RootBracketFailureError(
+        f"Brent's method did not converge in {_BRENT_MAXITER} iterations "
+        f"(last x = {xcur})")
 
 
 def _total(row, part):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import heisenberg_cmc.classify as classify_module
+import heisenberg_cmc.profile_ode as profile_ode
 from heisenberg_cmc.classify import (
     Classification,
     Family,
@@ -23,6 +24,7 @@ from heisenberg_cmc.classify import (
 from heisenberg_cmc.closed_forms import halfperiod_heights
 from heisenberg_cmc.errors import NoAdmissibleRadiusError, RootBracketFailureError
 from heisenberg_cmc.measures import sphere_measures
+from heisenberg_cmc.profile_ode import ProfileState, SolveConfig, integrate
 
 from oracles import band_edge_within
 
@@ -238,6 +240,68 @@ def test_inflection_where_p_underflows(n, h, e):
     assert _inflection_p(n, h, e, Fraction(cls.x0) * (1 + rel)) < 0
 
 
+# exact oracles where the search is weakest: near the cylinder the band
+# edges close in on a double root, whose slope tends to 0; at thin necks
+# the bracket spans hundreds of e-folds; deep nodoids
+
+
+_EDGE_REL, _X0_REL = Fraction(4 * 2.0 ** -52), Fraction(1, 10 ** 12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", range(1, 16))
+def test_near_cylinder_radii_hold(n, k):
+    # E = E_cyl (1 - 10^-k): classify calls k >= 12 a cylinder, so the band
+    # and x0 are asked of admissible_radii and inflection_radius.  With g
+    # rounded in floats the edges held to ~eps / sqrt(10^-k) only, over
+    # 2,600 ulps from k = 10, and at k = 15, n = 3 the band came out
+    # [1.18775, 1.19554], 6e5 times as wide as it is
+    h = 0.7
+    e = cylinder_energy(n, h) * (1.0 - 10.0 ** -k)
+    x1, x2 = admissible_radii(n, h, e)
+    assert band_edge_within(n, h, e, x1, _EDGE_REL), (n, k)
+    assert band_edge_within(n, h, e, x2, _EDGE_REL, outer=True), (n, k)
+    x0 = inflection_radius(n, h, e, (x1, x2))
+    cls = Classification(Family.UNDULOID, n, h, e, x1=x1, x2=x2, x0=x0)
+    assert _inflection_within(cls, _X0_REL), (n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 10, 50, 100, 200, 300])
+def test_thin_neck_radii_hold(n, k):
+    h = 0.7
+    cls = classify(n, h, cylinder_energy(n, h) * 10.0 ** -k)
+    assert cls.family is Family.UNDULOID
+    assert band_edge_within(n, h, cls.e, cls.x1, _EDGE_REL), cls
+    assert band_edge_within(n, h, cls.e, cls.x2, _EDGE_REL, outer=True), cls
+    assert _inflection_within(cls, _X0_REL), cls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("e", [-1e-3, -1.0, -10.0, -100.0, -1000.0])
+def test_deep_nodoid_radii_hold(n, e):
+    cls = classify(n, 0.7, e)
+    assert cls.family is Family.NODOID
+    assert band_edge_within(n, 0.7, e, cls.x1, _EDGE_REL), cls
+    assert band_edge_within(n, 0.7, e, cls.x2, _EDGE_REL, outer=True), cls
+    assert cls.x1 < cls.x0 < cls.x2
+
+
+@pytest.mark.parametrize("n, h, e", [
+    (2, 1e-200, -1e200), (3, 0.7, 0.05), (3, 0.7, -2.0),
+    (2, 0.7, cylinder_energy(2, 0.7) * (1.0 - 1e-12)), (4, 1.0, 1e-15),
+    (3, 1e20, 0.5 * cylinder_energy(3, 1e20)), (4, 100.0, -50.0),
+])
+def test_band_edges_are_the_nearest_floats(n, h, e):
+    # the last Newton step takes the band polynomial's exact value, so each
+    # edge lies within half an ulp of its root.  With the value rounded in
+    # floats x2 came out 0.72 ulps from it at H = 1e-200, E = -1e200
+    x1, x2 = admissible_radii(n, h, e)
+    for x, outer in ((x1, False), (x2, True)):
+        half_ulp = Fraction(math.ulp(x)) / 2 / Fraction(x)
+        assert band_edge_within(n, h, e, x, half_ulp, outer=outer), (x, outer)
+
+
 @given(n=st.integers(1, 4), u=st.floats(-2.0, 2.0),
        sign=st.sampled_from((1.0, -1.0)),
        frac=st.one_of(
@@ -390,27 +454,29 @@ def test_n1_radii_match_the_exact_band(u, sign, frac):
 
 
 # ---------------------------------------------------------------------------
-# the Brent root search, pinned against scipy.optimize.brentq
+# the Brent root search of the ODE's events, pinned against
+# scipy.optimize.brentq
 
 
 def test_brent_port_matches_scipy(monkeypatch):
-    # every root search of a classify grid, repeated by SciPy on the same
-    # function and bracket, must return the same float
+    # every event-root search of a few open ODE solves, repeated by SciPy on
+    # the same function, bracket and tolerances, must return the same float.
+    # Explicit starts are solved directly, through every turn and critical
+    # radius up to the arclength limit
     pairs = []
-    port = classify_module._brentq
+    port = profile_ode._brentq
 
-    def both(f, a, b):
-        root = port(f, a, b)
-        pairs.append((root, brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)))
+    def both(f, a, b, xtol, rtol):
+        root = port(f, a, b, xtol, rtol)
+        pairs.append((root, brentq(f, a, b, xtol=xtol, rtol=rtol)))
         return root
 
-    monkeypatch.setattr(classify_module, "_brentq", both)
-    for n in range(1, 5):
-        for h in (-2.0, -0.3, 0.05, 0.7, 3.0):
-            ecyl = cylinder_energy(n, abs(h)) * math.copysign(1.0, h)
-            for frac in (-40.0, -3.0, -0.5, -1e-6, 1e-9, 0.01, 0.3, 0.9,
-                         1.0 - 1e-9):
-                classify(n, h, frac * ecyl)
+    monkeypatch.setattr(profile_ode, "_brentq", both)
+    for n in (1, 2):
+        for h in (0.5, 2.0):
+            for sigma in (-2.0, 0.0, 1.0):
+                integrate(n, h, initial=ProfileState(0.7 / h, 0.0, sigma),
+                          config=SolveConfig(max_arclength=20.0))
     assert len(pairs) > 300
     assert [a for a, _ in pairs] == [b for _, b in pairs]
 
@@ -429,7 +495,7 @@ def test_brent_port_bisects_past_an_underflowed_step(h):
         return ((e + h * y ** (2 * n)) ** 3 - 2.0 * h * y ** (6 * n - 2)
                 + 2.0 * (n - 1) * e * y ** (4 * n - 2))
 
-    root = classify_module._brentq(p, x1, x2)
+    root = profile_ode._brentq(p, x1, x2)
     assert root == brentq(p, x1, x2, xtol=1e-14, rtol=8.9e-16)
     assert x1 < root < x2
 
@@ -442,12 +508,12 @@ def test_brent_port_out_of_iterations():
     with pytest.raises(RuntimeError):
         brentq(step, 0.0, 1e300, xtol=1e-14, rtol=8.9e-16)
     with pytest.raises(RootBracketFailureError, match="100 iterations"):
-        classify_module._brentq(step, 0.0, 1e300)
-    assert classify_module._brentq(step, 0.0, 2.0) == pytest.approx(1.0)
+        profile_ode._brentq(step, 0.0, 1e300)
+    assert profile_ode._brentq(step, 0.0, 2.0) == pytest.approx(1.0)
 
 
 def test_brent_port_rejects_a_bracket_without_sign_change():
     with pytest.raises(ValueError, match="different signs"):
-        classify_module._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        profile_ode._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         brentq(lambda x: x * x + 1.0, -1.0, 1.0)

@@ -207,8 +207,10 @@ def test_trace_past_underflowing_n1_h2_exits_2(h, capsys):
      "the terms of E overflow at x = 1e+60"),
     (["classify", "--n", "2", "--h", "1e-300", "--e", "1"],
      "the cylinder energy overflows at H = 1e-300"),
+    # x2 is the float nearest the root, 0.28 ulps below it; the one above,
+    # 0.72 ulps off, was reported before the edges were rounded exactly
     (["classify", "--n", "2", "--h", "1e-200", "--e=-1e200"],
-     "x2^3 overflows at x2 = 1.0000000000000001e+200"),
+     "x2^3 overflows at x2 = 1e+200"),
     (["classify", "--n", "2", "--h", "1e100", "--e=-1e200"],
      "the band is narrower than a float resolves: no float lies between "
      "x1 = 1e+25 and x2 = 1e+25"),
@@ -1549,6 +1551,62 @@ def test_sweep_empty_grid(capsys):
         ["sweep", "--n", "1", "--h", "1", "--e", "0:1:0"], capsys)
     assert code == 0
     assert out.strip() == ",".join(SWEEP_COLUMNS)
+
+
+@pytest.mark.parametrize("n, h, cause", [
+    ("1", "1e-120", "H^3 underflows to 0 at H = 1e-120"),
+    ("3", "-2.0696921704666884e-46",
+     "the sphere's perimeter overflows at H = 2.0696921704666884e-46"),
+], ids=["n1-h3-underflows", "n3-perimeter-overflows"])
+def test_sphere_underflow_exits_2_with_the_error_line_alone(n, h, cause,
+                                                           capsys):
+    # sphere_measures divided by H^{2n+1} or H^{2n+2} once it underflowed to
+    # 0, and classify ended in a ZeroDivisionError traceback
+    code, out, err = run_cli(
+        ["classify", "--n", n, f"--h={h}", "--e", "0"], capsys)
+    assert code == 2
+    assert err == f"error: the parameters overflow a float ({cause})\n"
+    assert out == ""
+
+
+def test_sweep_finishes_past_an_underflowing_sphere(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--n", "1", "--h", "1e-120:1:2", "--e", "0"], capsys)
+    assert code == 2
+    assert err == ("error: the parameters overflow a float (n = 1, "
+                   "H = 1e-120, E = 0.0: H^3 underflows to 0 at "
+                   "H = 1e-120)\n")
+    rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
+            for line in out.splitlines()[1:]]
+    assert [(r["h"], r["family"]) for r in rows] == [
+        ("9.9999999999999998e-121", ""), ("1", "Sphere")]
+
+
+def test_sweep_axis_ends_at_hi(capsys):
+    # lo + step (count - 1) rounded to 0.0 here, and the last row reported
+    # a sphere for the E = -1 that was asked for
+    code, out, _ = run_cli(
+        ["sweep", "--n", "1", "--h", "1",
+         "--e=-1.6739607329403806e196:-1:2"], capsys)
+    assert code == 2
+    rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
+            for line in out.splitlines()[1:]]
+    assert [(float(r["e"]), r["family"]) for r in rows] == [
+        (-1.6739607329403806e196, ""), (-1.0, "Nodoid")]
+
+
+def test_sweep_axis_past_an_overflowing_span(capsys):
+    # hi - lo overflowed, the step was inf, and the sweep aborted on
+    # "E must be finite, got nan"
+    code, out, err = run_cli(
+        ["sweep", "--n", "1", "--h", "1", "--e=-1e308:1e308:3"], capsys)
+    assert code == 2
+    assert err.startswith("error: the parameters overflow a float (n = 1, "
+                          "H = 1.0, E = -1e+308: ")
+    rows = [dict(zip(SWEEP_COLUMNS, line.split(",")))
+            for line in out.splitlines()[1:]]
+    assert [float(r["e"]) for r in rows] == [-1e308, 0.0, 1e308]
+    assert [r["family"] for r in rows] == ["", "Sphere", ""]
 
 
 def test_sweep_json_schema_with_inadmissible_rows(capsys):

@@ -1,6 +1,7 @@
 """Perimeter, volume, and first-variation checks for rotational profiles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -413,3 +414,17 @@ def test_stock_profile_validation():
         sphere_surface(1, 0.0)
     with pytest.raises(ValueError):
         sphere_measures(1, 0.0)
+
+
+@pytest.mark.parametrize("n, h, cause", [
+    (1, 1e-120, "H^3 underflows to 0 at H = 1e-120"),
+    (3, 2.0696921704666884e-46,
+     "the sphere's perimeter overflows at H = 2.0696921704666884e-46"),
+    (1, 1e200, "H^3 overflows at H = 1e+200"),
+])
+def test_sphere_measures_name_what_overflows(n, h, cause):
+    # a power of H that underflowed to 0 was a ZeroDivisionError, one that
+    # overflowed Python's errno tuple, and a perimeter past the largest
+    # float came out inf
+    with pytest.raises(OverflowError, match=f"^{re.escape(cause)}$"):
+        sphere_measures(n, h)
