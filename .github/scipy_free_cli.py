@@ -4,12 +4,16 @@ package declares and imports orjson, its JSON writer, and that the JSON
 documents of trace and verify all parse as strict JSON (no NaN or
 Infinity), that render --trace draws the same points from a trace's JSON
 and CSV, and that it refuses a NaN literal, which only json's fallback
-reads, and that a sweep axis ends at its HI and holds finite values where
-HI - LO overflows.  Run it from outside the checkout so that the installed
-package, not ./src, is imported."""
+reads, that a sweep axis ends at its HI and holds finite values where
+HI - LO overflows, and that a sweep writes every row past one whose
+half-period series is unresolved.  The ODE's events are checked on an
+explicit-start trace, whose critical radii and vertical tangents
+alternate, and on a ray into the axis.  Run it from outside the checkout
+so that the installed package, not ./src, is imported."""
 
 import csv
 import json
+import math
 import re
 import sys
 from importlib.metadata import requires
@@ -83,6 +87,33 @@ assert main(["sweep", "--n", "1,2,3", "--h=-2:2:9",
              "--e=-1:0.5:20", "--out", "sweep.csv"]) == 0
 assert main(["sweep", "--n", "1,2,3", "--h=-2:2:9",
              "--e=-1:0.5:20", "--format", "json", "--out", "sweep.json"]) == 0
+# the event roots of an explicit start: critical radii and vertical tangents
+# alternate up to the arclength limit, sigma a multiple of pi at each
+# critical radius; a ray into the axis ends at its one AxisContact
+assert main(["trace", "--n", "2", "--h", "0.5", "--x0", "1.4", "--sigma0",
+             "1", "--max-arclength", "20", "--format", "json",
+             "--out", "events.json"]) == 0
+events = strict_load("events.json")["events"]
+assert [ev["kind"] for ev in events] == [
+    "CriticalRadius", "VerticalTangent"] * 5, events
+arclengths = [ev["s"] for ev in events]
+assert 0.0 < arclengths[0] and arclengths[-1] <= 20.0, arclengths
+assert all(a < b for a, b in zip(arclengths, arclengths[1:])), arclengths
+for ev in events[::2]:
+    sigma = ev["state"][2]
+    assert sigma == math.pi * round(sigma / math.pi), ev
+assert main(["trace", "--n", "1", "--h", "0", "--x0", "0.5",
+             "--sigma0=-1.5707963267948966", "--max-arclength", "7",
+             "--format", "json", "--out", "ray.json"]) == 0
+assert [ev["kind"] for ev in strict_load("ray.json")["events"]] == [
+    "AxisContact"]
+# a row whose half-period series stays unresolved is blanked: the sweep
+# writes both rows and exits 3
+assert main(["sweep", "--n", "3", "--h", "3.398348647757604e-47:1:2",
+             "--e=-0.5", "--out", "unresolved.csv"]) == 3
+with open("unresolved.csv", newline="", encoding="utf-8") as handle:
+    assert [row["family"] for row in csv.DictReader(handle)] == [
+        "", "Nodoid"]
 # verify all runs curvature, classification and measures in a forked worker,
 # whose imports this process never sees; run them here one by one as well
 for suite in ("all", "curvature", "classification", "measures"):

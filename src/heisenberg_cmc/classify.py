@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 _CYLINDER_TOL = 1e-12
-# the bracketed search of _log_root stops at a step below _VTOL in
-# v = log(x / 2^k), and raises after _MAXITER evaluations; its last steps,
-# from x itself, stop at one below _LAST
+# the bracketed search _newton stops at a step below _VTOL in its variable
+# (v = log(x / 2^k) for _log_root), and raises after _MAXITER evaluations;
+# _log_root's last steps, from x itself, stop at one below _LAST
 _VTOL, _LAST, _MAXITER = 1e-8, 2.0 ** -40, 100
 
 
@@ -220,7 +220,8 @@ def _log_root(f, p, a, b, lo, hi, k=None, at_lo=None, at_hi=None):
     va, vb = math.log(math.ldexp(lo, -k)), math.log(math.ldexp(hi, -k))
     fa = (g(va) if at_lo is None else at_lo)[0]
     fb = (g(vb) if at_hi is None else at_hi)[0]
-    x = math.ldexp(math.exp(_newton(g, k, va, fa, vb, fb)), k)
+    x = math.ldexp(math.exp(_newton(
+        g, lambda v: f"x = {math.ldexp(math.exp(v), k)}", va, fa, vb, fb)), k)
     for _ in range(_MAXITER):
         x = min(max(x, lo), hi)
         value, slope = (_exact_edge(p, a, b, x) if f is _edge
@@ -232,19 +233,23 @@ def _log_root(f, p, a, b, lo, hi, k=None, at_lo=None, at_hi=None):
     return min(max(x, lo), hi)
 
 
-def _newton(g, k, va, fa, vb, fb):
+def _newton(g, point, va, fa, vb, fb):
     """Root v of g's value bracketed by [va, vb], fa and fb its values
-    there, x = 2^k e^v naming the points in its errors.
+    there; point(v) names v's point in errors, as "x = ..." or "s = ...".
+    It finds the band edges and x0 in v = log(x / 2^k) (_log_root) and the
+    ODE's event roots in a step's r = (s - s0) / h (profile_ode).
 
     Newton's method on g's (value, slope) pair from the secant point of the
     ends.  A step that would leave the bracket, or that is more than half
     the step before it, bisects instead, so the bracket at least halves
     every second evaluation.  Returns after a step below _VTOL, the error
-    left of the order of its square, or once a bisection does."""
+    left of the order of its square, or once a bisection does.  Raises
+    ValueError when the ends' values share a sign or a value is NaN, and
+    RootBracketFailureError after _MAXITER evaluations."""
 
     def nan(v):
-        return ValueError(f"f({math.ldexp(math.exp(v), k)}) is NaN; the "
-                          f"root search cannot go on")
+        return ValueError(
+            f"f is NaN at {point(v)}; the root search cannot go on")
 
     if fa != fa:
         raise nan(va)
@@ -280,7 +285,7 @@ def _newton(g, k, va, fa, vb, fb):
             return v
     raise RootBracketFailureError(
         f"Newton's method did not converge in {_MAXITER} iterations "
-        f"(last x = {math.ldexp(math.exp(v), k)})")
+        f"(last {point(v)})")
 
 
 def admissible_radii(n, h, e):

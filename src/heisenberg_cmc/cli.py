@@ -394,14 +394,6 @@ def cmd_verify(args):
 # sweep
 
 
-class _SweepOverflowError(OverflowError):
-    """Rows of a sweep overflow a float; rows holds the whole grid."""
-
-    def __init__(self, message, rows):
-        super().__init__(message)
-        self.rows = rows
-
-
 def _classified(n, h, e):
     """classify(n, h, e) for a sweep row: None where no radius is admissible,
     the OverflowError where the parameters overflow a float."""
@@ -413,11 +405,12 @@ def _classified(n, h, e):
         return exc
 
 
-def _sweep_row(n, h, e, cls, pairs, overflows):
+def _sweep_row(n, h, e, cls, pairs, failures):
     """The sweep columns of run_report, from the row's _classified result and
     an iterator over the heights of the grid's periodic rows, or None to
     compute this row's own; inadmissible rows keep only n, h, e, and so do
-    rows that overflow a float, which are named in overflows."""
+    rows that overflow a float or whose half-period series is unresolved,
+    which are added to failures, named, with their error."""
     row = dict.fromkeys(SWEEP_COLUMNS)
     row.update({"n": n, "h": h, "e": e})
     if cls is None:
@@ -430,8 +423,8 @@ def _sweep_row(n, h, e, cls, pairs, overflows):
             heights = (next(pairs) if pairs is not None
                        else halfperiod_heights([cls])[0])
         report = _report(("sweep",), n, h, e, cls, heights)
-    except OverflowError as exc:
-        overflows.append(f"n = {n}, H = {h!r}, E = {e!r}: {exc}")
+    except (OverflowError, QuadratureError) as exc:
+        failures.append((f"n = {n}, H = {h!r}, E = {e!r}: {exc}", exc))
         return row
     row["family"] = report["family"]
     row.update(report["radii"])
@@ -447,10 +440,11 @@ def sweep_rows(ns, hs, es):
 
     Every grid point is classified once, and the half-period heights of all
     periodic rows come from one halfperiod_heights call, which fits their
-    series in stacks, unless a row overflows a float there; then each row
-    makes its own call.  A row that overflows a float keeps only n, h and e.
-    The grid is still finished; then an OverflowError naming the first such
-    row is raised, with the rows in its rows attribute.
+    series in stacks, unless a row overflows a float or leaves its series
+    unresolved there; then each row makes its own call.  Such a row keeps
+    only n, h and e.  The grid is still finished; then the first such row's
+    error, an OverflowError or a QuadratureError, is raised naming it, with
+    the rows in its rows attribute.
     """
     grid = [(n, h, e) for n in ns for h in hs for e in es]
     found = [_classified(*point) for point in grid]
@@ -458,17 +452,21 @@ def sweep_rows(ns, hs, es):
         pairs = iter(halfperiod_heights(
             [cls for cls in found
              if isinstance(cls, Classification) and cls.family in _PERIODIC]))
-    except OverflowError:
-        pairs = None  # a row overflows: each row computes its own, alone
-    overflows = []
-    rows = [_sweep_row(*point, cls, pairs, overflows)
+    except (OverflowError, QuadratureError):
+        pairs = None  # a row fails: each row computes its own, alone
+    failures = []
+    rows = [_sweep_row(*point, cls, pairs, failures)
             for point, cls in zip(grid, found)]
-    if overflows:
-        more = len(overflows) - 1
-        raise _SweepOverflowError(
-            overflows[0] + (f"; {more} more rows overflow" if more else ""),
-            rows)
-    return rows
+    if not failures:
+        return rows
+    (message, first), more = failures[0], len(failures) - 1
+    if more:
+        overflow = all(isinstance(exc, OverflowError) for _, exc in failures)
+        message += f"; {more} more rows {'overflow' if overflow else 'failed'}"
+    failure = (OverflowError if isinstance(first, OverflowError)
+               else QuadratureError)(message)
+    failure.rows = rows
+    raise failure
 
 
 def _csv_cell(value):
@@ -483,9 +481,9 @@ def _csv_cell(value):
 
 def cmd_sweep(args):
     try:
-        rows, overflow = sweep_rows(args.n, args.h, args.e), None
-    except _SweepOverflowError as exc:
-        rows, overflow = exc.rows, exc
+        rows, failure = sweep_rows(args.n, args.h, args.e), None
+    except (OverflowError, QuadratureError) as exc:
+        rows, failure = exc.rows, exc
     with _out_stream(args.out) as stream:
         if args.format == "json":
             _write_json({"rows": rows}, stream)
@@ -496,8 +494,8 @@ def cmd_sweep(args):
                     ",".join(_csv_cell(row[col]) for col in SWEEP_COLUMNS),
                     file=stream,
                 )
-    if overflow is not None:
-        raise overflow
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 

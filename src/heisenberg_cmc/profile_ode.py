@@ -39,14 +39,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classify import Family, classify
+from .classify import Family, _newton, classify
 from .core import dimension_index
 from .errors import (
     AxisPointError,
     EnergyDriftError,
     IntegrationError,
     NoCriticalPointError,
-    RootBracketFailureError,
 )
 
 __all__ = [
@@ -443,67 +442,6 @@ _D = (
 # rejection
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0  # -1 / (order of the error estimator + 1)
-_ROOT_TOL = 4.0 * math.ulp(1.0)  # event roots, xtol = rtol
-_BRENT_MAXITER = 100
-
-
-def _brentq(f, xa, xb, xtol=1e-14, rtol=8.9e-16):
-    """Root of f bracketed by [xa, xb], by Brent's zeroin as SciPy's
-    brentq.c writes it, step for step, so the roots agree to the bit."""
-
-    def nan(x):
-        return ValueError(f"f({x}) is NaN; the root search cannot go on")
-
-    xpre, xcur = float(xa), float(xb)
-    fpre = f(xpre)
-    if fpre != fpre:
-        raise nan(xpre)
-    fcur = f(xcur)
-    if fcur != fcur:
-        raise nan(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # brentq.c divides an underflowed denominator to inf or NaN,
-                # which fails the step test below: it bisects
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
-                        if denom != 0.0 else math.inf)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a short interpolation step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if fcur != fcur:
-            raise nan(xcur)
-    raise RootBracketFailureError(
-        f"Brent's method did not converge in {_BRENT_MAXITER} iterations "
-        f"(last x = {xcur})")
 
 
 def _total(row, part):
@@ -661,6 +599,36 @@ def _interpolate(piece, u):
     )
 
 
+def _component(coefficients, r):
+    """One component's dense output at r = (u - s0) / h, nested as
+    _interpolate nests it, and its derivative in r."""
+    y0, f0, f1, f2, f3, f4, f5, f6 = coefficients
+    q = 1.0 - r
+    p, d = f6 * r + f5, f6
+    p, d = p * q + f4, d * q - p
+    p, d = p * r + f3, d * r + p
+    p, d = p * q + f2, d * q - p
+    p, d = p * r + f1, d * r + p
+    p, d = p * q + f0, d * q - p
+    return p * r + y0, d * r + p
+
+
+def _event_root(piece, j, level, end):
+    """The arclength in [piece.s0, end] where component j of the step's
+    dense output crosses level: classify._newton in r = (u - s0) / h, on
+    the interpolant's value and exact slope (_component)."""
+    coefficients = piece.coefficients()[j]
+
+    def g(r):
+        value, slope = _component(coefficients, r)
+        return value - level, slope
+
+    s0, h = piece.s0, piece.h
+    r = _newton(g, lambda r: f"s = {s0 + r * h}",
+                0.0, g(0.0)[0], 1.0, g(1.0)[0])
+    return min(max(s0 + r * h, s0), end)
+
+
 def _unwound(c, s, guess):
     """The angle of (c, s) on the branch nearest guess."""
     raw = math.atan2(s, c)
@@ -695,12 +663,13 @@ class _OdeResult:
     flat: bool
 
 
-# the events the solver watches, in the order it reports ties, with the only
+# the events the solver watches, in the order it reports ties: the component
+# of y = (x, t, cos sigma, sin sigma) whose level marks each, and the only
 # direction that counts (-1 falling, 0 either)
 _WATCHED = (
-    (EventKind.CRITICAL_RADIUS, 0),  # sin sigma = 0
-    (EventKind.VERTICAL_TANGENT, 0),  # cos sigma = 0
-    (EventKind.AXIS_CONTACT, -1),  # x = config.axis_epsilon
+    (EventKind.CRITICAL_RADIUS, 3, 0),  # sin sigma = 0
+    (EventKind.VERTICAL_TANGENT, 2, 0),  # cos sigma = 0
+    (EventKind.AXIS_CONTACT, 0, -1),  # x = config.axis_epsilon
 )
 
 
@@ -724,11 +693,12 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
     their function opposite signs or a 0; unlike SciPy, a function exactly 0
     at s = 0 is no event, so a start state on an event does not report it,
     and neither is one exactly 0 at both ends of a step, as sin sigma is all
-    along a cylinder.  The root is found by Brent's method on the step's
-    dense output, and recorded with sigma on the step's branch, snapped to
-    a multiple of pi at a critical radius.  The solve ends at the first
-    AxisContact or the config.stop_event-th event of its kind.  Raises
-    IntegrationError when the step falls below ten ulps of s, and
+    along a cylinder.  The root is found by classify._newton on the step's
+    dense output in r = (s - s0) / h (_event_root), within 1 ulp of the
+    interpolant's exact root, and recorded with sigma on the step's branch,
+    snapped to a multiple of pi at a critical radius.  The solve ends at
+    the first AxisContact or the config.stop_event-th event of its kind.
+    Raises IntegrationError when the step falls below ten ulps of s, and
     OverflowError when y' overflows a float at the start.
     """
     trial, dense, fun = _steps(_SIGMA_PRIME)(*_constants(n, h))
@@ -736,10 +706,11 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
     terminal = {EventKind.AXIS_CONTACT: 1}
     if config.stop_event is not None:
         terminal[config.stop_event[0]] = config.stop_event[1]
-    limits = [terminal.get(kind, 0) for kind, _ in _WATCHED]
+    limits = [terminal.get(kind, 0) for kind, _, _ in _WATCHED]
+    levels = (0.0, 0.0, eps)  # each component's event level, _WATCHED order
 
     def watch(y):  # the event functions, in _WATCHED order
-        return y[3], y[2], y[0] - eps
+        return [y[j] - c for (_, j, _), c in zip(_WATCHED, levels)]
 
     y = (float(initial.x), float(initial.t), *_cos_sin(float(initial.sigma)))
     sigma = _unwound(y[2], y[3], float(initial.sigma))
@@ -796,14 +767,13 @@ def solve_ivp(n, h, e, initial, config, rtol, atol):
 
         g_new = watch(y_new)
         hits = []
-        for i, (_, direction) in enumerate(_WATCHED):
+        for i, (_, j, direction) in enumerate(_WATCHED):
             if g_old[i] == 0.0 == g_new[i]:
                 continue  # g vanishes along the step: no isolated root
             rising = g_old[i] <= 0.0 <= g_new[i]
             falling = g_old[i] >= 0.0 >= g_new[i]
             if rising and direction >= 0 or falling and direction <= 0:
-                root = _brentq(lambda u, i=i: watch(_interpolate(piece, u))[i],
-                               s_old, s_new, _ROOT_TOL, _ROOT_TOL)
+                root = _event_root(piece, j, levels[i], s_new)
                 counts[i] += 1
                 hits.append((root, i))
         hits.sort()

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 import heisenberg_cmc.classify as classify_module
 import heisenberg_cmc.profile_ode as profile_ode
@@ -454,66 +453,61 @@ def test_n1_radii_match_the_exact_band(u, sign, frac):
 
 
 # ---------------------------------------------------------------------------
-# the Brent root search of the ODE's events, pinned against
-# scipy.optimize.brentq
+# the ODE's event roots, found by classify._newton on each step's dense output
 
 
-def test_brent_port_matches_scipy(monkeypatch):
-    # every event-root search of a few open ODE solves, repeated by SciPy on
-    # the same function, bracket and tolerances, must return the same float.
-    # Explicit starts are solved directly, through every turn and critical
-    # radius up to the arclength limit
-    pairs = []
-    port = profile_ode._brentq
+def _interpolant_exact(coefficients, s0, h, level, u):
+    """The dense output component with these coefficients, less level, at
+    arclength u, in exact rationals: the polynomial _interpolate rounds."""
+    r = (Fraction(u) - Fraction(s0)) / Fraction(h)
+    q = 1 - r
+    y0, f0, f1, f2, f3, f4, f5, f6 = map(Fraction, coefficients)
+    return (((((((f6 * r + f5) * q + f4) * r + f3) * q + f2) * r + f1) * q
+             + f0) * r + y0 - Fraction(level))
 
-    def both(f, a, b, xtol, rtol):
-        root = port(f, a, b, xtol, rtol)
-        pairs.append((root, brentq(f, a, b, xtol=xtol, rtol=rtol)))
+
+def test_event_roots_are_within_an_ulp_of_the_interpolants(monkeypatch):
+    # every event-root search of a few open ODE solves returns a float
+    # whose two neighbours bracket a sign change of the step's interpolant,
+    # taken exactly: each root lies within 1 ulp of the interpolant's exact
+    # root.  Explicit starts are solved directly, through every turn and
+    # critical radius up to the arclength limit
+    searches = []
+    event_root = profile_ode._event_root
+
+    def spy(piece, j, level, end):
+        root = event_root(piece, j, level, end)
+        searches.append((piece.coefficients()[j], piece.s0, piece.h, level,
+                         root))
         return root
 
-    monkeypatch.setattr(profile_ode, "_brentq", both)
+    monkeypatch.setattr(profile_ode, "_event_root", spy)
     for n in (1, 2):
         for h in (0.5, 2.0):
             for sigma in (-2.0, 0.0, 1.0):
                 integrate(n, h, initial=ProfileState(0.7 / h, 0.0, sigma),
                           config=SolveConfig(max_arclength=20.0))
-    assert len(pairs) > 300
-    assert [a for a, _ in pairs] == [b for _, b in pairs]
+    assert len(searches) > 300
+    for coefficients, s0, h, level, root in searches:
+        below, above = (
+            _interpolant_exact(coefficients, s0, h, level,
+                               math.nextafter(root, toward))
+            for toward in (-math.inf, math.inf))
+        assert below * above <= 0, (s0, h, level, root)
 
 
-@pytest.mark.parametrize("h", [4.0, 10.0, 100.0])
-def test_brent_port_bisects_past_an_underflowed_step(h):
-    # on the inflection polynomial of an n = 3 neck at E = 1e-50 the inverse
-    # quadratic step's denominator underflows to 0; brentq.c divides to inf
-    # or NaN, rejects the step and bisects, where the port used to raise
-    # ZeroDivisionError.  classify now searches p / y^{3p} in log y instead,
-    # so the port runs on that polynomial and band here directly
-    n, e = 3, 1e-50
-    x1, x2 = admissible_radii(n, h, e)
-
-    def p(y):
-        return ((e + h * y ** (2 * n)) ** 3 - 2.0 * h * y ** (6 * n - 2)
-                + 2.0 * (n - 1) * e * y ** (4 * n - 2))
-
-    root = profile_ode._brentq(p, x1, x2)
-    assert root == brentq(p, x1, x2, xtol=1e-14, rtol=8.9e-16)
-    assert x1 < root < x2
-
-
-def test_brent_port_out_of_iterations():
-    # a step function on a bracket 1e314 times xtol needs ~1000 bisections
-    def step(x):
-        return -1.0 if x < 1.0 else 1.0
-
-    with pytest.raises(RuntimeError):
-        brentq(step, 0.0, 1e300, xtol=1e-14, rtol=8.9e-16)
-    with pytest.raises(RootBracketFailureError, match="100 iterations"):
-        profile_ode._brentq(step, 0.0, 1e300)
-    assert profile_ode._brentq(step, 0.0, 2.0) == pytest.approx(1.0)
-
-
-def test_brent_port_rejects_a_bracket_without_sign_change():
+def test_newton_rejects_ends_of_one_sign():
     with pytest.raises(ValueError, match="different signs"):
-        profile_ode._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        classify_module._newton(lambda r: (r * r + 1.0, 2.0 * r),
+                                lambda r: f"s = {2.0 + r}",
+                                -1.0, 2.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("fa, where", [(math.nan, "2.0"), (-1.0, "2.5")],
+                         ids=["at-an-end", "inside"])
+def test_newton_names_a_nan_point(fa, where):
+    # the secant point of the ends (0, -1) and (1, 1) is r = 0.5
+    with pytest.raises(ValueError,
+                       match=rf"^f is NaN at s = {where}; the root search"):
+        classify_module._newton(lambda r: (math.nan, 1.0),
+                                lambda r: f"s = {2.0 + r}", 0.0, fa, 1.0, 1.0)

@@ -323,6 +323,19 @@ def test_root_search_out_of_iterations_exits_3(capsys, monkeypatch):
     assert "did not converge in 2 iterations" in err
 
 
+def test_event_search_out_of_iterations_exits_3(capsys, monkeypatch):
+    # the ODE's event roots share classify's root search: one that runs out
+    # of iterations names the arclength it reached
+    monkeypatch.setattr(classify_module, "_MAXITER", 2)
+    code, _, err = run_cli(
+        ["trace", "--n", "1", "--h", "1", "--x0", "0.7", "--sigma0", "-2",
+         "--max-arclength", "5"], capsys)
+    assert code == 3
+    assert err.count("\n") == 1
+    assert err.startswith("error: Newton's method did not converge in 2 "
+                          "iterations (last s = ")
+
+
 def test_exit_code_io_failure(capsys):
     code, _, err = run_cli(
         ["classify", "--n", "1", "--h", "1", "--e", "0",
@@ -1544,6 +1557,52 @@ def test_sweep_finishes_past_overflowing_row(fmt, capsys):
     with pytest.raises(OverflowError) as info:
         sweep_rows([2], [1e-300, 1.0], [1.0])
     assert len(info.value.rows) == 2
+
+
+# a row whose half-period series stays unresolved at the largest degree;
+# the grid's other row is a reportable nodoid
+_UNRESOLVED = ["--n", "3", "--h", "3.398348647757604e-47:1:2", "--e=-0.5"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_finishes_past_an_unresolved_row(fmt, capsys):
+    # the unresolved series used to end the sweep with exit 3 before any
+    # row was written
+    code, out, err = run_cli(["sweep", *_UNRESOLVED, "--format", fmt], capsys)
+    assert code == 3
+    assert err == ("error: n = 3, H = 3.398348647757604e-47, E = -0.5: "
+                   "Chebyshev series unresolved at degree 4096\n")
+    _, alone, _ = run_cli(["sweep", "--n", "3", "--h", "1", "--e=-0.5",
+                           "--format", fmt], capsys)
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+        (nodoid,) = json.loads(alone)["rows"]
+        blank = {**dict.fromkeys(SWEEP_COLUMNS), "n": 3,
+                 "h": 3.398348647757604e-47, "e": -0.5}
+    else:
+        header, *rows = out.splitlines()
+        assert header == ",".join(SWEEP_COLUMNS)
+        nodoid = alone.splitlines()[1]
+        blank = "3,3.3983486477576039e-47,-0.5" + "," * 10
+    assert rows == [blank, nodoid]
+
+
+def test_sweep_finishes_past_overflowing_and_unresolved_rows(capsys):
+    # the first failed row sets the exit code, 2 for an overflow and 3 for
+    # an unresolved series; the message counts the rest
+    code, out, err = run_cli(
+        ["sweep", "--n", "2,3", "--h", "1e-300:3.398348647757604e-47:2",
+         "--e=-0.5"], capsys)
+    assert code == 2
+    assert err.startswith("error: the parameters overflow a float (n = 2, "
+                          "H = 1e-300, E = -0.5: ")
+    assert err.endswith("; 2 more rows failed)\n")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["family"] for row in rows] == ["", "Nodoid", "", ""]
+    with pytest.raises(QuadratureError) as info:
+        sweep_rows([3], [3.398348647757604e-47, 1e-300], [-0.5])
+    assert str(info.value).endswith("; 1 more rows failed")
+    assert [row["family"] for row in info.value.rows] == [None, None]
 
 
 def test_sweep_empty_grid(capsys):
